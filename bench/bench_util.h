@@ -64,14 +64,14 @@ inline GuestOs* AddRtXenVm(Experiment& exp, const std::string& name, const RtaPa
   return g;
 }
 
-// Installs an RTVirt channel with a small absolute slack on `guest` — the
+// Gives `guest`'s RTVirt channel a small absolute slack — the
 // microsecond-period analogue of the paper's 500 us slack (which targets
 // millisecond periods). No-op for non-RTVirt frameworks.
 inline void SetMicroSlack(Experiment& exp, GuestOs* guest, TimeNs slack = Us(6)) {
-  if (exp.config().framework == Framework::kRtvirt) {
+  if (RtvirtGuestChannel* channel = exp.ChannelOf(guest)) {
     GuestChannelOptions opts = exp.config().channel;
     opts.budget_slack = slack;
-    guest->SetCrossLayer(std::make_unique<RtvirtGuestChannel>(&exp.machine(), opts));
+    channel->set_options(opts);
   }
 }
 

@@ -22,12 +22,12 @@ void InvariantAuditor::Arm() {
   if (!config_.enabled) {
     return;
   }
-  machine_->sim()->After(config_.period, [this] { Tick(); });
+  machine_->sim()->After(config_.period, this, 0);
 }
 
-void InvariantAuditor::Tick() {
+void InvariantAuditor::OnEvent(uint32_t /*kind*/, uint64_t /*payload*/) {
   CheckNow();
-  machine_->sim()->After(config_.period, [this] { Tick(); });
+  machine_->sim()->After(config_.period, this, 0);
 }
 
 void InvariantAuditor::Record(const char* invariant, std::string detail) {

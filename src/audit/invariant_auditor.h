@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/sim/event_queue.h"
 
 namespace rtvirt {
 
@@ -59,7 +60,7 @@ struct AuditViolation {
   std::string detail;      // Human-readable diagnostic.
 };
 
-class InvariantAuditor {
+class InvariantAuditor : public EventTarget {
  public:
   // `dpwrap` may be null (baseline host schedulers): host-side and bridge
   // checks are skipped and only watched guests are audited.
@@ -75,6 +76,8 @@ class InvariantAuditor {
   // Runs every check once, immediately; returns how many new violations the
   // pass recorded. Usable without Arm() (tests call it at chosen instants).
   size_t CheckNow();
+  // The periodic check (the auditor's only event).
+  void OnEvent(uint32_t kind, uint64_t payload) override;
 
   const AuditorConfig& config() const { return config_; }
   const std::vector<AuditViolation>& violations() const { return violations_; }
@@ -90,7 +93,6 @@ class InvariantAuditor {
     RtvirtGuestChannel* channel = nullptr;
   };
 
-  void Tick();
   void Record(const char* invariant, std::string detail);
 
   Machine* machine_;

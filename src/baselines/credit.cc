@@ -11,10 +11,18 @@ CreditScheduler::CreditScheduler(CreditConfig config) : config_(config) {}
 
 void CreditScheduler::Attach(Machine* machine) {
   HostScheduler::Attach(machine);
-  accounting_event_ = machine_->sim()->After(config_.timeslice, [this] { Accounting(); });
+  accounting_event_ = machine_->sim()->After(config_.timeslice, this, kEvAccounting);
   tick_events_.resize(machine_->num_pcpus());
   for (int i = 0; i < machine_->num_pcpus(); ++i) {
-    tick_events_[i] = machine_->sim()->After(config_.tick_period, [this, i] { Tick(i); });
+    tick_events_[i] = machine_->sim()->After(config_.tick_period, this, kEvTick, i);
+  }
+}
+
+void CreditScheduler::OnEvent(uint32_t kind, uint64_t payload) {
+  if (kind == kEvAccounting) {
+    Accounting();
+  } else {
+    Tick(static_cast<int>(payload));
   }
 }
 
@@ -44,8 +52,8 @@ void CreditScheduler::Tick(int pcpu_id) {
   // runqueue (boost decay and priority changes take effect here).
   machine_->pcpu(pcpu_id)->SettleAccounting();
   machine_->pcpu(pcpu_id)->RequestReschedule();
-  tick_events_[pcpu_id] =
-      machine_->sim()->After(config_.tick_period, [this, pcpu_id] { Tick(pcpu_id); });
+  tick_events_[pcpu_id] = machine_->sim()->After(config_.tick_period, this, kEvTick,
+                                                 static_cast<uint64_t>(pcpu_id));
 }
 
 void CreditScheduler::Accounting() {
@@ -65,7 +73,7 @@ void CreditScheduler::Accounting() {
     st.window_consumed = 0;
     st.capped_out = false;
   }
-  accounting_event_ = machine_->sim()->After(config_.timeslice, [this] { Accounting(); });
+  accounting_event_ = machine_->sim()->After(config_.timeslice, this, kEvAccounting);
   for (int i = 0; i < machine_->num_pcpus(); ++i) {
     machine_->pcpu(i)->RequestReschedule();
   }

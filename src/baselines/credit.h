@@ -41,7 +41,7 @@ struct CreditConfig {
   TimeNs dispatch_cost = Us(60);
 };
 
-class CreditScheduler : public HostScheduler {
+class CreditScheduler : public HostScheduler, public EventTarget {
  public:
   explicit CreditScheduler(CreditConfig config = {});
 
@@ -60,8 +60,13 @@ class CreditScheduler : public HostScheduler {
   void AccountRun(Vcpu* vcpu, TimeNs ran) override;
   TimeNs ScheduleCost(const Pcpu* pcpu) const override;
   TimeNs DispatchCost(const Vcpu* next) const override;
+  void OnEvent(uint32_t kind, uint64_t payload) override;
 
  private:
+  enum EventKind : uint32_t {
+    kEvAccounting = 1,
+    kEvTick = 2,  // Payload = pcpu id.
+  };
   enum class Priority { kBoost = 0, kUnder = 1, kOver = 2 };
 
   struct CreditState {

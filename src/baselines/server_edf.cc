@@ -15,16 +15,17 @@ void ServerEdfScheduler::Attach(Machine* machine) {
     // Quantum-driven: every PCPU re-enters schedule() each quantum.
     quantum_ticks_.resize(machine_->num_pcpus());
     for (int i = 0; i < machine_->num_pcpus(); ++i) {
-      quantum_ticks_[i] =
-          machine_->sim()->After(config_.quantum, [this, i] { QuantumTick(i); });
+      quantum_ticks_[i] = machine_->sim()->After(config_.quantum, this, kEvQuantum, i);
     }
   }
 }
 
-void ServerEdfScheduler::QuantumTick(int pcpu_id) {
-  machine_->pcpu(pcpu_id)->RequestReschedule();
-  quantum_ticks_[pcpu_id] =
-      machine_->sim()->After(config_.quantum, [this, pcpu_id] { QuantumTick(pcpu_id); });
+void ServerEdfScheduler::OnEvent(uint32_t kind, uint64_t payload) {
+  if (kind == kEvReplenish) {
+    return Replenish(machine_->VcpuByGlobalId(static_cast<int>(payload)));
+  }
+  machine_->pcpu(static_cast<int>(payload))->RequestReschedule();  // kEvQuantum.
+  quantum_ticks_[payload] = machine_->sim()->After(config_.quantum, this, kEvQuantum, payload);
 }
 
 void ServerEdfScheduler::VcpuInserted(Vcpu* vcpu) { all_vcpus_.push_back(vcpu); }
@@ -59,7 +60,8 @@ void ServerEdfScheduler::Replenish(Vcpu* vcpu) {
   // leftovers (deferrable) are preserved but never exceed one budget.
   s.budget = std::min(s.params.budget, s.budget + s.params.budget);
   s.deadline = now + s.params.period;
-  s.replenish_event = machine_->sim()->After(s.params.period, [this, vcpu] { Replenish(vcpu); });
+  s.replenish_event = machine_->sim()->After(s.params.period, this, kEvReplenish,
+                                             static_cast<uint64_t>(vcpu->global_id()));
   if (vcpu->runnable() || vcpu->running()) {
     TickleFor(vcpu);
   }

@@ -42,7 +42,7 @@ struct ServerEdfConfig {
   TimeNs quantum = 0;
 };
 
-class ServerEdfScheduler : public HostScheduler {
+class ServerEdfScheduler : public HostScheduler, public EventTarget {
  public:
   explicit ServerEdfScheduler(ServerEdfConfig config = {});
 
@@ -59,8 +59,13 @@ class ServerEdfScheduler : public HostScheduler {
   ScheduleDecision PickNext(Pcpu* pcpu) override;
   void AccountRun(Vcpu* vcpu, TimeNs ran) override;
   TimeNs ScheduleCost(const Pcpu* pcpu) const override;
+  void OnEvent(uint32_t kind, uint64_t payload) override;
 
  private:
+  enum EventKind : uint32_t {
+    kEvQuantum = 1,    // Payload = pcpu id.
+    kEvReplenish = 2,  // Payload = server VCPU's global id.
+  };
   struct Server {
     Vcpu* vcpu = nullptr;
     ServerParams params;
@@ -70,7 +75,6 @@ class ServerEdfScheduler : public HostScheduler {
   };
 
   void Replenish(Vcpu* vcpu);
-  void QuantumTick(int pcpu_id);
   // Preempt the PCPU running the lowest-priority work if `vcpu` beats it.
   void TickleFor(Vcpu* vcpu);
   Vcpu* PickBestEffort(Pcpu* pcpu);

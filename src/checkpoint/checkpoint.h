@@ -3,13 +3,13 @@
 //
 // A checkpoint is an Image: an ordered list of named sections, one per
 // registered component plus the Experiment-owned "sim" / "rng" / "events"
-// sections. Closures in the event queue are never serialized; instead every
-// checkpointable schedule site tags its events with (owner, kind, payload),
-// where owner = Fnv1a64(section name), and restore re-creates the callbacks
-// by dispatching (kind, payload, when) back to the owning component's
-// RebindEvent hook. The header stays dependency-free (header-only Writer /
-// Reader / hashes) so hypervisor and guest components can implement
-// Checkpointable without new link-time dependencies.
+// sections. A pending event is plain data — (target, kind, payload) — so the
+// "events" section stores each one as (owner, kind, payload, time), where
+// owner = Fnv1a64(section name of its target), and restore hands (kind,
+// payload, time) back to the owning component, which re-arms it through its
+// ordinary schedule path. The header stays header-only (Writer / Reader /
+// hashes) so hypervisor and guest components can implement Checkpointable
+// without new link-time dependencies.
 
 #ifndef SRC_CHECKPOINT_CHECKPOINT_H_
 #define SRC_CHECKPOINT_CHECKPOINT_H_
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/sim/event_queue.h"
 
 namespace rtvirt {
 namespace ckpt {
@@ -146,17 +147,18 @@ class Reader {
 // ---------------------------------------------------------------------------
 // Component interface.
 
-// One per stateful component. SaveState/RestoreState move the component's
-// fields; RebindEvent re-creates one live event that this component had
-// scheduled (identified by the kind/payload recorded in its EventTag) at
-// virtual time `when`. Restore hooks return an empty string on success or a
-// loud error naming what went wrong; they must not partially apply.
-class Checkpointable {
+// One per stateful component; it is also the target of every event it
+// schedules. SaveState/RestoreState move the component's fields;
+// RestoreEvent checks one saved live event's (kind, payload) and re-arms it
+// at virtual time `when` through the component's schedule path. Restore
+// hooks return an empty string on success or a loud error naming what went
+// wrong; they must not partially apply.
+class Checkpointable : public EventTarget {
  public:
   virtual ~Checkpointable() = default;
   virtual void SaveState(Writer& w) const = 0;
   virtual std::string RestoreState(Reader& r) = 0;
-  virtual std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) = 0;
+  virtual std::string RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ void SloController::Arm() {
     return;
   }
   armed_ = true;
-  sim_->After(config_.decision_period, [this] { Tick(); });
+  sim_->After(config_.decision_period, this, 0);
 }
 
 void SloController::OnJobCompleted(const Task& task, const Job& job, TimeNs completion) {
@@ -144,12 +144,12 @@ void SloController::EnterFrozen(Tenant& t, TimeNs now) {
   ++stats_.freezes;
 }
 
-void SloController::Tick() {
+void SloController::OnEvent(uint32_t /*kind*/, uint64_t /*payload*/) {
   TimeNs now = sim_->Now();
   for (Tenant& t : tenants_) {
     Decide(t, now);
   }
-  sim_->After(config_.decision_period, [this] { Tick(); });
+  sim_->After(config_.decision_period, this, 0);
 }
 
 void SloController::Decide(Tenant& t, TimeNs now) {

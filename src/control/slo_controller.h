@@ -131,7 +131,7 @@ struct ControlStats {
   uint64_t reengages = 0;            // Frozen -> engaged transitions.
 };
 
-class SloController : public JobObserver {
+class SloController : public JobObserver, public EventTarget {
  public:
   SloController(Simulator* sim, ControlConfig config);
 
@@ -172,6 +172,8 @@ class SloController : public JobObserver {
 
   // JobObserver: records the response time and forwards downstream.
   void OnJobCompleted(const Task& task, const Job& job, TimeNs completion) override;
+  // The periodic decision tick (the controller's only event).
+  void OnEvent(uint32_t kind, uint64_t payload) override;
 
  private:
   struct Tenant {
@@ -205,7 +207,6 @@ class SloController : public JobObserver {
     explicit Tenant(const WindowedQuantile::Options& w) : window(w) {}
   };
 
-  void Tick();
   void Decide(Tenant& t, TimeNs now);
   // True when the tenant's pinned VCPU has a healthy (non-degraded) channel.
   bool ChannelHealthy(const Tenant& t) const;

@@ -238,32 +238,50 @@ void FaultInjector::Arm() {
   Simulator* sim = machine_->sim();
   for (size_t i = 0; i < plan_.vm_failures.size(); ++i) {
     const FaultPlan::VmFailure& f = plan_.vm_failures[i];
-    sim->At(f.crash_at, Tag(kEvVmCrash, i), [this, i] { FireVmCrash(i); });
+    sim->At(f.crash_at, this, kEvVmCrash, i);
     if (f.restart_at < kTimeNever) {
-      sim->At(f.restart_at, Tag(kEvVmRestart, i), [this, i] { FireVmRestart(i); });
+      sim->At(f.restart_at, this, kEvVmRestart, i);
     }
   }
   for (size_t i = 0; i < plan_.pcpu_faults.size(); ++i) {
     const FaultPlan::PcpuFault& f = plan_.pcpu_faults[i];
-    sim->At(f.at, Tag(kEvPcpuFaultStart, i), [this, i] { FirePcpuFaultStart(i); });
+    sim->At(f.at, this, kEvPcpuFaultStart, i);
     bool has_end = f.kind == FaultPlan::PcpuFault::Kind::kTransientOffline ||
                    (f.kind == FaultPlan::PcpuFault::Kind::kDegrade && f.until < kTimeNever);
     if (has_end) {
-      sim->At(f.until, Tag(kEvPcpuFaultEnd, i), [this, i] { FirePcpuFaultEnd(i); });
+      sim->At(f.until, this, kEvPcpuFaultEnd, i);
     }
   }
   for (size_t i = 0; i < plan_.adversarial_guests.size(); ++i) {
-    sim->At(plan_.adversarial_guests[i].start,
-            Tag(kEvAdversaryTick, static_cast<uint64_t>(i) << 32),
-            [this, i] { AdversaryTick(i, 0); });
+    sim->At(plan_.adversarial_guests[i].start, this, kEvAdversaryTick,
+            static_cast<uint64_t>(i) << 32);
   }
   for (size_t i = 0; i < plan_.control_faults.size(); ++i) {
     const FaultPlan::ControlFault& f = plan_.control_faults[i];
     if (f.kind != FaultPlan::ControlFault::Kind::kStalePage) {
       continue;  // kChannelOutage is evaluated per call in OnHypercall.
     }
-    sim->At(f.at, Tag(kEvControlStaleStart, i), [this, i] { FireControlStaleStart(i); });
-    sim->At(f.until, Tag(kEvControlStaleEnd, i), [this, i] { FireControlStaleEnd(i); });
+    sim->At(f.at, this, kEvControlStaleStart, i);
+    sim->At(f.until, this, kEvControlStaleEnd, i);
+  }
+}
+
+void FaultInjector::OnEvent(uint32_t kind, uint64_t payload) {
+  switch (kind) {
+    case kEvVmCrash:
+      return FireVmCrash(payload);
+    case kEvVmRestart:
+      return FireVmRestart(payload);
+    case kEvPcpuFaultStart:
+      return FirePcpuFaultStart(payload);
+    case kEvPcpuFaultEnd:
+      return FirePcpuFaultEnd(payload);
+    case kEvAdversaryTick:
+      return AdversaryTick(payload >> 32, payload & 0xffffffffull);
+    case kEvControlStaleStart:
+      return FireControlStaleStart(payload);
+    case kEvControlStaleEnd:
+      return FireControlStaleEnd(payload);
   }
 }
 
@@ -394,9 +412,7 @@ void FaultInjector::AdversaryTick(size_t idx, uint64_t step) {
       }
     }
   }
-  sim->After(a.period,
-             Tag(kEvAdversaryTick, (static_cast<uint64_t>(idx) << 32) | (step + 1)),
-             [this, idx, step] { AdversaryTick(idx, step + 1); });
+  sim->After(a.period, this, kEvAdversaryTick, (static_cast<uint64_t>(idx) << 32) | (step + 1));
 }
 
 void FaultInjector::SaveState(ckpt::Writer& w) const {
@@ -444,7 +460,7 @@ std::string FaultInjector::RestoreState(ckpt::Reader& r) {
   }
   // Re-arm the synchronous paths only: the interceptor is per-process state
   // the checkpoint cannot carry, while the planned events come back through
-  // rebind and the page visibility delay through the machine section (so the
+  // RestoreEvent and the page visibility delay through the machine section (so the
   // Arm()-time SetVisibilityDelay must NOT run again — it would clobber an
   // in-progress stale-page window).
   machine_->SetHypercallInterceptor(
@@ -453,61 +469,25 @@ std::string FaultInjector::RestoreState(ckpt::Reader& r) {
   return "";
 }
 
-std::string FaultInjector::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
-  Simulator* sim = machine_->sim();
-  switch (kind) {
-    case kEvVmCrash:
-    case kEvVmRestart: {
-      size_t i = payload;
-      if (i >= plan_.vm_failures.size()) {
-        return "faults: event references unknown vm_failures entry " + std::to_string(i);
-      }
-      if (kind == kEvVmCrash) {
-        sim->At(when, Tag(kEvVmCrash, i), [this, i] { FireVmCrash(i); });
-      } else {
-        sim->At(when, Tag(kEvVmRestart, i), [this, i] { FireVmRestart(i); });
-      }
-      return "";
-    }
-    case kEvPcpuFaultStart:
-    case kEvPcpuFaultEnd: {
-      size_t i = payload;
-      if (i >= plan_.pcpu_faults.size()) {
-        return "faults: event references unknown pcpu_faults entry " + std::to_string(i);
-      }
-      if (kind == kEvPcpuFaultStart) {
-        sim->At(when, Tag(kEvPcpuFaultStart, i), [this, i] { FirePcpuFaultStart(i); });
-      } else {
-        sim->At(when, Tag(kEvPcpuFaultEnd, i), [this, i] { FirePcpuFaultEnd(i); });
-      }
-      return "";
-    }
-    case kEvAdversaryTick: {
-      size_t idx = payload >> 32;
-      uint64_t step = payload & 0xffffffffull;
-      if (idx >= plan_.adversarial_guests.size()) {
-        return "faults: event references unknown adversarial campaign " +
-               std::to_string(idx);
-      }
-      sim->At(when, Tag(kEvAdversaryTick, payload),
-              [this, idx, step] { AdversaryTick(idx, step); });
-      return "";
-    }
-    case kEvControlStaleStart:
-    case kEvControlStaleEnd: {
-      size_t i = payload;
-      if (i >= plan_.control_faults.size()) {
-        return "faults: event references unknown control_faults entry " + std::to_string(i);
-      }
-      if (kind == kEvControlStaleStart) {
-        sim->At(when, Tag(kEvControlStaleStart, i), [this, i] { FireControlStaleStart(i); });
-      } else {
-        sim->At(when, Tag(kEvControlStaleEnd, i), [this, i] { FireControlStaleEnd(i); });
-      }
-      return "";
-    }
+std::string FaultInjector::RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) {
+  // Every kind names an entry of one plan list, which must exist in this plan.
+  const std::pair<const char*, size_t> lists[] = {
+      {"vm_failures", plan_.vm_failures.size()},        // kEvVmCrash, kEvVmRestart
+      {"pcpu_faults", plan_.pcpu_faults.size()},        // kEvPcpuFault{Start,End}
+      {"adversarial_guests", plan_.adversarial_guests.size()},  // kEvAdversaryTick
+      {"control_faults", plan_.control_faults.size()},  // kEvControlStale{Start,End}
+  };
+  if (kind < kEvVmCrash || kind > kEvControlStaleEnd) {
+    return "faults: unknown event kind " + std::to_string(kind);
   }
-  return "faults: unknown event kind " + std::to_string(kind);
+  const auto& [list, entries] = lists[kind <= kEvAdversaryTick ? (kind - 1) / 2 : 3];
+  uint64_t index = kind == kEvAdversaryTick ? payload >> 32 : payload;
+  if (index >= entries) {
+    return std::string("faults: event references unknown ") + list + " entry " +
+           std::to_string(index);
+  }
+  machine_->sim()->At(when, this, kind, payload);
+  return "";
 }
 
 }  // namespace rtvirt

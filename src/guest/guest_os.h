@@ -162,16 +162,17 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   void OnVcpuRevoked(Vcpu* vcpu) override;
 
   // ---- Checkpointing (src/checkpoint) ----
-  // Section name "guest.<vmid>"; the owner id doubles as the EventTag owner
-  // for the pressure-poll tick and per-VCPU job-completion events.
+  // Section name "guest.<vmid>"; it also owns the pressure-poll tick and the
+  // per-VCPU job-completion events.
   const std::string& ckpt_section() const { return ckpt_section_; }
-  enum CkptEventKind : uint32_t {
+  enum EventKind : uint32_t {
     kEvPressure = 1,    // Overload-control pressure poll (recurring).
     kEvCompletion = 2,  // Job completion; payload = VCPU index.
   };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  std::string RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
 
  private:
   struct VcpuRun {
@@ -191,6 +192,9 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   };
 
   Simulator* sim() const { return vm_->machine()->sim(); }
+  // The one schedule path of this guest's events (kEv*); keeps the
+  // completion events' cancel handles.
+  void Arm(uint32_t kind, uint64_t payload, TimeNs when);
   VcpuRun& RunOf(Vcpu* vcpu) { return vcpus_[vcpu->index()]; }
 
   // EDF pick: earliest-deadline pending RTA job, else a background task.
@@ -249,15 +253,9 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   // (true when the host never published — fall back to probing).
   bool HostHeadroomCovers(Bandwidth delta) const;
 
-  EventTag PressureTag() const { return EventTag{ckpt_owner_, kEvPressure, 0}; }
-  EventTag CompletionTag(int vcpu_index) const {
-    return EventTag{ckpt_owner_, kEvCompletion, static_cast<uint64_t>(vcpu_index)};
-  }
-
   Vm* vm_;
   GuestConfig config_;
   std::string ckpt_section_;
-  uint64_t ckpt_owner_ = 0;
   std::unique_ptr<CrossLayerPolicy> cross_layer_;
   std::vector<VcpuRun> vcpus_;
   std::vector<std::unique_ptr<Task>> tasks_;

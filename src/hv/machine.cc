@@ -27,8 +27,9 @@ Vm* Machine::AddVm(std::string name) {
 }
 
 Vcpu* Machine::RegisterVcpu(Vm* vm, int index) {
-  auto vcpu = std::make_unique<Vcpu>(vm, index, next_vcpu_global_id_++);
+  auto vcpu = std::make_unique<Vcpu>(vm, index, static_cast<int>(vcpus_by_global_id_.size()));
   Vcpu* raw = vcpu.get();
+  vcpus_by_global_id_.push_back(raw);
   vm->vcpus_.push_back(std::move(vcpu));
   assert(scheduler_ != nullptr && "install the host scheduler before adding VCPUs");
   scheduler_->VcpuInserted(raw);
@@ -149,15 +150,12 @@ void Machine::NotifyWake(Vcpu* vcpu) { scheduler_->VcpuWake(vcpu); }
 void Machine::NotifyBlock(Vcpu* vcpu) { scheduler_->VcpuBlock(vcpu); }
 
 Vcpu* Machine::VcpuByGlobalId(int global_id) const {
-  for (const auto& vm : vms_) {
-    for (const auto& v : vm->vcpus_) {
-      if (v->global_id() == global_id) {
-        return v.get();
-      }
-    }
-  }
-  return nullptr;
+  return global_id >= 0 && global_id < static_cast<int>(vcpus_by_global_id_.size())
+             ? vcpus_by_global_id_[global_id]
+             : nullptr;
 }
+
+void Machine::OnEvent(uint32_t kind, uint64_t payload) { pcpus_[payload]->OnEvent(kind); }
 
 void Machine::SaveState(ckpt::Writer& w) const {
   w.U64(overhead_.schedule_calls);
@@ -169,7 +167,7 @@ void Machine::SaveState(ckpt::Writer& w) const {
   w.U64(overhead_.hypercalls);
   w.I64(overhead_.hypercall_time);
   w.U64(pcpu_evacuations_);
-  w.U32(static_cast<uint32_t>(next_vcpu_global_id_));
+  w.U32(static_cast<uint32_t>(vcpus_by_global_id_.size()));
   w.U32(static_cast<uint32_t>(pcpus_.size()));
   for (const auto& p : pcpus_) {
     w.Bool(p->online_);
@@ -210,11 +208,11 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
   overhead_.hypercalls = r.U64();
   overhead_.hypercall_time = r.I64();
   pcpu_evacuations_ = r.U64();
-  int global_ids = static_cast<int>(r.U32());
-  if (global_ids != next_vcpu_global_id_) {
+  uint32_t global_ids = r.U32();
+  if (global_ids != vcpus_by_global_id_.size()) {
     return "machine: VCPU count mismatch (checkpoint has " +
            std::to_string(global_ids) + " global ids, this machine has " +
-           std::to_string(next_vcpu_global_id_) + ")";
+           std::to_string(vcpus_by_global_id_.size()) + ")";
   }
   uint32_t num_pcpus = r.U32();
   if (!r.ok() || num_pcpus != pcpus_.size()) {
@@ -286,23 +284,15 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : "machine: truncated section";
 }
 
-std::string Machine::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
+std::string Machine::RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) {
   if (payload >= pcpus_.size()) {
     return "machine: event references invalid pcpu " + std::to_string(payload);
   }
-  Pcpu* p = pcpus_[payload].get();
-  switch (kind) {
-    case kEvResched:
-      p->CkptRebindResched(when);
-      return "";
-    case kEvSliceEnd:
-      p->CkptRebindSliceEnd(when);
-      return "";
-    case kEvGrant:
-      p->CkptRebindGrant(when);
-      return "";
+  if (kind < kEvResched || kind > kEvGrant) {
+    return "machine: unknown event kind " + std::to_string(kind);
   }
-  return "machine: unknown event kind " + std::to_string(kind);
+  pcpus_[payload]->Arm(kind, when);
+  return "";
 }
 
 }  // namespace rtvirt

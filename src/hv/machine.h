@@ -131,19 +131,20 @@ class Machine : public ckpt::Checkpointable {
 
   // ---- Checkpoint support (src/checkpoint) ----
   // The machine section covers PCPUs (incl. their pending dispatch events),
-  // VMs, VCPUs, shared pages, and overhead accounts. Pcpu tags its events
-  // with ckpt_owner() so the machine rebinds them after a restore.
+  // VMs, VCPUs, shared pages, and overhead accounts. PCPU events target the
+  // machine, which hands them to the PCPU named by the payload.
   static constexpr const char* kCkptSection = "machine";
-  uint64_t ckpt_owner() const { return ckpt_owner_; }
-  enum CkptEventKind : uint32_t {
+  enum EventKind : uint32_t {
     kEvResched = 1,   // payload = pcpu id; the coalesced reschedule softirq.
     kEvSliceEnd = 2,  // payload = pcpu id; dispatch horizon timer.
     kEvGrant = 3,     // payload = pcpu id; end of context-switch overhead.
   };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
-  // Resolves a serialized VCPU reference; nullptr if no such id.
+  std::string RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  // Resolves a VCPU global id (checkpoints, event payloads); nullptr if no
+  // such id.
   Vcpu* VcpuByGlobalId(int global_id) const;
 
  private:
@@ -157,13 +158,12 @@ class Machine : public ckpt::Checkpointable {
   std::unique_ptr<HostScheduler> scheduler_;
   std::vector<std::unique_ptr<Pcpu>> pcpus_;
   std::vector<std::unique_ptr<Vm>> vms_;
-  int next_vcpu_global_id_ = 0;
+  std::vector<Vcpu*> vcpus_by_global_id_;
   uint64_t pcpu_evacuations_ = 0;
   OverheadStats overhead_;
   DispatchTracer dispatch_tracer_;
   HypercallInterceptor hypercall_interceptor_;
   bool started_ = false;
-  uint64_t ckpt_owner_ = ckpt::Fnv1a64(kCkptSection);
 };
 
 }  // namespace rtvirt

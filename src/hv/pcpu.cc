@@ -11,35 +11,23 @@ Pcpu::Pcpu(Machine* machine, int id) : machine_(machine), id_(id) {}
 
 TimeNs Pcpu::idle_time(TimeNs now) const { return now - busy_time_; }
 
-EventTag Pcpu::ReschedTag() const {
-  return EventTag{machine_->ckpt_owner(), Machine::kEvResched,
-                  static_cast<uint64_t>(id_)};
+void Pcpu::Arm(uint32_t kind, TimeNs when) {
+  Simulator::EventId id = machine_->sim()->At(when, machine_, kind, static_cast<uint64_t>(id_));
+  if (kind == Machine::kEvSliceEnd) {
+    slice_end_event_ = id;
+  } else if (kind == Machine::kEvGrant) {
+    grant_event_ = id;
+  }
 }
 
-EventTag Pcpu::SliceEndTag() const {
-  return EventTag{machine_->ckpt_owner(), Machine::kEvSliceEnd,
-                  static_cast<uint64_t>(id_)};
-}
-
-EventTag Pcpu::GrantTag() const {
-  return EventTag{machine_->ckpt_owner(), Machine::kEvGrant,
-                  static_cast<uint64_t>(id_)};
-}
-
-void Pcpu::CkptRebindResched(TimeNs when) {
-  // resched_pending_ was restored true; this re-creates the coalescing event.
-  machine_->sim()->At(when, ReschedTag(), [this] {
+void Pcpu::OnEvent(uint32_t kind) {
+  if (kind == Machine::kEvGrant) {
+    return GrantCurrent();
+  }
+  if (kind == Machine::kEvResched) {
     resched_pending_ = false;
-    Reschedule();
-  });
-}
-
-void Pcpu::CkptRebindSliceEnd(TimeNs when) {
-  slice_end_event_ = machine_->sim()->At(when, SliceEndTag(), [this] { Reschedule(); });
-}
-
-void Pcpu::CkptRebindGrant(TimeNs when) {
-  grant_event_ = machine_->sim()->At(when, GrantTag(), [this] { GrantCurrent(); });
+  }
+  Reschedule();
 }
 
 void Pcpu::RequestReschedule() {
@@ -47,10 +35,7 @@ void Pcpu::RequestReschedule() {
     return;
   }
   resched_pending_ = true;
-  machine_->sim()->After(0, ReschedTag(), [this] {
-    resched_pending_ = false;
-    Reschedule();
-  });
+  Arm(Machine::kEvResched, machine_->sim()->Now());
 }
 
 void Pcpu::StopCurrent() {
@@ -118,7 +103,7 @@ void Pcpu::Reschedule() {
     // error is bounded by sched_cost and absorbed by the slack budget).
     run_until_ = d.run_until;
     if (d.run_until < kTimeNever) {
-      slice_end_event_ = sim->At(d.run_until, SliceEndTag(), [this] { Reschedule(); });
+      Arm(Machine::kEvSliceEnd, d.run_until);
     }
     return;
   }
@@ -127,7 +112,7 @@ void Pcpu::Reschedule() {
 
   if (d.next == nullptr) {
     if (d.run_until < kTimeNever) {
-      slice_end_event_ = sim->At(d.run_until, SliceEndTag(), [this] { Reschedule(); });
+      Arm(Machine::kEvSliceEnd, d.run_until);
     }
     return;
   }
@@ -201,9 +186,9 @@ void Pcpu::Dispatch(Vcpu* vcpu, TimeNs overhead_delay, TimeNs run_until) {
   vcpu->state_ = VcpuState::kRunning;
   vcpu->pcpu_ = this;
   granted_ = false;
-  grant_event_ = sim->After(overhead_delay, GrantTag(), [this] { GrantCurrent(); });
+  Arm(Machine::kEvGrant, sim->Now() + overhead_delay);
   if (run_until < kTimeNever) {
-    slice_end_event_ = sim->At(run_until, SliceEndTag(), [this] { Reschedule(); });
+    Arm(Machine::kEvSliceEnd, run_until);
   }
 }
 

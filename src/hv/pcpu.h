@@ -79,14 +79,11 @@ class Pcpu {
   void Dispatch(Vcpu* vcpu, TimeNs overhead_delay, TimeNs run_until);
   void GrantCurrent();
 
-  // Checkpoint identities of this PCPU's events (owner = machine section) and
-  // the restore-time hooks that re-create them (src/checkpoint).
-  EventTag ReschedTag() const;
-  EventTag SliceEndTag() const;
-  EventTag GrantTag() const;
-  void CkptRebindResched(TimeNs when);
-  void CkptRebindSliceEnd(TimeNs when);
-  void CkptRebindGrant(TimeNs when);
+  // This PCPU's events (Machine::kEv*) are machine events with payload = id,
+  // so they checkpoint under the machine section. Arm is their one schedule
+  // path (it keeps the cancel handles); OnEvent runs them.
+  void Arm(uint32_t kind, TimeNs when);
+  void OnEvent(uint32_t kind);
 
   Machine* machine_;
   int id_;

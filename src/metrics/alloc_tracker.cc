@@ -7,10 +7,11 @@ void AllocTracker::Start(TimeNs stop) {
   for (int i = 0; i < machine_->num_vms(); ++i) {
     last_runtime_[i] = machine_->vm(i)->TotalRuntime();
   }
-  machine_->sim()->After(window_, [this, stop] { Sample(stop); });
+  machine_->sim()->After(window_, this, 0, static_cast<uint64_t>(stop));
 }
 
-void AllocTracker::Sample(TimeNs stop) {
+void AllocTracker::OnEvent(uint32_t /*kind*/, uint64_t payload) {
+  TimeNs stop = static_cast<TimeNs>(payload);
   TimeNs now = machine_->sim()->Now();
   Row row;
   row.time = now;
@@ -23,7 +24,7 @@ void AllocTracker::Sample(TimeNs stop) {
   }
   rows_.push_back(std::move(row));
   if (now < stop) {
-    machine_->sim()->After(window_, [this, stop] { Sample(stop); });
+    machine_->sim()->After(window_, this, 0, payload);
   }
 }
 

@@ -11,7 +11,7 @@
 
 namespace rtvirt {
 
-class AllocTracker {
+class AllocTracker : public EventTarget {
  public:
   struct Row {
     TimeNs time = 0;
@@ -27,9 +27,10 @@ class AllocTracker {
 
   const std::vector<Row>& rows() const { return rows_; }
 
- private:
-  void Sample(TimeNs stop);
+  // One sample; payload = the Start() stop time.
+  void OnEvent(uint32_t kind, uint64_t payload) override;
 
+ private:
   Machine* machine_;
   TimeNs window_;
   std::vector<TimeNs> last_runtime_;

@@ -89,9 +89,8 @@ std::string DeadlineMonitor::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : "monitor: truncated section";
 }
 
-std::string DeadlineMonitor::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
-  (void)payload;
-  (void)when;
+std::string DeadlineMonitor::RestoreEvent(uint32_t kind, uint64_t /*payload*/,
+                                          TimeNs /*when*/) {
   return "monitor: owns no events but checkpoint carries event kind " +
          std::to_string(kind);
 }

@@ -47,12 +47,13 @@ class DeadlineMonitor : public JobObserver, public ckpt::Checkpointable {
   int TasksWithMisses() const;
 
   // ---- Checkpointing (src/checkpoint) ----
-  // Section "monitor". Purely an accumulator: it owns no simulator events, so
-  // RebindEvent is always an error.
+  // Section "monitor". Purely an accumulator: it schedules no simulator
+  // events, so OnEvent is never called and RestoreEvent is always an error.
   static constexpr const char* kCkptSection = "monitor";
+  void OnEvent(uint32_t /*kind*/, uint64_t /*payload*/) override {}
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  std::string RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
 
  private:
   TaskStats total_;

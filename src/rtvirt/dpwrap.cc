@@ -15,20 +15,45 @@ void DpWrapScheduler::Attach(Machine* machine) {
   HostScheduler::Attach(machine);
   capacity_ = Bandwidth::Cpus(machine->num_pcpus());
   pcpu_plan_.resize(machine->num_pcpus());
+  TimeNs now = machine_->sim()->Now();
   if (config_.idle_tax.enabled) {
-    tax_event_ = machine_->sim()->After(config_.idle_tax.window, Tag(kEvTax), [this] { TaxTick(); });
+    Arm(kEvTax, now + config_.idle_tax.window);
   }
   if (config_.watchdog.reclaim_crashed) {
-    watchdog_event_ = machine_->sim()->After(config_.watchdog.scan_period, Tag(kEvWatchdog),
-                                             [this] { WatchdogTick(); });
+    Arm(kEvWatchdog, now + config_.watchdog.scan_period);
   }
   if (config_.overload.enabled) {
-    overload_event_ = machine_->sim()->After(config_.overload.scan_period, Tag(kEvOverload),
-                                             [this] { OverloadTick(); });
+    Arm(kEvOverload, now + config_.overload.scan_period);
   }
   if (config_.guest_trust.enabled) {
-    trust_event_ = machine_->sim()->After(config_.guest_trust.scan_period, Tag(kEvTrust),
-                                          [this] { TrustTick(); });
+    Arm(kEvTrust, now + config_.guest_trust.scan_period);
+  }
+}
+
+void DpWrapScheduler::Arm(uint32_t kind, TimeNs when) {
+  Simulator::EventId id = machine_->sim()->At(when, this, kind);
+  if (kind == kEvReplan) {
+    replan_event_ = id;
+  } else if (kind == kEvEarlyReplan) {
+    early_replan_event_ = id;
+  }
+}
+
+void DpWrapScheduler::OnEvent(uint32_t kind, uint64_t /*payload*/) {
+  switch (kind) {
+    case kEvTax:
+      return TaxTick();
+    case kEvWatchdog:
+      return WatchdogTick();
+    case kEvOverload:
+      return OverloadTick();
+    case kEvTrust:
+      return TrustTick();
+    case kEvDeferredReplan:
+      replan_pending_ = false;
+      return Replan();
+    default:  // kEvReplan, kEvEarlyReplan.
+      return Replan();
   }
 }
 
@@ -85,7 +110,7 @@ void DpWrapScheduler::TrustTick() {
     }
     t.violated_since_scan = false;
   }
-  trust_event_ = machine_->sim()->After(gt.scan_period, Tag(kEvTrust), [this] { TrustTick(); });
+  Arm(kEvTrust, machine_->sim()->Now() + gt.scan_period);
 }
 
 bool DpWrapScheduler::Quarantined(const Vm* vm) const {
@@ -195,8 +220,7 @@ void DpWrapScheduler::OverloadTick() {
     machine_->vm(i)->shared_page().PublishPressure(pressure_ ? 1 : 0, pressure_reason_,
                                                    headroom_ppb);
   }
-  overload_event_ = machine_->sim()->After(config_.overload.scan_period, Tag(kEvOverload),
-                                           [this] { OverloadTick(); });
+  Arm(kEvOverload, machine_->sim()->Now() + config_.overload.scan_period);
 }
 
 void DpWrapScheduler::WatchdogTick() {
@@ -217,8 +241,7 @@ void DpWrapScheduler::WatchdogTick() {
   if (changed) {
     ScheduleReplan();
   }
-  watchdog_event_ = machine_->sim()->After(config_.watchdog.scan_period, Tag(kEvWatchdog),
-                                           [this] { WatchdogTick(); });
+  Arm(kEvWatchdog, machine_->sim()->Now() + config_.watchdog.scan_period);
 }
 
 void DpWrapScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
@@ -246,7 +269,7 @@ void DpWrapScheduler::TaxTick() {
     }
     res.used_in_window = 0;
   }
-  tax_event_ = machine_->sim()->After(config_.idle_tax.window, Tag(kEvTax), [this] { TaxTick(); });
+  Arm(kEvTax, machine_->sim()->Now() + config_.idle_tax.window);
   if (changed) {
     ScheduleReplan();
   }
@@ -331,10 +354,7 @@ void DpWrapScheduler::ScheduleReplan() {
     return;
   }
   replan_pending_ = true;
-  machine_->sim()->After(0, Tag(kEvDeferredReplan), [this] {
-    replan_pending_ = false;
-    Replan();
-  });
+  Arm(kEvDeferredReplan, machine_->sim()->Now());
 }
 
 void DpWrapScheduler::Replan() {
@@ -568,7 +588,7 @@ void DpWrapScheduler::Replan() {
     v->vm()->shared_page().PublishAllocation(v->index(), segs.front().start, alloc);
   }
 
-  replan_event_ = sim->At(slice_end_, Tag(kEvReplan), [this] { Replan(); });
+  Arm(kEvReplan, slice_end_);
   TickleAll();
 }
 
@@ -685,8 +705,7 @@ void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
         return;
       }
       if (!early_replan_event_.valid()) {
-        early_replan_event_ =
-            machine_->sim()->At(earliest, Tag(kEvEarlyReplan), [this] { Replan(); });
+        Arm(kEvEarlyReplan, earliest);
       }
       // The deferral costs this reservation bw * (earliest - now) of supply
       // before its deadline; compensate through the carry accumulator so the
@@ -1188,37 +1207,13 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : "dpwrap: truncated section";
 }
 
-std::string DpWrapScheduler::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
-  (void)payload;
-  Simulator* sim = machine_->sim();
-  switch (kind) {
-    case kEvTax:
-      tax_event_ = sim->At(when, Tag(kEvTax), [this] { TaxTick(); });
-      return "";
-    case kEvWatchdog:
-      watchdog_event_ = sim->At(when, Tag(kEvWatchdog), [this] { WatchdogTick(); });
-      return "";
-    case kEvOverload:
-      overload_event_ = sim->At(when, Tag(kEvOverload), [this] { OverloadTick(); });
-      return "";
-    case kEvTrust:
-      trust_event_ = sim->At(when, Tag(kEvTrust), [this] { TrustTick(); });
-      return "";
-    case kEvReplan:
-      replan_event_ = sim->At(when, Tag(kEvReplan), [this] { Replan(); });
-      return "";
-    case kEvEarlyReplan:
-      early_replan_event_ = sim->At(when, Tag(kEvEarlyReplan), [this] { Replan(); });
-      return "";
-    case kEvDeferredReplan:
-      // replan_pending_ was restored true; this is its coalescing event.
-      sim->At(when, Tag(kEvDeferredReplan), [this] {
-        replan_pending_ = false;
-        Replan();
-      });
-      return "";
+std::string DpWrapScheduler::RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) {
+  if (kind < kEvTax || kind > kEvDeferredReplan || payload != 0) {
+    return "dpwrap: unknown event kind " + std::to_string(kind) + " payload " +
+           std::to_string(payload);
   }
-  return "dpwrap: unknown event kind " + std::to_string(kind);
+  Arm(kind, when);
+  return "";
 }
 
 std::vector<std::string> DpWrapScheduler::AuditPlan() const {

@@ -236,7 +236,7 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
 
   // ---- Checkpoint support (src/checkpoint) ----
   static constexpr const char* kCkptSection = "dpwrap";
-  enum CkptEventKind : uint32_t {
+  enum EventKind : uint32_t {
     kEvTax = 1,
     kEvWatchdog = 2,
     kEvOverload = 3,
@@ -245,9 +245,10 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
     kEvEarlyReplan = 6,     // Deferred wake-triggered replan.
     kEvDeferredReplan = 7,  // Coalesced After(0) replan (replan_pending_).
   };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  std::string RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
 
   // Self-check of the scheduler's bookkeeping and of the current plan
   // (segments in bounds and non-overlapping, per-VCPU supply within the
@@ -297,6 +298,9 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
     TimeNs end = 0;    // Absolute.
   };
 
+  // The one schedule path of this scheduler's events (kEv*); keeps the
+  // cancel handles of the two replan timers.
+  void Arm(uint32_t kind, TimeNs when);
   // Recomputes the global deadline and the per-PCPU plan, effective now.
   void Replan();
   // Coalesced deferred replan (multiple hypercalls in one instant).
@@ -346,8 +350,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // VMs after enough consecutive clean scans.
   void TrustTick();
 
-  EventTag Tag(uint32_t kind) const { return EventTag{ckpt_owner_, kind, 0}; }
-
   DpWrapConfig config_;
   Bandwidth capacity_;
   std::unordered_map<const Vcpu*, Reservation> reservations_;
@@ -362,8 +364,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   std::unordered_map<const Vcpu*, std::vector<PlanSegment>> vcpu_segments_;
   Simulator::EventId replan_event_;
   Simulator::EventId early_replan_event_;
-  Simulator::EventId tax_event_;
-  Simulator::EventId watchdog_event_;
   bool replan_pending_ = false;
 
   size_t be_cursor_ = 0;
@@ -374,7 +374,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   uint64_t capacity_replans_ = 0;
 
   // Overload-pressure state.
-  Simulator::EventId overload_event_;
   bool pressure_ = false;
   int64_t pressure_reason_ = 0;          // kPressure* while pressure_ is set.
   uint64_t rejections_since_tick_ = 0;   // Admission rejections since last scan.
@@ -393,7 +392,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // Byzantine-guest containment state. Only ever iterated through the
   // machine's VM index order (TrustTick); map lookups are by pointer.
   std::unordered_map<const Vm*, VmTrust> trust_;
-  Simulator::EventId trust_event_;
   uint64_t deadline_lie_rejections_ = 0;   // Past-at-publish publications scored.
   uint64_t deadline_floor_clamps_ = 0;     // Below-floor horizons clamped (not scored).
   uint64_t replan_budget_trips_ = 0;       // Floor-binding budget exhaustions.
@@ -402,7 +400,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   uint64_t quarantines_ = 0;
   uint64_t quarantine_releases_ = 0;
   uint64_t quarantine_holds_ = 0;          // Bandwidth raises held while quarantined.
-  uint64_t ckpt_owner_ = ckpt::Fnv1a64(kCkptSection);
 };
 
 }  // namespace rtvirt

@@ -99,18 +99,21 @@ void RtvirtGuestChannel::ScheduleRepair(VcpuState& st, Vcpu* vcpu) {
   if (st.repair_backoff <= 0) {
     st.repair_backoff = std::max<TimeNs>(options_.retry_backoff, 1);
   }
-  uint64_t gen = generation_;
-  machine_->sim()->After(st.repair_backoff, RepairTag(vcpu, gen),
-                         [this, vcpu, gen] { RepairTick(vcpu, gen); });
+  uint64_t payload =
+      (static_cast<uint64_t>(vcpu->global_id()) << 32) | (generation_ & 0xffffffffull);
+  machine_->sim()->After(st.repair_backoff, this, kEvRepair, payload);
   st.repair_backoff = std::min(
       static_cast<TimeNs>(static_cast<double>(st.repair_backoff) * options_.retry_backoff_mult),
       options_.repair_backoff_max);
 }
 
-void RtvirtGuestChannel::RepairTick(Vcpu* vcpu, uint64_t generation) {
-  if (generation != generation_) {
+void RtvirtGuestChannel::OnEvent(uint32_t /*kind*/, uint64_t payload) {
+  // One repair probe (kEvRepair). Generations count VM crashes, so the low
+  // 32 bits identify the generation the probe was scheduled in exactly.
+  if ((payload & 0xffffffffull) != (generation_ & 0xffffffffull)) {
     return;  // Scheduled before a Reset(): the state it targeted is gone.
   }
+  Vcpu* vcpu = machine_->VcpuByGlobalId(static_cast<int>(payload >> 32));
   auto it = state_.find(vcpu);
   if (it == state_.end() || !it->second.degraded) {
     return;
@@ -337,23 +340,18 @@ std::string RtvirtGuestChannel::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : ckpt_section_ + ": truncated section";
 }
 
-std::string RtvirtGuestChannel::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
+std::string RtvirtGuestChannel::RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) {
   if (kind != kEvRepair) {
     return ckpt_section_ + ": unknown event kind " + std::to_string(kind);
   }
   int gid = static_cast<int>(payload >> 32);
-  // Generations count VM crashes, so the low 32 bits recover the value
-  // exactly; a stale pre-Reset() tick still compares unequal and is ignored.
-  uint64_t gen = payload & 0xffffffffull;
-  Vcpu* vcpu = machine_->VcpuByGlobalId(gid);
-  if (vcpu == nullptr) {
+  if (machine_->VcpuByGlobalId(gid) == nullptr) {
     return ckpt_section_ + ": repair event references unknown VCPU global id " +
            std::to_string(gid);
   }
-  // Fire-and-forget (the channel never cancels repair ticks); repair_backoff
-  // was saved post-multiplication, so rebinding must not advance it again.
-  machine_->sim()->At(when, RepairTag(vcpu, gen),
-                      [this, vcpu, gen] { RepairTick(vcpu, gen); });
+  // The channel never cancels repair ticks, so this is its whole schedule
+  // path; repair_backoff was saved post-multiplication and must not advance.
+  machine_->sim()->At(when, this, kEvRepair, payload);
   return "";
 }
 

@@ -77,6 +77,11 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   explicit RtvirtGuestChannel(Machine* machine, GuestChannelOptions options = {})
       : machine_(machine), options_(options) {}
 
+  // Harness set-up, before the channel has carried any call: gives one VM
+  // options other than the experiment-wide ones (e.g. a microsecond-period
+  // VM's smaller slack) without replacing the registered channel.
+  void set_options(const GuestChannelOptions& options) { options_ = options; }
+
   int64_t RequestBandwidth(Vcpu* vcpu, Bandwidth rta_bw, TimeNs period,
                            int64_t reason = kBwReasonNone) override;
   int64_t MoveBandwidth(Vcpu* to, Bandwidth to_bw, TimeNs to_period, Vcpu* from,
@@ -105,20 +110,17 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
 
   // ---- Checkpointing (src/checkpoint) ----
   // The experiment names this channel's section ("channel.<vmid>") right
-  // after construction, before any repair event can exist; until then the
-  // owner is 0 and repair events would be untagged (SaveCheckpoint rejects
-  // untagged events, so a mis-wired channel fails loudly, not silently).
-  void SetCkptSection(const std::string& section) {
-    ckpt_section_ = section;
-    ckpt_owner_ = ckpt::Fnv1a64(section);
-  }
+  // after construction; the name only labels restore errors. A channel that
+  // is never registered fails SaveCheckpoint loudly if a repair is pending.
+  void SetCkptSection(const std::string& section) { ckpt_section_ = section; }
   const std::string& ckpt_section() const { return ckpt_section_; }
-  enum CkptEventKind : uint32_t {
+  enum EventKind : uint32_t {
     kEvRepair = 1,  // Payload = (vcpu global id << 32) | (generation & 0xffffffff).
   };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  std::string RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
 
  private:
   struct VcpuState {
@@ -141,18 +143,11 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   int64_t TryHypercall(Vcpu* caller, const HypercallArgs& args);
   void EnterDegraded(VcpuState& st, Vcpu* vcpu);
   void ScheduleRepair(VcpuState& st, Vcpu* vcpu);
-  void RepairTick(Vcpu* vcpu, uint64_t generation);
   VcpuState& StateOf(Vcpu* vcpu) { return state_[vcpu]; }
-
-  EventTag RepairTag(const Vcpu* vcpu, uint64_t gen) const {
-    return EventTag{ckpt_owner_, kEvRepair,
-                    (static_cast<uint64_t>(vcpu->global_id()) << 32) | (gen & 0xffffffffull)};
-  }
 
   Machine* machine_;
   GuestChannelOptions options_;
   std::string ckpt_section_;
-  uint64_t ckpt_owner_ = 0;
   std::unordered_map<const Vcpu*, VcpuState> state_;
   ChannelStats stats_;
   // Bumped by Reset(): pending repair events from before a VM crash are

@@ -21,7 +21,6 @@ std::unique_ptr<CkptScenario> BuildCkptScenario(const CkptScenarioOptions& optio
 
   ExperimentConfig cfg;
   cfg.framework = Framework::kRtvirt;
-  cfg.sim = options.sim;
   cfg.machine.num_pcpus = 4;
   cfg.seed = options.seed;
   if (options.faults) {

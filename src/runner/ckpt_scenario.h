@@ -36,8 +36,6 @@ struct CkptScenarioOptions {
   TimeNs horizon = Sec(2);
   // Transient hypercall faults (exercises the injector's RNG + event state).
   bool faults = true;
-  // Event-queue backend for the underlying simulator.
-  SimConfig sim;
 };
 
 // The scenario bundle. Destruction order matters: workloads and the monitor

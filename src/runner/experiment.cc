@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "src/common/check.h"
 #include "src/metrics/report.h"
 #include "src/perf/perf_recorder.h"
 
@@ -25,7 +26,7 @@ const char* FrameworkName(Framework framework) {
 }
 
 Experiment::Experiment(ExperimentConfig config)
-    : config_(std::move(config)), sim_(config_.sim), rng_(config_.seed) {
+    : config_(std::move(config)), rng_(config_.seed) {
   if (const char* env = std::getenv("RTVIRT_REPORT_ALLOC");
       env != nullptr && *env != '\0' && *env != '0') {
     config_.report_alloc = true;
@@ -78,12 +79,12 @@ Experiment::Experiment(ExperimentConfig config)
   }
   // Built-in checkpoint registry entries, in serialization order. Guests and
   // channels join in AddGuest; workloads/monitors via RegisterCheckpointable.
-  checkpointables_.emplace_back(Machine::kCkptSection, machine_.get());
+  RegisterCheckpointable(Machine::kCkptSection, machine_.get());
   if (dpwrap_ != nullptr) {
-    checkpointables_.emplace_back(DpWrapScheduler::kCkptSection, dpwrap_);
+    RegisterCheckpointable(DpWrapScheduler::kCkptSection, dpwrap_);
   }
   if (injector_ != nullptr) {
-    checkpointables_.emplace_back(FaultInjector::kCkptSection, injector_.get());
+    RegisterCheckpointable(FaultInjector::kCkptSection, injector_.get());
   }
 }
 
@@ -107,12 +108,12 @@ GuestOs* Experiment::AddGuest(const std::string& name, int vcpus, GuestConfig gu
     auditor_->WatchGuest(guests_.back().get(), channel);
   }
   GuestOs* added = guests_.back().get();
-  checkpointables_.emplace_back(added->ckpt_section(), added);
+  RegisterCheckpointable(added->ckpt_section(), added);
   if (channel != nullptr) {
     // Named here (not in the channel constructor) because the channel learns
-    // its VM id only through the guest; no repair event can exist yet.
+    // its VM id only through the guest.
     channel->SetCkptSection("channel." + std::to_string(vm->id()));
-    checkpointables_.emplace_back(channel->ckpt_section(), channel);
+    RegisterCheckpointable(channel->ckpt_section(), channel);
   }
   return added;
 }
@@ -246,10 +247,12 @@ ResilienceCounters Experiment::resilience() const {
 
 void Experiment::RegisterCheckpointable(const std::string& section,
                                         ckpt::Checkpointable* component) {
-  assert(component != nullptr);
+  RTVIRT_CHECK(component != nullptr, "checkpoint section '%s' registered with a null component",
+               section.c_str());
   for (const auto& [name, c] : checkpointables_) {
-    assert(name != section && "duplicate checkpoint section name");
-    (void)c;
+    RTVIRT_CHECK(name != section, "duplicate checkpoint section name '%s'", section.c_str());
+    RTVIRT_CHECK(c != component, "one component registered as both '%s' and '%s'",
+                 name.c_str(), section.c_str());
   }
   checkpointables_.emplace_back(section, component);
 }
@@ -302,34 +305,31 @@ std::string Experiment::SaveCheckpoint(ckpt::Image* out) const {
     component->SaveState(w);
     out->sections.push_back({name, w.Take()});
   }
-  // Live events go last: restore rebinds them only after every component has
-  // its state back. Collected in (time, seq) order; rebinding in that order
-  // onto a fresh queue assigns ascending sequence numbers, preserving the
-  // relative order of same-instant events — the continuation stays
-  // byte-identical.
+  // Live events go last: restore re-arms them only after every component has
+  // its state back. Collected in seq order; re-arming in that order onto a
+  // fresh queue assigns ascending sequence numbers, preserving the relative
+  // order of same-instant events — the continuation stays byte-identical.
   std::vector<EventQueue::LiveEvent> live;
   sim_.CollectLiveEvents(&live);
   ckpt::Writer w;
   w.U32(static_cast<uint32_t>(live.size()));
   for (const auto& e : live) {
-    if (!e.tag.tagged()) {
-      return "checkpoint: untagged live event at t=" + std::to_string(e.time) +
-             "ns (a schedule site outside the rebind registry)";
-    }
-    bool known = false;
+    const std::string* owner = nullptr;
     for (const auto& [name, component] : checkpointables_) {
-      if (ckpt::Fnv1a64(name) == e.tag.owner) {
-        known = true;
+      if (component == e.event.target) {
+        owner = &name;
         break;
       }
     }
-    if (!known) {
-      return "checkpoint: live event at t=" + std::to_string(e.time) +
-             "ns has unregistered owner " + HexOwner(e.tag.owner);
+    if (owner == nullptr) {
+      // A harness closure, or a component outside the checkpoint registry.
+      return "checkpoint: untagged live event at t=" + std::to_string(e.time) +
+             "ns (kind " + std::to_string(e.event.kind) +
+             "): its target is not a registered component";
     }
-    w.U64(e.tag.owner);
-    w.U32(e.tag.kind);
-    w.U64(e.tag.payload);
+    w.U64(ckpt::Fnv1a64(*owner));
+    w.U32(e.event.kind);
+    w.U64(e.event.payload);
     w.I64(e.time);
   }
   out->sections.push_back({"events", w.Take()});
@@ -411,6 +411,10 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
       if (!r.ok()) {
         return "checkpoint: truncated section 'events' at event " + std::to_string(i);
       }
+      if (when < sim_.Now()) {
+        return "checkpoint: events[" + std::to_string(i) + "] at t=" + std::to_string(when) +
+               "ns precedes the checkpoint clock";
+      }
       ckpt::Checkpointable* target = nullptr;
       for (const auto& [name, component] : checkpointables_) {
         if (ckpt::Fnv1a64(name) == owner) {
@@ -422,7 +426,7 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
         return "checkpoint: events[" + std::to_string(i) + "] has unknown owner " +
                HexOwner(owner);
       }
-      std::string err = target->RebindEvent(kind, payload, when);
+      std::string err = target->RestoreEvent(kind, payload, when);
       if (!err.empty()) {
         return "checkpoint: " + err;
       }

@@ -22,7 +22,6 @@
 #include "src/perf/alloc_hooks.h"
 #include "src/rtvirt/dpwrap.h"
 #include "src/rtvirt/guest_channel.h"
-#include "src/sim/sim_config.h"
 #include "src/sim/simulator.h"
 
 namespace rtvirt {
@@ -38,10 +37,6 @@ const char* FrameworkName(Framework framework);
 
 struct ExperimentConfig {
   Framework framework = Framework::kRtvirt;
-  // Simulator core knobs (event-queue backend selection). The default
-  // calendar queue is byte-identical in behavior to kHeap — see
-  // src/sim/sim_config.h.
-  SimConfig sim;
   MachineConfig machine;
   DpWrapConfig dpwrap;
   ServerEdfConfig server_edf;
@@ -124,11 +119,13 @@ class Experiment {
   // state belongs in checkpoints of this experiment. Built-in components
   // (machine, scheduler, injector, guests, channels) are pre-registered.
   // Call before the first SaveCheckpoint/RestoreCheckpoint, in the same order
-  // on the saving and the restoring build.
+  // on the saving and the restoring build. A null component, a section name
+  // already taken, or a component already registered (its events would
+  // belong to two sections) is a fatal error in every build type.
   void RegisterCheckpointable(const std::string& section, ckpt::Checkpointable* component);
 
-  // Serializes the full simulation state (clock, live events via their tags,
-  // RNG, every registered component) into `out`. Returns "" on success, else
+  // Serializes the full simulation state (clock, live events, RNG, every
+  // registered component) into `out`. Returns "" on success, else
   // an error naming the unsupported config or unregistered event. Requires a
   // started experiment on the default path: audit, control, report_alloc and
   // non-RTVirt frameworks are rejected (their components are not yet
@@ -159,8 +156,9 @@ class Experiment {
   std::unique_ptr<SloController> controller_;
   Rng rng_;
   bool started_ = false;
-  // Checkpoint registry, in serialization order. Owners are Fnv1a64(name);
-  // rebind dispatches each live event's tag owner back to its component.
+  // Checkpoint registry, in serialization order. A live event is saved under
+  // owner Fnv1a64(name) of the component it targets, and restore hands it
+  // back to that component.
   std::vector<std::pair<std::string, ckpt::Checkpointable*>> checkpointables_;
   // Allocation attribution: everything up to the end of the first Run() call
   // (construction, guest/workload setup, machine start) is warm-up; the rest

@@ -25,10 +25,6 @@ constexpr int kMaxWidthShift = 30;       // 2^30 ns ~ 1.07 s buckets.
 constexpr size_t kChunkNodes = 256;      // Arena nodes carved per growth.
 constexpr size_t kWidthSample = 64;      // Earliest events sampled on retune.
 
-// Heap compaction floor: below this many entries, tombstones are too cheap
-// to be worth sweeping.
-constexpr size_t kCompactFloor = 64;
-
 size_t RoundUpPow2(size_t v) {
   size_t p = 1;
   while (p < v) {
@@ -46,12 +42,7 @@ bool NodeBefore(TimeNs at, uint64_t as, TimeNs bt, uint64_t bs) {
 
 }  // namespace
 
-EventQueue::EventQueue(EventQueueKind kind) : kind_(kind) {
-  if (kind_ == EventQueueKind::kCalendar) {
-    buckets_.resize(kMinBuckets);
-    width_shift_ = kInitialWidthShift;
-  }
-}
+EventQueue::EventQueue() : buckets_(kMinBuckets), width_shift_(kInitialWidthShift) {}
 
 EventQueue::~EventQueue() = default;
 
@@ -64,11 +55,9 @@ EventNode* EventQueue::AllocNode() {
       chunk[i].next = free_head_;
       free_head_ = &chunk[i];
     }
-    free_count_ += kChunkNodes;
   }
   EventNode* n = free_head_;
   free_head_ = n->next;
-  --free_count_;
   n->prev = nullptr;
   n->next = nullptr;
   return n;
@@ -76,11 +65,9 @@ EventNode* EventQueue::AllocNode() {
 
 void EventQueue::FreeNode(EventNode* n) {
   ++n->gen;  // Invalidate every EventId still pointing here.
-  n->callback = nullptr;
   n->prev = nullptr;
   n->next = free_head_;
   free_head_ = n;
-  ++free_count_;
 }
 
 size_t EventQueue::BucketIndex(TimeNs time) const {
@@ -238,116 +225,53 @@ void EventQueue::MaybeResize() {
   }
 }
 
-EventQueue::EventId EventQueue::Schedule(TimeNs when, const EventTag& tag,
-                                         Callback cb) {
+EventQueue::EventId EventQueue::Schedule(TimeNs when, const Event& event) {
   ++stats_.schedules;
-  EventId id;
-  if (kind_ == EventQueueKind::kCalendar) {
-    EventNode* n = AllocNode();
-    n->time = when;
-    n->seq = next_seq_++;
-    n->tag = tag;
-    n->callback = std::move(cb);
-    BucketInsert(n);
-    ++live_count_;
-    int64_t abs =
-        static_cast<int64_t>(static_cast<uint64_t>(when) >> width_shift_);
-    if (abs < pos_abs_) {
-      pos_abs_ = abs;  // Landed behind the front: pull the scan back.
-    }
-    if (cached_min_ != nullptr &&
-        NodeBefore(n->time, n->seq, cached_min_->time, cached_min_->seq)) {
-      cached_min_ = n;
-    }
-    id.node_ = n;
-    id.gen_ = n->gen;
-    MaybeResize();
-    return id;
-  }
-  auto n = std::make_shared<EventNode>();
-  ++stats_.node_allocs;
+  EventNode* n = AllocNode();
   n->time = when;
   n->seq = next_seq_++;
-  n->tag = tag;
-  n->callback = std::move(cb);
-  heap_.push_back(HeapEntry{when, n->seq, n});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
+  n->event = event;
+  BucketInsert(n);
   ++live_count_;
-  id.ref_ = std::move(n);
+  int64_t abs = static_cast<int64_t>(static_cast<uint64_t>(when) >> width_shift_);
+  if (abs < pos_abs_) {
+    pos_abs_ = abs;  // Landed behind the front: pull the scan back.
+  }
+  if (cached_min_ != nullptr &&
+      NodeBefore(n->time, n->seq, cached_min_->time, cached_min_->seq)) {
+    cached_min_ = n;
+  }
+  EventId id;
+  id.node_ = n;
+  id.gen_ = n->gen;
+  MaybeResize();
   return id;
 }
 
-void EventQueue::Cancel(EventId& id) {
-  if (kind_ == EventQueueKind::kCalendar) {
-    EventNode* n = id.node_;
-    if (n == nullptr || n->gen != id.gen_) {
-      id = EventId{};
-      return;  // Already fired, cancelled, or the node was recycled.
-    }
-    RTVIRT_CHECK(
-        live_count_ > 0,
-        "event-queue live count underflow on cancel (seq counter at %llu)",
-        static_cast<unsigned long long>(next_seq_));
-    if (n == cached_min_) {
-      cached_min_ = nullptr;
-    }
-    BucketUnlink(n);
-    FreeNode(n);
-    --live_count_;
-    ++stats_.cancels;
-    id = EventId{};
-    MaybeResize();
-    return;
-  }
-  std::shared_ptr<EventNode> n = std::move(id.ref_);
+Event EventQueue::Cancel(EventId& id) {
+  EventNode* n = id.node_;
+  bool pending = n != nullptr && n->gen == id.gen_;
   id = EventId{};
-  if (n == nullptr || n->cancelled) {
-    return;
+  if (!pending) {
+    return Event{};  // Already fired, cancelled, or the node was recycled.
   }
-  RTVIRT_CHECK(
-      live_count_ > 0,
-      "event-queue live count underflow on cancel (seq counter at %llu)",
-      static_cast<unsigned long long>(next_seq_));
-  n->cancelled = true;
-  n->callback = nullptr;  // Release captures now; the entry stays a tombstone.
+  RTVIRT_CHECK(live_count_ > 0,
+               "event-queue live count underflow on cancel (seq counter at %llu)",
+               static_cast<unsigned long long>(next_seq_));
+  if (n == cached_min_) {
+    cached_min_ = nullptr;
+  }
+  Event cancelled = n->event;
+  BucketUnlink(n);
+  FreeNode(n);
   --live_count_;
-  ++heap_cancelled_;
   ++stats_.cancels;
-  if (heap_cancelled_ > 2 * live_count_ && heap_.size() >= kCompactFloor) {
-    HeapCompact();
-  }
-}
-
-void EventQueue::HeapSkim() const {
-  while (!heap_.empty() && heap_.front().node->cancelled) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    --heap_cancelled_;
-  }
-}
-
-void EventQueue::HeapCompact() {
-  heap_.erase(
-      std::remove_if(heap_.begin(), heap_.end(),
-                     [](const HeapEntry& e) { return e.node->cancelled; }),
-      heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
-  heap_cancelled_ = 0;
-  if (heap_.capacity() > 4 * heap_.size() + kCompactFloor) {
-    heap_.shrink_to_fit();
-  }
-  ++stats_.heap_compactions;
+  MaybeResize();
+  return cancelled;
 }
 
 TimeNs EventQueue::NextTime() const {
-  if (live_count_ == 0) {
-    return kTimeNever;
-  }
-  if (kind_ == EventQueueKind::kCalendar) {
-    return FindMin()->time;
-  }
-  HeapSkim();
-  return heap_.front().time;
+  return live_count_ == 0 ? kTimeNever : FindMin()->time;
 }
 
 EventQueue::Fired EventQueue::PopNext() {
@@ -355,54 +279,33 @@ EventQueue::Fired EventQueue::PopNext() {
                "PopNext on an empty event queue (live count %llu)",
                static_cast<unsigned long long>(live_count_));
   ++stats_.pops;
-  Fired fired;
-  if (kind_ == EventQueueKind::kCalendar) {
-    EventNode* n = FindMin();
-    // Successor cache: the next node in this sorted bucket is the global
-    // minimum whenever it still maps to the same absolute bucket (every
-    // other pending event maps to a strictly later one). Prefetch it — the
-    // next pop touches it first.
-    EventNode* succ = n->next;
-    if (succ != nullptr &&
-        (static_cast<uint64_t>(succ->time) >> width_shift_) ==
-            (static_cast<uint64_t>(n->time) >> width_shift_)) {
-      __builtin_prefetch(succ);
-      cached_min_ = succ;
-    } else {
-      cached_min_ = nullptr;
-    }
-    fired.time = n->time;
-    fired.callback = std::move(n->callback);
-    BucketUnlink(n);
-    FreeNode(n);
-    --live_count_;
-    MaybeResize();
-    return fired;
+  EventNode* n = FindMin();
+  // Successor cache: the next node in this sorted bucket is the global
+  // minimum whenever it still maps to the same absolute bucket (every other
+  // pending event maps to a strictly later one). Prefetch it — the next pop
+  // touches it first.
+  EventNode* succ = n->next;
+  if (succ != nullptr &&
+      (static_cast<uint64_t>(succ->time) >> width_shift_) ==
+          (static_cast<uint64_t>(n->time) >> width_shift_)) {
+    __builtin_prefetch(succ);
+    cached_min_ = succ;
+  } else {
+    cached_min_ = nullptr;
   }
-  HeapSkim();
-  HeapEntry& top = heap_.front();
-  fired.time = top.time;
-  fired.callback = std::move(top.node->callback);
-  top.node->cancelled = true;  // Marks "fired": a late Cancel() is a no-op.
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+  Fired fired{n->time, n->event};
+  BucketUnlink(n);
+  FreeNode(n);
   --live_count_;
+  MaybeResize();
   return fired;
 }
 
 void EventQueue::CollectLive(std::vector<LiveEvent>* out) const {
   size_t base = out->size();
-  if (kind_ == EventQueueKind::kCalendar) {
-    for (const Bucket& b : buckets_) {
-      for (EventNode* n = b.head; n != nullptr; n = n->next) {
-        out->push_back(LiveEvent{n->time, n->seq, n->tag});
-      }
-    }
-  } else {
-    for (const HeapEntry& e : heap_) {
-      if (!e.node->cancelled) {
-        out->push_back(LiveEvent{e.node->time, e.node->seq, e.node->tag});
-      }
+  for (const Bucket& b : buckets_) {
+    for (EventNode* n = b.head; n != nullptr; n = n->next) {
+      out->push_back(LiveEvent{n->time, n->seq, n->event});
     }
   }
   std::sort(out->begin() + base, out->end(),
@@ -410,35 +313,19 @@ void EventQueue::CollectLive(std::vector<LiveEvent>* out) const {
 }
 
 void EventQueue::Clear() {
-  if (kind_ == EventQueueKind::kCalendar) {
-    for (Bucket& b : buckets_) {
-      EventNode* n = b.head;
-      while (n != nullptr) {
-        EventNode* next = n->next;
-        FreeNode(n);  // Bumps gen: stale EventIds cancel as no-ops.
-        n = next;
-      }
-      b.head = nullptr;
-      b.tail = nullptr;
+  for (Bucket& b : buckets_) {
+    EventNode* n = b.head;
+    while (n != nullptr) {
+      EventNode* next = n->next;
+      FreeNode(n);  // Bumps gen: stale EventIds cancel as no-ops.
+      n = next;
     }
-    cached_min_ = nullptr;
-    pos_abs_ = 0;
-  } else {
-    for (HeapEntry& e : heap_) {
-      e.node->cancelled = true;  // A late Cancel() through an EventId is a no-op.
-      e.node->callback = nullptr;
-    }
-    heap_.clear();
-    heap_cancelled_ = 0;
+    b.head = nullptr;
+    b.tail = nullptr;
   }
+  cached_min_ = nullptr;
+  pos_abs_ = 0;
   live_count_ = 0;
-}
-
-const EventQueueStats& EventQueue::stats() const {
-  stats_.backlog =
-      kind_ == EventQueueKind::kCalendar ? live_count_ : heap_.size();
-  stats_.free_nodes = free_count_;
-  return stats_;
 }
 
 }  // namespace rtvirt

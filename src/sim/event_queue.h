@@ -1,113 +1,99 @@
-// Cancellable discrete-event queue with two backends behind one API.
+// Cancellable discrete-event queue of tagged events.
 //
-// Events are callbacks ordered by (time, insertion sequence); both backends
-// produce the exact same total order, so a run is byte-identical regardless
-// of which one drives it (tests/determinism_test.cc drives them in lockstep
-// to prove it).
+// An event is plain data: (target, kind, payload). When it fires, the
+// simulator calls target->OnEvent(kind, payload), and the target keeps the
+// one body that kind runs. Because no closure sits in the queue, a pending
+// event can be checkpointed as is, and restore re-arms it through the owning
+// component's ordinary schedule path (src/checkpoint).
 //
-//  * kCalendar (default): a calendar queue — a ring of power-of-two-width
-//    time buckets (the time-to-bucket mapping is a shift, never a 64-bit
-//    division), each bucket a doubly-linked list kept (time, seq)-sorted,
-//    with nodes recycled through a chunked freelist arena. Insert and pop
-//    are O(1) amortized, cancellation really unlinks the entry in O(1), and
-//    the steady state after warm-up performs no allocations at all (the
-//    perf suite asserts this, bench/perf_suite).
-//  * kHeap: the original binary heap. Cancellation is lazy — a cancelled
-//    entry stays in the heap and is skipped on pop — but tombstones are now
-//    compacted away whenever they outnumber live entries 2:1, so cancel-heavy
-//    workloads no longer grow the heap without bound.
+// Events are ordered by (time, insertion sequence). The queue is a calendar
+// queue: a ring of power-of-two-width time buckets (the time-to-bucket
+// mapping is a shift, never a 64-bit division), each bucket a doubly-linked
+// list kept (time, seq)-sorted, with nodes recycled through a chunked
+// freelist arena. Insert and pop are O(1) amortized, cancellation really
+// unlinks the entry in O(1), and the steady state after warm-up performs no
+// allocations at all (bench/perf_suite asserts this). tests/determinism_test.cc
+// drives it in lockstep against a std::set reference model.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "src/common/time.h"
-#include "src/sim/sim_config.h"
 
 namespace rtvirt {
 
-struct EventNode;
+// A component that schedules events on itself.
+class EventTarget {
+ public:
+  // Runs the body of event `kind` that this target scheduled with `payload`.
+  virtual void OnEvent(uint32_t kind, uint64_t payload) = 0;
 
-// Checkpoint identity of a scheduled event (src/checkpoint). Tagged events
-// carry the owning component's id (FNV-1a of its checkpoint section name)
-// plus a component-private (kind, payload) pair sufficient to re-create the
-// callback on restore. owner == 0 means untagged: the event cannot survive a
-// checkpoint, and SaveCheckpoint fails loudly if one is live.
-struct EventTag {
-  uint64_t owner = 0;
-  uint32_t kind = 0;
-  uint64_t payload = 0;
-  bool tagged() const { return owner != 0; }
+ protected:
+  ~EventTarget() = default;
 };
 
+struct Event {
+  EventTarget* target = nullptr;
+  uint32_t kind = 0;
+  uint64_t payload = 0;
+
+  void Fire() const { target->OnEvent(kind, payload); }
+};
+
+struct EventNode;
+
 // Operation and allocation counters, cheap enough to maintain always. The
-// perf recorder reads these to assert the zero-alloc steady state, and the
-// heap-compaction regression test reads `backlog` to assert bounded memory.
+// perf recorder reads these to assert the zero-alloc steady state.
 struct EventQueueStats {
   uint64_t schedules = 0;
   uint64_t cancels = 0;
   uint64_t pops = 0;
-  // Node-storage allocations: arena chunk growths (calendar) or per-event
-  // node allocations (heap). Zero growth after warm-up on the calendar path.
-  uint64_t node_allocs = 0;
+  uint64_t node_allocs = 0;  // Arena chunk growths; none after warm-up.
   uint64_t calendar_resizes = 0;
-  uint64_t heap_compactions = 0;
-  // Entries currently held by the backend, including heap tombstones; the
-  // compaction rule bounds this at O(live entries).
-  size_t backlog = 0;
-  size_t free_nodes = 0;
 };
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
-
   // Identifies a scheduled event for cancellation. Default-constructed ids
   // are inert, and ids of events that already fired (or were cancelled, or
-  // whose node was since recycled) cancel as a no-op: calendar ids carry a
-  // generation stamp checked against the node, heap ids share ownership of
-  // the node and check its fired/cancelled state.
+  // whose node was since recycled) cancel as a no-op: an id carries the
+  // node's generation at schedule time, and the node bumps it when freed.
   class EventId {
    public:
     EventId() = default;
-    bool valid() const { return node_ != nullptr || ref_ != nullptr; }
+    bool valid() const { return node_ != nullptr; }
 
    private:
     friend class EventQueue;
-    EventNode* node_ = nullptr;  // Calendar backend: arena node...
-    uint64_t gen_ = 0;           // ...plus its generation at schedule time.
-    std::shared_ptr<EventNode> ref_;  // Heap backend: shared ownership.
+    EventNode* node_ = nullptr;
+    uint64_t gen_ = 0;
   };
 
-  explicit EventQueue(EventQueueKind kind = EventQueueKind::kCalendar);
+  EventQueue();
   ~EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  EventQueueKind kind() const { return kind_; }
+  EventId Schedule(TimeNs when, const Event& event);
 
-  EventId Schedule(TimeNs when, Callback cb) {
-    return Schedule(when, EventTag{}, std::move(cb));
-  }
-  EventId Schedule(TimeNs when, const EventTag& tag, Callback cb);
+  // Cancels the event if it has not fired yet and resets `id` to inert.
+  // Returns the cancelled event; its target is null when nothing was pending.
+  Event Cancel(EventId& id);
 
-  // Cancels the event if it has not fired yet; resets `id` to inert.
-  void Cancel(EventId& id);
-
-  // Checkpoint support: snapshot of one pending event's identity.
+  // Checkpoint support: snapshot of one pending event.
   struct LiveEvent {
     TimeNs time;
     uint64_t seq;
-    EventTag tag;
+    Event event;
   };
   // Appends every pending event (in seq order, which also fixes same-time
   // firing order) to `out`.
   void CollectLive(std::vector<LiveEvent>* out) const;
-  // Drops every pending event. Calendar nodes return to the arena with their
+  // Drops every pending event. Nodes return to the arena with their
   // generation bumped, so EventIds held by components cancel as no-ops.
   void Clear();
 
@@ -120,37 +106,23 @@ class EventQueue {
   // Removes and returns the earliest pending event. Precondition: !empty().
   struct Fired {
     TimeNs time;
-    Callback callback;
+    Event event;
   };
   Fired PopNext();
 
-  const EventQueueStats& stats() const;
+  const EventQueueStats& stats() const { return stats_; }
 
  private:
   struct Bucket {
     EventNode* head = nullptr;
     EventNode* tail = nullptr;
   };
-  struct HeapEntry {
-    TimeNs time;
-    uint64_t seq;
-    std::shared_ptr<EventNode> node;
-  };
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.time != b.time) {
-        return a.time > b.time;
-      }
-      return a.seq > b.seq;
-    }
-  };
 
-  // Arena: calendar nodes come from chunked blocks and recycle through a
-  // freelist, so a warmed-up queue never touches the allocator again.
+  // Arena: nodes come from chunked blocks and recycle through a freelist, so
+  // a warmed-up queue never touches the allocator again.
   EventNode* AllocNode();
   void FreeNode(EventNode* n);
 
-  // Calendar primitives.
   size_t BucketIndex(TimeNs time) const;
   void BucketInsert(EventNode* n);
   void BucketUnlink(EventNode* n);
@@ -160,46 +132,35 @@ class EventQueue {
   void MaybeResize();
   int TuneWidthShift(std::vector<EventNode*>& nodes) const;
 
-  // Heap primitives.
-  void HeapSkim() const;
-  void HeapCompact();
-
-  EventQueueKind kind_;
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
-  mutable EventQueueStats stats_;
+  EventQueueStats stats_;
 
-  // Calendar state. Bucket widths are powers of two so the hot-path
-  // time-to-bucket mapping is a shift, never a 64-bit division. `pos_abs_`
-  // is the absolute bucket number (time >> width_shift_) the search front
-  // sits at; it advances on pops and is pulled back by an insert that lands
-  // behind it, so the scan never misses an event.
+  // Bucket widths are powers of two so the hot-path time-to-bucket mapping
+  // is a shift. `pos_abs_` is the absolute bucket number (time >>
+  // width_shift_) the search front sits at; it advances on pops and is
+  // pulled back by an insert that lands behind it, so the scan never misses
+  // an event.
   std::vector<Bucket> buckets_;
   int width_shift_ = 0;
   mutable int64_t pos_abs_ = 0;
   mutable EventNode* cached_min_ = nullptr;
   std::vector<std::unique_ptr<EventNode[]>> chunks_;
   EventNode* free_head_ = nullptr;
-  size_t free_count_ = 0;
-
-  // Heap state (mutable: skimming tombstones off the top is logically
-  // const). `heap_cancelled_` counts tombstones still in the vector.
-  mutable std::vector<HeapEntry> heap_;
-  mutable size_t heap_cancelled_ = 0;
 };
 
+// One cache line per pending event.
 struct EventNode {
   TimeNs time = 0;
   uint64_t seq = 0;
   // Bumped whenever the node fires, is cancelled, or is recycled — a stale
   // EventId's generation no longer matches, making its Cancel() a no-op.
   uint64_t gen = 0;
-  bool cancelled = false;  // Heap backend: lazy tombstone.
-  EventTag tag;            // Checkpoint identity; owner 0 = untagged.
+  Event event;
   EventNode* prev = nullptr;
   EventNode* next = nullptr;  // Bucket list link, doubles as freelist link.
-  EventQueue::Callback callback;
 };
+static_assert(sizeof(EventNode) == 64, "EventNode should fill one cache line");
 
 }  // namespace rtvirt
 

@@ -13,8 +13,22 @@ void ChurnDriver::Start() {
   Simulator* sim = guest_->vm()->machine()->sim();
   for (int slot = 0; slot < guest_->num_vcpus(); ++slot) {
     // Stagger chain starts so registrations don't all land at t=0.
-    sim->After(config_.start_at + rng_.UniformTime(0, config_.max_gap),
-               [this, slot] { NextEpisode(slot); });
+    sim->After(config_.start_at + rng_.UniformTime(0, config_.max_gap), this, kEvNextEpisode,
+               static_cast<uint64_t>(slot));
+  }
+}
+
+void ChurnDriver::OnEvent(uint32_t kind, uint64_t payload) {
+  switch (kind) {
+    case kEvNextEpisode:
+      return NextEpisode(static_cast<int>(payload));
+    case kEvEpisodeEnd:
+      guest_->vm()->machine()->sim()->After(rng_.UniformTime(0, config_.max_gap), this,
+                                             kEvNextEpisode, payload);
+      return;
+    case kEvIdleEnd:
+      guest_->SchedUnregister(idle_tasks_[payload]);
+      return;
   }
 }
 
@@ -34,7 +48,7 @@ void ChurnDriver::NextEpisode(int slot) {
     Task* idle = guest_->CreateTask(name + ".idle");
     RtaParams params{config_.idle_slice, config_.idle_period, false};
     if (guest_->SchedSetAttr(idle, params) == kGuestOk) {
-      sim->At(stop, [this, idle] { guest_->SchedUnregister(idle); });
+      sim->At(stop, this, kEvIdleEnd, idle_tasks_.size());
     }
     idle_tasks_.push_back(idle);
   } else {
@@ -58,10 +72,7 @@ void ChurnDriver::NextEpisode(int slot) {
     }
     rtas_.push_back(std::move(rta));
   }
-  sim->At(stop, [this, slot] {
-    Simulator* s = guest_->vm()->machine()->sim();
-    s->After(rng_.UniformTime(0, config_.max_gap), [this, slot] { NextEpisode(slot); });
-  });
+  sim->At(stop, this, kEvEpisodeEnd, static_cast<uint64_t>(slot));
 }
 
 }  // namespace rtvirt

@@ -41,7 +41,7 @@ struct ChurnConfig {
   TimeNs admission_retry = 0;
 };
 
-class ChurnDriver {
+class ChurnDriver : public EventTarget {
  public:
   // Drives one episode chain per VCPU of `guest`. All spawned RTA tasks get
   // `observer` attached (deadline monitoring).
@@ -53,7 +53,14 @@ class ChurnDriver {
   int rtas_rejected() const { return rtas_rejected_; }
   const std::vector<std::unique_ptr<PeriodicRta>>& rtas() const { return rtas_; }
 
+  void OnEvent(uint32_t kind, uint64_t payload) override;
+
  private:
+  enum EventKind : uint32_t {
+    kEvNextEpisode = 1,  // Payload = VCPU slot.
+    kEvEpisodeEnd = 2,   // Payload = VCPU slot; draws the gap to the next one.
+    kEvIdleEnd = 3,      // Payload = index into idle_tasks_.
+  };
   void NextEpisode(int slot);
 
   GuestOs* guest_;

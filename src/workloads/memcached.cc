@@ -19,7 +19,15 @@ void MemcachedServer::Start(TimeNs start, TimeNs stop) {
   if (start <= sim->Now()) {
     Register();
   } else {
-    sim->At(start, [this] { Register(); });
+    sim->At(start, this, kEvRegister);
+  }
+}
+
+void MemcachedServer::OnEvent(uint32_t kind, uint64_t /*payload*/) {
+  if (kind == kEvRegister) {
+    Register();
+  } else {
+    ClientSend();
   }
 }
 
@@ -82,7 +90,7 @@ void MemcachedServer::ClientSend() {
     gap = static_cast<TimeNs>(rng_.NormalAtLeast(
         mean_gap, mean_gap * config_.interarrival_sigma_frac, mean_gap * 0.05));
   }
-  sim->After(gap, [this] { ClientSend(); });
+  sim->After(gap, this, kEvClientSend);
 }
 
 }  // namespace rtvirt

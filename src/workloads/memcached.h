@@ -63,7 +63,7 @@ struct MemcachedConfig {
   OpenLoop open_loop;
 };
 
-class MemcachedServer {
+class MemcachedServer : public EventTarget {
  public:
   MemcachedServer(GuestOs* guest, std::string name, MemcachedConfig config, Rng rng);
 
@@ -74,7 +74,13 @@ class MemcachedServer {
   int admission_result() const { return admission_result_; }
   uint64_t requests_sent() const { return requests_sent_; }
 
+  void OnEvent(uint32_t kind, uint64_t payload) override;
+
  private:
+  enum EventKind : uint32_t {
+    kEvRegister = 1,
+    kEvClientSend = 2,
+  };
   void Register();
   void ClientSend();
   TimeNs SampleService();

@@ -7,39 +7,43 @@ namespace rtvirt {
 
 PeriodicRta::PeriodicRta(GuestOs* guest, std::string name, RtaParams params)
     : guest_(guest), task_(guest->CreateTask(std::move(name))), params_(params),
-      ckpt_section_("wl." + task_->name()),
-      ckpt_owner_(ckpt::Fnv1a64(ckpt_section_)) {
+      ckpt_section_("wl." + task_->name()) {
   params_.sporadic = false;
 }
 
 void PeriodicRta::Start(TimeNs start, TimeNs stop) {
   stop_ = stop;
-  Simulator* sim = guest_->vm()->machine()->sim();
-  if (start <= sim->Now()) {
+  if (start <= sim()->Now()) {
     Register();
   } else {
-    sim->At(start, Tag(kEvRegister), [this] { Register(); });
+    sim()->At(start, this, kEvRegister);
+  }
+}
+
+void PeriodicRta::OnEvent(uint32_t kind, uint64_t /*payload*/) {
+  if (kind == kEvRegister) {
+    Register();
+  } else {
+    ReleaseOne();
   }
 }
 
 void PeriodicRta::Register() {
-  Simulator* sim = guest_->vm()->machine()->sim();
   ++admission_attempts_;
   admission_result_ = guest_->SchedSetAttr(task_, params_);
   if (admission_result_ != kGuestOk) {
-    if (admission_retry_ > 0 && sim->Now() + admission_retry_ < stop_) {
-      sim->After(admission_retry_, Tag(kEvRegister), [this] { Register(); });
+    if (admission_retry_ > 0 && sim()->Now() + admission_retry_ < stop_) {
+      sim()->After(admission_retry_, this, kEvRegister);
     }
     return;
   }
-  admitted_at_ = sim->Now();
-  task_->set_next_release(sim->Now());
+  admitted_at_ = sim()->Now();
+  task_->set_next_release(sim()->Now());
   ReleaseOne();
 }
 
 void PeriodicRta::ReleaseOne() {
-  Simulator* sim = guest_->vm()->machine()->sim();
-  TimeNs now = sim->Now();
+  TimeNs now = sim()->Now();
   if (now >= stop_) {
     guest_->SchedUnregister(task_);
     return;
@@ -48,7 +52,7 @@ void PeriodicRta::ReleaseOne() {
   // publication sees it.
   task_->set_next_release(now + params_.period);
   guest_->ReleaseJob(task_, job_work_ > 0 ? job_work_ : params_.slice, now + params_.period);
-  release_event_ = sim->After(params_.period, Tag(kEvRelease), [this] { ReleaseOne(); });
+  sim()->After(params_.period, this, kEvRelease);
 }
 
 void PeriodicRta::SaveState(ckpt::Writer& w) const {
@@ -70,18 +74,13 @@ std::string PeriodicRta::RestoreState(ckpt::Reader& r) {
   return r.ok() ? "" : ckpt_section_ + ": truncated section";
 }
 
-std::string PeriodicRta::RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) {
-  (void)payload;
-  Simulator* sim = guest_->vm()->machine()->sim();
-  switch (kind) {
-    case kEvRegister:
-      sim->At(when, Tag(kEvRegister), [this] { Register(); });
-      return "";
-    case kEvRelease:
-      release_event_ = sim->At(when, Tag(kEvRelease), [this] { ReleaseOne(); });
-      return "";
+std::string PeriodicRta::RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) {
+  if ((kind != kEvRegister && kind != kEvRelease) || payload != 0) {
+    return ckpt_section_ + ": unknown event kind " + std::to_string(kind) + " payload " +
+           std::to_string(payload);
   }
-  return ckpt_section_ + ": unknown event kind " + std::to_string(kind);
+  sim()->At(when, this, kind);
+  return "";
 }
 
 }  // namespace rtvirt

@@ -47,19 +47,19 @@ class PeriodicRta : public ckpt::Checkpointable {
   // Section "wl.<task name>". The task's own fields live in the guest
   // section; this one carries the driver's release chain.
   const std::string& ckpt_section() const { return ckpt_section_; }
-  enum CkptEventKind : uint32_t {
+  enum EventKind : uint32_t {
     kEvRegister = 1,  // Initial or retried sched_setattr.
     kEvRelease = 2,   // Periodic job release.
   };
+  void OnEvent(uint32_t kind, uint64_t payload) override;
   void SaveState(ckpt::Writer& w) const override;
   std::string RestoreState(ckpt::Reader& r) override;
-  std::string RebindEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
+  std::string RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
 
  private:
   void Register();
   void ReleaseOne();
-
-  EventTag Tag(uint32_t kind) const { return EventTag{ckpt_owner_, kind, 0}; }
+  Simulator* sim() const { return guest_->vm()->machine()->sim(); }
 
   GuestOs* guest_;
   Task* task_;
@@ -70,9 +70,7 @@ class PeriodicRta : public ckpt::Checkpointable {
   TimeNs admission_retry_ = 0;
   int admission_attempts_ = 0;
   TimeNs admitted_at_ = kTimeNever;
-  Simulator::EventId release_event_;
   std::string ckpt_section_;
-  uint64_t ckpt_owner_ = 0;
 };
 
 }  // namespace rtvirt

@@ -22,8 +22,19 @@ void SporadicRta::Start(TimeNs start, uint64_t max_requests) {
   if (start <= sim->Now()) {
     Register();
   } else {
-    sim->At(start, [this] { Register(); });
+    sim->At(start, this, kEvRegister);
   }
+}
+
+void SporadicRta::OnEvent(uint32_t kind, uint64_t /*payload*/) {
+  if (kind == kEvRegister) {
+    return Register();
+  }
+  if (kind == kEvClientSend) {
+    return ClientSend();
+  }
+  TimeNs now = guest_->vm()->machine()->sim()->Now();  // kEvArrival.
+  guest_->ReleaseJob(task_, params_.slice, now + params_.period);
 }
 
 void SporadicRta::Register() {
@@ -41,11 +52,8 @@ void SporadicRta::ClientSend() {
   ++requests_sent_;
   Simulator* sim = guest_->vm()->machine()->sim();
   TimeNs delay = net_.Sample(rng_);
-  sim->After(delay, [this] {
-    TimeNs now = guest_->vm()->machine()->sim()->Now();
-    guest_->ReleaseJob(task_, params_.slice, now + params_.period);
-  });
-  sim->After(rng_.UniformTime(ia_lo_, ia_hi_), [this] { ClientSend(); });
+  sim->After(delay, this, kEvArrival);
+  sim->After(rng_.UniformTime(ia_lo_, ia_hi_), this, kEvClientSend);
 }
 
 }  // namespace rtvirt

@@ -23,7 +23,7 @@ struct NetworkModel {
   TimeNs Sample(Rng& rng) const { return base_delay + rng.UniformTime(0, jitter); }
 };
 
-class SporadicRta {
+class SporadicRta : public EventTarget {
  public:
   SporadicRta(GuestOs* guest, std::string name, RtaParams params, Rng rng,
               TimeNs ia_lo = Ms(100), TimeNs ia_hi = Sec(1), NetworkModel net = {});
@@ -35,7 +35,14 @@ class SporadicRta {
   int admission_result() const { return admission_result_; }
   uint64_t requests_sent() const { return requests_sent_; }
 
+  void OnEvent(uint32_t kind, uint64_t payload) override;
+
  private:
+  enum EventKind : uint32_t {
+    kEvRegister = 1,
+    kEvArrival = 2,  // A request reaches the guest: release its job.
+    kEvClientSend = 3,
+  };
   void Register();
   void ClientSend();
 

@@ -1,15 +1,18 @@
 // Checkpoint/restore (DESIGN.md §10): RNG state round-trip, corruption
 // loudness (truncation / CRC / version / section count), byte-identical
-// resumed continuation on both event-queue backends, sweep resumed-attempt
-// reporting, federated snapshot round-trip, and the save-path rejections
-// (non-checkpointable features, untagged events).
+// resumed continuation (canonical scenario, and every checkpointable event
+// kind live across a split), the committed golden digest trail, sweep
+// resumed-attempt reporting, federated snapshot round-trip, and the
+// save-path and registry rejections.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/checkpoint/checkpoint.h"
@@ -167,21 +170,42 @@ TEST(CheckpointRejectionTest, UntaggedLiveEventIsRejectedAtSave) {
   auto s = BuildCkptScenario(opt);
   s->Start();
   s->exp->Run(Ms(50));
-  // A schedule site outside the rebind registry: closure with no EventTag.
+  // A harness closure: its target is the simulator, not a registered component.
   s->exp->sim().After(Ms(10), [] {});
   ckpt::Image image;
   std::string err = s->exp->SaveCheckpoint(&image);
   EXPECT_NE(err.find("untagged live event"), std::string::npos) << err;
 }
 
+TEST(CheckpointRegistryDeathTest, DuplicateSectionNameIsFatal) {
+  Experiment exp(ExperimentConfig{});
+  GuestOs* g = exp.AddGuest("vm0", 1);
+  PeriodicRta a(g, "a", RtaParams{Ms(1), Ms(10)});
+  PeriodicRta b(g, "b", RtaParams{Ms(1), Ms(10)});
+  exp.RegisterCheckpointable("wl.x", &a);
+  EXPECT_DEATH(exp.RegisterCheckpointable("wl.x", &b),
+               "duplicate checkpoint section name 'wl.x'");
+  EXPECT_DEATH(exp.RegisterCheckpointable("machine", &b),
+               "duplicate checkpoint section name 'machine'");
+}
+
+TEST(CheckpointRegistryDeathTest, ComponentUnderTwoNamesIsFatal) {
+  Experiment exp(ExperimentConfig{});
+  GuestOs* g = exp.AddGuest("vm0", 1);
+  PeriodicRta a(g, "a", RtaParams{Ms(1), Ms(10)});
+  exp.RegisterCheckpointable("wl.a", &a);
+  EXPECT_DEATH(exp.RegisterCheckpointable("wl.a2", &a),
+               "one component registered as both 'wl.a' and 'wl.a2'");
+  EXPECT_DEATH(exp.RegisterCheckpointable("wl.null", nullptr), "null component");
+}
+
 // ---------------------------------------------------------------------------
 // Byte-identical continuation: run->save->continue vs restore->continue must
-// serialize to the same bytes at the horizon, on both queue backends.
+// serialize to the same bytes at the horizon.
 
-void RoundTripContinuation(EventQueueKind backend) {
+TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
   CkptScenarioOptions opt;
   opt.horizon = Ms(600);
-  opt.sim.event_queue = backend;
 
   auto a = BuildCkptScenario(opt);
   a->Start();
@@ -205,12 +229,158 @@ void RoundTripContinuation(EventQueueKind backend) {
   EXPECT_GT(a->monitor.total_completed(), 0u);
 }
 
-TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
-  RoundTripContinuation(EventQueueKind::kCalendar);
+// Every opt-in layer that schedules checkpointable events, at once: all four
+// DP-WRAP policy scans, the guest pressure poll, channel repair, and every
+// FaultPlan event kind. 2 PCPUs, 4 VMs x 2 VCPUs.
+struct EveryKindRig {
+  std::unique_ptr<Experiment> exp;
+  std::vector<std::unique_ptr<PeriodicRta>> rtas;
+
+  static constexpr TimeNs kHorizon = Ms(160);
+
+  EveryKindRig() {
+    ExperimentConfig cfg;
+    cfg.machine.num_pcpus = 2;
+    cfg.dpwrap.idle_tax.enabled = true;
+    cfg.dpwrap.idle_tax.window = Ms(20);
+    cfg.dpwrap.watchdog.reclaim_crashed = true;
+    cfg.dpwrap.overload.enabled = true;
+    cfg.dpwrap.guest_trust.enabled = true;
+    cfg.dpwrap.pcpu_recovery.enabled = true;
+    cfg.channel.max_retries = 2;
+    cfg.channel.degraded_fallback = true;
+    FaultPlan& f = cfg.faults;
+    f.seed = 11;
+    f.hypercall_fail_prob = 0.02;
+    f.hypercall_outages = {{Ms(30), Ms(45)}};
+    f.vm_failures = {{3, Ms(60), Ms(90)}};
+    f.pcpu_faults = {{FaultPlan::PcpuFault::Kind::kTransientOffline, 1, Ms(50), Ms(70), 1.0},
+                     {FaultPlan::PcpuFault::Kind::kDegrade, 0, Ms(80), Ms(110), 0.5}};
+    f.adversarial_guests = {{FaultPlan::AdversarialGuest::Kind::kDeadlineLies, 2, Ms(20), Ms(120)}};
+    f.control_faults = {{FaultPlan::ControlFault::Kind::kStalePage, 1, Ms(40), Ms(100)}};
+    exp = std::make_unique<Experiment>(std::move(cfg));
+    GuestConfig gcfg;
+    gcfg.overload.enabled = true;
+    for (int vm = 0; vm < 4; ++vm) {
+      GuestOs* g = exp->AddGuest("vm" + std::to_string(vm), 2, gcfg);
+      for (int k = 0; k < 2; ++k) {
+        RtaParams params{Ms(1 + k), Ms(10 + 4 * vm + 2 * k)};
+        params.min_slice = Us(500);
+        rtas.push_back(std::make_unique<PeriodicRta>(
+            g, "vm" + std::to_string(vm) + ".rta" + std::to_string(k), params));
+        rtas.back()->set_admission_retry(Ms(3));
+        exp->RegisterCheckpointable(rtas.back()->ckpt_section(), rtas.back().get());
+      }
+    }
+  }
+
+  // Fresh path only. Registrations start after Run() has armed the injector
+  // (one lands inside the hypercall outage, driving a channel into repair).
+  void Start() {
+    for (size_t i = 0; i < rtas.size(); ++i) {
+      rtas[i]->Start(i == 5 ? Ms(35) : Ms(1 + static_cast<int64_t>(i)), kHorizon);
+    }
+  }
+};
+
+TEST(CheckpointRoundTripTest, EveryEventKindSurvivesASplit) {
+  EveryKindRig a;
+  a.Start();
+  std::set<std::pair<const EventTarget*, uint32_t>> live_kinds;
+  std::vector<ckpt::Image> splits;
+  for (TimeNs t = Ms(3); t < Ms(140); t += Ms(7)) {
+    a.exp->Run(t);
+    splits.emplace_back();
+    ASSERT_EQ(a.exp->SaveCheckpoint(&splits.back()), "") << "t=" << t;
+    std::vector<EventQueue::LiveEvent> live;
+    a.exp->sim().CollectLiveEvents(&live);
+    for (const auto& e : live) {
+      live_kinds.insert({e.event.target, e.event.kind});
+    }
+  }
+  a.exp->Run(EveryKindRig::kHorizon);
+  ckpt::Image end_a;
+  ASSERT_EQ(a.exp->SaveCheckpoint(&end_a), "");
+
+  // The split points kept every kind below live at least once.
+  auto live = [&](const EventTarget* target, uint32_t kind) {
+    return live_kinds.count({target, kind}) > 0;
+  };
+  const DpWrapScheduler* dp = a.exp->dpwrap();
+  for (uint32_t k : {DpWrapScheduler::kEvTax, DpWrapScheduler::kEvWatchdog,
+                     DpWrapScheduler::kEvOverload, DpWrapScheduler::kEvTrust}) {
+    EXPECT_TRUE(live(dp, k)) << "dpwrap kind " << k;
+  }
+  EXPECT_TRUE(live(a.exp->guests()[0].get(), GuestOs::kEvPressure));
+  bool repair = false;
+  for (const auto& g : a.exp->guests()) {
+    repair = repair || live(a.exp->ChannelOf(g.get()), RtvirtGuestChannel::kEvRepair);
+  }
+  EXPECT_TRUE(repair);
+  const FaultInjector* fi = a.exp->fault_injector();
+  for (uint32_t k = FaultInjector::kEvVmCrash; k <= FaultInjector::kEvControlStaleEnd; ++k) {
+    EXPECT_TRUE(live(fi, k)) << "faults kind " << k;
+  }
+  ResilienceCounters c = a.exp->resilience();
+  EXPECT_GT(c.degraded_entries, 0u);
+  EXPECT_GT(c.repair_attempts, 0u);
+  EXPECT_GT(c.vm_crashes, 0u);
+  EXPECT_GT(c.adversarial_deadline_lies, 0u);
+
+  // Every split restores into a fresh experiment and ends byte-identical.
+  const std::string expected = end_a.Serialize();
+  for (size_t i = 0; i < splits.size(); ++i) {
+    EveryKindRig b;
+    ASSERT_EQ(b.exp->RestoreCheckpoint(splits[i]), "") << "split " << i;
+    b.exp->Run(EveryKindRig::kHorizon);
+    ckpt::Image end_b;
+    ASSERT_EQ(b.exp->SaveCheckpoint(&end_b), "");
+    EXPECT_EQ(end_b.Serialize(), expected) << "split " << i;
+  }
 }
 
-TEST(CheckpointRoundTripTest, HeapBackendContinuesByteIdentical) {
-  RoundTripContinuation(EventQueueKind::kHeap);
+// A saved event whose (kind, payload) this build cannot re-arm fails the
+// restore with a named error instead of aborting when it would fire.
+TEST(CheckpointRoundTripTest, BadEventPayloadFailsRestoreLoudly) {
+  ckpt::Image image;
+  SavedScenarioBytes(&image);
+  for (ckpt::Section& s : image.sections) {
+    if (s.name != "events") {
+      continue;
+    }
+    ckpt::Writer w;
+    w.U32(1);
+    w.U64(ckpt::Fnv1a64(Machine::kCkptSection));
+    w.U32(Machine::kEvSliceEnd);
+    w.U64(99);  // No such PCPU.
+    w.I64(Ms(150));
+    s.bytes = w.Take();
+  }
+  auto fresh = BuildCkptScenario(CkptScenarioOptions{});
+  std::string err = fresh->exp->RestoreCheckpoint(image);
+  EXPECT_NE(err.find("machine: event references invalid pcpu 99"), std::string::npos) << err;
+}
+
+// The canonical scenario's committed digest trail (rtvirt_runner --seed=7
+// --horizon-ms=1000 --record-digests=...). Any change to simulated state or
+// schedule shows up as the first divergent interval and component; an
+// intentional change re-records the file (DESIGN.md §10).
+TEST(CheckpointGoldenTrailTest, CanonicalScenarioMatchesRecordedTrail) {
+  std::string text;
+  ASSERT_TRUE(ckpt::ReadFileToString(RTVIRT_GOLDEN_TRAIL, &text)) << RTVIRT_GOLDEN_TRAIL;
+  std::vector<IntervalDigest> expected;
+  ASSERT_EQ(ParseTrail(text, &expected), "");
+  ASSERT_EQ(expected.size(), 20u);
+
+  CkptScenarioOptions opt;
+  opt.seed = 7;
+  opt.horizon = Ms(1000);
+  auto s = BuildCkptScenario(opt);
+  s->Start();
+  std::vector<IntervalDigest> actual;
+  ASSERT_EQ(RecordDigestTrail(*s, Ms(50), 20, &actual), "");
+  DivergenceReport report = CompareTrails(expected, actual);
+  EXPECT_FALSE(report.diverged) << report.summary;
 }
 
 TEST(CheckpointRoundTripTest, RestoreRequiresFreshExperiment) {

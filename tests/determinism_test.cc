@@ -19,6 +19,7 @@
 #include "src/sim/event_queue.h"
 #include "src/workloads/churn.h"
 #include "src/workloads/periodic.h"
+#include "tests/event_oracle.h"
 
 namespace rtvirt {
 namespace {
@@ -214,30 +215,32 @@ TEST(Determinism, DifferentWorkloadSeedStillRunsCleanUnderFaults) {
   EXPECT_EQ(exp.auditor()->total_violations(), 0u);
 }
 
-// Differential check of the two event-queue backends (perf PR satellite):
-// 100k randomized schedule/cancel/pop operations driven through a calendar
-// queue and a binary heap in lockstep. The backends implement the same
-// (time, insertion-seq) total order, so at every step their sizes and next
-// event times must agree, and the fired sequences must be identical. This is
-// the test that lets the calendar be the default: any divergence under
-// resizes, width retunes, node recycling, or tombstone compaction shows up
-// here as a first-divergence step index.
+// Differential check of the calendar queue against the std::set reference
+// model (tests/event_oracle.h): 100k randomized schedule/cancel/pop
+// operations driven through both in lockstep. They implement the same (time,
+// insertion-seq) total order, so at every step their sizes and next event
+// times must agree, and the fired sequences must be identical. Any calendar
+// divergence under resizes, width retunes or node recycling shows up here
+// as a first-divergence step index.
 TEST(Determinism, EventQueueBackendsAgreeOverRandomizedOps) {
-  EventQueue cal(EventQueueKind::kCalendar);
-  EventQueue heap(EventQueueKind::kHeap);
+  EventQueue cal;
+  SetEventQueue oracle;
   Rng rng(0xEC0FFEEull);
 
+  struct Log : EventTarget {
+    std::vector<uint64_t> fired;
+    void OnEvent(uint32_t /*kind*/, uint64_t payload) override { fired.push_back(payload); }
+  };
+  Log cal_log;
+  Log oracle_log;
   struct Pending {
     EventQueue::EventId cal_id;
-    EventQueue::EventId heap_id;
-    int tag;
+    SetEventQueue::EventId oracle_id;
   };
   std::vector<Pending> pending;
-  std::vector<int> cal_fired;
-  std::vector<int> heap_fired;
 
   TimeNs now = 0;
-  int next_tag = 0;
+  uint64_t next_tag = 0;
   constexpr int kOps = 100000;
   for (int op = 0; op < kOps; ++op) {
     int roll = static_cast<int>(rng.UniformInt(0, 99));
@@ -245,39 +248,38 @@ TEST(Determinism, EventQueueBackendsAgreeOverRandomizedOps) {
       // Schedule the same event in both queues. Mix of near and far times,
       // with occasional exact duplicates to exercise FIFO tie-breaking.
       TimeNs when = now + rng.UniformTime(0, roll % 5 == 0 ? 50 : 5000000);
-      int tag = next_tag++;
-      Pending p;
-      p.tag = tag;
-      p.cal_id = cal.Schedule(when, [&cal_fired, tag] { cal_fired.push_back(tag); });
-      p.heap_id = heap.Schedule(when, [&heap_fired, tag] { heap_fired.push_back(tag); });
-      pending.push_back(std::move(p));
+      uint64_t tag = next_tag++;
+      pending.push_back(Pending{cal.Schedule(when, Event{&cal_log, 0, tag}),
+                                oracle.Schedule(when, Event{&oracle_log, 0, tag})});
     } else if (roll < 70) {
       // Cancel a random outstanding event in both (ids of already-fired
       // events are still in `pending`; cancelling those must be a no-op in
-      // both backends equally).
+      // both equally).
       size_t pick = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(pending.size()) - 1));
-      cal.Cancel(pending[pick].cal_id);
-      heap.Cancel(pending[pick].heap_id);
-      pending[pick] = std::move(pending.back());
+      Event a = cal.Cancel(pending[pick].cal_id);
+      Event b = oracle.Cancel(pending[pick].oracle_id);
+      ASSERT_EQ(a.payload, b.payload) << "step " << op;
+      ASSERT_EQ(a.target == nullptr, b.target == nullptr) << "step " << op;
+      pending[pick] = pending.back();
       pending.pop_back();
     } else if (!cal.empty()) {
-      ASSERT_EQ(cal.NextTime(), heap.NextTime()) << "step " << op;
+      ASSERT_EQ(cal.NextTime(), oracle.NextTime()) << "step " << op;
       now = cal.NextTime();
-      cal.PopNext().callback();
-      heap.PopNext().callback();
-      ASSERT_EQ(cal_fired.back(), heap_fired.back()) << "step " << op;
+      cal.PopNext().event.Fire();
+      oracle.PopNext().event.Fire();
+      ASSERT_EQ(cal_log.fired.back(), oracle_log.fired.back()) << "step " << op;
     }
-    ASSERT_EQ(cal.size(), heap.size()) << "step " << op;
+    ASSERT_EQ(cal.size(), oracle.size()) << "step " << op;
   }
   // Drain both completely and require identical fired sequences.
   while (!cal.empty()) {
-    ASSERT_EQ(cal.NextTime(), heap.NextTime());
-    cal.PopNext().callback();
-    heap.PopNext().callback();
+    ASSERT_EQ(cal.NextTime(), oracle.NextTime());
+    cal.PopNext().event.Fire();
+    oracle.PopNext().event.Fire();
   }
-  EXPECT_TRUE(heap.empty());
-  EXPECT_EQ(cal_fired, heap_fired);
+  EXPECT_TRUE(oracle.empty());
+  EXPECT_EQ(cal_log.fired, oracle_log.fired);
   EXPECT_GT(cal.stats().calendar_resizes, 0u);
 }
 

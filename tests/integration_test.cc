@@ -192,7 +192,7 @@ TEST(MemcachedContention, RtvirtMeetsSloUnderHogContention) {
     // period; use its small-period analogue.
     GuestChannelOptions opts = exp.config().channel;
     opts.budget_slack = Us(6);
-    mc->SetCrossLayer(std::make_unique<RtvirtGuestChannel>(&exp.machine(), opts));
+    exp.ChannelOf(mc)->set_options(opts);
   }
   for (int i = 0; i < 19; ++i) {
     GuestOs* hog = exp.AddGuest("hog" + std::to_string(i), 1);
