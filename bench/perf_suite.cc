@@ -15,9 +15,10 @@
 //   * replan — 100 reserved VCPUs, 1 ms global slices: wall-clock ns per
 //     DP-WRAP replan.
 //   * wrap_layout.n{4,20,100} — one McNaughton wrap-around layout of n items
-//     on 15 PCPUs.
+//     on 15 PCPUs, through the WrapAroundFrom call Replan makes.
 //   * hypercall — one sched_rtvirt() INC_BW + DEC_BW round trip, including
-//     the deferred replans it triggers.
+//     the deferred replans it triggers. After one untimed round trip the
+//     DP-WRAP path must allocate nothing (hard assert).
 //   * carts_search — one CARTS minimal-interface search.
 //   * guest_edf.l{1,10} — one guest pEDF job cycle (release, EDF pick,
 //     completion) with l RTAs on the VCPU.
@@ -26,8 +27,9 @@
 //
 // Flags: --out=PATH (default BENCH_perf_suite.json), --scale=F (work
 // multiplier for quick local runs; the committed baseline uses 1.0).
-// Exits nonzero if the zero-alloc steady-state assertion fails.
+// Exits nonzero if a zero-alloc steady-state assertion fails.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -219,19 +221,26 @@ PhaseResult RunReplan(PerfRecorder& rec, int iters) {
 }
 
 // McNaughton wrap-around of n items at ~50% total utilization, each capped
-// at one PCPU.
+// at one PCPU: WrapAroundFrom from empty chunks into reused buffers, as in
+// Replan.
 PhaseResult RunWrapLayout(PerfRecorder& rec, int n, uint64_t iters) {
   std::vector<WrapItem> items;
   TimeNs slice = Us(250);
   for (int i = 0; i < n; ++i) {
     items.push_back(WrapItem{i, std::min(slice, slice * 15 / (2 * n))});
   }
-  return Timed(rec, "wrap_layout.n" + std::to_string(n), iters,
-               [&](uint64_t) { Keep(WrapAround(items, slice, 15)); });
+  std::vector<TimeNs> fill(15);
+  std::vector<WrapSegment> segments;
+  return Timed(rec, "wrap_layout.n" + std::to_string(n), iters, [&](uint64_t) {
+    std::fill(fill.begin(), fill.end(), 0);
+    WrapAroundFrom(items, slice, fill, &segments);
+    Keep(segments);
+  });
 }
 
 // sched_rtvirt() round trip: INC_BW admission + DEC_BW release, then the
-// deferred replans they triggered.
+// deferred replans they triggered. One untimed round trip warms the
+// scheduler's buffers first; the timed ones must not allocate.
 PhaseResult RunHypercall(PerfRecorder& rec, uint64_t iters) {
   ExperimentConfig cfg;
   cfg.framework = Framework::kRtvirt;
@@ -248,11 +257,13 @@ PhaseResult RunHypercall(PerfRecorder& rec, uint64_t iters) {
   HypercallArgs dec = inc;
   dec.op = SchedOp::kDecBw;
   dec.bw_a = Bandwidth::Zero();
-  return Timed(rec, "hypercall", iters, [&](uint64_t k) {
+  auto round_trip = [&](uint64_t k) {
     Keep(exp.machine().Hypercall(v, inc));
     Keep(exp.machine().Hypercall(v, dec));
     exp.Run(1 + 1000 * static_cast<TimeNs>(k + 1));
-  });
+  };
+  round_trip(0);
+  return Timed(rec, "hypercall", iters, [&](uint64_t k) { round_trip(k + 1); });
 }
 
 PhaseResult RunCartsSearch(PerfRecorder& rec, uint64_t iters) {
@@ -386,6 +397,8 @@ int Run(int argc, char** argv) {
     report.Add(p.name + ".ns_per_op", p.NsPerOp(), "ns", false, 0.50);
   }
   report.Add("hypercall.ns_per_round_trip", hypercall.NsPerOp(), "ns", false, 0.50);
+  report.Add("hypercall.steady_allocs_per_round_trip", hypercall.AllocsPerOp(), "allocs/op",
+             false, 0.0);
   report.Add("carts_search.ns_per_op", carts.NsPerOp(), "ns", false, 0.50);
   for (const PhaseResult& p : guest_edf) {
     report.Add(p.name + ".ns_per_job", p.NsPerOp(), "ns", false, 0.50);
@@ -398,18 +411,21 @@ int Run(int argc, char** argv) {
   std::printf("perf_suite: wrote %s (%zu metrics, schema v%d)\n", out_path.c_str(),
               report.metrics.size(), report.schema_version);
 
-  // The zero-alloc steady state is an invariant, not a perf number: fail the
-  // run outright if the measured window allocated at all.
-  if (shape.allocs != 0) {
-    std::fprintf(stderr,
-                 "perf_suite: FAIL — calendar steady state performed %llu allocations "
-                 "(%llu bytes) over %llu ops; expected zero\n",
-                 static_cast<unsigned long long>(shape.allocs),
-                 static_cast<unsigned long long>(shape.alloc_bytes),
-                 static_cast<unsigned long long>(shape.ops));
-    return 1;
+  // The zero-alloc steady states are invariants, not perf numbers: fail the
+  // run outright if a measured window allocated at all.
+  int rc = 0;
+  for (const PhaseResult* p : {&shape, &hypercall}) {
+    if (p->allocs != 0) {
+      std::fprintf(stderr,
+                   "perf_suite: FAIL — %s steady state performed %llu allocations "
+                   "(%llu bytes) over %llu ops; expected zero\n",
+                   p->name.c_str(), static_cast<unsigned long long>(p->allocs),
+                   static_cast<unsigned long long>(p->alloc_bytes),
+                   static_cast<unsigned long long>(p->ops));
+      rc = 1;
+    }
   }
-  return 0;
+  return rc;
 }
 
 }  // namespace

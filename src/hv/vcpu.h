@@ -70,10 +70,6 @@ class Vcpu {
   uint64_t evacuations() const { return evacuations_; }
   TimeNs pending_evacuation_penalty() const { return evacuation_penalty_; }
 
-  // Host-scheduler private data (Xen keeps an analogous per-vcpu priv ptr).
-  void set_sched_data(void* data) { sched_data_ = data; }
-  void* sched_data() const { return sched_data_; }
-
  private:
   friend class Pcpu;
   friend class Machine;
@@ -86,7 +82,6 @@ class Vcpu {
   Pcpu* pcpu_ = nullptr;
   Pcpu* last_pcpu_ = nullptr;
   VcpuClient* client_ = nullptr;
-  void* sched_data_ = nullptr;
   TimeNs total_runtime_ = 0;
   uint64_t migrations_ = 0;
   uint64_t evacuations_ = 0;

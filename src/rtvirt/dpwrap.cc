@@ -1,20 +1,49 @@
 #include "src/rtvirt/dpwrap.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 
+#include "src/common/check.h"
 #include "src/hv/machine.h"
-#include "src/rtvirt/wrap_layout.h"
 
 namespace rtvirt {
+namespace {
+
+// Stable counting sort of `plan` into `out` by key(segment), a number in
+// [0, keys): afterwards range_of(k) locates key k's segments in `out`, in
+// the order `plan` has them.
+template <typename Segment, typename Key, typename RangeOf>
+void GroupBy(const std::vector<Segment>& plan, int keys, Key key, RangeOf range_of,
+             std::vector<Segment>* out) {
+  for (int k = 0; k < keys; ++k) {
+    range_of(k).count = 0;
+  }
+  for (const Segment& seg : plan) {
+    ++range_of(key(seg)).count;
+  }
+  int at = 0;
+  for (int k = 0; k < keys; ++k) {
+    range_of(k).begin = at;
+    at += range_of(k).count;
+    range_of(k).count = 0;
+  }
+  out->resize(plan.size());
+  for (const Segment& seg : plan) {
+    auto& range = range_of(key(seg));
+    (*out)[range.begin + range.count++] = seg;
+  }
+}
+
+}  // namespace
 
 DpWrapScheduler::DpWrapScheduler(DpWrapConfig config) : config_(config) {}
 
 void DpWrapScheduler::Attach(Machine* machine) {
   HostScheduler::Attach(machine);
   capacity_ = Bandwidth::Cpus(machine->num_pcpus());
-  pcpu_plan_.resize(machine->num_pcpus());
+  pcpu_segs_.resize(machine->num_pcpus());
+  occupied_.resize(machine->num_pcpus());
+  speeds_.resize(machine->num_pcpus());
   TimeNs now = machine_->sim()->Now();
   if (config_.idle_tax.enabled) {
     Arm(kEvTax, now + config_.idle_tax.window);
@@ -77,16 +106,23 @@ void DpWrapScheduler::TrustViolation(VmTrust& t) {
   }
 }
 
+DpWrapScheduler::VmTrust& DpWrapScheduler::TrustOf(const Vm* vm) {
+  size_t id = static_cast<size_t>(vm->id());
+  if (id >= trust_.size()) {
+    trust_.resize(id + 1);
+  }
+  trust_[id].tracked = true;
+  return trust_[id];
+}
+
 void DpWrapScheduler::TrustTick() {
   const DpWrapConfig::GuestTrust& gt = config_.guest_trust;
-  // Machine VM-index order, not map order: rehabilitation replans must fire
-  // in a deterministic sequence.
-  for (int i = 0; i < machine_->num_vms(); ++i) {
-    auto it = trust_.find(machine_->vm(i));
-    if (it == trust_.end()) {
+  // VM id order: rehabilitation replans must fire in a deterministic
+  // sequence.
+  for (VmTrust& t : trust_) {
+    if (!t.tracked) {
       continue;
     }
-    VmTrust& t = it->second;
     t.score *= gt.score_decay;
     if (t.score < 1e-6) {
       t.score = 0.0;
@@ -114,8 +150,8 @@ void DpWrapScheduler::TrustTick() {
 }
 
 bool DpWrapScheduler::Quarantined(const Vm* vm) const {
-  auto it = trust_.find(vm);
-  return it != trust_.end() && it->second.quarantined;
+  size_t id = static_cast<size_t>(vm->id());
+  return id < trust_.size() && trust_[id].quarantined;
 }
 
 int64_t DpWrapScheduler::TrustAdmitHypercall(Vcpu* caller, const HypercallArgs& args) {
@@ -228,15 +264,16 @@ void DpWrapScheduler::WatchdogTick() {
   // reservations; without the watchdog that bandwidth stays admitted forever
   // and blocks new tenants. Reclaim it host-side.
   bool changed = false;
-  for (auto it = reservations_.begin(); it != reservations_.end();) {
-    if (it->first->vm()->crashed()) {
-      total_ -= it->second.bw;
-      ++watchdog_reclaims_;
-      it = reservations_.erase(it);
-      changed = true;
-    } else {
-      ++it;
+  for (size_t i = 0; i < active_.size();) {
+    int gid = active_[i];
+    if (!all_vcpus_[gid]->vm()->crashed()) {
+      ++i;
+      continue;
     }
+    total_ -= slots_[gid].res.bw;
+    ++watchdog_reclaims_;
+    Release(gid);  // Shifts the next reservation into position i.
+    changed = true;
   }
   if (changed) {
     ScheduleReplan();
@@ -245,9 +282,9 @@ void DpWrapScheduler::WatchdogTick() {
 }
 
 void DpWrapScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
-  auto it = reservations_.find(vcpu);
-  if (it != reservations_.end()) {
-    it->second.used_in_window += ran;
+  Slot& slot = slots_[vcpu->global_id()];
+  if (slot.reserved) {
+    slot.res.used_in_window += ran;
   }
 }
 
@@ -258,7 +295,8 @@ void DpWrapScheduler::TaxTick() {
   }
   double window = static_cast<double>(config_.idle_tax.window);
   bool changed = false;
-  for (auto& [v, res] : reservations_) {
+  for (int gid : active_) {
+    Reservation& res = slots_[gid].res;
     double granted = static_cast<double>(res.EffectiveBw().ppb()) / Bandwidth::kUnit * window;
     double u = granted > 0 ? static_cast<double>(res.used_in_window) / granted : 0.0;
     double next = std::clamp(res.tax_factor * std::min(u, 1.0) + config_.idle_tax.headroom,
@@ -280,62 +318,100 @@ Bandwidth DpWrapScheduler::total_effective() const {
     return total_;
   }
   Bandwidth total;
-  for (const auto& [v, res] : reservations_) {
-    total += res.EffectiveBw();
+  for (int gid : active_) {
+    total += slots_[gid].res.EffectiveBw();
   }
   return total;
 }
 
-double DpWrapScheduler::TaxFactor(const Vcpu* vcpu) const {
-  auto it = reservations_.find(vcpu);
-  return it == reservations_.end() ? 1.0 : it->second.tax_factor;
+bool DpWrapScheduler::Owns(const Vcpu* vcpu) const {
+  size_t gid = static_cast<size_t>(vcpu->global_id());
+  return gid < all_vcpus_.size() && all_vcpus_[gid] == vcpu;
 }
 
-void DpWrapScheduler::VcpuInserted(Vcpu* vcpu) { all_vcpus_.push_back(vcpu); }
+const DpWrapScheduler::Reservation* DpWrapScheduler::FindReservation(const Vcpu* vcpu) const {
+  if (!Owns(vcpu)) {
+    return nullptr;
+  }
+  const Slot& slot = slots_[vcpu->global_id()];
+  return slot.reserved ? &slot.res : nullptr;
+}
+
+double DpWrapScheduler::TaxFactor(const Vcpu* vcpu) const {
+  const Reservation* res = FindReservation(vcpu);
+  return res == nullptr ? 1.0 : res->tax_factor;
+}
+
+void DpWrapScheduler::VcpuInserted(Vcpu* vcpu) {
+  RTVIRT_CHECK(vcpu->global_id() == static_cast<int>(all_vcpus_.size()),
+               "DpWrapScheduler: VCPU with global id %d inserted as VCPU number %zu",
+               vcpu->global_id(), all_vcpus_.size());
+  all_vcpus_.push_back(vcpu);
+  slots_.emplace_back();
+}
+
+void DpWrapScheduler::SizePlanBuffers() {
+  // A plan has one piece per reservation plus at most m-1 splits (more only
+  // in the wrap layouts' overlap fallback, where push_back grows the
+  // buffers). Doubling keeps the resizes few while VMs are still added.
+  size_t pieces = all_vcpus_.size() + pcpu_segs_.size();
+  if (emitted_.capacity() >= pieces) {
+    return;
+  }
+  pieces *= 2;
+  items_.reserve(pieces);
+  wrap_out_.reserve(pieces);
+  emitted_.reserve(pieces);
+  pcpu_plan_.reserve(pieces);
+  vcpu_plan_.reserve(pieces);
+}
 
 void DpWrapScheduler::VcpuRemoved(Vcpu* vcpu) {
-  all_vcpus_.erase(std::remove(all_vcpus_.begin(), all_vcpus_.end(), vcpu), all_vcpus_.end());
-  auto it = reservations_.find(vcpu);
-  if (it != reservations_.end()) {
-    total_ -= it->second.bw;
-    reservations_.erase(it);
+  if (!Owns(vcpu)) {
+    return;
+  }
+  int gid = vcpu->global_id();
+  all_vcpus_[gid] = nullptr;
+  if (slots_[gid].reserved) {
+    total_ -= slots_[gid].res.bw;
+    Release(gid);
     ScheduleReplan();
   }
-  vcpu_segments_.erase(vcpu);
+  slots_[gid].segs.count = 0;
+}
+
+void DpWrapScheduler::Release(int gid) {
+  slots_[gid].reserved = false;
+  active_.erase(std::find(active_.begin(), active_.end(), gid));
 }
 
 void DpWrapScheduler::SetAffinity(Vcpu* vcpu, int pcpu) {
-  assert(pcpu >= -1 && pcpu < machine_->num_pcpus());
-  // Persist the pin across reservation lifetimes (an RTA may unregister and
-  // re-register; the VM's cache-locality preference does not change).
-  pending_affinity_[vcpu] = pcpu;
-  auto it = reservations_.find(vcpu);
-  if (it != reservations_.end()) {
-    it->second.affinity = pcpu;
+  RTVIRT_CHECK(Owns(vcpu), "SetAffinity: VCPU %s is not on this scheduler's machine",
+               vcpu->name().c_str());
+  RTVIRT_CHECK(pcpu >= -1 && pcpu < machine_->num_pcpus(),
+               "SetAffinity: pcpu %d out of range [-1, %d)", pcpu, machine_->num_pcpus());
+  Slot& slot = slots_[vcpu->global_id()];
+  slot.pin = pcpu;
+  if (slot.reserved) {
+    slot.res.affinity = pcpu;
     ScheduleReplan();
   }
 }
 
 int DpWrapScheduler::Affinity(const Vcpu* vcpu) const {
-  auto it = reservations_.find(vcpu);
-  if (it != reservations_.end()) {
-    return it->second.affinity;
+  if (const Reservation* res = FindReservation(vcpu)) {
+    return res->affinity;
   }
-  auto pending = pending_affinity_.find(vcpu);
-  return pending == pending_affinity_.end() ? -1 : pending->second;
+  return Owns(vcpu) ? slots_[vcpu->global_id()].pin.value_or(-1) : -1;
 }
 
 Bandwidth DpWrapScheduler::ReservedBw(const Vcpu* vcpu) const {
-  auto it = reservations_.find(vcpu);
-  return it == reservations_.end() ? Bandwidth::Zero() : it->second.bw;
+  const Reservation* res = FindReservation(vcpu);
+  return res == nullptr ? Bandwidth::Zero() : res->bw;
 }
 
-bool DpWrapScheduler::HasActiveSegment(const Vcpu* vcpu, TimeNs now) const {
-  auto it = vcpu_segments_.find(vcpu);
-  if (it == vcpu_segments_.end()) {
-    return false;
-  }
-  for (const PlanSegment& seg : it->second) {
+bool DpWrapScheduler::HasActiveSegment(int gid, TimeNs now) const {
+  for (const PlanSegment& seg : SegmentsOf(gid)) {
     if (seg.start <= now && now < seg.end) {
       return true;
     }
@@ -367,7 +443,7 @@ void DpWrapScheduler::Replan() {
   // Cost model: the global deadline is derived on one PCPU in O(log n) from
   // the per-VCPU deadlines (section 4.5) and shared with the others.
   TimeNs cost = config_.replan_cost_base;
-  for (size_t k = reservations_.size(); k > 1; k >>= 1) {
+  for (size_t k = active_.size(); k > 1; k >>= 1) {
     cost += config_.replan_cost_per_log;
   }
   machine_->mutable_overhead().schedule_time += cost;
@@ -376,7 +452,14 @@ void DpWrapScheduler::Replan() {
   TimeNs next_gd = now + config_.max_global_slice;
   bool trust_on = config_.guest_trust.enabled;
   TimeNs floor = config_.guest_trust.floor(config_.min_global_slice);
-  for (auto& [v, res] : reservations_) {
+  // Global-id order: the trust sanitizer's side effects (a quarantine one
+  // VCPU raises is seen by its VM's later VCPUs) follow a fixed sequence.
+  for (size_t gid = 0; gid < slots_.size(); ++gid) {
+    if (!slots_[gid].reserved) {
+      continue;
+    }
+    Vcpu* v = all_vcpus_[gid];
+    Reservation& res = slots_[gid].res;
     const SharedSchedPage& page = v->vm()->shared_page();
     TimeNs cand = page.next_deadline(v->index());
     bool distrusted = false;
@@ -447,44 +530,31 @@ void DpWrapScheduler::Replan() {
   slice_end_ = next_gd;
   TimeNs slice_len = slice_end_ - slice_start_;
 
-  // Proportional split of the global slice, laid out in stable order so a
-  // VCPU's segment offsets stay put across slices unless reservations change.
-  std::vector<Reservation*> ordered;
-  ordered.reserve(reservations_.size());
-  for (auto& [v, res] : reservations_) {
-    ordered.push_back(&res);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Reservation* a, const Reservation* b) { return a->order < b->order; });
-
   // Proportional allocations with a per-reservation sub-ns carry, keeping the
   // cumulative supply within 1 ns of the fluid schedule over any window.
-  auto take_alloc = [&](Reservation* res, TimeNs cap) {
+  auto take_alloc = [&](Reservation& res, TimeNs cap) {
     __int128 raw =
-        static_cast<__int128>(res->EffectiveBw().ppb()) * slice_len + res->carry_ppb;
+        static_cast<__int128>(res.EffectiveBw().ppb()) * slice_len + res.carry_ppb;
     TimeNs alloc = std::min(static_cast<TimeNs>(raw / Bandwidth::kUnit), cap);
     // Clipped share stays in the carry (bounded to one period of backlog).
     __int128 carry = raw - static_cast<__int128>(alloc) * Bandwidth::kUnit;
-    __int128 carry_max = static_cast<__int128>(res->EffectiveBw().ppb()) * res->period;
-    res->carry_ppb = static_cast<int64_t>(std::min(carry, carry_max));
+    __int128 carry_max = static_cast<__int128>(res.EffectiveBw().ppb()) * res.period;
+    res.carry_ppb = static_cast<int64_t>(std::min(carry, carry_max));
     return alloc;
   };
 
-  for (auto& plan : pcpu_plan_) {
-    plan.clear();
-  }
-  vcpu_segments_.clear();
-  auto emit = [&](Vcpu* v, int pcpu, TimeNs start, TimeNs end) {
-    PlanSegment ps{v, pcpu, slice_start_ + start, slice_start_ + end};
-    pcpu_plan_[pcpu].push_back(ps);
-    vcpu_segments_[v].push_back(ps);
+  emitted_.clear();
+  auto emit = [&](int gid, int pcpu, TimeNs start, TimeNs end) {
+    emitted_.push_back(
+        PlanSegment{all_vcpus_[gid], pcpu, slice_start_ + start, slice_start_ + end});
   };
 
   // Degraded machines (pcpu_recovery only) take the heterogeneous layout
   // path below; a healthy machine always takes the exact nominal path.
+  int m = machine_->num_pcpus();
   bool degraded = false;
   if (config_.pcpu_recovery.enabled) {
-    for (int k = 0; k < machine_->num_pcpus(); ++k) {
+    for (int k = 0; k < m; ++k) {
       const Pcpu* pc = machine_->pcpu(k);
       if (!pc->online() || pc->speed_ppb() != Bandwidth::kUnit) {
         degraded = true;
@@ -493,98 +563,106 @@ void DpWrapScheduler::Replan() {
     }
   }
 
-  std::vector<TimeNs> occupied(machine_->num_pcpus(), 0);
-  std::vector<Reservation*> wrapped;
-  wrapped.reserve(ordered.size());
+  // The global slice is split in layout order (active_), so a VCPU's segment
+  // offsets stay put across slices unless reservations change. Reservations
+  // that are not laid out pinned become wrap items, id = global id.
+  occupied_.assign(m, 0);
+  items_.clear();
   if (!degraded) {
     // Affinity-pinned reservations first, at the head of their PCPU's chunk:
     // they never migrate and never split (paper section 6).
-    for (Reservation* res : ordered) {
-      if (res->affinity < 0) {
-        wrapped.push_back(res);
+    for (int gid : active_) {
+      Reservation& res = slots_[gid].res;
+      if (res.affinity < 0) {
+        items_.push_back(WrapItem{gid, 0});
         continue;
       }
-      int pcpu = res->affinity;
-      TimeNs alloc = take_alloc(res, slice_len - occupied[pcpu]);
+      int pcpu = res.affinity;
+      TimeNs alloc = take_alloc(res, slice_len - occupied_[pcpu]);
       if (alloc > 0) {
-        emit(res->vcpu, pcpu, occupied[pcpu], occupied[pcpu] + alloc);
-        occupied[pcpu] += alloc;
+        emit(gid, pcpu, occupied_[pcpu], occupied_[pcpu] + alloc);
+        occupied_[pcpu] += alloc;
       }
     }
 
     // Everything else wraps into the remaining space (McNaughton).
     TimeNs free_total = 0;
-    for (TimeNs occ : occupied) {
+    for (TimeNs occ : occupied_) {
       free_total += slice_len - occ;
     }
-    std::vector<WrapItem> items;
-    items.reserve(wrapped.size());
     TimeNs allocated = 0;
-    for (size_t i = 0; i < wrapped.size(); ++i) {
+    for (WrapItem& item : items_) {
       // The carries can overshoot capacity by < n ns; trim the tail.
-      TimeNs alloc = take_alloc(wrapped[i], std::min(slice_len, free_total - allocated));
-      allocated += alloc;
-      items.push_back(WrapItem{static_cast<int>(i), alloc});
+      item.alloc =
+          take_alloc(slots_[item.id].res, std::min(slice_len, free_total - allocated));
+      allocated += item.alloc;
     }
-    std::vector<WrapSegment> segments = WrapAroundFrom(items, slice_len, occupied);
-    for (const WrapSegment& seg : segments) {
-      emit(wrapped[seg.item_id]->vcpu, seg.pcpu, seg.start, seg.end);
-    }
+    WrapAroundFrom(items_, slice_len, occupied_, &wrap_out_);
   } else {
     // Degraded layout: plan in *effective* (full-speed-equivalent) ns
     // against the surviving cores, then stretch back to wall-clock segments.
     // take_alloc stays in effective ns, so the carry accumulators keep
     // tracking the fluid schedule across healthy and degraded slices alike.
-    std::vector<int64_t> speeds(machine_->num_pcpus(), 0);
-    for (int k = 0; k < machine_->num_pcpus(); ++k) {
+    for (int k = 0; k < m; ++k) {
       const Pcpu* pc = machine_->pcpu(k);
-      speeds[k] = pc->online() ? pc->speed_ppb() : 0;
+      speeds_[k] = pc->online() ? pc->speed_ppb() : 0;
     }
     auto eff_free = [&](int k) -> TimeNs {
-      if (speeds[k] <= 0 || occupied[k] >= slice_len) {
+      if (speeds_[k] <= 0 || occupied_[k] >= slice_len) {
         return 0;
       }
-      return SpeedWallToWork(slice_len - occupied[k], speeds[k]);
+      return SpeedWallToWork(slice_len - occupied_[k], speeds_[k]);
     };
-    for (Reservation* res : ordered) {
-      int pcpu = res->affinity;
-      if (pcpu < 0 || speeds[pcpu] <= 0) {
+    for (int gid : active_) {
+      Reservation& res = slots_[gid].res;
+      int pcpu = res.affinity;
+      if (pcpu < 0 || speeds_[pcpu] <= 0) {
         // A pin to a dead core cannot hold: evacuate into the wrap. The pin
-        // itself persists (res->affinity untouched) and re-applies on heal.
-        wrapped.push_back(res);
+        // itself persists (res.affinity untouched) and re-applies on heal.
+        items_.push_back(WrapItem{gid, 0});
         continue;
       }
       TimeNs alloc = take_alloc(res, eff_free(pcpu));
       if (alloc > 0) {
-        TimeNs wall = SpeedWorkToWall(alloc, speeds[pcpu]);
-        emit(res->vcpu, pcpu, occupied[pcpu], occupied[pcpu] + wall);
-        occupied[pcpu] += wall;
+        TimeNs wall = SpeedWorkToWall(alloc, speeds_[pcpu]);
+        emit(gid, pcpu, occupied_[pcpu], occupied_[pcpu] + wall);
+        occupied_[pcpu] += wall;
       }
     }
     TimeNs free_total = 0;
-    for (int k = 0; k < machine_->num_pcpus(); ++k) {
+    for (int k = 0; k < m; ++k) {
       free_total += eff_free(k);
     }
-    std::vector<WrapItem> items;
-    items.reserve(wrapped.size());
     TimeNs allocated = 0;
-    for (size_t i = 0; i < wrapped.size(); ++i) {
-      TimeNs alloc = take_alloc(wrapped[i], std::min(slice_len, free_total - allocated));
-      allocated += alloc;
-      items.push_back(WrapItem{static_cast<int>(i), alloc});
+    for (WrapItem& item : items_) {
+      item.alloc =
+          take_alloc(slots_[item.id].res, std::min(slice_len, free_total - allocated));
+      allocated += item.alloc;
     }
-    std::vector<WrapSegment> segments =
-        WrapAroundDegraded(items, slice_len, occupied, speeds);
-    for (const WrapSegment& seg : segments) {
-      emit(wrapped[seg.item_id]->vcpu, seg.pcpu, seg.start, seg.end);
-    }
+    WrapAroundDegraded(items_, slice_len, occupied_, speeds_, &wrap_out_);
   }
+  for (const WrapSegment& seg : wrap_out_) {
+    emit(seg.item_id, seg.pcpu, seg.start, seg.end);
+  }
+  // Each PCPU's pieces come out in start order.
+  GroupBy(
+      emitted_, m, [](const PlanSegment& seg) { return seg.pcpu; },
+      [this](int pcpu) -> Range& { return pcpu_segs_[pcpu]; }, &pcpu_plan_);
+  GroupBy(
+      emitted_, static_cast<int>(slots_.size()),
+      [](const PlanSegment& seg) { return seg.vcpu->global_id(); },
+      [this](int gid) -> Range& { return slots_[gid].segs; }, &vcpu_plan_);
   // Host->guest notification of the slice allocation (Figure 2).
-  for (const auto& [v, segs] : vcpu_segments_) {
-    TimeNs alloc = 0;
-    for (const PlanSegment& s : segs) {
-      alloc += s.end - s.start;
+  for (int gid : active_) {
+    std::span<const PlanSegment> segs = SegmentsOf(gid);
+    if (segs.empty()) {
+      continue;
     }
+    TimeNs alloc = 0;
+    for (const PlanSegment& seg : segs) {
+      alloc += seg.end - seg.start;
+    }
+    Vcpu* v = all_vcpus_[gid];
     v->vm()->shared_page().PublishAllocation(v->index(), segs.front().start, alloc);
   }
 
@@ -593,18 +671,21 @@ void DpWrapScheduler::Replan() {
 }
 
 Vcpu* DpWrapScheduler::PickBestEffort(TimeNs now, Pcpu* pcpu) {
+  // Round-robin from the cursor, which is always below n (or 0); the scan
+  // wraps by comparison.
   size_t n = all_vcpus_.size();
+  size_t idx = be_cursor_;
   for (size_t i = 0; i < n; ++i) {
-    Vcpu* v = all_vcpus_[(be_cursor_ + i) % n];
-    bool continuing = v->running() && v->pcpu() == pcpu;
-    if (!v->runnable() && !continuing) {
-      continue;
+    Vcpu* v = all_vcpus_[idx];
+    size_t next = idx + 1 == n ? 0 : idx + 1;
+    // Eligible: runnable, or continuing on this PCPU, and not inside its own
+    // segment (that segment's PCPU is about to pick it).
+    if (v != nullptr && (v->runnable() || (v->running() && v->pcpu() == pcpu)) &&
+        !HasActiveSegment(static_cast<int>(idx), now)) {
+      be_cursor_ = next;
+      return v;
     }
-    if (HasActiveSegment(v, now)) {
-      continue;  // Its own segment's PCPU is about to pick it.
-    }
-    be_cursor_ = (be_cursor_ + i + 1) % n;
-    return v;
+    idx = next;
   }
   return nullptr;
 }
@@ -615,8 +696,7 @@ ScheduleDecision DpWrapScheduler::PickNext(Pcpu* pcpu) {
     Replan();
   }
 
-  const std::vector<PlanSegment>& plan = pcpu_plan_[pcpu->id()];
-  for (const PlanSegment& seg : plan) {
+  for (const PlanSegment& seg : PlanOf(pcpu->id())) {
     if (seg.end <= now) {
       continue;
     }
@@ -633,13 +713,10 @@ ScheduleDecision DpWrapScheduler::PickNext(Pcpu* pcpu) {
     if (v->running() && v->pcpu() != pcpu) {
       Pcpu* holder = v->pcpu();
       bool holder_owns = false;
-      auto own = vcpu_segments_.find(v);
-      if (own != vcpu_segments_.end()) {
-        for (const PlanSegment& s : own->second) {
-          if (s.pcpu == holder->id() && s.start <= now && now < s.end) {
-            holder_owns = true;
-            break;
-          }
+      for (const PlanSegment& s : SegmentsOf(v->global_id())) {
+        if (s.pcpu == holder->id() && s.start <= now && now < s.end) {
+          holder_owns = true;
+          break;
         }
       }
       if (holder_owns) {
@@ -680,24 +757,22 @@ void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
   // slice, and which PCPU serves it next.
   TimeNs remaining_seg = 0;
   const PlanSegment* next_seg = nullptr;
-  auto it = vcpu_segments_.find(vcpu);
-  if (it != vcpu_segments_.end()) {
-    for (const PlanSegment& seg : it->second) {
-      if (seg.end > now) {
-        remaining_seg += seg.end - std::max(seg.start, now);
-        if (next_seg == nullptr) {
-          next_seg = &seg;
-        }
+  Slot& slot = slots_[vcpu->global_id()];
+  for (const PlanSegment& seg : SegmentsOf(vcpu->global_id())) {
+    if (seg.end > now) {
+      remaining_seg += seg.end - std::max(seg.start, now);
+      if (next_seg == nullptr) {
+        next_seg = &seg;
       }
     }
   }
-  auto res = reservations_.find(vcpu);
-  if (res != reservations_.end() && config_.replan_on_wake) {
+  if (slot.reserved && config_.replan_on_wake) {
+    Reservation& res = slot.res;
     // Replan when the wake finds a substantial part of this slice's share
     // already gone (fully passed, or the wake landed mid-segment): the
     // arrival would otherwise wait most of a period for the next slice.
     // Never replan within min_global_slice of the last plan.
-    TimeNs full_share = res->second.EffectiveBw().SliceOf(slice_end_ - slice_start_);
+    TimeNs full_share = res.EffectiveBw().SliceOf(slice_end_ - slice_start_);
     if (remaining_seg + Us(1) < full_share) {
       TimeNs earliest = slice_start_ + config_.min_global_slice;
       if (now >= earliest) {
@@ -712,13 +787,11 @@ void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
       // deferred slice hands the share back. Repeated wakes inside the same
       // deferral window must not stack compensation past one period of
       // backlog plus this deferral's worth — the bound the auditor checks.
-      __int128 comp = static_cast<__int128>(res->second.carry_ppb) +
-                      static_cast<__int128>(res->second.EffectiveBw().ppb()) *
-                          (earliest - now);
-      __int128 comp_max =
-          static_cast<__int128>(res->second.EffectiveBw().ppb()) *
-          (res->second.period + config_.min_global_slice);
-      res->second.carry_ppb = static_cast<int64_t>(std::min(comp, comp_max));
+      __int128 comp = static_cast<__int128>(res.carry_ppb) +
+                      static_cast<__int128>(res.EffectiveBw().ppb()) * (earliest - now);
+      __int128 comp_max = static_cast<__int128>(res.EffectiveBw().ppb()) *
+                          (res.period + config_.min_global_slice);
+      res.carry_ppb = static_cast<int64_t>(std::min(comp, comp_max));
       // Fall through: use whatever segment time remains until the replan.
     }
   }
@@ -726,7 +799,7 @@ void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
     machine_->pcpu(next_seg->pcpu)->RequestReschedule();
     return;
   }
-  if (res != reservations_.end()) {
+  if (slot.reserved) {
     return;  // replan_on_wake off: served from the next global slice on.
   }
   // Best-effort wake: grab an idle PCPU if there is one (round-robin so
@@ -775,14 +848,17 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
   if (bw > Bandwidth::Zero() && period <= 0) {
     return kHypercallInvalid;
   }
-  auto it = reservations_.find(vcpu);
-  Bandwidth old = it == reservations_.end() ? Bandwidth::Zero() : it->second.bw;
+  if (!Owns(vcpu)) {
+    return kHypercallInvalid;
+  }
+  int gid = vcpu->global_id();
+  Slot& slot = slots_[gid];
+  Bandwidth old = slot.reserved ? slot.res.bw : Bandwidth::Zero();
   Bandwidth new_total = total_ - old + bw;
   if (admit) {
     // With the idle tax, admission runs against the *taxed* total: idle
     // over-claims do not block new tenants.
-    Bandwidth old_eff =
-        it == reservations_.end() ? Bandwidth::Zero() : it->second.EffectiveBw();
+    Bandwidth old_eff = slot.reserved ? slot.res.EffectiveBw() : Bandwidth::Zero();
     Bandwidth admitted_total = total_effective() - old_eff + bw;
     Bandwidth limit = capacity_ + Bandwidth::FromPpb(config_.admission_epsilon_ppb);
     if (config_.overload.enabled &&
@@ -832,32 +908,29 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
   total_ = new_total;
   TimeNs clamped_period = std::min(period, config_.max_global_slice);
   if (bw == Bandwidth::Zero()) {
-    if (it != reservations_.end()) {
-      reservations_.erase(it);
+    if (slot.reserved) {
+      Release(gid);
     }
-  } else if (it != reservations_.end()) {
-    it->second.bw = bw;
-    it->second.period = clamped_period;
+  } else if (slot.reserved) {
+    slot.res.bw = bw;
+    slot.res.period = clamped_period;
     // Supply-debt earned at the old rate does not survive a shrink: the
     // carry's backlog entitlement is one period at the *current* bandwidth
     // (the same bound take_alloc and the auditor enforce), or a compressed
     // reservation would keep claiming its pre-compression share.
-    __int128 carry_max =
-        static_cast<__int128>(it->second.EffectiveBw().ppb()) * clamped_period;
-    if (static_cast<__int128>(it->second.carry_ppb) > carry_max) {
-      it->second.carry_ppb = static_cast<int64_t>(carry_max);
+    __int128 carry_max = static_cast<__int128>(slot.res.EffectiveBw().ppb()) * clamped_period;
+    if (static_cast<__int128>(slot.res.carry_ppb) > carry_max) {
+      slot.res.carry_ppb = static_cast<int64_t>(carry_max);
     }
   } else {
-    Reservation res;
-    res.vcpu = vcpu;
-    res.bw = bw;
-    res.period = clamped_period;
-    res.order = next_order_++;
-    auto pending = pending_affinity_.find(vcpu);
-    if (pending != pending_affinity_.end()) {
-      res.affinity = pending->second;
-    }
-    reservations_[vcpu] = res;
+    slot.res = Reservation{};
+    slot.res.bw = bw;
+    slot.res.period = clamped_period;
+    slot.res.order = next_order_++;  // Past every order in active_: append.
+    slot.res.affinity = slot.pin.value_or(-1);
+    slot.reserved = true;
+    active_.push_back(gid);
+    SizePlanBuffers();
   }
   return kHypercallOk;
 }
@@ -888,9 +961,9 @@ int64_t DpWrapScheduler::Hypercall(Vcpu* caller, const HypercallArgs& args) {
       if (args.vcpu_b == nullptr) {
         return kHypercallInvalid;
       }
-      auto itb = reservations_.find(args.vcpu_b);
-      Bandwidth old_b = itb == reservations_.end() ? Bandwidth::Zero() : itb->second.bw;
-      TimeNs old_period_b = itb == reservations_.end() ? 0 : itb->second.period;
+      const Reservation* b = FindReservation(args.vcpu_b);
+      Bandwidth old_b = b == nullptr ? Bandwidth::Zero() : b->bw;
+      TimeNs old_period_b = b == nullptr ? 0 : b->period;
       int64_t rc_b =
           ApplyReservation(args.vcpu_b, args.bw_b, args.period_b, /*admit=*/false);
       if (rc_b != kHypercallOk) {
@@ -944,44 +1017,38 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
   // VCPU insertion order drives the best-effort round-robin; serialize the
   // global-id sequence so a restored scheduler validates it saw the same one.
   w.U32(static_cast<uint32_t>(all_vcpus_.size()));
-  for (const Vcpu* v : all_vcpus_) {
-    w.U32(static_cast<uint32_t>(v->global_id()));
-  }
-
-  // Pointer-keyed maps are serialized in id order so the byte stream (and
-  // hence the divergence digest) is independent of hash-table layout.
-  std::vector<std::pair<const Vcpu*, const Reservation*>> res_sorted;
-  res_sorted.reserve(reservations_.size());
-  for (const auto& [v, res] : reservations_) {
-    res_sorted.push_back({v, &res});
-  }
-  std::sort(res_sorted.begin(), res_sorted.end(), [](const auto& a, const auto& b) {
-    return a.first->global_id() < b.first->global_id();
-  });
-  w.U32(static_cast<uint32_t>(res_sorted.size()));
-  for (const auto& [v, res] : res_sorted) {
-    w.U32(static_cast<uint32_t>(v->global_id()));
-    w.I64(res->bw.ppb());
-    w.I64(res->period);
-    w.U64(res->order);
-    w.I64(res->carry_ppb);
-    w.U32(static_cast<uint32_t>(res->affinity));
-    w.I64(res->used_in_window);
-    w.F64(res->tax_factor);
-    w.I64(res->last_lie_publish);
-    w.I64(res->last_floor_publish);
-  }
-
-  std::vector<std::pair<int, int>> pins;
-  pins.reserve(pending_affinity_.size());
-  for (const auto& [v, pin] : pending_affinity_) {
-    pins.push_back({v->global_id(), pin});
-  }
-  std::sort(pins.begin(), pins.end());
-  w.U32(static_cast<uint32_t>(pins.size()));
-  for (const auto& [gid, pin] : pins) {
+  for (size_t gid = 0; gid < all_vcpus_.size(); ++gid) {
     w.U32(static_cast<uint32_t>(gid));
-    w.U32(static_cast<uint32_t>(pin));
+  }
+
+  // Per-VCPU state is written in global-id (slot) order, so the byte stream
+  // (and hence the divergence digest) depends on nothing but the state.
+  w.U32(static_cast<uint32_t>(active_.size()));
+  for (size_t gid = 0; gid < slots_.size(); ++gid) {
+    const Slot& slot = slots_[gid];
+    if (!slot.reserved) {
+      continue;
+    }
+    const Reservation& res = slot.res;
+    w.U32(static_cast<uint32_t>(gid));
+    w.I64(res.bw.ppb());
+    w.I64(res.period);
+    w.U64(res.order);
+    w.I64(res.carry_ppb);
+    w.U32(static_cast<uint32_t>(res.affinity));
+    w.I64(res.used_in_window);
+    w.F64(res.tax_factor);
+    w.I64(res.last_lie_publish);
+    w.I64(res.last_floor_publish);
+  }
+
+  w.U32(static_cast<uint32_t>(std::count_if(
+      slots_.begin(), slots_.end(), [](const Slot& slot) { return slot.pin.has_value(); })));
+  for (size_t gid = 0; gid < slots_.size(); ++gid) {
+    if (slots_[gid].pin.has_value()) {
+      w.U32(static_cast<uint32_t>(gid));
+      w.U32(static_cast<uint32_t>(*slots_[gid].pin));
+    }
   }
 
   auto save_segment = [&w](const PlanSegment& seg) {
@@ -990,26 +1057,24 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     w.I64(seg.start);
     w.I64(seg.end);
   };
-  w.U32(static_cast<uint32_t>(pcpu_plan_.size()));
-  for (const auto& plan : pcpu_plan_) {
+  w.U32(static_cast<uint32_t>(pcpu_segs_.size()));
+  for (size_t p = 0; p < pcpu_segs_.size(); ++p) {
+    std::span<const PlanSegment> plan = PlanOf(static_cast<int>(p));
     w.U32(static_cast<uint32_t>(plan.size()));
     for (const PlanSegment& seg : plan) {
       save_segment(seg);
     }
   }
-  std::vector<std::pair<const Vcpu*, const std::vector<PlanSegment>*>> segs_sorted;
-  segs_sorted.reserve(vcpu_segments_.size());
-  for (const auto& [v, segs] : vcpu_segments_) {
-    segs_sorted.push_back({v, &segs});
-  }
-  std::sort(segs_sorted.begin(), segs_sorted.end(), [](const auto& a, const auto& b) {
-    return a.first->global_id() < b.first->global_id();
-  });
-  w.U32(static_cast<uint32_t>(segs_sorted.size()));
-  for (const auto& [v, segs] : segs_sorted) {
-    w.U32(static_cast<uint32_t>(v->global_id()));
-    w.U32(static_cast<uint32_t>(segs->size()));
-    for (const PlanSegment& seg : *segs) {
+  w.U32(static_cast<uint32_t>(std::count_if(
+      slots_.begin(), slots_.end(), [](const Slot& slot) { return slot.segs.count > 0; })));
+  for (size_t gid = 0; gid < slots_.size(); ++gid) {
+    std::span<const PlanSegment> segs = SegmentsOf(static_cast<int>(gid));
+    if (segs.empty()) {
+      continue;
+    }
+    w.U32(static_cast<uint32_t>(gid));
+    w.U32(static_cast<uint32_t>(segs.size()));
+    for (const PlanSegment& seg : segs) {
       save_segment(seg);
     }
   }
@@ -1020,28 +1085,26 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     w.I64(h.bw.ppb());
   }
 
-  std::vector<std::pair<const Vm*, const VmTrust*>> trust_sorted;
-  trust_sorted.reserve(trust_.size());
-  for (const auto& [vm, t] : trust_) {
-    trust_sorted.push_back({vm, &t});
-  }
-  std::sort(trust_sorted.begin(), trust_sorted.end(),
-            [](const auto& a, const auto& b) { return a.first->id() < b.first->id(); });
-  w.U32(static_cast<uint32_t>(trust_sorted.size()));
-  for (const auto& [vm, t] : trust_sorted) {
-    w.U32(static_cast<uint32_t>(vm->id()));
-    w.F64(t->tokens);
-    w.I64(t->token_time);
-    w.Bool(t->bucket_init);
-    w.I64(t->window_start);
-    w.U32(static_cast<uint32_t>(t->floor_bindings));
-    w.U32(static_cast<uint32_t>(t->bw_flips));
-    w.U32(static_cast<uint32_t>(t->last_bw_dir + 1));
-    w.Bool(t->deadlines_distrusted);
-    w.F64(t->score);
-    w.Bool(t->quarantined);
-    w.U32(static_cast<uint32_t>(t->clean_scans));
-    w.Bool(t->violated_since_scan);
+  w.U32(static_cast<uint32_t>(std::count_if(
+      trust_.begin(), trust_.end(), [](const VmTrust& t) { return t.tracked; })));
+  for (size_t vm_id = 0; vm_id < trust_.size(); ++vm_id) {
+    const VmTrust& t = trust_[vm_id];
+    if (!t.tracked) {
+      continue;
+    }
+    w.U32(static_cast<uint32_t>(vm_id));
+    w.F64(t.tokens);
+    w.I64(t.token_time);
+    w.Bool(t.bucket_init);
+    w.I64(t.window_start);
+    w.U32(static_cast<uint32_t>(t.floor_bindings));
+    w.U32(static_cast<uint32_t>(t.bw_flips));
+    w.U32(static_cast<uint32_t>(t.last_bw_dir + 1));
+    w.Bool(t.deadlines_distrusted);
+    w.F64(t.score);
+    w.Bool(t.quarantined);
+    w.U32(static_cast<uint32_t>(t.clean_scans));
+    w.Bool(t.violated_since_scan);
   }
 }
 
@@ -1081,32 +1144,44 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
            std::to_string(all_vcpus_.size()) + ")";
   }
   for (size_t i = 0; i < all_vcpus_.size(); ++i) {
-    int gid = static_cast<int>(r.U32());
-    if (gid != all_vcpus_[i]->global_id()) {
+    if (r.U32() != i) {
       return "dpwrap: VCPU insertion order diverges at position " + std::to_string(i);
     }
   }
 
+  // Ids, PCPU numbers and cursors come from the image: each is checked
+  // before it is used as an index.
+  int num_pcpus = static_cast<int>(pcpu_segs_.size());
+  if ((be_cursor_ != 0 && be_cursor_ >= all_vcpus_.size()) || tickle_cursor_ < 0 ||
+      tickle_cursor_ >= num_pcpus) {
+    return "dpwrap: round-robin cursors (" + std::to_string(be_cursor_) + ", " +
+           std::to_string(tickle_cursor_) + ") out of range for " +
+           std::to_string(all_vcpus_.size()) + " VCPUs and " + std::to_string(num_pcpus) +
+           " PCPUs";
+  }
   auto lookup = [this](int gid) -> Vcpu* {
-    for (Vcpu* v : all_vcpus_) {
-      if (v->global_id() == gid) {
-        return v;
-      }
-    }
-    return nullptr;
+    Vcpu* v = machine_ != nullptr ? machine_->VcpuByGlobalId(gid) : nullptr;
+    return v != nullptr && Owns(v) ? v : nullptr;
   };
+  auto valid_pin = [num_pcpus](int pcpu) { return pcpu >= -1 && pcpu < num_pcpus; };
 
-  reservations_.clear();
+  for (Slot& slot : slots_) {
+    slot.reserved = false;
+  }
+  active_.clear();
   uint32_t n_res = r.U32();
   for (uint32_t i = 0; i < n_res && r.ok(); ++i) {
     int gid = static_cast<int>(r.U32());
-    Vcpu* v = lookup(gid);
-    if (v == nullptr) {
+    if (lookup(gid) == nullptr) {
       return "dpwrap: reservation[" + std::to_string(i) +
              "] references unknown VCPU global id " + std::to_string(gid);
     }
-    Reservation res;
-    res.vcpu = v;
+    Slot& slot = slots_[gid];
+    if (slot.reserved) {
+      return "dpwrap: reservation[" + std::to_string(i) + "] repeats VCPU global id " +
+             std::to_string(gid);
+    }
+    Reservation& res = slot.res;
     res.bw = Bandwidth::FromPpb(r.I64());
     res.period = r.I64();
     res.order = r.U64();
@@ -1116,60 +1191,93 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     res.tax_factor = r.F64();
     res.last_lie_publish = r.I64();
     res.last_floor_publish = r.I64();
-    reservations_[v] = res;
+    if (!valid_pin(res.affinity)) {
+      return "dpwrap: reservation[" + std::to_string(i) + "] pins VCPU " +
+             std::to_string(gid) + " to invalid pcpu " + std::to_string(res.affinity);
+    }
+    slot.reserved = true;
+    active_.push_back(gid);
   }
+  std::sort(active_.begin(), active_.end(),
+            [this](int a, int b) { return slots_[a].res.order < slots_[b].res.order; });
+  SizePlanBuffers();
 
-  pending_affinity_.clear();
+  for (Slot& slot : slots_) {
+    slot.pin.reset();
+  }
   uint32_t n_pins = r.U32();
   for (uint32_t i = 0; i < n_pins && r.ok(); ++i) {
     int gid = static_cast<int>(r.U32());
     int pin = static_cast<int>(r.U32());
-    Vcpu* v = lookup(gid);
-    if (v == nullptr) {
+    if (lookup(gid) == nullptr) {
       return "dpwrap: pending affinity references unknown VCPU " + std::to_string(gid);
     }
-    pending_affinity_[v] = pin;
+    if (!valid_pin(pin)) {
+      return "dpwrap: pending affinity of VCPU " + std::to_string(gid) +
+             " names invalid pcpu " + std::to_string(pin);
+    }
+    slots_[gid].pin = pin;
   }
 
-  auto load_segment = [&r, &lookup](PlanSegment* seg) -> bool {
+  // Returns what is wrong with the segment, or "" if it is usable.
+  auto load_segment = [&](PlanSegment* seg) -> std::string {
     int gid = static_cast<int>(r.U32());
     seg->vcpu = lookup(gid);
     seg->pcpu = static_cast<int>(r.U32());
     seg->start = r.I64();
     seg->end = r.I64();
-    return seg->vcpu != nullptr;
+    if (seg->vcpu == nullptr) {
+      return "references unknown VCPU";
+    }
+    if (seg->pcpu < 0 || seg->pcpu >= num_pcpus) {
+      return "of VCPU " + std::to_string(gid) + " names invalid pcpu " +
+             std::to_string(seg->pcpu);
+    }
+    return "";
   };
   uint32_t n_plans = r.U32();
-  if (!r.ok() || n_plans != pcpu_plan_.size()) {
+  if (!r.ok() || n_plans != pcpu_segs_.size()) {
     return "dpwrap: PCPU plan count mismatch";
   }
-  for (auto& plan : pcpu_plan_) {
-    plan.clear();
+  pcpu_plan_.clear();
+  for (Range& range : pcpu_segs_) {
+    range = Range{static_cast<int>(pcpu_plan_.size()), 0};
     uint32_t n_segs = r.U32();
     for (uint32_t i = 0; i < n_segs && r.ok(); ++i) {
       PlanSegment seg;
-      if (!load_segment(&seg)) {
-        return "dpwrap: plan segment references unknown VCPU";
+      if (std::string err = load_segment(&seg); !err.empty()) {
+        return "dpwrap: plan segment " + err;
       }
-      plan.push_back(seg);
+      pcpu_plan_.push_back(seg);
+      ++range.count;
     }
   }
-  vcpu_segments_.clear();
+  for (Slot& slot : slots_) {
+    slot.segs.count = 0;
+  }
+  vcpu_plan_.clear();
   uint32_t n_vseg = r.U32();
+  int prev = -1;
   for (uint32_t i = 0; i < n_vseg && r.ok(); ++i) {
     int gid = static_cast<int>(r.U32());
-    Vcpu* v = lookup(gid);
-    if (v == nullptr) {
+    if (lookup(gid) == nullptr) {
       return "dpwrap: segment map references unknown VCPU " + std::to_string(gid);
     }
+    if (gid <= prev) {
+      return "dpwrap: segment map lists VCPU " + std::to_string(gid) +
+             " out of global-id order";
+    }
+    prev = gid;
+    Range& range = slots_[gid].segs;
+    range = Range{static_cast<int>(vcpu_plan_.size()), 0};
     uint32_t n_segs = r.U32();
-    std::vector<PlanSegment>& segs = vcpu_segments_[v];
     for (uint32_t k = 0; k < n_segs && r.ok(); ++k) {
       PlanSegment seg;
-      if (!load_segment(&seg)) {
-        return "dpwrap: segment map entry references unknown VCPU";
+      if (std::string err = load_segment(&seg); !err.empty()) {
+        return "dpwrap: segment map entry " + err;
       }
-      segs.push_back(seg);
+      vcpu_plan_.push_back(seg);
+      ++range.count;
     }
   }
 
@@ -1189,7 +1297,7 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     if (machine_ == nullptr || vm_id < 0 || vm_id >= machine_->num_vms()) {
       return "dpwrap: trust entry references unknown VM " + std::to_string(vm_id);
     }
-    VmTrust t;
+    VmTrust& t = TrustOf(machine_->vm(vm_id));
     t.tokens = r.F64();
     t.token_time = r.I64();
     t.bucket_init = r.Bool();
@@ -1202,7 +1310,6 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     t.quarantined = r.Bool();
     t.clean_scans = static_cast<int>(r.U32());
     t.violated_since_scan = r.Bool();
-    trust_[machine_->vm(vm_id)] = t;
   }
   return r.ok() ? "" : "dpwrap: truncated section";
 }
@@ -1222,8 +1329,8 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
 
   // Bookkeeping: the cached total must equal the sum of the reservations.
   Bandwidth sum;
-  for (const auto& [v, res] : reservations_) {
-    sum += res.bw;
+  for (int gid : active_) {
+    sum += slots_[gid].res.bw;
   }
   if (sum != total_) {
     std::snprintf(buf, sizeof(buf),
@@ -1245,10 +1352,10 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
   if (config_.pcpu_recovery.enabled) {
     if (!replan_pending_) {
       __int128 planned_eff = 0;  // ns * ppb.
-      for (size_t p = 0; p < pcpu_plan_.size(); ++p) {
+      for (size_t p = 0; p < pcpu_segs_.size(); ++p) {
         const Pcpu* pc = machine_->pcpu(static_cast<int>(p));
         TimeNs planned = 0;
-        for (const PlanSegment& seg : pcpu_plan_[p]) {
+        for (const PlanSegment& seg : PlanOf(static_cast<int>(p))) {
           planned += seg.end - seg.start;
         }
         if (!pc->online() && planned > 0) {
@@ -1262,7 +1369,7 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
       TimeNs len = slice_end_ - slice_start_;
       __int128 cap_eff = static_cast<__int128>(machine_->EffectiveCapacity().ppb()) * len;
       __int128 slack = static_cast<__int128>(config_.admission_epsilon_ppb) * len +
-                       static_cast<__int128>(pcpu_plan_.size()) * Bandwidth::kUnit;
+                       static_cast<__int128>(pcpu_segs_.size()) * Bandwidth::kUnit;
       if (planned_eff > cap_eff + slack) {
         std::snprintf(buf, sizeof(buf),
                       "planned effective supply %lld ppb*ns exceeds effective capacity %lld ppb*ns",
@@ -1288,21 +1395,22 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
 
   // Carry bounds: non-negative, and at most one period of backlog plus the
   // slack a deferred early replan may add (bounded by min_global_slice).
-  for (const auto& [v, res] : reservations_) {
+  for (int gid : active_) {
+    const Reservation& res = slots_[gid].res;
     __int128 carry_max = static_cast<__int128>(res.bw.ppb()) *
                          (res.period + config_.min_global_slice);
     if (res.carry_ppb < 0 || static_cast<__int128>(res.carry_ppb) > carry_max) {
       std::snprintf(buf, sizeof(buf), "vcpu %d carry %lld ppb*ns out of bounds [0, bw*period]",
-                    v->index(), static_cast<long long>(res.carry_ppb));
+                    all_vcpus_[gid]->index(), static_cast<long long>(res.carry_ppb));
       violations.emplace_back(buf);
     }
   }
 
   // Plan geometry: per-PCPU segments inside the slice, ordered, disjoint.
   TimeNs slice_len = slice_end_ - slice_start_;
-  for (size_t p = 0; p < pcpu_plan_.size(); ++p) {
+  for (size_t p = 0; p < pcpu_segs_.size(); ++p) {
     TimeNs prev_end = slice_start_;
-    for (const PlanSegment& seg : pcpu_plan_[p]) {
+    for (const PlanSegment& seg : PlanOf(static_cast<int>(p))) {
       if (seg.start < slice_start_ || seg.end > slice_end_ || seg.start > seg.end) {
         std::snprintf(buf, sizeof(buf),
                       "pcpu %zu segment [%lld, %lld) outside slice [%lld, %lld)", p,
@@ -1324,16 +1432,12 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
 
   // Per-VCPU supply: the slice allocation cannot exceed the reservation's
   // fluid share of the slice plus one period of carry backlog (+1 ns of
-  // rounding).
-  for (const auto& [v, segs] : vcpu_segments_) {
-    auto it = reservations_.find(v);
-    if (it == reservations_.end()) {
-      // A reservation released mid-slice keeps its planned segments until
-      // the next replan; nothing to bound it against.
-      continue;
-    }
+  // rounding). A reservation released mid-slice keeps its planned segments
+  // until the next replan, but has nothing left to bound them against.
+  for (int gid : active_) {
+    const Reservation& res = slots_[gid].res;
     TimeNs alloc = 0;
-    for (const PlanSegment& s : segs) {
+    for (const PlanSegment& s : SegmentsOf(gid)) {
       TimeNs len = s.end - s.start;
       if (config_.pcpu_recovery.enabled && !replan_pending_) {
         // Degraded plans hand out wall time; the reservation's promise is in
@@ -1345,11 +1449,11 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
       }
       alloc += len;
     }
-    TimeNs bound = it->second.EffectiveBw().SliceOfCeil(slice_len + it->second.period) + 1;
+    TimeNs bound = res.EffectiveBw().SliceOfCeil(slice_len + res.period) + 1;
     if (alloc > bound) {
       std::snprintf(buf, sizeof(buf),
                     "vcpu %d allocated %lld ns in a %lld ns slice, above bound %lld ns",
-                    v->index(), static_cast<long long>(alloc),
+                    all_vcpus_[gid]->index(), static_cast<long long>(alloc),
                     static_cast<long long>(slice_len), static_cast<long long>(bound));
       violations.emplace_back(buf);
     }
@@ -1378,20 +1482,18 @@ std::vector<std::string> DpWrapScheduler::AuditIsolation() const {
   // tolerance covers the per-reservation carry trimming (< 1 ns each) plus
   // the floor division of SliceOf.
   TimeNs slice_len = slice_end_ - slice_start_;
-  TimeNs tolerance = static_cast<TimeNs>(reservations_.size()) + 1;
+  TimeNs tolerance = static_cast<TimeNs>(active_.size()) + 1;
   char buf[256];
-  for (const auto& [v, res] : reservations_) {
+  for (int gid : active_) {
+    const Vcpu* v = all_vcpus_[gid];
     if (v->vm()->crashed() || Quarantined(v->vm())) {
       continue;
     }
     TimeNs alloc = 0;
-    auto segs = vcpu_segments_.find(v);
-    if (segs != vcpu_segments_.end()) {
-      for (const PlanSegment& s : segs->second) {
-        alloc += s.end - s.start;
-      }
+    for (const PlanSegment& s : SegmentsOf(gid)) {
+      alloc += s.end - s.start;
     }
-    TimeNs bound = res.EffectiveBw().SliceOf(slice_len);
+    TimeNs bound = slots_[gid].res.EffectiveBw().SliceOf(slice_len);
     if (alloc + tolerance < bound) {
       std::snprintf(buf, sizeof(buf),
                     "vcpu %d (well-behaved VM) planned %lld ns of a %lld ns slice, "

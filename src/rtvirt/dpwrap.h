@@ -14,14 +14,16 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/checkpoint/checkpoint.h"
 #include "src/common/bandwidth.h"
 #include "src/common/time.h"
 #include "src/hv/host_scheduler.h"
+#include "src/rtvirt/wrap_layout.h"
 #include "src/sim/simulator.h"
 
 namespace rtvirt {
@@ -186,8 +188,9 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
 
   // CPU affinity (paper section 6): a reserved VCPU pinned to a PCPU is laid
   // out at the start of that PCPU's chunk every slice and excluded from the
-  // m-1 migrating VCPUs. Pass -1 to clear. The combined bandwidth of the
-  // VCPUs pinned to one PCPU must not exceed 1.0.
+  // m-1 migrating VCPUs. Pass -1 to clear; any other pcpu outside
+  // [0, num_pcpus) is fatal. The combined bandwidth of the VCPUs pinned to
+  // one PCPU must not exceed 1.0.
   void SetAffinity(Vcpu* vcpu, int pcpu);
   int Affinity(const Vcpu* vcpu) const;
 
@@ -225,15 +228,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   uint64_t shed_releases() const { return shed_releases_; }
   uint64_t admission_rejections() const { return admission_rejections_; }
 
-  // Auditor access: visits every reservation's owner, raw bandwidth, and
-  // period (iteration order is unspecified).
-  template <typename Fn>
-  void ForEachReservation(Fn&& fn) const {
-    for (const auto& [v, res] : reservations_) {
-      fn(v, res.bw, res.period);
-    }
-  }
-
   // ---- Checkpoint support (src/checkpoint) ----
   static constexpr const char* kCkptSection = "dpwrap";
   enum EventKind : uint32_t {
@@ -267,7 +261,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
 
  private:
   struct Reservation {
-    Vcpu* vcpu = nullptr;
     Bandwidth bw;
     TimeNs period = 0;
     uint64_t order = 0;  // Stable layout order: keeps segments at stable offsets.
@@ -297,6 +290,22 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
     TimeNs start = 0;  // Absolute.
     TimeNs end = 0;    // Absolute.
   };
+  // One PCPU's or one VCPU's run of the grouped plan (pcpu_plan_ or
+  // vcpu_plan_): [begin, begin + count).
+  struct Range {
+    int begin = 0;
+    int count = 0;
+  };
+  // Everything the scheduler keeps per VCPU, indexed by Vcpu::global_id().
+  struct Slot {
+    bool reserved = false;
+    Reservation res;  // Meaningful while `reserved`.
+    // Pin set through SetAffinity. It outlives reservations (an RTA may
+    // unregister and re-register; the VM's cache-locality preference does
+    // not change), and a pin cleared to -1 stays distinct from none set.
+    std::optional<int> pin;
+    Range segs;  // The VCPU's pieces of the current plan, in vcpu_plan_.
+  };
 
   // The one schedule path of this scheduler's events (kEv*); keeps the
   // cancel handles of the two replan timers.
@@ -306,10 +315,30 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // Coalesced deferred replan (multiple hypercalls in one instant).
   void ScheduleReplan();
   void TickleAll();
+  // True for a VCPU handed to this scheduler through VcpuInserted and not
+  // removed since; its state is slots_[vcpu->global_id()].
+  bool Owns(const Vcpu* vcpu) const;
+  // The VCPU's reservation; nullptr if it has none or is not owned.
+  const Reservation* FindReservation(const Vcpu* vcpu) const;
+  // The current plan's pieces on a PCPU (in start order) and of a VCPU (in
+  // emission order).
+  std::span<const PlanSegment> PlanOf(int pcpu) const {
+    return {pcpu_plan_.data() + pcpu_segs_[pcpu].begin,
+            static_cast<size_t>(pcpu_segs_[pcpu].count)};
+  }
+  std::span<const PlanSegment> SegmentsOf(int gid) const {
+    return {vcpu_plan_.data() + slots_[gid].segs.begin,
+            static_cast<size_t>(slots_[gid].segs.count)};
+  }
   Vcpu* PickBestEffort(TimeNs now, Pcpu* pcpu);
-  bool HasActiveSegment(const Vcpu* vcpu, TimeNs now) const;
+  bool HasActiveSegment(int gid, TimeNs now) const;
   int64_t ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs period, bool admit,
                            int64_t reason = kBwReasonNone);
+  // Drops the reservation of slots_[gid] and its place in the layout order.
+  void Release(int gid);
+  // Grows the plan buffers to what a replan needs once every VCPU holds a
+  // reservation.
+  void SizePlanBuffers();
   // Periodic idle-tax accounting: adjusts tax factors from observed usage.
   void TaxTick();
   // Periodic watchdog scan: reclaims crashed-VM reservations.
@@ -336,8 +365,9 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
     bool quarantined = false;
     int clean_scans = 0;
     bool violated_since_scan = false;
+    bool tracked = false;  // Touched by a hypercall or replan; checkpointed.
   };
-  VmTrust& TrustOf(const Vm* vm) { return trust_[vm]; }
+  VmTrust& TrustOf(const Vm* vm);
   void RollTrustWindow(VmTrust& t, TimeNs now);
   // Scores one violation; crossing the threshold quarantines immediately
   // (containment latency is the whole point) and schedules a replan so the
@@ -352,16 +382,30 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
 
   DpWrapConfig config_;
   Bandwidth capacity_;
-  std::unordered_map<const Vcpu*, Reservation> reservations_;
-  std::unordered_map<const Vcpu*, int> pending_affinity_;  // Pins set pre-reservation.
+  // Indexed by Vcpu::global_id(), which the machine hands out densely in
+  // VcpuInserted order; a removed VCPU leaves a null entry and a slot with
+  // neither reservation nor segments. all_vcpus_ is also the best-effort
+  // round-robin order. A slot is plain data, so adding VCPUs only copies.
   std::vector<Vcpu*> all_vcpus_;
+  std::vector<Slot> slots_;
+  std::vector<int> active_;  // Reserved global ids in Reservation::order.
   Bandwidth total_;
   uint64_t next_order_ = 0;
 
   TimeNs slice_start_ = 0;
   TimeNs slice_end_ = 0;
-  std::vector<std::vector<PlanSegment>> pcpu_plan_;                   // Per PCPU.
-  std::unordered_map<const Vcpu*, std::vector<PlanSegment>> vcpu_segments_;
+  // The current plan twice, grouped by PCPU and by VCPU, each group in
+  // emission order; pcpu_segs_ and Slot::segs locate the groups.
+  std::vector<PlanSegment> pcpu_plan_;
+  std::vector<Range> pcpu_segs_;
+  std::vector<PlanSegment> vcpu_plan_;
+  // Replan scratch, kept across slices. These and the plans are sized when
+  // a reservation is added (SizePlanBuffers), so a replan allocates nothing.
+  std::vector<PlanSegment> emitted_;  // The plan in emission order.
+  std::vector<TimeNs> occupied_;  // Per PCPU.
+  std::vector<int64_t> speeds_;   // Per PCPU.
+  std::vector<WrapItem> items_;   // Wrapped reservations; id = global id.
+  std::vector<WrapSegment> wrap_out_;
   Simulator::EventId replan_event_;
   Simulator::EventId early_replan_event_;
   bool replan_pending_ = false;
@@ -389,9 +433,9 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   };
   std::deque<HeldDemand> held_demand_;
 
-  // Byzantine-guest containment state. Only ever iterated through the
-  // machine's VM index order (TrustTick); map lookups are by pointer.
-  std::unordered_map<const Vm*, VmTrust> trust_;
+  // Byzantine-guest containment state, indexed by Vm::id(); grown on first
+  // use, entries never touched stay untracked.
+  std::vector<VmTrust> trust_;
   uint64_t deadline_lie_rejections_ = 0;   // Past-at-publish publications scored.
   uint64_t deadline_floor_clamps_ = 0;     // Below-floor horizons clamped (not scored).
   uint64_t replan_budget_trips_ = 0;       // Floor-binding budget exhaustions.

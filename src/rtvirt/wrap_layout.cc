@@ -7,51 +7,25 @@
 
 namespace rtvirt {
 
-std::vector<WrapSegment> WrapAround(std::span<const WrapItem> items, TimeNs slice_len,
-                                    int pcpus) {
-  assert(slice_len > 0 && pcpus > 0);
-  std::vector<WrapSegment> segments;
-  segments.reserve(items.size() + pcpus);
-
-  TimeNs cursor = 0;  // Position on the unrolled line of length pcpus * slice_len.
-  for (const WrapItem& item : items) {
-    assert(item.alloc >= 0 && item.alloc <= slice_len);
-    TimeNs remaining = item.alloc;
-    while (remaining > 0) {
-      int chunk = static_cast<int>(cursor / slice_len);
-      assert(chunk < pcpus && "allocations exceed pcpus * slice_len");
-      TimeNs offset = cursor % slice_len;
-      TimeNs piece = std::min(remaining, slice_len - offset);
-      segments.push_back(WrapSegment{item.id, chunk, offset, offset + piece});
-      cursor += piece;
-      remaining -= piece;
-    }
-  }
-  return segments;
-}
-
-std::vector<WrapSegment> WrapAroundFrom(std::span<const WrapItem> items, TimeNs slice_len,
-                                        std::span<const TimeNs> occupied) {
+void WrapAroundFrom(std::span<const WrapItem> items, TimeNs slice_len, std::span<TimeNs> fill,
+                    std::vector<WrapSegment>* out) {
   assert(slice_len > 0);
-  int pcpus = static_cast<int>(occupied.size());
-  std::vector<TimeNs> fill(occupied.begin(), occupied.end());
-  std::vector<WrapSegment> segments;
-  segments.reserve(items.size() + pcpus);
+  int pcpus = static_cast<int>(fill.size());
+  out->clear();
 
   // First pass: wrap greedily, refusing straddles whose two pieces would
   // overlap in wall-clock time (the item would run on two PCPUs at once).
-  struct Leftover {
-    int id;
-    TimeNs alloc;
-  };
-  std::vector<Leftover> leftovers;
+  // Fragmentation from skipped straddles can pass the last chunk early; the
+  // rest of that item, and every later item, is then left over.
+  size_t left = items.size();  // First item with a leftover.
+  TimeNs left_alloc = 0;       // Its unplaced remainder.
   int chunk = 0;
-  for (const WrapItem& item : items) {
-    TimeNs remaining = item.alloc;
+  for (size_t i = 0; i < items.size() && left == items.size(); ++i) {
+    TimeNs remaining = items[i].alloc;
     while (remaining > 0) {
       if (chunk >= pcpus) {
-        // Fragmentation from skipped straddles: defer to the second pass.
-        leftovers.push_back(Leftover{item.id, remaining});
+        left = i;
+        left_alloc = remaining;
         break;
       }
       TimeNs free_here = slice_len - fill[chunk];
@@ -72,7 +46,7 @@ std::vector<WrapSegment> WrapAroundFrom(std::span<const WrapItem> items, TimeNs 
           continue;
         }
       }
-      segments.push_back(WrapSegment{item.id, chunk, fill[chunk], fill[chunk] + piece});
+      out->push_back(WrapSegment{items[i].id, chunk, fill[chunk], fill[chunk] + piece});
       fill[chunk] += piece;
       remaining -= piece;
       if (fill[chunk] == slice_len) {
@@ -84,32 +58,29 @@ std::vector<WrapSegment> WrapAroundFrom(std::span<const WrapItem> items, TimeNs 
   // place what is left into any remaining gaps, even if a piece overlaps a
   // sibling piece in time — the dispatcher serializes such pieces at
   // runtime, so this degrades (bounded) rather than drops the allocation.
-  for (const Leftover& left : leftovers) {
-    TimeNs remaining = left.alloc;
+  for (size_t i = left; i < items.size(); ++i) {
+    TimeNs remaining = i == left ? left_alloc : items[i].alloc;
     for (int k = 0; k < pcpus && remaining > 0; ++k) {
       TimeNs free_here = slice_len - fill[k];
       if (free_here <= 0) {
         continue;
       }
       TimeNs piece = std::min(remaining, free_here);
-      segments.push_back(WrapSegment{left.id, k, fill[k], fill[k] + piece});
+      out->push_back(WrapSegment{items[i].id, k, fill[k], fill[k] + piece});
       fill[k] += piece;
       remaining -= piece;
     }
     assert(remaining == 0 && "allocations exceed the free space");
   }
-  return segments;
 }
 
-std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
-                                            std::span<const TimeNs> occupied,
-                                            std::span<const int64_t> speed_ppb) {
+void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
+                        std::span<TimeNs> fill, std::span<const int64_t> speed_ppb,
+                        std::vector<WrapSegment>* out) {
   assert(slice_len > 0);
-  assert(occupied.size() == speed_ppb.size());
-  int pcpus = static_cast<int>(occupied.size());
-  std::vector<TimeNs> fill(occupied.begin(), occupied.end());
-  std::vector<WrapSegment> segments;
-  segments.reserve(items.size() + pcpus);
+  assert(fill.size() == speed_ppb.size());
+  int pcpus = static_cast<int>(fill.size());
+  out->clear();
 
   // Effective capacity left on chunk k, floored: flooring under-counts by
   // < 1 effective ns, so a piece sized from it always fits back in wall time
@@ -123,17 +94,15 @@ std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, Tim
 
   // First pass mirrors WrapAroundFrom, walking in effective ns and emitting
   // in wall ns; straddles whose wall-clock pieces would overlap are deferred.
-  struct Leftover {
-    int id;
-    TimeNs alloc;  // Effective ns.
-  };
-  std::vector<Leftover> leftovers;
+  size_t left = items.size();  // First item with a leftover.
+  TimeNs left_alloc = 0;       // Its unplaced remainder, effective ns.
   int chunk = 0;
-  for (const WrapItem& item : items) {
-    TimeNs remaining = item.alloc;
+  for (size_t i = 0; i < items.size() && left == items.size(); ++i) {
+    TimeNs remaining = items[i].alloc;
     while (remaining > 0) {
       if (chunk >= pcpus) {
-        leftovers.push_back(Leftover{item.id, remaining});
+        left = i;
+        left_alloc = remaining;
         break;
       }
       TimeNs free_here = eff_free(chunk);
@@ -156,7 +125,7 @@ std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, Tim
           continue;
         }
       }
-      segments.push_back(WrapSegment{item.id, chunk, fill[chunk], fill[chunk] + wall_piece});
+      out->push_back(WrapSegment{items[i].id, chunk, fill[chunk], fill[chunk] + wall_piece});
       fill[chunk] += wall_piece;
       remaining -= piece;
       if (eff_free(chunk) == 0) {
@@ -169,8 +138,8 @@ std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, Tim
   // homogeneous variant nothing is asserted away to zero: per-chunk floor
   // rounding can strand < 1 effective ns per visit, which the planner's
   // admission epsilon covers.
-  for (const Leftover& left : leftovers) {
-    TimeNs remaining = left.alloc;
+  for (size_t i = left; i < items.size(); ++i) {
+    TimeNs remaining = i == left ? left_alloc : items[i].alloc;
     for (int k = 0; k < pcpus && remaining > 0; ++k) {
       TimeNs free_here = eff_free(k);
       if (free_here <= 0) {
@@ -178,14 +147,13 @@ std::vector<WrapSegment> WrapAroundDegraded(std::span<const WrapItem> items, Tim
       }
       TimeNs piece = std::min(remaining, free_here);
       TimeNs wall_piece = SpeedWorkToWall(piece, speed_ppb[k]);
-      segments.push_back(WrapSegment{left.id, k, fill[k], fill[k] + wall_piece});
+      out->push_back(WrapSegment{items[i].id, k, fill[k], fill[k] + wall_piece});
       fill[k] += wall_piece;
       remaining -= piece;
     }
     assert(remaining <= 2 * static_cast<TimeNs>(pcpus) + 2 &&
            "stranded allocation beyond rounding slack");
   }
-  return segments;
 }
 
 }  // namespace rtvirt

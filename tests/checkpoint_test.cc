@@ -361,6 +361,154 @@ TEST(CheckpointRoundTripTest, BadEventPayloadFailsRestoreLoudly) {
   EXPECT_NE(err.find("machine: event references invalid pcpu 99"), std::string::npos) << err;
 }
 
+// PCPU numbers and VCPU ids in the dpwrap section index the scheduler's
+// tables once restored, so restore checks each one. These tests patch a
+// saved section at offsets that follow DpWrapScheduler::SaveState's layout.
+uint32_t U32At(const std::string& bytes, size_t at) {
+  ckpt::Reader r(std::string_view(bytes).substr(at));
+  return r.U32();
+}
+
+void PutU32(std::string* bytes, size_t at, uint32_t v) {
+  ckpt::Writer w;
+  w.U32(v);
+  bytes->replace(at, 4, w.data());
+}
+
+// Byte offsets of the dpwrap section's lists.
+struct DpwrapLists {
+  size_t reservations = 0;  // u32 count, then kReservationBytes records.
+  size_t pins = 0;          // u32 count, then (u32 gid, u32 pcpu) pairs.
+  size_t plans = 0;         // u32 PCPU count, then per PCPU a u32 count + segments.
+  size_t segment_map = 0;   // u32 count, then (u32 gid, u32 count, segments).
+  static constexpr size_t kReservationBytes = 72;  // The pin sits at +36.
+  static constexpr size_t kSegmentBytes = 24;      // u32 gid, u32 pcpu, i64 x2.
+};
+
+DpwrapLists LocateDpwrapLists(const std::string& bytes) {
+  // 24 eight-byte scalars and counters, 2 flags and the tickle cursor come
+  // before the list of VCPU ids.
+  constexpr size_t kHeaderBytes = 24 * 8 + 2 + 4;
+  DpwrapLists at;
+  at.reservations = kHeaderBytes + 4 + 4 * size_t{U32At(bytes, kHeaderBytes)};
+  at.pins = at.reservations + 4 + DpwrapLists::kReservationBytes * U32At(bytes, at.reservations);
+  at.plans = at.pins + 4 + 8 * size_t{U32At(bytes, at.pins)};
+  size_t pos = at.plans + 4;
+  for (uint32_t p = U32At(bytes, at.plans); p > 0; --p) {
+    pos += 4 + DpwrapLists::kSegmentBytes * U32At(bytes, pos);
+  }
+  at.segment_map = pos;
+  return at;
+}
+
+// Saves the canonical scenario at t=100 ms, lets `patch` edit the dpwrap
+// section, and returns the error of restoring the result.
+template <typename Patch>
+std::string RestoreWithPatchedDpwrap(Patch&& patch) {
+  ckpt::Image image;
+  SavedScenarioBytes(&image);
+  for (ckpt::Section& s : image.sections) {
+    if (s.name == DpWrapScheduler::kCkptSection) {
+      patch(&s.bytes, LocateDpwrapLists(s.bytes));
+    }
+  }
+  auto fresh = BuildCkptScenario(CkptScenarioOptions{});
+  return fresh->exp->RestoreCheckpoint(image);
+}
+
+TEST(CheckpointRoundTripTest, DpwrapPatchOffsetsFollowTheSavedLayout) {
+  EXPECT_EQ(RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
+              // The offsets land where the lists are: two reservations on a
+              // 4-PCPU machine, no pins, a segment on PCPU 0.
+              ASSERT_EQ(U32At(*bytes, at.reservations), 2u);
+              ASSERT_EQ(U32At(*bytes, at.pins), 0u);
+              ASSERT_EQ(U32At(*bytes, at.plans), 4u);
+              ASSERT_GT(U32At(*bytes, at.plans + 4), 0u);
+              ASSERT_GT(U32At(*bytes, at.segment_map), 0u);
+            }),
+            "");
+}
+
+TEST(CheckpointRoundTripTest, DpwrapReservationPinOutOfRangeFailsRestoreLoudly) {
+  std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
+    PutU32(bytes, at.reservations + 4 + 36, 4);  // reservation[0] pinned to PCPU 4 of 4.
+  });
+  EXPECT_NE(err.find("dpwrap: reservation[0] pins VCPU 0 to invalid pcpu 4"), std::string::npos)
+      << err;
+}
+
+TEST(CheckpointRoundTripTest, DpwrapPendingPinOutOfRangeFailsRestoreLoudly) {
+  auto add_pin = [](int pcpu) {
+    return [pcpu](std::string* bytes, const DpwrapLists& at) {
+      ckpt::Writer pin;
+      pin.U32(1);  // VCPU global id.
+      pin.U32(static_cast<uint32_t>(pcpu));
+      bytes->insert(at.pins + 4, pin.data());
+      PutU32(bytes, at.pins, U32At(*bytes, at.pins) + 1);
+    };
+  };
+  // A pin cleared to -1 is a valid pending pin; -2 and 4 are not.
+  EXPECT_EQ(RestoreWithPatchedDpwrap(add_pin(-1)), "");
+  for (int pcpu : {-2, 4}) {
+    std::string err = RestoreWithPatchedDpwrap(add_pin(pcpu));
+    EXPECT_NE(err.find("dpwrap: pending affinity of VCPU 1 names invalid pcpu " +
+                       std::to_string(pcpu)),
+              std::string::npos)
+        << err;
+  }
+}
+
+TEST(CheckpointRoundTripTest, DpwrapSegmentPcpuOutOfRangeFailsRestoreLoudly) {
+  // The first segment of PCPU 0's plan, then the first of the per-VCPU lists.
+  std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
+    PutU32(bytes, at.plans + 8 + 4, 9);
+  });
+  EXPECT_NE(err.find("dpwrap: plan segment of VCPU"), std::string::npos) << err;
+  EXPECT_NE(err.find("names invalid pcpu 9"), std::string::npos) << err;
+  err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
+    PutU32(bytes, at.segment_map + 12 + 4, 9);
+  });
+  EXPECT_NE(err.find("dpwrap: segment map entry of VCPU"), std::string::npos) << err;
+  EXPECT_NE(err.find("names invalid pcpu 9"), std::string::npos) << err;
+}
+
+TEST(CheckpointRoundTripTest, DpwrapSegmentListOutOfOrderFailsRestoreLoudly) {
+  // Per-VCPU segment lists are saved in global-id order, one list per VCPU;
+  // a repeated id would re-point that VCPU's list.
+  std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
+    ASSERT_GE(U32At(*bytes, at.segment_map), 2u);
+    uint32_t first = U32At(*bytes, at.segment_map + 4);
+    size_t second =
+        at.segment_map + 12 + DpwrapLists::kSegmentBytes * U32At(*bytes, at.segment_map + 8);
+    PutU32(bytes, second, first);
+  });
+  EXPECT_NE(err.find("dpwrap: segment map lists VCPU"), std::string::npos) << err;
+  EXPECT_NE(err.find("out of global-id order"), std::string::npos) << err;
+}
+
+TEST(CheckpointRoundTripTest, DpwrapCursorOutOfRangeFailsRestoreLoudly) {
+  // The best-effort cursor (u64) and the wake-tickle cursor (u32) follow the
+  // five leading scalars and the replan-pending flag.
+  constexpr size_t kBeCursor = 5 * 8 + 1;
+  std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists&) {
+    PutU32(bytes, kBeCursor, 4);  // 4 VCPUs: valid cursors are 0..3.
+  });
+  EXPECT_NE(err.find("dpwrap: round-robin cursors (4, "), std::string::npos) << err;
+  err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists&) {
+    PutU32(bytes, kBeCursor + 8, 4);  // 4 PCPUs.
+  });
+  EXPECT_NE(err.find(", 4) out of range for 4 VCPUs and 4 PCPUs"), std::string::npos) << err;
+}
+
+TEST(CheckpointRoundTripTest, DpwrapDuplicateReservationFailsRestoreLoudly) {
+  std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
+    uint32_t first = U32At(*bytes, at.reservations + 4);
+    PutU32(bytes, at.reservations + 4 + DpwrapLists::kReservationBytes, first);
+  });
+  EXPECT_NE(err.find("dpwrap: reservation[1] repeats VCPU global id 0"), std::string::npos)
+      << err;
+}
+
 // The canonical scenario's committed digest trail (rtvirt_runner --seed=7
 // --horizon-ms=1000 --record-digests=...). Any change to simulated state or
 // schedule shows up as the first divergent interval and component; an

@@ -30,25 +30,43 @@ ExperimentConfig PureRtvirt(int pcpus) {
 
 // ---- WrapAroundFrom ----
 
+// Lays `items` out after `occupied` (taken by value: the final fill is
+// dropped) into a fresh segment buffer.
+std::vector<WrapSegment> WrapFrom(const std::vector<WrapItem>& items, TimeNs slice_len,
+                                  std::vector<TimeNs> occupied) {
+  std::vector<WrapSegment> segments;
+  WrapAroundFrom(items, slice_len, occupied, &segments);
+  return segments;
+}
+
 TEST(WrapAroundFrom, RespectsOccupiedPrefixes) {
   std::vector<WrapItem> items{{0, 50}, {1, 80}};
-  std::vector<TimeNs> occupied{40, 20};
-  auto segs = WrapAroundFrom(items, 100, occupied);
+  const std::vector<TimeNs> occupied{40, 20};
+  std::vector<TimeNs> fill = occupied;
+  std::vector<WrapSegment> segs{{9, 0, 0, 1}};  // Stale contents are discarded.
+  WrapAroundFrom(items, 100, fill, &segs);
   std::map<int, TimeNs> per_item;
+  std::vector<TimeNs> placed(occupied.size(), 0);
   for (const auto& s : segs) {
     EXPECT_GE(s.start, occupied[s.pcpu]);
     EXPECT_LE(s.end, 100);
     per_item[s.item_id] += s.end - s.start;
+    placed[s.pcpu] += s.end - s.start;
   }
+  EXPECT_EQ(per_item.size(), 2u);
   EXPECT_EQ(per_item[0], 50);
   EXPECT_EQ(per_item[1], 80);
+  // The fill comes back as each chunk's final occupancy.
+  for (size_t k = 0; k < occupied.size(); ++k) {
+    EXPECT_EQ(fill[k], occupied[k] + placed[k]) << "chunk " << k;
+  }
 }
 
 TEST(WrapAroundFrom, SplitPiecesDoNotOverlapInTime) {
   // Item 1 must straddle; verify its pieces are disjoint in wall-clock time.
   std::vector<WrapItem> items{{0, 70}, {1, 50}};
   std::vector<TimeNs> occupied{0, 0, 0};
-  auto segs = WrapAroundFrom(items, 100, occupied);
+  auto segs = WrapFrom(items, 100, occupied);
   std::vector<WrapSegment> item1;
   for (const auto& s : segs) {
     if (s.item_id == 1) {
@@ -72,7 +90,7 @@ TEST(WrapAroundFrom, MovesToNextChunkWhenStraddleWouldOverlap) {
   // -> ends on chunk2 cleanly.
   std::vector<WrapItem> items{{0, 40}};
   std::vector<TimeNs> occupied{90, 75, 0};
-  auto segs = WrapAroundFrom(items, 100, occupied);
+  auto segs = WrapFrom(items, 100, occupied);
   TimeNs total = 0;
   for (const auto& s : segs) {
     total += s.end - s.start;
@@ -91,7 +109,7 @@ TEST(WrapAroundFrom, LastResortPlacesEverythingEvenWhenFragmented) {
   // must still be placed (overlap allowed as a documented degradation).
   std::vector<WrapItem> items{{0, 11}, {1, 11}, {2, 11}, {3, 11}};
   std::vector<TimeNs> occupied{0, 0, 11};  // slice 20: free 20+20+9 = 49.
-  auto segs = WrapAroundFrom(items, 20, occupied);
+  auto segs = WrapFrom(items, 20, occupied);
   std::map<int, TimeNs> per_item;
   for (const auto& s : segs) {
     per_item[s.item_id] += s.end - s.start;
@@ -141,6 +159,17 @@ TEST(DpWrapAffinity, AffinitySetAfterReservation) {
   // At most the one migration onto PCPU 1; none afterwards.
   EXPECT_LE(g->vm()->vcpu(0)->migrations() - migrations_at_pin, 1u);
   EXPECT_EQ(g->vm()->vcpu(0)->last_pcpu(), exp.machine().pcpu(1));
+}
+
+// The pin indexes per-PCPU layout state, so a bad one must stop the run in
+// every build type, not only where assert() is compiled in.
+TEST(DpWrapAffinityDeathTest, OutOfRangePinIsFatal) {
+  Experiment exp(PureRtvirt(2));
+  Vcpu* v = exp.AddGuest("vm", 1)->vm()->vcpu(0);
+  EXPECT_DEATH(exp.dpwrap()->SetAffinity(v, 2), "SetAffinity: pcpu 2 out of range \\[-1, 2\\)");
+  EXPECT_DEATH(exp.dpwrap()->SetAffinity(v, -2), "SetAffinity: pcpu -2 out of range");
+  exp.dpwrap()->SetAffinity(v, -1);  // Clearing is always valid.
+  EXPECT_EQ(exp.dpwrap()->Affinity(v), -1);
 }
 
 // ---- Idle tax ----

@@ -165,12 +165,21 @@ TEST(PcpuFaults, SpeedChangeRevokesAndUpdatesEffectiveCapacity) {
 
 // ---- Degraded wrap layout ----
 
+// WrapAroundDegraded into a fresh buffer; `occupied` is taken by value.
+std::vector<WrapSegment> Degraded(const std::vector<WrapItem>& items, TimeNs slice_len,
+                                  std::vector<TimeNs> occupied,
+                                  const std::vector<int64_t>& speeds) {
+  std::vector<WrapSegment> segments;
+  WrapAroundDegraded(items, slice_len, occupied, speeds, &segments);
+  return segments;
+}
+
 TEST(WrapAroundDegraded, SkipsDeadCoresAndStretchesThrottledOnes) {
   // 3 cores: full, dead, half speed. 2 items of 1 ms effective each.
   std::vector<WrapItem> items{{0, Ms(1)}, {1, Ms(1)}};
   std::vector<TimeNs> occupied{0, 0, 0};
   std::vector<int64_t> speeds{Bandwidth::kUnit, 0, Bandwidth::kUnit / 2};
-  std::vector<WrapSegment> segs = WrapAroundDegraded(items, Ms(2), occupied, speeds);
+  std::vector<WrapSegment> segs = Degraded(items, Ms(2), occupied, speeds);
 
   std::vector<TimeNs> fill(3, 0);
   std::vector<TimeNs> eff(2, 0);
@@ -194,8 +203,9 @@ TEST(WrapAroundDegraded, AllFullSpeedMatchesHomogeneousLayout) {
   std::vector<WrapItem> items{{0, Us(700)}, {1, Us(600)}, {2, Us(400)}};
   std::vector<TimeNs> occupied{Us(100), 0};
   std::vector<int64_t> speeds{Bandwidth::kUnit, Bandwidth::kUnit};
-  std::vector<WrapSegment> a = WrapAroundDegraded(items, Ms(1), occupied, speeds);
-  std::vector<WrapSegment> b = WrapAroundFrom(items, Ms(1), occupied);
+  std::vector<WrapSegment> a = Degraded(items, Ms(1), occupied, speeds);
+  std::vector<WrapSegment> b;
+  WrapAroundFrom(items, Ms(1), occupied, &b);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].item_id, b[i].item_id);
@@ -217,7 +227,7 @@ TEST(WrapAroundDegraded, HeterogeneousSpeedsConserveEffectiveSupply) {
     items.push_back(WrapItem{i, each});
   }
   std::vector<TimeNs> occupied(4, 0);
-  std::vector<WrapSegment> segs = WrapAroundDegraded(items, slice, occupied, speeds);
+  std::vector<WrapSegment> segs = Degraded(items, slice, occupied, speeds);
 
   std::vector<TimeNs> fill(4, 0);
   std::vector<TimeNs> eff(5, 0);

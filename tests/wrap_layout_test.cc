@@ -11,9 +11,18 @@
 namespace rtvirt {
 namespace {
 
+// McNaughton's wrap-around: WrapAroundFrom over `pcpus` empty chunks.
+std::vector<WrapSegment> McNaughton(const std::vector<WrapItem>& items, TimeNs slice_len,
+                                    int pcpus) {
+  std::vector<TimeNs> fill(static_cast<size_t>(pcpus), 0);
+  std::vector<WrapSegment> segments;
+  WrapAroundFrom(items, slice_len, fill, &segments);
+  return segments;
+}
+
 // Checks all DP-WRAP layout invariants for a given item set.
 void CheckInvariants(const std::vector<WrapItem>& items, TimeNs slice_len, int pcpus) {
-  auto segments = WrapAround(items, slice_len, pcpus);
+  auto segments = McNaughton(items, slice_len, pcpus);
 
   // Per-item totals match allocations.
   std::map<int, TimeNs> per_item;
@@ -61,19 +70,19 @@ void CheckInvariants(const std::vector<WrapItem>& items, TimeNs slice_len, int p
 }
 
 TEST(WrapLayout, EmptyItems) {
-  EXPECT_TRUE(WrapAround(std::vector<WrapItem>{}, Us(250), 4).empty());
+  EXPECT_TRUE(McNaughton(std::vector<WrapItem>{}, Us(250), 4).empty());
 }
 
 TEST(WrapLayout, ZeroAllocationProducesNoSegments) {
   std::vector<WrapItem> items{{0, 0}, {1, Us(100)}, {2, 0}};
-  auto segs = WrapAround(items, Us(250), 2);
+  auto segs = McNaughton(items, Us(250), 2);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].item_id, 1);
 }
 
 TEST(WrapLayout, SingleItemFullSlice) {
   std::vector<WrapItem> items{{7, Us(250)}};
-  auto segs = WrapAround(items, Us(250), 3);
+  auto segs = McNaughton(items, Us(250), 3);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].pcpu, 0);
   EXPECT_EQ(segs[0].start, 0);
@@ -83,7 +92,7 @@ TEST(WrapLayout, SingleItemFullSlice) {
 TEST(WrapLayout, ExactPackNoSplits) {
   // Items exactly filling each chunk never split.
   std::vector<WrapItem> items{{0, 100}, {1, 100}, {2, 100}};
-  auto segs = WrapAround(items, 100, 3);
+  auto segs = McNaughton(items, 100, 3);
   ASSERT_EQ(segs.size(), 3u);
   for (const auto& s : segs) {
     EXPECT_EQ(s.end - s.start, 100);
@@ -94,7 +103,7 @@ TEST(WrapLayout, ExactPackNoSplits) {
 TEST(WrapLayout, StraddlingItemSplitsWithoutTimeOverlap) {
   std::vector<WrapItem> items{{0, 70}, {1, 60}, {2, 40}};
   CheckInvariants(items, 100, 2);
-  auto segs = WrapAround(items, 100, 2);
+  auto segs = McNaughton(items, 100, 2);
   // Item 1 straddles the cut: [70,100) on pcpu0 and [0,30) on pcpu1.
   ASSERT_EQ(segs.size(), 4u);
   EXPECT_EQ(segs[1].item_id, 1);
