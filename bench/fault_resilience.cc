@@ -168,7 +168,8 @@ FaultPlan SweepFaults(double fail_prob, uint64_t seed) {
   return plan;
 }
 
-void TransientSweep() {
+// Each returns whether its check passed.
+bool TransientSweep() {
   Header("Transient hypercall faults: adaptive RTAs, miss ratio vs fault rate");
   TablePrinter table({"fail_prob", "config", "miss_ratio", "failed_switches", "retries",
                       "degraded", "recovered"});
@@ -213,9 +214,10 @@ void TransientSweep() {
             << " bound=" << Pct(bound) << " => "
             << (resilient_ok && ablation_shows ? "PASS" : "FAIL")
             << " (resilient <= bound < no-retry)\n";
+  return resilient_ok && ablation_shows;
 }
 
-void DegradedModeDrill() {
+bool DegradedModeDrill() {
   Header("Degraded-mode drill: outage, stale shared page, VM crash + restart");
   ExperimentConfig cfg = BaseConfig(Mode::kResilient);
   cfg.faults = SweepFaults(0.02, /*seed=*/11);
@@ -245,13 +247,14 @@ void DegradedModeDrill() {
             << " crashes=" << rc.vm_crashes << " restarts=" << rc.vm_restarts
             << " reclaims=" << rc.watchdog_reclaims << " => " << (ok ? "PASS" : "FAIL")
             << "\n";
+  return ok;
 }
 
 }  // namespace
 }  // namespace rtvirt::bench
 
 int main() {
-  rtvirt::bench::TransientSweep();
-  rtvirt::bench::DegradedModeDrill();
-  return 0;
+  bool sweep_ok = rtvirt::bench::TransientSweep();
+  bool drill_ok = rtvirt::bench::DegradedModeDrill();
+  return sweep_ok && drill_ok ? 0 : 1;
 }

@@ -178,7 +178,8 @@ std::string Adm(const TierResult& t) {
   return std::to_string(t.admitted) + "/" + std::to_string(t.total);
 }
 
-void OverloadRamp() {
+// Returns whether every check passed.
+bool OverloadRamp() {
   Header("Overload ramp (0.7x -> 1.8x demand): criticality-aware shedding "
          "vs binary admission vs no protection");
   TablePrinter table({"config", "hi_adm", "hi_ontime", "hi_miss", "med_adm", "med_miss",
@@ -224,12 +225,10 @@ void OverloadRamp() {
   std::cout << "check: none hi ontime=" << none.hi.ontime << " miss=" << Pct(none.hi.miss)
             << " vs shed ontime=" << shed.hi.ontime << " => "
             << (none_shows ? "PASS" : "FAIL") << " (no protection collapses)\n";
+  return shed_ok && audit_ok && binary_shows && none_shows;
 }
 
 }  // namespace
 }  // namespace rtvirt::bench
 
-int main() {
-  rtvirt::bench::OverloadRamp();
-  return 0;
-}
+int main() { return rtvirt::bench::OverloadRamp() ? 0 : 1; }

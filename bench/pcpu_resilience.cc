@@ -206,7 +206,8 @@ std::string Adm(const TierResult& t) {
   return std::to_string(t.admitted) + "/" + std::to_string(t.total);
 }
 
-void ResilienceTimeline() {
+// Returns whether every check passed.
+bool ResilienceTimeline() {
   Header("PCPU failure/throttle/heal timeline: cross-layer recovery vs "
          "host-only replan vs frozen layout");
   TablePrinter table({"config", "hi_adm", "hi_ontime", "hi_missed", "hi_miss", "lo_adm",
@@ -254,12 +255,10 @@ void ResilienceTimeline() {
   std::cout << "check: frozen hi missed=" << frozen.hi.missed << " replan hi missed="
             << replan.hi.missed << " => " << (frozen_shows ? "PASS" : "FAIL")
             << " (frozen layout demonstrably misses)\n";
+  return recover_ok && audit_ok && shed_ok && frozen_shows;
 }
 
 }  // namespace
 }  // namespace rtvirt::bench
 
-int main() {
-  rtvirt::bench::ResilienceTimeline();
-  return 0;
-}
+int main() { return rtvirt::bench::ResilienceTimeline() ? 0 : 1; }

@@ -15,7 +15,7 @@
 //   * replan — 100 reserved VCPUs, 1 ms global slices: wall-clock ns per
 //     DP-WRAP replan.
 //   * wrap_layout.n{4,20,100} — one McNaughton wrap-around layout of n items
-//     on 15 PCPUs, through the WrapAroundFrom call Replan makes.
+//     on 15 full-speed PCPUs, through the WrapAround call Replan makes.
 //   * hypercall — one sched_rtvirt() INC_BW + DEC_BW round trip, including
 //     the deferred replans it triggers. After one untimed round trip the
 //     DP-WRAP path must allocate nothing (hard assert).
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "src/analysis/carts.h"
+#include "src/common/bandwidth.h"
 #include "src/perf/alloc_hooks.h"
 #include "src/perf/perf_recorder.h"
 #include "src/perf/perf_report.h"
@@ -221,8 +222,8 @@ PhaseResult RunReplan(PerfRecorder& rec, int iters) {
 }
 
 // McNaughton wrap-around of n items at ~50% total utilization, each capped
-// at one PCPU: WrapAroundFrom from empty chunks into reused buffers, as in
-// Replan.
+// at one PCPU: WrapAround at full speed from empty chunks into reused
+// buffers, as in Replan.
 PhaseResult RunWrapLayout(PerfRecorder& rec, int n, uint64_t iters) {
   std::vector<WrapItem> items;
   TimeNs slice = Us(250);
@@ -230,10 +231,11 @@ PhaseResult RunWrapLayout(PerfRecorder& rec, int n, uint64_t iters) {
     items.push_back(WrapItem{i, std::min(slice, slice * 15 / (2 * n))});
   }
   std::vector<TimeNs> fill(15);
+  const std::vector<int64_t> speeds(fill.size(), Bandwidth::kUnit);
   std::vector<WrapSegment> segments;
   return Timed(rec, "wrap_layout.n" + std::to_string(n), iters, [&](uint64_t) {
     std::fill(fill.begin(), fill.end(), 0);
-    WrapAroundFrom(items, slice, fill, &segments);
+    WrapAround(items, slice, fill, speeds, &segments);
     Keep(segments);
   });
 }

@@ -80,11 +80,13 @@ class Bandwidth {
 // of progress per wall-clock ns. Work→wall rounds up (never under-schedule a
 // job), wall→work rounds down (never over-credit progress); both are exact
 // identities at full speed, keeping healthy-machine arithmetic bit-for-bit
-// unchanged. floor(ceil(w*K/s)*s/K) == w for 0 < s <= K, so a completion
-// timer set via SpeedWorkToWall banks exactly `work` via SpeedWallToWork.
+// unchanged; full speed is also the hot case (every healthy core, and every
+// core DP-WRAP plans without pcpu_recovery). floor(ceil(w*K/s)*s/K) == w
+// for 0 < s <= K, so a completion timer set via SpeedWorkToWall banks
+// exactly `work` via SpeedWallToWork.
 constexpr TimeNs SpeedWorkToWall(TimeNs work, int64_t speed_ppb) {
   assert(speed_ppb > 0);
-  if (speed_ppb == Bandwidth::kUnit) {
+  if (speed_ppb == Bandwidth::kUnit) [[likely]] {
     return work;
   }
   using Wide = __int128;
@@ -93,7 +95,7 @@ constexpr TimeNs SpeedWorkToWall(TimeNs work, int64_t speed_ppb) {
 }
 
 constexpr TimeNs SpeedWallToWork(TimeNs wall, int64_t speed_ppb) {
-  if (speed_ppb == Bandwidth::kUnit) {
+  if (speed_ppb == Bandwidth::kUnit) [[likely]] {
     return wall;
   }
   using Wide = __int128;

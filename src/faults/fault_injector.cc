@@ -15,6 +15,13 @@ std::string Entry(const char* field, size_t i, const char* what, long long a, lo
   return buf;
 }
 
+// A degrade speed must be at most full speed and survive
+// Machine::SetPcpuSpeed's rounding to whole ppb: a sub-ppb speed would leave
+// an online core with speed 0.
+bool ValidSpeed(double speed) {
+  return speed <= 1.0 && speed * static_cast<double>(Bandwidth::kUnit) + 0.5 >= 1.0;
+}
+
 }  // namespace
 
 std::string FaultPlan::Validate(int num_pcpus, int num_vms, int num_hosts) const {
@@ -77,9 +84,9 @@ std::string FaultPlan::Validate(int num_pcpus, int num_vms, int num_hosts) const
     if (f.at < 0 || (windowed && f.until <= f.at)) {
       return Entry("pcpu_faults", i, "empty or negative duration", f.at, f.until);
     }
-    if (f.kind == PcpuFault::Kind::kDegrade && (f.speed <= 0.0 || f.speed > 1.0)) {
-      return Entry("pcpu_faults", i, "degrade speed outside (0, 1] (speed*1e6, _)",
-                   static_cast<long long>(f.speed * 1e6), 0);
+    if (f.kind == PcpuFault::Kind::kDegrade && !ValidSpeed(f.speed)) {
+      return Entry("pcpu_faults", i, "degrade speed outside [1 ppb, 1] (speed in ppb, _)",
+                   static_cast<long long>(f.speed * 1e9), 0);
     }
     // Two events on the same core must not overlap in time: a permanent
     // failure extends to forever, so nothing may follow it on that core.
@@ -132,9 +139,9 @@ std::string FaultPlan::Validate(int num_pcpus, int num_vms, int num_hosts) const
     if (f.at < 0 || (windowed && f.until <= f.at)) {
       return Entry("host_faults", i, "empty or negative duration", f.at, f.until);
     }
-    if (f.kind == HostFault::Kind::kDegrade && (f.factor <= 0.0 || f.factor > 1.0)) {
-      return Entry("host_faults", i, "degrade factor outside (0, 1] (factor*1e6, _)",
-                   static_cast<long long>(f.factor * 1e6), 0);
+    if (f.kind == HostFault::Kind::kDegrade && !ValidSpeed(f.factor)) {
+      return Entry("host_faults", i, "degrade factor outside [1 ppb, 1] (factor in ppb, _)",
+                   static_cast<long long>(f.factor * 1e9), 0);
     }
     // Same per-resource overlap rule as pcpu_faults: a crash lasts forever,
     // so nothing may follow it on that host.

@@ -81,7 +81,7 @@ struct FaultPlan {
     int pcpu = 0;
     TimeNs at = 0;
     TimeNs until = kTimeNever;
-    double speed = 0.5;  // kDegrade only; must be in (0, 1].
+    double speed = 0.5;  // kDegrade only; in (0, 1], >= 1 ppb once rounded.
   };
   std::vector<PcpuFault> pcpu_faults;
 
@@ -132,7 +132,7 @@ struct FaultPlan {
     int host = 0;
     TimeNs at = 0;
     TimeNs until = kTimeNever;
-    double factor = 0.5;  // kDegrade only; must be in (0, 1].
+    double factor = 0.5;  // kDegrade only; in (0, 1], >= 1 ppb once rounded.
   };
   std::vector<HostFault> host_faults;
 

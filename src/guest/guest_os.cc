@@ -84,13 +84,13 @@ Bandwidth GuestOs::TotalReservedBw() const {
 }
 
 TimeNs GuestOs::NextEarliestDeadline(int vcpu_index) const {
-  if (global_edf()) {
-    return GlobalEarliestDeadline();
-  }
-  const VcpuRun& vr = vcpus_[vcpu_index];
-  TimeNs now = vm_->machine()->sim()->Now();
+  return EarliestDeadline(global_edf() ? global_rtas_ : vcpus_[vcpu_index].rtas);
+}
+
+TimeNs GuestOs::EarliestDeadline(const std::vector<Task*>& rtas) const {
+  TimeNs now = sim()->Now();
   TimeNs d = kTimeNever;
-  for (const Task* t : vr.rtas) {
+  for (const Task* t : rtas) {
     TimeNs cand = kTimeNever;
     if (t->HasPendingJob()) {
       cand = t->FrontJob().deadline;
@@ -127,7 +127,7 @@ void GuestOs::OnVcpuRevoked(Vcpu* vcpu) {
   }
 }
 
-bool GuestOs::BackgroundRunningElsewhere(const Task* task, const VcpuRun& except) const {
+bool GuestOs::RunningElsewhere(const Task* task, const VcpuRun& except) const {
   for (const auto& vr : vcpus_) {
     if (&vr != &except && vr.running == task) {
       return true;
@@ -136,39 +136,14 @@ bool GuestOs::BackgroundRunningElsewhere(const Task* task, const VcpuRun& except
   return false;
 }
 
-Task* GuestOs::PickTaskGlobal(VcpuRun& vr) {
-  Task* best = nullptr;
-  for (Task* t : global_rtas_) {
-    if (!t->HasPendingJob()) {
-      continue;
-    }
-    bool running_elsewhere = false;
-    for (const auto& other : vcpus_) {
-      if (&other != &vr && other.running == t) {
-        running_elsewhere = true;
-        break;
-      }
-    }
-    if (running_elsewhere) {
-      continue;
-    }
-    if (best == nullptr || t->FrontJob().deadline < best->FrontJob().deadline) {
-      best = t;
-    }
-  }
-  return best;
-}
-
 Task* GuestOs::PickTask(VcpuRun& vr) {
+  // A pinned RTA (pEDF) runs on its own VCPU only; an unpinned one (gEDF)
+  // may be running on a sibling.
   Task* best = nullptr;
-  if (global_edf()) {
-    best = PickTaskGlobal(vr);
-  } else {
-    for (Task* t : vr.rtas) {
-      if (t->HasPendingJob() &&
-          (best == nullptr || t->FrontJob().deadline < best->FrontJob().deadline)) {
-        best = t;
-      }
+  for (Task* t : global_edf() ? global_rtas_ : vr.rtas) {
+    if (t->HasPendingJob() && (!global_edf() || !RunningElsewhere(t, vr)) &&
+        (best == nullptr || t->FrontJob().deadline < best->FrontJob().deadline)) {
+      best = t;
     }
   }
   if (best != nullptr) {
@@ -178,7 +153,7 @@ Task* GuestOs::PickTask(VcpuRun& vr) {
   // running on a sibling VCPU.
   for (size_t i = 0; i < background_.size(); ++i) {
     Task* bg = background_[(bg_cursor_ + i) % background_.size()];
-    if (!BackgroundRunningElsewhere(bg, vr)) {
+    if (!RunningElsewhere(bg, vr)) {
       bg_cursor_ = (bg_cursor_ + i + 1) % background_.size();
       return bg;
     }
@@ -260,28 +235,11 @@ void GuestOs::OnJobCompletion(VcpuRun& vr) {
   Redispatch(vr);
 }
 
-TimeNs GuestOs::GlobalEarliestDeadline() const {
-  TimeNs now = vm_->machine()->sim()->Now();
-  TimeNs d = kTimeNever;
-  for (const Task* t : global_rtas_) {
-    TimeNs cand = kTimeNever;
-    if (t->HasPendingJob()) {
-      cand = t->FrontJob().deadline;
-    } else if (t->params().sporadic) {
-      cand = now + t->params().period;
-    } else if (t->next_release() < kTimeNever) {
-      cand = t->next_release();
-    }
-    d = std::min(d, cand);
-  }
-  return d;
-}
-
 void GuestOs::PublishGlobalDeadline() {
   // gEDF cannot attribute deadlines to VCPUs (any VCPU may run any task), so
   // every VCPU publishes the global earliest — one of the sources of
   // cross-layer complexity the paper cites for preferring pEDF.
-  TimeNs d = GlobalEarliestDeadline();
+  TimeNs d = EarliestDeadline(global_rtas_);
   for (auto& vr : vcpus_) {
     cross_layer_->PublishNextDeadline(vr.vcpu, d);
   }
@@ -371,21 +329,21 @@ void GuestOs::ReleaseJob(Task* task, TimeNs work, TimeNs deadline) {
 
 void GuestOs::RecomputeVcpu(VcpuRun& vr) {
   vr.reserved = Bandwidth::Zero();
-  vr.min_period = kTimeNever;
   for (const Task* t : vr.rtas) {
     // Effective = compressed bandwidth when overload control squeezed the
     // task; identical to params().bandwidth() otherwise.
     vr.reserved += t->EffectiveBandwidth();
-    vr.min_period = std::min(vr.min_period, t->params().period);
   }
+  vr.min_period = MinPeriod(vr.rtas);
 }
 
-TimeNs GuestOs::MinPeriodWith(const VcpuRun& vr, TimeNs extra_period) const {
-  TimeNs p = extra_period;
-  for (const Task* t : vr.rtas) {
-    p = std::min(p, t->params().period);
+TimeNs GuestOs::MinPeriod(const std::vector<Task*>& rtas, TimeNs period, const Task* except) {
+  for (const Task* t : rtas) {
+    if (t != except) {
+      period = std::min(period, t->params().period);
+    }
   }
-  return p;
+  return period;
 }
 
 int GuestOs::FindFirstFit(Bandwidth bw, int exclude_index) const {
@@ -448,12 +406,7 @@ int GuestOs::SchedSetAttrGlobal(Task* task, const RtaParams& params) {
   if (new_total > capacity) {
     return kGuestErrBusy;
   }
-  TimeNs new_min_period = params.period;
-  for (const Task* t : global_rtas_) {
-    if (t != task) {
-      new_min_period = std::min(new_min_period, t->params().period);
-    }
-  }
+  TimeNs new_min_period = MinPeriod(global_rtas_, params.period, task);
   if (RequestGlobalShares(new_total, new_min_period) != kHypercallOk) {
     return kGuestErrBusy;
   }
@@ -483,10 +436,7 @@ int GuestOs::SchedUnregisterGlobal(Task* task) {
   task->jobs_.clear();
   task->registered_ = false;
   global_total_ -= task->params().bandwidth();
-  global_min_period_ = kTimeNever;
-  for (const Task* t : global_rtas_) {
-    global_min_period_ = std::min(global_min_period_, t->params().period);
-  }
+  global_min_period_ = MinPeriod(global_rtas_);
   RequestGlobalShares(global_total_, global_min_period_);
   PublishGlobalDeadline();
   return kGuestOk;
@@ -506,13 +456,9 @@ int GuestOs::SchedSetAttr(Task* task, const RtaParams& params, int64_t bw_reason
   Bandwidth nbw = params.bandwidth();
 
   if (task->registered() && task->shed()) {
-    // Changing the parameters of a shed task re-admits it from scratch: it
-    // holds no pin or reservation, so forget it and fall into registration.
-    shed_.erase(std::remove(shed_.begin(), shed_.end(), task), shed_.end());
-    task->shed_ = false;
-    task->compressed_slice_ = 0;
-    task->registered_ = false;
-    task->jobs_.clear();
+    // Changing the parameters of a shed task re-admits it from scratch:
+    // forget it and fall into registration.
+    ForgetShed(task);
   }
 
   if (!task->registered()) {
@@ -539,7 +485,7 @@ int GuestOs::SchedSetAttr(Task* task, const RtaParams& params, int64_t bw_reason
       VcpuRun& vr = vcpus_[idx];
       // Hypercall before assigning the RTA to the candidate VCPU (section 3.2).
       int64_t rc = cross_layer_->RequestBandwidth(vr.vcpu, vr.reserved + nbw,
-                                                  MinPeriodWith(vr, params.period),
+                                                  MinPeriod(vr.rtas, params.period),
                                                   kBwReasonAdmission);
       if (rc == kHypercallOk) {
         if (via_overload) {
@@ -567,12 +513,7 @@ int GuestOs::SchedSetAttr(Task* task, const RtaParams& params, int64_t bw_reason
   Bandwidth in_place = cur.reserved - obw + nbw;
   if (in_place <= cur.capacity) {
     // Recompute the period as if the task already had the new parameters.
-    TimeNs new_period = params.period;
-    for (const Task* t : cur.rtas) {
-      if (t != task) {
-        new_period = std::min(new_period, t->params().period);
-      }
-    }
+    TimeNs new_period = MinPeriod(cur.rtas, params.period, task);
     if (nbw > obw) {
       int64_t rc = cross_layer_->RequestBandwidth(cur.vcpu, in_place, new_period, bw_reason);
       if (rc != kHypercallOk) {
@@ -598,16 +539,9 @@ int GuestOs::SchedSetAttr(Task* task, const RtaParams& params, int64_t bw_reason
     return kGuestErrBusy;
   }
   VcpuRun& to = vcpus_[idx];
-  Bandwidth from_bw = cur.reserved - obw;
-  TimeNs from_period = kTimeNever;
-  for (const Task* t : cur.rtas) {
-    if (t != task) {
-      from_period = std::min(from_period, t->params().period);
-    }
-  }
-  int64_t rc =
-      cross_layer_->MoveBandwidth(to.vcpu, to.reserved + nbw, MinPeriodWith(to, params.period),
-                                  cur.vcpu, from_bw, from_period);
+  int64_t rc = cross_layer_->MoveBandwidth(
+      to.vcpu, to.reserved + nbw, MinPeriod(to.rtas, params.period), cur.vcpu,
+      cur.reserved - obw, MinPeriod(cur.rtas, kTimeNever, task));
   if (rc != kHypercallOk) {
     return kGuestErrBusy;
   }
@@ -631,13 +565,7 @@ int GuestOs::SchedUnregister(Task* task) {
     return SchedUnregisterGlobal(task);
   }
   if (task->shed()) {
-    // A shed task holds no pin or host reservation: forgetting it is a
-    // purely local operation.
-    shed_.erase(std::remove(shed_.begin(), shed_.end(), task), shed_.end());
-    task->shed_ = false;
-    task->compressed_slice_ = 0;
-    task->registered_ = false;
-    task->jobs_.clear();
+    ForgetShed(task);
     return kGuestOk;
   }
   VcpuRun& vr = vcpus_[task->vcpu_index()];
@@ -731,12 +659,12 @@ int GuestOs::ReshuffleFor(Bandwidth bw) {
   }
 
   std::vector<Bandwidth> new_bw(vcpus_.size());
-  std::vector<TimeNs> new_period(vcpus_.size(), kTimeNever);
+  std::vector<TimeNs> new_period(vcpus_.size());
   for (size_t i = 0; i < vcpus_.size(); ++i) {
     for (const Task* t : assign[i]) {
       new_bw[i] += t->EffectiveBandwidth();
-      new_period[i] = std::min(new_period[i], t->params().period);
     }
+    new_period[i] = MinPeriod(assign[i]);
   }
 
   // Hypercall order: decreases first, then increases, so the host's total
@@ -920,6 +848,14 @@ bool GuestOs::HostHeadroomCovers(Bandwidth delta) const {
   return delta.ppb() <= page.pressure_headroom_ppb();
 }
 
+void GuestOs::ForgetShed(Task* task) {
+  shed_.erase(std::remove(shed_.begin(), shed_.end(), task), shed_.end());
+  task->shed_ = false;
+  task->compressed_slice_ = 0;
+  task->registered_ = false;
+  task->jobs_.clear();
+}
+
 bool GuestOs::TryResumeShed() {
   Task* best = nullptr;
   for (Task* t : shed_) {
@@ -942,7 +878,7 @@ bool GuestOs::TryResumeShed() {
   }
   VcpuRun& vr = vcpus_[idx];
   int64_t rc = cross_layer_->RequestBandwidth(vr.vcpu, vr.reserved + bw,
-                                              MinPeriodWith(vr, best->params().period),
+                                              MinPeriod(vr.rtas, best->params().period),
                                               kBwReasonReinflate);
   if (rc != kHypercallOk) {
     // Lost a race for the advertised headroom (another guest took it).
@@ -1100,6 +1036,10 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
     t->params_.min_slice = r.I64();
     t->registered_ = r.Bool();
     t->vcpu_index_ = static_cast<int>(r.U32());
+    if (t->vcpu_index_ < -1 || t->vcpu_index_ >= static_cast<int>(vcpus_.size())) {
+      return ckpt_section_ + ": task '" + t->name_ + "' pinned to invalid vcpu " +
+             std::to_string(t->vcpu_index_) + " of " + std::to_string(vcpus_.size());
+    }
     t->shed_ = r.Bool();
     t->compressed_slice_ = r.I64();
     t->next_release_ = r.I64();
@@ -1152,6 +1092,11 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
     }
     vr.run_start = r.I64();
     vr.run_speed_ppb = r.I64();
+    if (vr.run_speed_ppb < 1 || vr.run_speed_ppb > Bandwidth::kUnit) {
+      return ckpt_section_ + ": vcpu " + std::to_string(i) + " run speed " +
+             std::to_string(vr.run_speed_ppb) + " ppb outside [1, " +
+             std::to_string(Bandwidth::kUnit) + "]";
+    }
   }
 
   global_rtas_.clear();

@@ -197,7 +197,9 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   void Arm(uint32_t kind, uint64_t payload, TimeNs when);
   VcpuRun& RunOf(Vcpu* vcpu) { return vcpus_[vcpu->index()]; }
 
-  // EDF pick: earliest-deadline pending RTA job, else a background task.
+  // EDF pick: earliest-deadline pending RTA job (pEDF: among the VCPU's
+  // pinned RTAs; gEDF: among all RTAs), else a background task; never a task
+  // running on a sibling VCPU.
   Task* PickTask(VcpuRun& vr);
   void Redispatch(VcpuRun& vr);
   void StartRunning(VcpuRun& vr, Task* task);
@@ -205,26 +207,30 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   void FinishFrontJob(VcpuRun& vr, Task* task);
   void OnJobCompletion(VcpuRun& vr);
   void PublishDeadline(VcpuRun& vr);
-  bool BackgroundRunningElsewhere(const Task* task, const VcpuRun& except) const;
+  bool RunningElsewhere(const Task* task, const VcpuRun& except) const;
+  // Earliest upcoming deadline among `rtas` (the next-deadline rule that
+  // both scheduling classes publish).
+  TimeNs EarliestDeadline(const std::vector<Task*>& rtas) const;
 
   // gEDF variants: tasks are not pinned; every VCPU carries an equal share
   // of the total bandwidth and publishes the globally earliest deadline.
   bool global_edf() const { return config_.sched_class == GuestSchedClass::kGlobalEdf; }
-  Task* PickTaskGlobal(VcpuRun& vr);
   int SchedSetAttrGlobal(Task* task, const RtaParams& params);
   int SchedUnregisterGlobal(Task* task);
   // Re-requests every VCPU's equal share after a change of `total`; returns
   // kHypercallOk if all requests were granted (rolls back on failure).
   int64_t RequestGlobalShares(Bandwidth total, TimeNs min_period);
   void PublishGlobalDeadline();
-  TimeNs GlobalEarliestDeadline() const;
 
   // Admission helpers.
   int FindFirstFit(Bandwidth bw, int exclude_index) const;
   void PinTask(Task* task, int vcpu_index, const RtaParams& params);
   void UnpinTask(Task* task);
   void RecomputeVcpu(VcpuRun& vr);
-  TimeNs MinPeriodWith(const VcpuRun& vr, TimeNs extra_period) const;
+  // Smallest period among `rtas` other than `except`, and `period`: the
+  // period a VCPU's (or, under gEDF, every VCPU's) reservation requests.
+  static TimeNs MinPeriod(const std::vector<Task*>& rtas, TimeNs period = kTimeNever,
+                          const Task* except = nullptr);
   // Attempts to re-partition all RTAs (plus a new one of bandwidth `bw`)
   // first-fit-decreasing; applies the moves and returns the target VCPU for
   // the new RTA, or -1 if no packing exists.
@@ -247,6 +253,9 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   bool DegradeStepFor(Criticality crit);
   // Degrades until a VCPU can fit `params`; returns the target index or -1.
   int AdmitViaOverload(const RtaParams& params);
+  // Drops a shed task from the shed list and unregisters it; it holds no pin
+  // or host reservation, so this is purely local.
+  void ForgetShed(Task* task);
   bool TryResumeShed();   // Re-admit the highest-criticality shed task.
   bool TryExpandOne();    // Re-inflate one compressed reservation in place.
   // Whether the host's published headroom covers adding `delta` bandwidth

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "src/common/check.h"
+
 namespace rtvirt {
 
 Machine::Machine(Simulator* sim, MachineConfig config) : sim_(sim), config_(config) {
@@ -97,9 +99,14 @@ void Machine::SetPcpuOnline(int pcpu, bool online) {
 }
 
 void Machine::SetPcpuSpeed(int pcpu, double speed) {
-  assert(speed > 0.0 && speed <= 1.0);
+  // Checked before the conversion: a core left at 0 ppb would divide by zero
+  // in every grant's work-to-wall conversion.
+  double rounded = speed * static_cast<double>(Bandwidth::kUnit) + 0.5;
+  RTVIRT_CHECK(rounded >= 1.0 && rounded < static_cast<double>(Bandwidth::kUnit) + 1.0,
+               "SetPcpuSpeed: pcpu %d speed %g does not round to [1, %lld] ppb", pcpu, speed,
+               static_cast<long long>(Bandwidth::kUnit));
   Pcpu* p = pcpus_[pcpu].get();
-  int64_t ppb = static_cast<int64_t>(speed * static_cast<double>(Bandwidth::kUnit) + 0.5);
+  int64_t ppb = static_cast<int64_t>(rounded);
   if (ppb == p->speed_ppb_) {
     return;
   }
@@ -223,6 +230,11 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
   for (auto& p : pcpus_) {
     p->online_ = r.Bool();
     p->speed_ppb_ = r.I64();
+    if (p->speed_ppb_ < 1 || p->speed_ppb_ > Bandwidth::kUnit) {
+      return "machine: pcpu " + std::to_string(p->id()) + " speed " +
+             std::to_string(p->speed_ppb_) + " ppb outside [1, " +
+             std::to_string(Bandwidth::kUnit) + "]";
+    }
     int current_id = static_cast<int>(r.U32());
     p->current_ = current_id < 0 ? nullptr : VcpuByGlobalId(current_id);
     if (current_id >= 0 && p->current_ == nullptr) {

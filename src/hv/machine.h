@@ -67,10 +67,11 @@ class Machine : public ckpt::Checkpointable {
   // dispatch), notifies the host scheduler via PcpuCapacityChanged, and
   // tickles the surviving cores so stranded VCPUs find a new home.
   void SetPcpuOnline(int pcpu, bool online);
-  // Sets a core's frequency-scaling factor in (0, 1]: guest work on it
-  // progresses at `speed` useful ns per wall-clock ns. The dispatched VCPU
-  // is revoked first so every grant runs at a single constant speed, then
-  // the scheduler is notified and the core re-dispatches.
+  // Sets a core's frequency-scaling factor, which must round to [1, kUnit]
+  // ppb (fatal otherwise): guest work on it progresses at `speed` useful ns
+  // per wall-clock ns. The dispatched VCPU is revoked first so every grant
+  // runs at a single constant speed, then the scheduler is notified and the
+  // core re-dispatches.
   void SetPcpuSpeed(int pcpu, double speed);
   // Sum of online PCPU speed factors: the machine's real supply. Equals
   // Bandwidth::Cpus(num_pcpus()) on a healthy machine.

@@ -393,15 +393,11 @@ void DpWrapScheduler::SetAffinity(Vcpu* vcpu, int pcpu) {
   Slot& slot = slots_[vcpu->global_id()];
   slot.pin = pcpu;
   if (slot.reserved) {
-    slot.res.affinity = pcpu;
     ScheduleReplan();
   }
 }
 
 int DpWrapScheduler::Affinity(const Vcpu* vcpu) const {
-  if (const Reservation* res = FindReservation(vcpu)) {
-    return res->affinity;
-  }
   return Owns(vcpu) ? slots_[vcpu->global_id()].pin.value_or(-1) : -1;
 }
 
@@ -549,98 +545,58 @@ void DpWrapScheduler::Replan() {
         PlanSegment{all_vcpus_[gid], pcpu, slice_start_ + start, slice_start_ + end});
   };
 
-  // Degraded machines (pcpu_recovery only) take the heterogeneous layout
-  // path below; a healthy machine always takes the exact nominal path.
+  // Plan in effective (full-speed-equivalent) ns at each PCPU's planning
+  // speed, emitting wall-clock segments: its real speed (0 if offline) with
+  // pcpu_recovery, else full speed, the frozen baseline's nominal plan. The
+  // carries stay in effective ns, tracking the fluid schedule either way.
   int m = machine_->num_pcpus();
-  bool degraded = false;
-  if (config_.pcpu_recovery.enabled) {
-    for (int k = 0; k < m; ++k) {
-      const Pcpu* pc = machine_->pcpu(k);
-      if (!pc->online() || pc->speed_ppb() != Bandwidth::kUnit) {
-        degraded = true;
-        break;
-      }
-    }
+  for (int k = 0; k < m; ++k) {
+    const Pcpu* pc = machine_->pcpu(k);
+    speeds_[k] = config_.pcpu_recovery.enabled ? (pc->online() ? pc->speed_ppb() : 0)
+                                               : Bandwidth::kUnit;
   }
+  auto eff_free = [&](int k) -> TimeNs {
+    if (speeds_[k] <= 0 || occupied_[k] >= slice_len) {
+      return 0;
+    }
+    return SpeedWallToWork(slice_len - occupied_[k], speeds_[k]);
+  };
 
   // The global slice is split in layout order (active_), so a VCPU's segment
-  // offsets stay put across slices unless reservations change. Reservations
-  // that are not laid out pinned become wrap items, id = global id.
+  // offsets stay put across slices unless reservations change. Pinned
+  // reservations go first, at the head of their PCPU's chunk: they never
+  // migrate or split (paper section 6). The rest wrap, id = global id.
   occupied_.assign(m, 0);
   items_.clear();
-  if (!degraded) {
-    // Affinity-pinned reservations first, at the head of their PCPU's chunk:
-    // they never migrate and never split (paper section 6).
-    for (int gid : active_) {
-      Reservation& res = slots_[gid].res;
-      if (res.affinity < 0) {
-        items_.push_back(WrapItem{gid, 0});
-        continue;
-      }
-      int pcpu = res.affinity;
-      TimeNs alloc = take_alloc(res, slice_len - occupied_[pcpu]);
-      if (alloc > 0) {
-        emit(gid, pcpu, occupied_[pcpu], occupied_[pcpu] + alloc);
-        occupied_[pcpu] += alloc;
-      }
+  for (int gid : active_) {
+    Reservation& res = slots_[gid].res;
+    int pcpu = slots_[gid].pin.value_or(-1);
+    if (pcpu < 0 || speeds_[pcpu] <= 0) {
+      // A pin to a dead core cannot hold: evacuate into the wrap. The pin
+      // itself persists and re-applies on heal.
+      items_.push_back(WrapItem{gid, 0});
+      continue;
     }
-
-    // Everything else wraps into the remaining space (McNaughton).
-    TimeNs free_total = 0;
-    for (TimeNs occ : occupied_) {
-      free_total += slice_len - occ;
+    TimeNs alloc = take_alloc(res, eff_free(pcpu));
+    if (alloc > 0) {
+      TimeNs wall = SpeedWorkToWall(alloc, speeds_[pcpu]);
+      emit(gid, pcpu, occupied_[pcpu], occupied_[pcpu] + wall);
+      occupied_[pcpu] += wall;
     }
-    TimeNs allocated = 0;
-    for (WrapItem& item : items_) {
-      // The carries can overshoot capacity by < n ns; trim the tail.
-      item.alloc =
-          take_alloc(slots_[item.id].res, std::min(slice_len, free_total - allocated));
-      allocated += item.alloc;
-    }
-    WrapAroundFrom(items_, slice_len, occupied_, &wrap_out_);
-  } else {
-    // Degraded layout: plan in *effective* (full-speed-equivalent) ns
-    // against the surviving cores, then stretch back to wall-clock segments.
-    // take_alloc stays in effective ns, so the carry accumulators keep
-    // tracking the fluid schedule across healthy and degraded slices alike.
-    for (int k = 0; k < m; ++k) {
-      const Pcpu* pc = machine_->pcpu(k);
-      speeds_[k] = pc->online() ? pc->speed_ppb() : 0;
-    }
-    auto eff_free = [&](int k) -> TimeNs {
-      if (speeds_[k] <= 0 || occupied_[k] >= slice_len) {
-        return 0;
-      }
-      return SpeedWallToWork(slice_len - occupied_[k], speeds_[k]);
-    };
-    for (int gid : active_) {
-      Reservation& res = slots_[gid].res;
-      int pcpu = res.affinity;
-      if (pcpu < 0 || speeds_[pcpu] <= 0) {
-        // A pin to a dead core cannot hold: evacuate into the wrap. The pin
-        // itself persists (res.affinity untouched) and re-applies on heal.
-        items_.push_back(WrapItem{gid, 0});
-        continue;
-      }
-      TimeNs alloc = take_alloc(res, eff_free(pcpu));
-      if (alloc > 0) {
-        TimeNs wall = SpeedWorkToWall(alloc, speeds_[pcpu]);
-        emit(gid, pcpu, occupied_[pcpu], occupied_[pcpu] + wall);
-        occupied_[pcpu] += wall;
-      }
-    }
-    TimeNs free_total = 0;
-    for (int k = 0; k < m; ++k) {
-      free_total += eff_free(k);
-    }
-    TimeNs allocated = 0;
-    for (WrapItem& item : items_) {
-      item.alloc =
-          take_alloc(slots_[item.id].res, std::min(slice_len, free_total - allocated));
-      allocated += item.alloc;
-    }
-    WrapAroundDegraded(items_, slice_len, occupied_, speeds_, &wrap_out_);
   }
+
+  // Everything else wraps into the remaining space (McNaughton).
+  TimeNs free_total = 0;
+  for (int k = 0; k < m; ++k) {
+    free_total += eff_free(k);
+  }
+  TimeNs allocated = 0;
+  for (WrapItem& item : items_) {
+    // The carries can overshoot capacity by < n ns; trim the tail.
+    item.alloc = take_alloc(slots_[item.id].res, std::min(slice_len, free_total - allocated));
+    allocated += item.alloc;
+  }
+  WrapAround(items_, slice_len, occupied_, speeds_, &wrap_out_);
   for (const WrapSegment& seg : wrap_out_) {
     emit(seg.item_id, seg.pcpu, seg.start, seg.end);
   }
@@ -927,7 +883,6 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
     slot.res.bw = bw;
     slot.res.period = clamped_period;
     slot.res.order = next_order_++;  // Past every order in active_: append.
-    slot.res.affinity = slot.pin.value_or(-1);
     slot.reserved = true;
     active_.push_back(gid);
     SizePlanBuffers();
@@ -1035,7 +990,7 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     w.I64(res.period);
     w.U64(res.order);
     w.I64(res.carry_ppb);
-    w.U32(static_cast<uint32_t>(res.affinity));
+    w.U32(static_cast<uint32_t>(slot.pin.value_or(-1)));
     w.I64(res.used_in_window);
     w.F64(res.tax_factor);
     w.I64(res.last_lie_publish);
@@ -1169,6 +1124,9 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     slot.reserved = false;
   }
   active_.clear();
+  // Each reservation record repeats its VCPU's pin, which must agree with
+  // the pin list that follows.
+  std::vector<int> recorded_pins(slots_.size(), -1);
   uint32_t n_res = r.U32();
   for (uint32_t i = 0; i < n_res && r.ok(); ++i) {
     int gid = static_cast<int>(r.U32());
@@ -1186,15 +1144,16 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     res.period = r.I64();
     res.order = r.U64();
     res.carry_ppb = r.I64();
-    res.affinity = static_cast<int>(r.U32());
+    int pin = static_cast<int>(r.U32());
     res.used_in_window = r.I64();
     res.tax_factor = r.F64();
     res.last_lie_publish = r.I64();
     res.last_floor_publish = r.I64();
-    if (!valid_pin(res.affinity)) {
+    if (!valid_pin(pin)) {
       return "dpwrap: reservation[" + std::to_string(i) + "] pins VCPU " +
-             std::to_string(gid) + " to invalid pcpu " + std::to_string(res.affinity);
+             std::to_string(gid) + " to invalid pcpu " + std::to_string(pin);
     }
+    recorded_pins[gid] = pin;
     slot.reserved = true;
     active_.push_back(gid);
   }
@@ -1217,6 +1176,12 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
              " names invalid pcpu " + std::to_string(pin);
     }
     slots_[gid].pin = pin;
+  }
+  for (int gid : active_) {
+    if (int pin = slots_[gid].pin.value_or(-1); recorded_pins[gid] != pin) {
+      return "dpwrap: reservation of VCPU " + std::to_string(gid) + " pins pcpu " +
+             std::to_string(recorded_pins[gid]) + " but its affinity is " + std::to_string(pin);
+    }
   }
 
   // Returns what is wrong with the segment, or "" if it is usable.
@@ -1468,13 +1433,10 @@ std::vector<std::string> DpWrapScheduler::AuditIsolation() const {
     // mid-transition cannot be judged.
     return violations;
   }
-  for (int k = 0; k < machine_->num_pcpus(); ++k) {
-    const Pcpu* pc = machine_->pcpu(k);
-    if (!pc->online() || pc->speed_ppb() != Bandwidth::kUnit) {
-      // Degraded capacity legitimately shrinks everyone's allocation; the
-      // pcpu-recovery audit owns that regime.
-      return violations;
-    }
+  if (machine_->EffectiveCapacity() != Bandwidth::Cpus(machine_->num_pcpus())) {
+    // Degraded capacity legitimately shrinks everyone's allocation; the
+    // pcpu-recovery audit owns that regime.
+    return violations;
   }
   // Isolation lower bound: every reservation owned by a well-behaved
   // (non-quarantined, non-crashed) VM must receive at least its fluid share

@@ -267,7 +267,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
     // Sub-ns remainder carried between slices so that the cumulative
     // allocation tracks the fluid schedule to within 1 ns over any window.
     int64_t carry_ppb = 0;
-    int affinity = -1;  // PCPU this VCPU is pinned to; -1 = may migrate.
     // Idle tax state: observed usage in the current window and the factor
     // currently applied to the claimed bandwidth.
     TimeNs used_in_window = 0;
@@ -300,9 +299,10 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   struct Slot {
     bool reserved = false;
     Reservation res;  // Meaningful while `reserved`.
-    // Pin set through SetAffinity. It outlives reservations (an RTA may
-    // unregister and re-register; the VM's cache-locality preference does
-    // not change), and a pin cleared to -1 stays distinct from none set.
+    // The PCPU this VCPU is pinned to (SetAffinity), -1 or unset = may
+    // migrate; the one record of affinity. It outlives reservations (an RTA
+    // may unregister and re-register; the VM's cache-locality preference
+    // does not change), and a pin cleared to -1 stays distinct from none set.
     std::optional<int> pin;
     Range segs;  // The VCPU's pieces of the current plan, in vcpu_plan_.
   };
@@ -403,7 +403,7 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // a reservation is added (SizePlanBuffers), so a replan allocates nothing.
   std::vector<PlanSegment> emitted_;  // The plan in emission order.
   std::vector<TimeNs> occupied_;  // Per PCPU.
-  std::vector<int64_t> speeds_;   // Per PCPU.
+  std::vector<int64_t> speeds_;   // Per PCPU planning speed (see Replan).
   std::vector<WrapItem> items_;   // Wrapped reservations; id = global id.
   std::vector<WrapSegment> wrap_out_;
   Simulator::EventId replan_event_;

@@ -7,76 +7,8 @@
 
 namespace rtvirt {
 
-void WrapAroundFrom(std::span<const WrapItem> items, TimeNs slice_len, std::span<TimeNs> fill,
-                    std::vector<WrapSegment>* out) {
-  assert(slice_len > 0);
-  int pcpus = static_cast<int>(fill.size());
-  out->clear();
-
-  // First pass: wrap greedily, refusing straddles whose two pieces would
-  // overlap in wall-clock time (the item would run on two PCPUs at once).
-  // Fragmentation from skipped straddles can pass the last chunk early; the
-  // rest of that item, and every later item, is then left over.
-  size_t left = items.size();  // First item with a leftover.
-  TimeNs left_alloc = 0;       // Its unplaced remainder.
-  int chunk = 0;
-  for (size_t i = 0; i < items.size() && left == items.size(); ++i) {
-    TimeNs remaining = items[i].alloc;
-    while (remaining > 0) {
-      if (chunk >= pcpus) {
-        left = i;
-        left_alloc = remaining;
-        break;
-      }
-      TimeNs free_here = slice_len - fill[chunk];
-      if (free_here <= 0) {
-        ++chunk;
-        continue;
-      }
-      TimeNs piece = std::min(remaining, free_here);
-      if (piece < remaining && chunk + 1 < pcpus) {
-        // Straddling: the second piece [occupied, occupied+rest) on the next
-        // chunk must end before this piece starts, or the item would overlap
-        // itself in wall-clock time. If unsafe, start the whole item on the
-        // next chunk instead (trading a little fragmentation for the
-        // no-parallel-self guarantee).
-        TimeNs rest = remaining - piece;
-        if (fill[chunk + 1] + rest > fill[chunk]) {
-          ++chunk;
-          continue;
-        }
-      }
-      out->push_back(WrapSegment{items[i].id, chunk, fill[chunk], fill[chunk] + piece});
-      fill[chunk] += piece;
-      remaining -= piece;
-      if (fill[chunk] == slice_len) {
-        ++chunk;
-      }
-    }
-  }
-  // Second pass (rare: heavy affinity pinning at near-full utilization):
-  // place what is left into any remaining gaps, even if a piece overlaps a
-  // sibling piece in time — the dispatcher serializes such pieces at
-  // runtime, so this degrades (bounded) rather than drops the allocation.
-  for (size_t i = left; i < items.size(); ++i) {
-    TimeNs remaining = i == left ? left_alloc : items[i].alloc;
-    for (int k = 0; k < pcpus && remaining > 0; ++k) {
-      TimeNs free_here = slice_len - fill[k];
-      if (free_here <= 0) {
-        continue;
-      }
-      TimeNs piece = std::min(remaining, free_here);
-      out->push_back(WrapSegment{items[i].id, k, fill[k], fill[k] + piece});
-      fill[k] += piece;
-      remaining -= piece;
-    }
-    assert(remaining == 0 && "allocations exceed the free space");
-  }
-}
-
-void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
-                        std::span<TimeNs> fill, std::span<const int64_t> speed_ppb,
-                        std::vector<WrapSegment>* out) {
+void WrapAround(std::span<const WrapItem> items, TimeNs slice_len, std::span<TimeNs> fill,
+                std::span<const int64_t> speed_ppb, std::vector<WrapSegment>* out) {
   assert(slice_len > 0);
   assert(fill.size() == speed_ppb.size());
   int pcpus = static_cast<int>(fill.size());
@@ -92,8 +24,11 @@ void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
     return SpeedWallToWork(slice_len - fill[k], speed_ppb[k]);
   };
 
-  // First pass mirrors WrapAroundFrom, walking in effective ns and emitting
-  // in wall ns; straddles whose wall-clock pieces would overlap are deferred.
+  // First pass: wrap greedily, walking in effective ns and emitting wall ns.
+  // A straddle whose two pieces would overlap in wall-clock time (the item
+  // running on two PCPUs at once) starts the item on the next chunk instead;
+  // the fragmentation this leaves can pass the last chunk early, and the
+  // rest of that item, and every later item, is then left over.
   size_t left = items.size();  // First item with a leftover.
   TimeNs left_alloc = 0;       // Its unplaced remainder, effective ns.
   int chunk = 0;
@@ -111,11 +46,9 @@ void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
         continue;
       }
       TimeNs piece = std::min(remaining, free_here);
-      TimeNs wall_piece = SpeedWorkToWall(piece, speed_ppb[chunk]);
       if (piece < remaining && chunk + 1 < pcpus) {
-        // Straddle safety in wall-clock terms: the continuation on the next
-        // chunk must end before this piece starts. Best-effort — the rest is
-        // measured against only the next chunk, as in WrapAroundFrom.
+        // The continuation on the next chunk must end before this piece
+        // starts (measured against the next chunk only).
         TimeNs rest_eff = std::min(remaining - piece, eff_free(chunk + 1));
         TimeNs rest_wall = speed_ppb[chunk + 1] > 0
                                ? SpeedWorkToWall(rest_eff, speed_ppb[chunk + 1])
@@ -125,19 +58,16 @@ void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
           continue;
         }
       }
+      TimeNs wall_piece = SpeedWorkToWall(piece, speed_ppb[chunk]);
       out->push_back(WrapSegment{items[i].id, chunk, fill[chunk], fill[chunk] + wall_piece});
       fill[chunk] += wall_piece;
       remaining -= piece;
-      if (eff_free(chunk) == 0) {
-        ++chunk;
-      }
     }
   }
-  // Second pass: place leftovers into any remaining gaps, tolerating
-  // wall-clock self-overlap (the dispatcher serializes). Unlike the
-  // homogeneous variant nothing is asserted away to zero: per-chunk floor
-  // rounding can strand < 1 effective ns per visit, which the planner's
-  // admission epsilon covers.
+  // Second pass (rare: heavy pinning near full utilization, or degraded
+  // cores): place leftovers into any remaining gaps even if a piece overlaps
+  // a sibling piece in time; the dispatcher serializes such pieces, so this
+  // degrades (bounded) rather than drops the allocation.
   for (size_t i = left; i < items.size(); ++i) {
     TimeNs remaining = i == left ? left_alloc : items[i].alloc;
     for (int k = 0; k < pcpus && remaining > 0; ++k) {
@@ -151,8 +81,12 @@ void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
       fill[k] += wall_piece;
       remaining -= piece;
     }
-    assert(remaining <= 2 * static_cast<TimeNs>(pcpus) + 2 &&
-           "stranded allocation beyond rounding slack");
+    // Only floor rounding on a throttled chunk strands allocation.
+    assert((remaining == 0 || (remaining <= 2 * static_cast<TimeNs>(pcpus) + 2 &&
+                               std::any_of(speed_ppb.begin(), speed_ppb.end(), [](int64_t s) {
+                                 return s > 0 && s < Bandwidth::kUnit;
+                               }))) &&
+           "allocations exceed the free space");
   }
 }
 

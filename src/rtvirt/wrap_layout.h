@@ -7,7 +7,7 @@
 // its two pieces never overlap in wall-clock time, and at most m-1 items are
 // split — DP-WRAP's bound on migrations per global slice.
 //
-// Both layouts write into caller-owned buffers, so a planner that keeps them
+// The layout writes into caller-owned buffers, so a planner that keeps them
 // across slices lays out every slice without allocating.
 
 #ifndef SRC_RTVIRT_WRAP_LAYOUT_H_
@@ -33,43 +33,28 @@ struct WrapSegment {
   TimeNs end = 0;    // Offset within the slice, (start, slice_len].
 };
 
-// Lays `items` out over fill.size() chunks of `slice_len`, where chunk k is
-// already occupied up to fill[k] on entry (e.g., by affinity-pinned
-// allocations that must not migrate): wrapped items go into the remaining
-// space only. On return fill[k] is chunk k's final fill and `out` holds the
-// segments (its previous contents are discarded). Items with zero allocation
-// produce no segments. Precondition: sum of allocations <= sum of free space.
+// Lays `items` out over fill.size() chunks of `slice_len`. Chunk k runs at
+// speed_ppb[k] (Bandwidth::kUnit = full speed, <= 0 = offline) and is
+// occupied up to fill[k] wall ns on entry (e.g., by affinity-pinned
+// allocations that must not migrate); on return fill[k] is its final fill.
+// Allocations are in effective (full-speed-equivalent) ns: a piece of E ns on
+// a chunk at speed s occupies ceil(E/s) wall ns there. `out` receives the
+// wall-clock segments, none for a zero allocation. Precondition: the
+// allocations fit the chunks' effective free space.
 //
-// With every chunk empty on entry this is exactly McNaughton's wrap-around,
-// and (enforced by the property tests):
-//   * per item, the segment lengths sum to its allocation;
-//   * per processor, segments are disjoint and within [0, slice_len];
-//   * a split item's two segments do not overlap in wall-clock time;
-//   * at most pcpus - 1 items are split.
-// Pre-occupied chunks keep the first three: a straddle whose pieces would
-// overlap in time starts on the next chunk instead, and only allocation left
-// over once every chunk was passed is placed into remaining gaps regardless
-// (the dispatcher serializes such pieces at runtime).
-void WrapAroundFrom(std::span<const WrapItem> items, TimeNs slice_len, std::span<TimeNs> fill,
-                    std::vector<WrapSegment>* out);
-
-// Heterogeneous-capacity variant for the PCPU fault/degradation model.
-// Item allocations are in *effective* (full-speed-equivalent) ns; chunk k
-// runs at speed_ppb[k] (Bandwidth::kUnit = full speed, <= 0 = offline — no
-// capacity) and is pre-occupied up to fill[k] wall-clock ns on entry (the
-// final fill on return, as above). `out` receives wall-clock offsets within
-// the slice: a piece of E effective ns on a chunk at speed s occupies
-// ceil(E/s) wall ns there. Precondition: sum of allocations <= sum of
-// per-chunk effective free space (the caller trims against
-// Machine::EffectiveCapacity()); per-chunk floor rounding may strand < 1
-// effective ns per chunk visit, which the caller's epsilon slack absorbs. The
-// straddle-safety and at-most-m-1-splits properties degrade to best-effort
-// here: an item wider than any surviving chunk's effective capacity must
-// overlap itself in wall-clock time, and the dispatcher serializes such
-// pieces at runtime (bounded lag, nothing dropped).
-void WrapAroundDegraded(std::span<const WrapItem> items, TimeNs slice_len,
-                        std::span<TimeNs> fill, std::span<const int64_t> speed_ppb,
-                        std::vector<WrapSegment>* out);
+// At full speed from empty chunks this is exactly McNaughton's wrap-around
+// (enforced by the property tests): per item, the segment lengths sum to its
+// allocation; per processor, segments are disjoint and within [0, slice_len];
+// a split item's two segments do not overlap in wall-clock time; at most
+// pcpus - 1 items are split. Pre-occupied chunks keep the first three: a
+// straddle whose pieces would overlap in time starts on the next chunk
+// instead, and only allocation left over once every chunk was passed is
+// placed into remaining gaps regardless (the dispatcher serializes such
+// pieces at runtime). On throttled chunks straddle safety is best-effort and
+// floor rounding may strand < 1 effective ns per chunk visit, which the
+// caller's admission epsilon absorbs.
+void WrapAround(std::span<const WrapItem> items, TimeNs slice_len, std::span<TimeNs> fill,
+                std::span<const int64_t> speed_ppb, std::vector<WrapSegment>* out);
 
 }  // namespace rtvirt
 

@@ -375,6 +375,32 @@ void PutU32(std::string* bytes, size_t at, uint32_t v) {
   bytes->replace(at, 4, w.data());
 }
 
+int64_t I64At(const std::string& bytes, size_t at) {
+  ckpt::Reader r(std::string_view(bytes).substr(at));
+  return r.I64();
+}
+
+void PutI64(std::string* bytes, size_t at, int64_t v) {
+  ckpt::Writer w;
+  w.I64(v);
+  bytes->replace(at, 8, w.data());
+}
+
+// Saves the canonical scenario at t=100 ms, lets `patch` edit the section
+// named `name`, and returns the error of restoring the result.
+template <typename Patch>
+std::string RestoreWithPatchedSection(const std::string& name, Patch&& patch) {
+  ckpt::Image image;
+  SavedScenarioBytes(&image);
+  for (ckpt::Section& s : image.sections) {
+    if (s.name == name) {
+      patch(&s.bytes);
+    }
+  }
+  auto fresh = BuildCkptScenario(CkptScenarioOptions{});
+  return fresh->exp->RestoreCheckpoint(image);
+}
+
 // Byte offsets of the dpwrap section's lists.
 struct DpwrapLists {
   size_t reservations = 0;  // u32 count, then kReservationBytes records.
@@ -401,19 +427,12 @@ DpwrapLists LocateDpwrapLists(const std::string& bytes) {
   return at;
 }
 
-// Saves the canonical scenario at t=100 ms, lets `patch` edit the dpwrap
-// section, and returns the error of restoring the result.
+// RestoreWithPatchedSection on the dpwrap section, with its list offsets.
 template <typename Patch>
 std::string RestoreWithPatchedDpwrap(Patch&& patch) {
-  ckpt::Image image;
-  SavedScenarioBytes(&image);
-  for (ckpt::Section& s : image.sections) {
-    if (s.name == DpWrapScheduler::kCkptSection) {
-      patch(&s.bytes, LocateDpwrapLists(s.bytes));
-    }
-  }
-  auto fresh = BuildCkptScenario(CkptScenarioOptions{});
-  return fresh->exp->RestoreCheckpoint(image);
+  return RestoreWithPatchedSection(DpWrapScheduler::kCkptSection, [&](std::string* bytes) {
+    patch(bytes, LocateDpwrapLists(*bytes));
+  });
 }
 
 TEST(CheckpointRoundTripTest, DpwrapPatchOffsetsFollowTheSavedLayout) {
@@ -434,6 +453,17 @@ TEST(CheckpointRoundTripTest, DpwrapReservationPinOutOfRangeFailsRestoreLoudly) 
     PutU32(bytes, at.reservations + 4 + 36, 4);  // reservation[0] pinned to PCPU 4 of 4.
   });
   EXPECT_NE(err.find("dpwrap: reservation[0] pins VCPU 0 to invalid pcpu 4"), std::string::npos)
+      << err;
+}
+
+TEST(CheckpointRoundTripTest, DpwrapReservationPinDisagreeingWithAffinityFailsRestoreLoudly) {
+  // Affinity lives in the pin list, which sets none here; the reservation
+  // record repeats it.
+  std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
+    PutU32(bytes, at.reservations + 4 + 36, 2);
+  });
+  EXPECT_NE(err.find("dpwrap: reservation of VCPU 0 pins pcpu 2 but its affinity is -1"),
+            std::string::npos)
       << err;
 }
 
@@ -507,6 +537,82 @@ TEST(CheckpointRoundTripTest, DpwrapDuplicateReservationFailsRestoreLoudly) {
   });
   EXPECT_NE(err.find("dpwrap: reservation[1] repeats VCPU global id 0"), std::string::npos)
       << err;
+}
+
+// Speeds divide guest work into wall time, and a task's VCPU index indexes
+// its guest's VCPUs, so the machine and guest restores check them too.
+TEST(CheckpointRoundTripTest, MachinePcpuSpeedOutOfRangeFailsRestoreLoudly) {
+  // Nine counters and two counts, then 39-byte PCPU records whose speed
+  // follows the online flag.
+  constexpr size_t kPcpu2Speed = 9 * 8 + 2 * 4 + 2 * 39 + 1;
+  for (int64_t speed : {int64_t{0}, Bandwidth::kUnit + 1}) {
+    std::string err =
+        RestoreWithPatchedSection(Machine::kCkptSection, [speed](std::string* bytes) {
+          ASSERT_EQ(I64At(*bytes, kPcpu2Speed), Bandwidth::kUnit);
+          PutI64(bytes, kPcpu2Speed, speed);
+        });
+    EXPECT_NE(err.find("machine: pcpu 2 speed " + std::to_string(speed) +
+                       " ppb outside [1, 1000000000]"),
+              std::string::npos)
+        << err;
+  }
+}
+
+// Byte offsets of fields in a guest section, found by walking it the way
+// GuestOs::SaveState writes it.
+struct GuestFields {
+  size_t task0_vcpu = 0;   // u32 VCPU index of task[0].
+  size_t vcpu0_speed = 0;  // i64 run speed of VCPU 0.
+};
+
+GuestFields LocateGuestFields(const std::string& bytes) {
+  // Two totals, the background cursor, two tick counters and six overload
+  // stats come before the task list.
+  constexpr size_t kHeaderBytes = 3 * 8 + 2 * 4 + 6 * 8;
+  GuestFields at;
+  size_t pos = kHeaderBytes + 4;
+  for (uint32_t t = U32At(bytes, kHeaderBytes); t > 0; --t) {
+    pos += 4 + U32At(bytes, pos);  // The name.
+    if (at.task0_vcpu == 0) {
+      // After kind, slice, period, sporadic, criticality, min_slice and the
+      // registered flag.
+      at.task0_vcpu = pos + 28;
+    }
+    // The fixed fields, then the jobs (32 bytes each) counted at +57.
+    pos += 61 + 32 * size_t{U32At(bytes, pos + 57)};
+  }
+  // VCPU 0: its pin set, then reserved, capacity, min_period, on_cpu,
+  // running and run_start.
+  at.vcpu0_speed = pos + 4 + 4 + 4 * size_t{U32At(bytes, pos + 4)} + 37;
+  return at;
+}
+
+TEST(CheckpointRoundTripTest, GuestRunSpeedOutOfRangeFailsRestoreLoudly) {
+  for (int64_t speed : {int64_t{0}, int64_t{-3}, Bandwidth::kUnit + 1}) {
+    std::string err = RestoreWithPatchedSection("guest.0", [speed](std::string* bytes) {
+      size_t at = LocateGuestFields(*bytes).vcpu0_speed;
+      ASSERT_EQ(I64At(*bytes, at), Bandwidth::kUnit);
+      PutI64(bytes, at, speed);
+    });
+    EXPECT_NE(err.find("guest.0: vcpu 0 run speed " + std::to_string(speed) +
+                       " ppb outside [1, 1000000000]"),
+              std::string::npos)
+        << err;
+  }
+}
+
+TEST(CheckpointRoundTripTest, GuestTaskVcpuOutOfRangeFailsRestoreLoudly) {
+  for (int vcpu : {2, -2}) {
+    std::string err = RestoreWithPatchedSection("guest.0", [vcpu](std::string* bytes) {
+      size_t at = LocateGuestFields(*bytes).task0_vcpu;
+      ASSERT_LT(U32At(*bytes, at), 2u);  // vm0.cam is pinned to one of two VCPUs.
+      PutU32(bytes, at, static_cast<uint32_t>(vcpu));
+    });
+    EXPECT_NE(err.find("guest.0: task 'vm0.cam' pinned to invalid vcpu " +
+                       std::to_string(vcpu) + " of 2"),
+              std::string::npos)
+        << err;
+  }
 }
 
 // The canonical scenario's committed digest trail (rtvirt_runner --seed=7

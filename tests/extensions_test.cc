@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/bandwidth.h"
 #include "src/metrics/deadline_monitor.h"
 #include "src/rtvirt/guest_channel.h"
 #include "src/rtvirt/wrap_layout.h"
@@ -28,23 +29,25 @@ ExperimentConfig PureRtvirt(int pcpus) {
   return cfg;
 }
 
-// ---- WrapAroundFrom ----
+// ---- WrapAround over occupied chunks (full speed) ----
 
-// Lays `items` out after `occupied` (taken by value: the final fill is
-// dropped) into a fresh segment buffer.
+// Lays `items` out at full speed after `occupied` (taken by value: the final
+// fill is dropped) into a fresh segment buffer.
 std::vector<WrapSegment> WrapFrom(const std::vector<WrapItem>& items, TimeNs slice_len,
                                   std::vector<TimeNs> occupied) {
+  const std::vector<int64_t> speeds(occupied.size(), Bandwidth::kUnit);
   std::vector<WrapSegment> segments;
-  WrapAroundFrom(items, slice_len, occupied, &segments);
+  WrapAround(items, slice_len, occupied, speeds, &segments);
   return segments;
 }
 
-TEST(WrapAroundFrom, RespectsOccupiedPrefixes) {
+TEST(WrapAround, RespectsOccupiedPrefixes) {
   std::vector<WrapItem> items{{0, 50}, {1, 80}};
   const std::vector<TimeNs> occupied{40, 20};
+  const std::vector<int64_t> speeds(occupied.size(), Bandwidth::kUnit);
   std::vector<TimeNs> fill = occupied;
   std::vector<WrapSegment> segs{{9, 0, 0, 1}};  // Stale contents are discarded.
-  WrapAroundFrom(items, 100, fill, &segs);
+  WrapAround(items, 100, fill, speeds, &segs);
   std::map<int, TimeNs> per_item;
   std::vector<TimeNs> placed(occupied.size(), 0);
   for (const auto& s : segs) {
@@ -62,7 +65,7 @@ TEST(WrapAroundFrom, RespectsOccupiedPrefixes) {
   }
 }
 
-TEST(WrapAroundFrom, SplitPiecesDoNotOverlapInTime) {
+TEST(WrapAround, SplitPiecesDoNotOverlapInTime) {
   // Item 1 must straddle; verify its pieces are disjoint in wall-clock time.
   std::vector<WrapItem> items{{0, 70}, {1, 50}};
   std::vector<TimeNs> occupied{0, 0, 0};
@@ -81,7 +84,7 @@ TEST(WrapAroundFrom, SplitPiecesDoNotOverlapInTime) {
   }
 }
 
-TEST(WrapAroundFrom, MovesToNextChunkWhenStraddleWouldOverlap) {
+TEST(WrapAround, MovesToNextChunkWhenStraddleWouldOverlap) {
   // Chunk0 free [90,100): an item of 40 starting there would straddle with
   // its second piece [60,90+...) on chunk1 overlapping [90,100)? piece2 is
   // [60,90) which touches 90 exactly -- unsafe if it extended past. Use
@@ -104,7 +107,7 @@ TEST(WrapAroundFrom, MovesToNextChunkWhenStraddleWouldOverlap) {
   EXPECT_EQ(total, 40);
 }
 
-TEST(WrapAroundFrom, LastResortPlacesEverythingEvenWhenFragmented) {
+TEST(WrapAround, LastResortPlacesEverythingEvenWhenFragmented) {
   // Pathological: tight free space forces the second pass; all allocation
   // must still be placed (overlap allowed as a documented degradation).
   std::vector<WrapItem> items{{0, 11}, {1, 11}, {2, 11}, {3, 11}};

@@ -1,14 +1,17 @@
 // PCPU fault & capacity-degradation model tests: machine-level hotplug and
 // speed semantics, the speed<->wall conversions, the degraded DP-WRAP layout,
-// FaultPlan structural validation, injector event scheduling, and the
-// end-to-end recovery path (re-plan, evacuation, audit under degradation).
+// FaultPlan structural validation, injector event scheduling, the
+// end-to-end recovery path (re-plan, evacuation, audit under degradation),
+// and the planning speed DP-WRAP lays a degraded machine out at.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "src/checkpoint/checkpoint.h"
 #include "src/common/bandwidth.h"
+#include "src/common/rng.h"
 #include "src/faults/fault_injector.h"
 #include "src/hv/machine.h"
 #include "src/rtvirt/wrap_layout.h"
@@ -163,18 +166,27 @@ TEST(PcpuFaults, SpeedChangeRevokesAndUpdatesEffectiveCapacity) {
   EXPECT_EQ(rig.machine->EffectiveCapacity(), Bandwidth::Cpus(2));
 }
 
-// ---- Degraded wrap layout ----
+// A speed that rounds to 0 ppb would leave an online core that every grant
+// divides by; it is fatal at the source instead.
+TEST(PcpuFaultsDeathTest, SpeedOutsideWholePpbIsFatal) {
+  FaultRig rig(1, 1);
+  EXPECT_DEATH(rig.machine->SetPcpuSpeed(0, 1e-10),
+               "SetPcpuSpeed: pcpu 0 speed 1e-10 does not round to \\[1, 1000000000\\] ppb");
+  EXPECT_DEATH(rig.machine->SetPcpuSpeed(0, 1.5), "SetPcpuSpeed: pcpu 0 speed 1.5");
+}
 
-// WrapAroundDegraded into a fresh buffer; `occupied` is taken by value.
+// ---- Wrap layout on degraded cores ----
+
+// WrapAround into a fresh buffer; `occupied` is taken by value.
 std::vector<WrapSegment> Degraded(const std::vector<WrapItem>& items, TimeNs slice_len,
                                   std::vector<TimeNs> occupied,
                                   const std::vector<int64_t>& speeds) {
   std::vector<WrapSegment> segments;
-  WrapAroundDegraded(items, slice_len, occupied, speeds, &segments);
+  WrapAround(items, slice_len, occupied, speeds, &segments);
   return segments;
 }
 
-TEST(WrapAroundDegraded, SkipsDeadCoresAndStretchesThrottledOnes) {
+TEST(WrapAround, SkipsDeadCoresAndStretchesThrottledOnes) {
   // 3 cores: full, dead, half speed. 2 items of 1 ms effective each.
   std::vector<WrapItem> items{{0, Ms(1)}, {1, Ms(1)}};
   std::vector<TimeNs> occupied{0, 0, 0};
@@ -199,23 +211,7 @@ TEST(WrapAroundDegraded, SkipsDeadCoresAndStretchesThrottledOnes) {
   }
 }
 
-TEST(WrapAroundDegraded, AllFullSpeedMatchesHomogeneousLayout) {
-  std::vector<WrapItem> items{{0, Us(700)}, {1, Us(600)}, {2, Us(400)}};
-  std::vector<TimeNs> occupied{Us(100), 0};
-  std::vector<int64_t> speeds{Bandwidth::kUnit, Bandwidth::kUnit};
-  std::vector<WrapSegment> a = Degraded(items, Ms(1), occupied, speeds);
-  std::vector<WrapSegment> b;
-  WrapAroundFrom(items, Ms(1), occupied, &b);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].item_id, b[i].item_id);
-    EXPECT_EQ(a[i].pcpu, b[i].pcpu);
-    EXPECT_EQ(a[i].start, b[i].start);
-    EXPECT_EQ(a[i].end, b[i].end);
-  }
-}
-
-TEST(WrapAroundDegraded, HeterogeneousSpeedsConserveEffectiveSupply) {
+TEST(WrapAround, HeterogeneousSpeedsConserveEffectiveSupply) {
   // Demand sized to the surviving effective capacity of {1.0, 0.6, 0.3, dead}.
   TimeNs slice = Ms(10);
   std::vector<int64_t> speeds{Bandwidth::kUnit, 600000000, 300000000, 0};
@@ -287,6 +283,31 @@ TEST(FaultPlanValidate, NamesTheOffendingEntry) {
   d.speed = 1.5;
   speed.pcpu_faults.push_back(d);
   EXPECT_NE(speed.Validate(4).find("speed"), std::string::npos);
+}
+
+TEST(FaultPlanValidate, RejectsSpeedsBelowOnePpb) {
+  FaultPlan plan;
+  FaultPlan::PcpuFault d;
+  d.kind = FaultPlan::PcpuFault::Kind::kDegrade;
+  d.pcpu = 1;
+  d.at = Sec(1);
+  d.until = Sec(2);
+  d.speed = 1e-9;  // Rounds to 1 ppb: the slowest speed a core can run at.
+  plan.pcpu_faults.push_back(d);
+  EXPECT_EQ(plan.Validate(4), "");
+  plan.pcpu_faults[0].speed = 1e-10;
+  std::string err = plan.Validate(4);
+  EXPECT_NE(err.find("pcpu_faults[0]: degrade speed"), std::string::npos) << err;
+
+  FaultPlan cluster;
+  FaultPlan::HostFault h;
+  h.kind = FaultPlan::HostFault::Kind::kDegrade;
+  h.at = Sec(1);
+  h.until = Sec(2);
+  h.factor = 4e-10;
+  cluster.host_faults.push_back(h);
+  err = cluster.Validate(4, -1, 2);
+  EXPECT_NE(err.find("host_faults[0]: degrade factor"), std::string::npos) << err;
 }
 
 TEST(FaultPlanValidate, RejectsOverlappingWindowsOnTheSameCore) {
@@ -444,6 +465,82 @@ TEST(PcpuRecovery, FrozenLayoutKeepsNominalCapacity) {
   EXPECT_EQ(exp.dpwrap()->capacity_replans(), 0u);
   EXPECT_FALSE(exp.machine().pcpu(1)->online());
   EXPECT_EQ(exp.machine().EffectiveCapacity(), Bandwidth::Cpus(1));
+}
+
+// ---- Planning speed ----
+
+// DP-WRAP plans against each PCPU's planning speed: the core's real speed
+// with pcpu_recovery, full speed without (the frozen baseline). This gives
+// three idle guests' VCPUs seeded reservations, some pinned (one to the core
+// that gets throttled, one to the core that goes offline, one never), can
+// throttle PCPU 1 and take PCPU 2 offline, then publishes seeded deadlines
+// and returns the scheduler's saved state after each of several replans.
+// That state holds the plan segment by segment, and with idle VCPUs nothing
+// else in it depends on the cores, so equal trails mean equal plans.
+std::vector<std::string> PlanTrail(uint64_t seed, bool recovery, bool degraded) {
+  ExperimentConfig cfg;
+  cfg.framework = Framework::kRtvirt;
+  cfg.machine = ZeroCostMachine(4);
+  cfg.dpwrap.pcpu_recovery.enabled = recovery;
+  Experiment exp(cfg);
+  std::vector<Vcpu*> vcpus;
+  for (int i = 0; i < 3; ++i) {
+    Vm* vm = exp.AddGuest("vm" + std::to_string(i), 2)->vm();
+    for (int k = 0; k < vm->num_vcpus(); ++k) {
+      vcpus.push_back(vm->vcpu(k));
+    }
+  }
+  Rng rng(seed);
+  for (size_t i = 0; i < vcpus.size(); ++i) {
+    HypercallArgs args;
+    args.op = SchedOp::kIncBw;
+    args.vcpu_a = vcpus[i];
+    args.bw_a = Bandwidth::FromPpb(rng.UniformInt(Bandwidth::kUnit / 10, Bandwidth::kUnit / 2));
+    args.period_a = Ms(rng.UniformInt(4, 40));
+    EXPECT_EQ(exp.machine().Hypercall(vcpus[i], args), kHypercallOk);
+    int pin = i == 0 ? 1 : i == 1 ? 2 : i == 2 ? -1 : static_cast<int>(rng.UniformInt(-1, 3));
+    exp.dpwrap()->SetAffinity(vcpus[i], pin);
+  }
+  exp.Run(0);
+  if (degraded) {
+    exp.machine().SetPcpuSpeed(1, 0.6);
+    exp.machine().SetPcpuOnline(2, false);
+  }
+  std::vector<std::string> trail;
+  for (int step = 0; step < 6; ++step) {
+    TimeNs now = exp.machine().sim()->Now();
+    for (Vcpu* v : vcpus) {
+      v->vm()->shared_page().PublishNextDeadline(v->index(), now + Ms(rng.UniformInt(1, 30)));
+    }
+    exp.Run(now + Ms(rng.UniformInt(10, 50)));
+    ckpt::Writer w;
+    exp.dpwrap()->SaveState(w);
+    trail.push_back(w.Take());
+  }
+  EXPECT_GE(exp.dpwrap()->replans(), 6u);
+  return trail;
+}
+
+TEST(DpWrapPlanningSpeed, FrozenLayoutPlansADegradedMachineLikeAHealthyOne) {
+  for (uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    std::vector<std::string> healthy = PlanTrail(seed, /*recovery=*/false, /*degraded=*/false);
+    std::vector<std::string> degraded = PlanTrail(seed, /*recovery=*/false, /*degraded=*/true);
+    ASSERT_EQ(healthy.size(), degraded.size());
+    for (size_t i = 0; i < healthy.size(); ++i) {
+      EXPECT_TRUE(healthy[i] == degraded[i]) << "seed " << seed << ", replan step " << i;
+    }
+  }
+}
+
+TEST(DpWrapPlanningSpeed, RecoveryOnAHealthyMachinePlansLikeRecoveryOff) {
+  for (uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    std::vector<std::string> off = PlanTrail(seed, /*recovery=*/false, /*degraded=*/false);
+    std::vector<std::string> on = PlanTrail(seed, /*recovery=*/true, /*degraded=*/false);
+    ASSERT_EQ(off.size(), on.size());
+    for (size_t i = 0; i < off.size(); ++i) {
+      EXPECT_TRUE(off[i] == on[i]) << "seed " << seed << ", replan step " << i;
+    }
+  }
 }
 
 }  // namespace

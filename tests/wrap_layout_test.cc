@@ -6,17 +6,19 @@
 #include <set>
 #include <vector>
 
+#include "src/common/bandwidth.h"
 #include "src/common/rng.h"
 
 namespace rtvirt {
 namespace {
 
-// McNaughton's wrap-around: WrapAroundFrom over `pcpus` empty chunks.
+// McNaughton's wrap-around: WrapAround over `pcpus` empty full-speed chunks.
 std::vector<WrapSegment> McNaughton(const std::vector<WrapItem>& items, TimeNs slice_len,
                                     int pcpus) {
   std::vector<TimeNs> fill(static_cast<size_t>(pcpus), 0);
+  const std::vector<int64_t> speeds(fill.size(), Bandwidth::kUnit);
   std::vector<WrapSegment> segments;
-  WrapAroundFrom(items, slice_len, fill, &segments);
+  WrapAround(items, slice_len, fill, speeds, &segments);
   return segments;
 }
 
