@@ -10,6 +10,13 @@
 //     scales (100 / 1000 / 10000 / 100000 timers, equal pops each). This is
 //     the pure event-core measurement, and it must allocate nothing after
 //     warm-up (hard assert).
+//   * fig4_shape.calendar — the Figure 4 event pattern: the tab6 shape at
+//     48 timers beside 16 far-future VLC episode timers, U(10 s, 6 min) each,
+//     scheduled first so that the first occupancy resize sees them. A bucket
+//     width sized from the spacing of the earliest events at that resize
+//     comes out ~1 s and crowds every millisecond timer into one bucket; the
+//     cost-driven retune has to recover from that. Also allocation-free
+//     after warm-up (hard assert).
 //   * cancel_churn.calendar — schedule+cancel pairs over a live set.
 //   * sched_op.calendar — bare schedule+pop round trips.
 //   * replan — 100 reserved VCPUs, 1 ms global slices: wall-clock ns per
@@ -40,6 +47,7 @@
 
 #include "src/analysis/carts.h"
 #include "src/common/bandwidth.h"
+#include "src/common/rng.h"
 #include "src/perf/alloc_hooks.h"
 #include "src/perf/perf_recorder.h"
 #include "src/perf/perf_report.h"
@@ -59,6 +67,9 @@ using perf::PhaseResult;
 // The Table 6 scale sweep: timer counts matching the paper's small / mid /
 // large VM populations, and beyond.
 constexpr int kShapeSweep[] = {100, 1000, 10000, 100000};
+
+// Seed of the episode-length draws in the Figure 4 shape.
+constexpr uint64_t kEpisodeSeed = 7;
 
 // Keeps the optimizer from discarding a value computed only to be timed.
 template <typename T>
@@ -80,9 +91,14 @@ PhaseResult Timed(PerfRecorder& rec, const std::string& phase, uint64_t iters, O
 // itself one period out, schedules a budget-enforcement timer just past the
 // next release, and cancels the previous budget timer (which therefore never
 // fires — the dominant cancel pattern of the VCPU budget machinery).
+// `episodes` far-future episode timers (Figure 4's VLC churn: each ends
+// U(10 s, 6 min) out and re-arms the next) are scheduled before the timers.
 class ShapeSim : public EventTarget {
  public:
-  explicit ShapeSim(int timers) {
+  explicit ShapeSim(int timers, int episodes = 0) {
+    for (int e = 0; e < episodes; ++e) {
+      q_.Schedule(EpisodeEnd(), Event{this, kEpisode, 0});
+    }
     timers_.resize(static_cast<size_t>(timers));
     for (int i = 0; i < timers; ++i) {
       timers_[static_cast<size_t>(i)].period =
@@ -92,19 +108,25 @@ class ShapeSim : public EventTarget {
     }
   }
 
-  // Pops (and handles) `pops` release events; returns total queue ops.
+  // Pops (and handles) `pops` events; returns total queue ops.
   uint64_t Pump(uint64_t pops) {
     uint64_t ops = 0;
     for (uint64_t k = 0; k < pops; ++k) {
       EventQueue::Fired fired = q_.PopNext();
       now_ = fired.time;
       fired.event.Fire();
-      ops += 4;  // The pop, the cancel, and the two schedules it triggered.
+      // A release: the pop, the cancel, and the two schedules it triggered.
+      // An episode end: the pop and the next episode's schedule.
+      ops += fired.event.kind == kEpisode ? 2 : 4;
     }
     return ops;
   }
 
-  void OnEvent(uint32_t /*kind*/, uint64_t payload) override {
+  void OnEvent(uint32_t kind, uint64_t payload) override {
+    if (kind == kEpisode) {
+      q_.Schedule(EpisodeEnd(), Event{this, kEpisode, 0});
+      return;
+    }
     Timer& t = timers_[payload];
     q_.Cancel(t.budget);
     t.budget = q_.Schedule(now_ + t.period + kNsPerUs, Event{this, kBudget, payload});
@@ -112,16 +134,24 @@ class ShapeSim : public EventTarget {
   }
 
  private:
-  enum : uint32_t { kRelease = 1, kBudget = 2 };
+  enum : uint32_t { kRelease = 1, kBudget = 2, kEpisode = 3 };
   struct Timer {
     TimeNs period = 0;
     EventQueue::EventId budget;
   };
 
+  TimeNs EpisodeEnd() { return now_ + rng_.UniformTime(Sec(10), Min(6)); }
+
   EventQueue q_;
   TimeNs now_ = 0;
+  Rng rng_{kEpisodeSeed};
   std::vector<Timer> timers_;
 };
+
+// Figure 4's shape: ring size and timer mix of one perfbench video_churn
+// instance (~112 pending events).
+constexpr int kFig4Timers = 48;
+constexpr int kFig4Episodes = 16;
 
 PhaseResult RunTab6Shape(PerfRecorder& rec, uint64_t pops_per_scale) {
   // Build and warm every scale before the measured window opens: each sim
@@ -146,6 +176,14 @@ PhaseResult RunTab6Shape(PerfRecorder& rec, uint64_t pops_per_scale) {
                                  static_cast<double>(pops_per_scale));
   }
   rec.Count("pops", static_cast<double>(pops_per_scale * sims.size()));
+  return rec.End(ops);
+}
+
+PhaseResult RunFig4Shape(PerfRecorder& rec, uint64_t pops) {
+  ShapeSim sim(kFig4Timers, kFig4Episodes);
+  sim.Pump(std::max<uint64_t>(4 * kFig4Timers, pops / 10));  // Warm-up.
+  rec.Begin("fig4_shape.calendar");
+  uint64_t ops = sim.Pump(pops);
   return rec.End(ops);
 }
 
@@ -349,6 +387,7 @@ int Run(int argc, char** argv) {
   std::printf("perf_suite: event-core + scheduler-op measurement (scale %.2f)\n", scale);
 
   PhaseResult shape = RunTab6Shape(rec, scaled(400000));
+  PhaseResult fig4 = RunFig4Shape(rec, scaled(400000));
   PhaseResult churn = RunCancelChurn(rec, scaled(2000000));
   PhaseResult sched = RunSchedOp(rec, scaled(2000000));
   PhaseResult replan = RunReplan(rec, static_cast<int>(scaled(300)));
@@ -392,6 +431,9 @@ int Run(int argc, char** argv) {
   report.Add("tab6_shape.calendar.ns_per_op", shape.NsPerOp(), "ns", false, 0.40);
   report.Add("tab6_shape.calendar.steady_allocs_per_op", shape.AllocsPerOp(), "allocs/op",
              false, 0.0);
+  report.Add("fig4_shape.calendar.ns_per_op", fig4.NsPerOp(), "ns", false, 0.40);
+  report.Add("fig4_shape.calendar.steady_allocs_per_op", fig4.AllocsPerOp(), "allocs/op",
+             false, 0.0);
   report.Add("cancel_churn.calendar.ns_per_op", churn.NsPerOp(), "ns", false, 0.40);
   report.Add("sched_op.calendar.ns_per_op", sched.NsPerOp(), "ns", false, 0.40);
   report.Add("replan.ns_per_replan", replan.NsPerOp(), "ns", false, 0.50);
@@ -416,7 +458,7 @@ int Run(int argc, char** argv) {
   // The zero-alloc steady states are invariants, not perf numbers: fail the
   // run outright if a measured window allocated at all.
   int rc = 0;
-  for (const PhaseResult* p : {&shape, &hypercall}) {
+  for (const PhaseResult* p : {&shape, &fig4, &hypercall}) {
     if (p->allocs != 0) {
       std::fprintf(stderr,
                    "perf_suite: FAIL — %s steady state performed %llu allocations "

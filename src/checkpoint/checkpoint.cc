@@ -1,5 +1,6 @@
 #include "src/checkpoint/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -95,8 +96,12 @@ std::string Image::Parse(std::string_view bytes, Image* out) {
   }
   Reader r(payload);
   uint32_t count = r.U32();
+  // Reserve no more than the payload can hold: a section record is at least
+  // its name length, declared size and byte length. A larger count fails as
+  // a truncated section in the loop below.
+  constexpr size_t kMinSectionBytes = 4 + 8 + 4;
   Image img;
-  img.sections.reserve(count);
+  img.sections.reserve(std::min<size_t>(count, r.remaining() / kMinSectionBytes));
   for (uint32_t i = 0; i < count; ++i) {
     Section s;
     s.name = r.Str();

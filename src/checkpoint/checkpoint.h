@@ -129,6 +129,9 @@ class Reader {
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return ok_ && pos_ == data_.size(); }
+  // Bytes not yet read; a count read from the buffer can promise at most
+  // remaining() / (record size) records, whatever it says.
+  size_t remaining() const { return ok_ ? data_.size() - pos_ : 0; }
 
  private:
   bool Need(size_t n) {

@@ -81,7 +81,9 @@ std::string DeadlineMonitor::RestoreState(ckpt::Reader& r) {
   }
   uint32_t n_samples = r.U32();
   std::vector<double> samples;
-  samples.reserve(n_samples);
+  // Reserve no more than the section can hold; a larger count fails as a
+  // truncated section below.
+  samples.reserve(std::min<size_t>(n_samples, r.remaining() / sizeof(double)));
   for (uint32_t i = 0; i < n_samples && r.ok(); ++i) {
     samples.push_back(r.F64());
   }

@@ -150,6 +150,7 @@ void PrintResilience(std::ostream& out, const ResilienceCounters& c) {
     row("alloc", "eq_pops", c.event_queue.pops);
     row("alloc", "eq_node_allocs", c.event_queue.node_allocs);
     row("alloc", "eq_calendar_resizes", c.event_queue.calendar_resizes);
+    row("alloc", "eq_calendar_retunes", c.event_queue.calendar_retunes);
   }
   table.Print(out);
 }
@@ -246,6 +247,7 @@ void AccumulateResilience(ResilienceCounters& into, const ResilienceCounters& fr
   into.event_queue.pops += from.event_queue.pops;
   into.event_queue.node_allocs += from.event_queue.node_allocs;
   into.event_queue.calendar_resizes += from.event_queue.calendar_resizes;
+  into.event_queue.calendar_retunes += from.event_queue.calendar_retunes;
 }
 
 }  // namespace rtvirt

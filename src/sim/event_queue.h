@@ -10,10 +10,16 @@
 // queue: a ring of power-of-two-width time buckets (the time-to-bucket
 // mapping is a shift, never a 64-bit division), each bucket a doubly-linked
 // list kept (time, seq)-sorted, with nodes recycled through a chunked
-// freelist arena. Insert and pop are O(1) amortized, cancellation really
-// unlinks the entry in O(1), and the steady state after warm-up performs no
-// allocations at all (bench/perf_suite asserts this). tests/determinism_test.cc
-// drives it in lockstep against a std::set reference model.
+// freelist arena. The ring's bucket count follows occupancy; its bucket width
+// follows measured cost: after every fixed window of inserts the queue
+// compares how many list nodes the inserts walked and how many buckets the
+// search front crossed, and rebuilds the ring one width step narrower or
+// wider when either dominates. Insert and pop are O(1) amortized,
+// cancellation really unlinks the entry in O(1), and the steady state after
+// warm-up performs no allocations at all (bench/perf_suite asserts this).
+// The geometry never changes the (time, seq) firing order;
+// tests/determinism_test.cc drives the queue in lockstep against a std::set
+// reference model through resizes and retunes.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -46,14 +52,20 @@ struct Event {
 
 struct EventNode;
 
-// Operation and allocation counters, cheap enough to maintain always. The
-// perf recorder reads these to assert the zero-alloc steady state.
+// Operation, allocation and calendar-cost counters, cheap enough to maintain
+// always and cumulative over the queue's life. The perf recorder reads these
+// to assert the zero-alloc steady state; the width retune reads the cost
+// counters over each window.
 struct EventQueueStats {
   uint64_t schedules = 0;
   uint64_t cancels = 0;
   uint64_t pops = 0;
-  uint64_t node_allocs = 0;  // Arena chunk growths; none after warm-up.
-  uint64_t calendar_resizes = 0;
+  uint64_t node_allocs = 0;       // Arena chunk growths; none after warm-up.
+  uint64_t calendar_resizes = 0;  // Bucket-count changes driven by occupancy.
+  uint64_t calendar_retunes = 0;  // Bucket-width changes driven by cost.
+  uint64_t insert_walk = 0;       // List nodes inserts stepped past.
+  uint64_t searches = 0;          // Ring scans for the earliest event.
+  uint64_t search_buckets = 0;    // Buckets those scans crossed.
 };
 
 class EventQueue {
@@ -111,6 +123,8 @@ class EventQueue {
   Fired PopNext();
 
   const EventQueueStats& stats() const { return stats_; }
+  // Current bucket width; retunes move it one power of two at a time.
+  TimeNs bucket_width() const { return TimeNs{1} << width_shift_; }
 
  private:
   struct Bucket {
@@ -124,17 +138,21 @@ class EventQueue {
   void FreeNode(EventNode* n);
 
   size_t BucketIndex(TimeNs time) const;
-  void BucketInsert(EventNode* n);
+  // Links `n` into its sorted bucket list; returns how many nodes it walked.
+  uint64_t BucketInsert(EventNode* n);
   void BucketUnlink(EventNode* n);
   // Locates (and caches) the earliest node, advancing the search front.
   EventNode* FindMin() const;
-  void ResizeCalendar(size_t new_buckets);
+  // Relinks every pending node into a ring of `num_buckets` buckets of width
+  // 2^`width_shift`. Allocates only when the ring grows.
+  void Rebuild(size_t num_buckets, int width_shift);
   void MaybeResize();
-  int TuneWidthShift(std::vector<EventNode*>& nodes) const;
+  void MaybeRetune();
 
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
-  EventQueueStats stats_;
+  // Mutable so that FindMin, a cache fill behind const NextTime, can count.
+  mutable EventQueueStats stats_;
 
   // Bucket widths are powers of two so the hot-path time-to-bucket mapping
   // is a shift. `pos_abs_` is the absolute bucket number (time >>
@@ -147,6 +165,8 @@ class EventQueue {
   mutable EventNode* cached_min_ = nullptr;
   std::vector<std::unique_ptr<EventNode[]>> chunks_;
   EventNode* free_head_ = nullptr;
+  // The counters as they stood when the current retune window opened.
+  EventQueueStats window_;
 };
 
 // One cache line per pending event.

@@ -18,6 +18,7 @@
 #include "src/checkpoint/checkpoint.h"
 #include "src/cluster/federation.h"
 #include "src/common/rng.h"
+#include "src/metrics/deadline_monitor.h"
 #include "src/runner/ckpt_scenario.h"
 #include "src/sweep/sweep.h"
 #include "src/workloads/periodic.h"
@@ -384,6 +385,38 @@ void PutI64(std::string* bytes, size_t at, int64_t v) {
   ckpt::Writer w;
   w.I64(v);
   bytes->replace(at, 8, w.data());
+}
+
+// A count read from the payload must not size an allocation before the bytes
+// behind it are read: a valid 28-byte file claiming 2^32-1 sections fails as
+// a truncated section instead of reserving for them.
+TEST(CheckpointRoundTripTest, HugeSectionCountFailsAsTruncatedSection) {
+  ckpt::Writer payload;
+  payload.U32(0xFFFFFFFFu);
+  ckpt::Writer file;
+  for (char c : ckpt::kMagic) {
+    file.U8(static_cast<uint8_t>(c));
+  }
+  file.U32(ckpt::kVersion);
+  file.U32(ckpt::Crc32(payload.data()));
+  file.U64(payload.data().size());
+  std::string bytes = file.Take() + payload.data();
+  ASSERT_EQ(bytes.size(), 28u);
+  ckpt::Image out;
+  EXPECT_EQ(ckpt::Image::Parse(bytes, &out), "checkpoint: truncated section[0]");
+}
+
+// The same for the monitor's response-time sample count, the last field of
+// its section.
+TEST(CheckpointRoundTripTest, HugeMonitorSampleCountFailsAsTruncatedSection) {
+  ckpt::Writer w;
+  DeadlineMonitor().SaveState(w);
+  std::string bytes = w.Take();
+  ASSERT_EQ(U32At(bytes, bytes.size() - 4), 0u);  // No samples saved.
+  PutU32(&bytes, bytes.size() - 4, 0xFFFFFFFFu);
+  ckpt::Reader r(bytes);
+  DeadlineMonitor restored;
+  EXPECT_EQ(restored.RestoreState(r), "monitor: truncated section");
 }
 
 // Saves the canonical scenario at t=100 ms, lets `patch` edit the section

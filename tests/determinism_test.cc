@@ -215,72 +215,186 @@ TEST(Determinism, DifferentWorkloadSeedStillRunsCleanUnderFaults) {
   EXPECT_EQ(exp.auditor()->total_violations(), 0u);
 }
 
-// Differential check of the calendar queue against the std::set reference
-// model (tests/event_oracle.h): 100k randomized schedule/cancel/pop
-// operations driven through both in lockstep. They implement the same (time,
-// insertion-seq) total order, so at every step their sizes and next event
-// times must agree, and the fired sequences must be identical. Any calendar
-// divergence under resizes, width retunes or node recycling shows up here
-// as a first-divergence step index.
-TEST(Determinism, EventQueueBackendsAgreeOverRandomizedOps) {
-  EventQueue cal;
-  SetEventQueue oracle;
-  Rng rng(0xEC0FFEEull);
+// Drives the calendar queue and the std::set reference model
+// (tests/event_oracle.h) through identical operations. They implement the
+// same (time, insertion-seq) total order, so they must agree on every
+// cancellation, every next event time and every fired event. Each event's
+// payload is a fresh tag, so `Pop` identifies the event that fired.
+class Lockstep {
+ public:
+  struct Ids {
+    EventQueue::EventId cal;
+    SetEventQueue::EventId oracle;
+  };
 
+  Ids Schedule(TimeNs when) {
+    uint64_t tag = next_tag_++;
+    return Ids{cal_.Schedule(when, Event{&cal_log_, 0, tag}),
+               oracle_.Schedule(when, Event{&oracle_log_, 0, tag})};
+  }
+
+  // Cancels in both; false if they disagree on what was pending.
+  bool Cancel(Ids& ids) {
+    Event a = cal_.Cancel(ids.cal);
+    Event b = oracle_.Cancel(ids.oracle);
+    return a.payload == b.payload && (a.target == nullptr) == (b.target == nullptr);
+  }
+
+  // Pops the earliest event from both and returns its tag; false if they
+  // disagree on its time or tag. Precondition: !empty().
+  bool Pop(TimeNs* time, uint64_t* tag) {
+    *time = cal_.NextTime();
+    if (*time != oracle_.NextTime()) {
+      return false;
+    }
+    cal_.PopNext().event.Fire();
+    oracle_.PopNext().event.Fire();
+    *tag = cal_log_.fired.back();
+    return *tag == oracle_log_.fired.back();
+  }
+
+  bool empty() const { return cal_.empty(); }
+  bool SizesAgree() const { return cal_.size() == oracle_.size(); }
+  const EventQueue& calendar() const { return cal_; }
+  bool FiredSequencesAgree() const { return cal_log_.fired == oracle_log_.fired; }
+
+ private:
   struct Log : EventTarget {
     std::vector<uint64_t> fired;
     void OnEvent(uint32_t /*kind*/, uint64_t payload) override { fired.push_back(payload); }
   };
-  Log cal_log;
-  Log oracle_log;
-  struct Pending {
-    EventQueue::EventId cal_id;
-    SetEventQueue::EventId oracle_id;
-  };
-  std::vector<Pending> pending;
+
+  EventQueue cal_;
+  SetEventQueue oracle_;
+  Log cal_log_;
+  Log oracle_log_;
+  uint64_t next_tag_ = 0;
+};
+
+// 100k randomized schedule/cancel/pop operations driven through both queues
+// in lockstep; at every step their sizes and next event times must agree.
+// Any calendar divergence under resizes, width retunes or node recycling
+// shows up here as a first-divergence step index.
+TEST(Determinism, EventQueueBackendsAgreeOverRandomizedOps) {
+  Lockstep q;
+  Rng rng(0xEC0FFEEull);
+  std::vector<Lockstep::Ids> pending;
 
   TimeNs now = 0;
-  uint64_t next_tag = 0;
   constexpr int kOps = 100000;
   for (int op = 0; op < kOps; ++op) {
     int roll = static_cast<int>(rng.UniformInt(0, 99));
     if (roll < 45 || pending.empty()) {
       // Schedule the same event in both queues. Mix of near and far times,
       // with occasional exact duplicates to exercise FIFO tie-breaking.
-      TimeNs when = now + rng.UniformTime(0, roll % 5 == 0 ? 50 : 5000000);
-      uint64_t tag = next_tag++;
-      pending.push_back(Pending{cal.Schedule(when, Event{&cal_log, 0, tag}),
-                                oracle.Schedule(when, Event{&oracle_log, 0, tag})});
+      pending.push_back(q.Schedule(now + rng.UniformTime(0, roll % 5 == 0 ? 50 : 5000000)));
     } else if (roll < 70) {
       // Cancel a random outstanding event in both (ids of already-fired
       // events are still in `pending`; cancelling those must be a no-op in
       // both equally).
       size_t pick = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(pending.size()) - 1));
-      Event a = cal.Cancel(pending[pick].cal_id);
-      Event b = oracle.Cancel(pending[pick].oracle_id);
-      ASSERT_EQ(a.payload, b.payload) << "step " << op;
-      ASSERT_EQ(a.target == nullptr, b.target == nullptr) << "step " << op;
+      ASSERT_TRUE(q.Cancel(pending[pick])) << "step " << op;
       pending[pick] = pending.back();
       pending.pop_back();
-    } else if (!cal.empty()) {
-      ASSERT_EQ(cal.NextTime(), oracle.NextTime()) << "step " << op;
-      now = cal.NextTime();
-      cal.PopNext().event.Fire();
-      oracle.PopNext().event.Fire();
-      ASSERT_EQ(cal_log.fired.back(), oracle_log.fired.back()) << "step " << op;
+    } else if (!q.empty()) {
+      uint64_t tag = 0;
+      ASSERT_TRUE(q.Pop(&now, &tag)) << "step " << op;
     }
-    ASSERT_EQ(cal.size(), oracle.size()) << "step " << op;
+    ASSERT_TRUE(q.SizesAgree()) << "step " << op;
   }
   // Drain both completely and require identical fired sequences.
-  while (!cal.empty()) {
-    ASSERT_EQ(cal.NextTime(), oracle.NextTime());
-    cal.PopNext().event.Fire();
-    oracle.PopNext().event.Fire();
+  while (!q.empty()) {
+    uint64_t tag = 0;
+    ASSERT_TRUE(q.Pop(&now, &tag));
   }
-  EXPECT_TRUE(oracle.empty());
-  EXPECT_EQ(cal_log.fired, oracle_log.fired);
-  EXPECT_GT(cal.stats().calendar_resizes, 0u);
+  EXPECT_TRUE(q.SizesAgree());
+  EXPECT_TRUE(q.FiredSequencesAgree());
+  EXPECT_GT(q.calendar().stats().calendar_resizes, 0u);
+}
+
+// The same lockstep through the bucket-width retunes, with EventIds live
+// across them. Phase 1 has the Figure 4 shape: millisecond release timers,
+// each re-arming a budget timer that the next release cancels (or that fires
+// first, leaving a stale id), beside far-future episode timers that are
+// pending at the first occupancy resize. Its crowded buckets make the width
+// narrow. Phase 2 stops the millisecond timers and lets the spacing widen to
+// seconds, which makes the width widen again.
+TEST(Determinism, EventQueueBackendsAgreeThroughRetunes) {
+  Lockstep q;
+  Rng rng(0x5EC0DEull);
+  constexpr int kTimers = 256;
+  constexpr int kEpisodes = 4;
+  struct Timer {
+    TimeNs period = 0;
+    TimeNs budget = 0;
+    Lockstep::Ids budget_id;
+  };
+  std::vector<Timer> timers(kTimers);
+  // What each tag is: an episode end, or a timer's release or budget.
+  enum class Kind { kEpisode, kRelease, kBudget };
+  struct Owner {
+    Kind kind;
+    int timer;
+  };
+  std::vector<Owner> owner;
+  auto schedule = [&](TimeNs when, Kind kind, int timer) {
+    owner.push_back(Owner{kind, timer});
+    return q.Schedule(when);
+  };
+
+  for (int e = 0; e < kEpisodes; ++e) {
+    schedule(rng.UniformTime(Sec(10), Min(6)), Kind::kEpisode, -1);
+  }
+  for (int i = 0; i < kTimers; ++i) {
+    timers[i].period = rng.UniformTime(Ms(1), Ms(4));
+    timers[i].budget = timers[i].period * rng.UniformInt(50, 110) / 100;
+    schedule(timers[i].period * (i + 1) / kTimers, Kind::kRelease, i);
+  }
+
+  TimeNs now = 0;
+  int narrower = 0;
+  int wider = 0;
+  auto run = [&](int pops, bool ms_timers_on) {
+    for (int k = 0; k < pops; ++k) {
+      const TimeNs width = q.calendar().bucket_width();
+      const uint64_t retunes = q.calendar().stats().calendar_retunes;
+      uint64_t tag = 0;
+      ASSERT_TRUE(q.Pop(&now, &tag)) << "pop " << k;
+      const Owner who = owner[tag];
+      if (who.kind == Kind::kEpisode) {
+        schedule(now + rng.UniformTime(Sec(10), Min(6)), Kind::kEpisode, -1);
+      } else if (who.kind == Kind::kRelease && !ms_timers_on) {
+        // Spacing widens to seconds: the timer re-arms one to ten seconds out.
+        schedule(now + rng.UniformTime(Sec(1), Sec(10)), Kind::kRelease, who.timer);
+      } else if (who.kind == Kind::kRelease) {
+        Timer& t = timers[who.timer];
+        // Cancels the budget armed one period ago; if it already fired, the
+        // id is stale and the cancel is a no-op in both.
+        ASSERT_TRUE(q.Cancel(t.budget_id)) << "pop " << k;
+        t.budget_id = schedule(now + t.budget, Kind::kBudget, who.timer);
+        schedule(now + t.period, Kind::kRelease, who.timer);
+      }
+      ASSERT_TRUE(q.SizesAgree()) << "pop " << k;
+      if (q.calendar().stats().calendar_retunes != retunes) {
+        (q.calendar().bucket_width() < width ? narrower : wider)++;
+      }
+    }
+  };
+  run(40000, true);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_GT(narrower, 0);
+  const int wider_in_phase1 = wider;
+  run(60000, false);
+  ASSERT_FALSE(HasFatalFailure());
+  EXPECT_GT(wider, wider_in_phase1);
+
+  while (!q.empty()) {
+    uint64_t tag = 0;
+    ASSERT_TRUE(q.Pop(&now, &tag));
+  }
+  EXPECT_TRUE(q.SizesAgree());
+  EXPECT_TRUE(q.FiredSequencesAgree());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
 #include "tests/event_oracle.h"
@@ -135,12 +136,12 @@ TEST(EventQueueCalendar, StaleCancelAfterNodeReuseIsNoop) {
   EXPECT_EQ(r.fired, (std::vector<uint64_t>{1}));
 }
 
-// Growing through several calendar resizes (bucket-ring rebuilds with width
-// retunes) must not perturb the (time, seq) total order.
+// Growing through several calendar resizes (bucket-ring rebuilds) must not
+// perturb the (time, seq) total order.
 TEST(EventQueueCalendar, OrderSurvivesResizes) {
   EventQueue q;
   // Deterministic scatter of timestamps with duplicates, far more entries
-  // than the initial 64 buckets so the ring grows and retunes repeatedly.
+  // than the initial 64 buckets so the ring grows repeatedly.
   std::vector<int64_t> times;
   uint64_t x = 12345;
   for (int i = 0; i < 5000; ++i) {
@@ -182,6 +183,110 @@ TEST(EventQueueCalendar, SteadyStateReusesArenaNodes) {
   }
   EXPECT_EQ(q.stats().node_allocs, warm_allocs);
   EXPECT_EQ(q.size(), 2000u);
+}
+
+// The Figure 4 event pattern on a raw queue: millisecond periodic timers,
+// each release re-arming itself and a budget timer that the next release
+// cancels, beside a few far-future episode timers. The episode timers are
+// scheduled first, so they are pending at the first occupancy resize.
+class Fig4Shape : public EventTarget {
+ public:
+  Fig4Shape(int timers, int episodes) {
+    for (int e = 0; e < episodes; ++e) {
+      q_.Schedule(rng_.UniformTime(Sec(10), Min(6)), Event{this, kEpisode, 0});
+    }
+    for (int i = 0; i < timers; ++i) {
+      TimeNs period = rng_.UniformTime(Ms(1), Ms(4));
+      timers_.push_back(Timer{period, EventQueue::EventId{}});
+      q_.Schedule(period * (i + 1) / timers, Event{this, kRelease, static_cast<uint64_t>(i)});
+    }
+  }
+
+  EventQueue& queue() { return q_; }
+
+  void Pump(int pops) {
+    for (int k = 0; k < pops; ++k) {
+      EventQueue::Fired fired = q_.PopNext();
+      now_ = fired.time;
+      fired.event.Fire();
+    }
+  }
+
+  // Mean list nodes walked per insert over the next `pops` pops.
+  double MeanWalk(int pops) {
+    EventQueueStats before = q_.stats();
+    Pump(pops);
+    return static_cast<double>(q_.stats().insert_walk - before.insert_walk) /
+           static_cast<double>(q_.stats().schedules - before.schedules);
+  }
+
+  void OnEvent(uint32_t kind, uint64_t payload) override {
+    if (kind == kEpisode) {
+      q_.Schedule(now_ + rng_.UniformTime(Sec(10), Min(6)), Event{this, kEpisode, 0});
+      return;
+    }
+    Timer& t = timers_[payload];
+    q_.Cancel(t.budget);
+    t.budget = q_.Schedule(now_ + t.period + kNsPerUs, Event{this, kBudget, payload});
+    q_.Schedule(now_ + t.period, Event{this, kRelease, payload});
+  }
+
+ private:
+  enum : uint32_t { kRelease, kBudget, kEpisode };
+  struct Timer {
+    TimeNs period;
+    EventQueue::EventId budget;
+  };
+
+  EventQueue q_;
+  Rng rng_{4};
+  TimeNs now_ = 0;
+  std::vector<Timer> timers_;
+};
+
+// At the initial width the Figure 4 shape's millisecond timers crowd each
+// bucket, so inserts walk long lists; once retunes have converged the width,
+// the mean walk over one retune window (4096 inserts) is at most 2.
+TEST(EventQueueCalendar, RetuneBoundsInsertWalkOnFig4Shape) {
+  Fig4Shape shape(256, 4);
+  EXPECT_GT(shape.MeanWalk(1000), 2.0);  // Fewer inserts than one window.
+  EXPECT_EQ(shape.queue().stats().calendar_retunes, 0u);
+  shape.Pump(50000);
+  EXPECT_GT(shape.queue().stats().calendar_retunes, 0u);
+  EXPECT_LE(shape.MeanWalk(2048), 2.0);
+}
+
+// A retune relinks nodes without moving them: an id whose event fired before
+// the retune cancels as a no-op, and one still pending cancels its event.
+TEST(EventQueueCalendar, IdsSurviveRetune) {
+  Fig4Shape shape(256, 4);
+  EventQueue& q = shape.queue();
+  Recorder r;
+  EventQueue::EventId stale = q.Schedule(1, Event{&r, 0, 1});
+  EventQueue::EventId pending = q.Schedule(Min(30), Event{&r, 0, 2});
+  shape.Pump(20000);
+  ASSERT_GT(q.stats().calendar_retunes, 0u);
+  EXPECT_EQ(r.fired, (std::vector<uint64_t>{1}));
+  const size_t live = q.size();
+  EXPECT_EQ(q.Cancel(stale).target, nullptr);
+  EXPECT_EQ(q.size(), live);
+  Event cancelled = q.Cancel(pending);
+  EXPECT_EQ(cancelled.target, &r);
+  EXPECT_EQ(cancelled.payload, 2u);
+  EXPECT_EQ(q.size(), live - 1);
+}
+
+// Retunes change the bucket width, never the bucket count: with the
+// population steady, the width moves while the resize count stays put.
+TEST(EventQueueCalendar, RetunesDoNotCountAsResizes) {
+  Fig4Shape shape(256, 4);
+  shape.Pump(1000);  // Every timer has armed its budget: population steady.
+  const EventQueueStats settled = shape.queue().stats();
+  const TimeNs width = shape.queue().bucket_width();
+  shape.Pump(50000);
+  EXPECT_GT(shape.queue().stats().calendar_retunes, settled.calendar_retunes);
+  EXPECT_NE(shape.queue().bucket_width(), width);
+  EXPECT_EQ(shape.queue().stats().calendar_resizes, settled.calendar_resizes);
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {
