@@ -164,8 +164,8 @@ RampResult RunRamp(Mode mode) {
   r.lo = Summarize(lo_churn, lo_mon);
   r.rc = exp.resilience();
   if (exp.auditor() != nullptr) {
-    r.audit_checks = exp.auditor()->checks_run();
-    r.audit_violations = exp.auditor()->total_violations();
+    r.audit_checks = exp.auditor()->stats().audit_checks;
+    r.audit_violations = exp.auditor()->stats().audit_violations;
     for (const AuditViolation& v : exp.auditor()->violations()) {
       std::cout << "audit violation @" << v.time << " ns [" << v.invariant << "] "
                 << v.detail << "\n";

@@ -155,7 +155,7 @@ ModeResult RunMode(Mode mode, uint64_t seed) {
     r.unresolved_saturations = exp.controller()->unresolved_saturations();
     r.frozen_at_end = exp.controller()->Frozen(server.task());
   }
-  r.quarantines = exp.dpwrap()->quarantines();
+  r.quarantines = exp.dpwrap()->stats().quarantines;
   ResilienceCounters rc = exp.resilience();
   r.audit_violations = rc.audit_violations;
   r.outage_failures = rc.control_outage_failures;
@@ -182,7 +182,7 @@ SeedVerdict JudgeSeed(uint64_t seed) {
     fail("frozen baseline not stressed (scenario bug)");
   } else if (v.overprov.miss_ratio >= 0.01) {
     fail("static overprovision missed (scenario bug)");
-  } else if (v.ctl.ctl.inc_adjustments == 0 || v.ctl.ctl.dec_adjustments == 0) {
+  } else if (v.ctl.ctl.control_inc_adjustments == 0 || v.ctl.ctl.control_dec_adjustments == 0) {
     fail("controller never both raised and reclaimed");
   } else if (v.ctl.final_slice >= kMaxSlice) {
     fail("controller failed to reclaim after the flash");
@@ -198,9 +198,9 @@ SeedVerdict JudgeSeed(uint64_t seed) {
                  v.frozen.audit_violations + v.overprov.audit_violations >
              0) {
     fail("audit violations");
-  } else if (v.faulted.outage_failures == 0 || v.faulted.ctl.freezes == 0) {
+  } else if (v.faulted.outage_failures == 0 || v.faulted.ctl.control_freezes == 0) {
     fail("outage never starved the controller (scenario bug)");
-  } else if (v.faulted.ctl.reengages == 0) {
+  } else if (v.faulted.ctl.control_reengages == 0) {
     fail("controller never re-engaged after the outage");
   } else if (v.faulted.miss_ratio >= v.frozen.miss_ratio) {
     fail("fail-static did worse than never controlling");
@@ -222,9 +222,9 @@ std::string RowFor(uint64_t seed, const SeedVerdict& v) {
   std::ostringstream os;
   os << seed << '\t' << Cell(v.ctl) << '\t' << Cell(v.faulted) << '\t'
      << Cell(v.frozen) << '\t' << Cell(v.overprov) << '\t'
-     << v.ctl.ctl.inc_adjustments << '/' << v.ctl.ctl.dec_adjustments << '\t'
-     << v.ctl.final_slice / 1000 << "us" << '\t' << v.faulted.ctl.freezes << '/'
-     << v.faulted.ctl.reengages << '\t' << (v.ok ? "ok" : v.why);
+     << v.ctl.ctl.control_inc_adjustments << '/' << v.ctl.ctl.control_dec_adjustments << '\t'
+     << v.ctl.final_slice / 1000 << "us" << '\t' << v.faulted.ctl.control_freezes << '/'
+     << v.faulted.ctl.control_reengages << '\t' << (v.ok ? "ok" : v.why);
   return os.str();
 }
 

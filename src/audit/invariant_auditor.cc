@@ -31,7 +31,7 @@ void InvariantAuditor::OnEvent(uint32_t /*kind*/, uint64_t /*payload*/) {
 }
 
 void InvariantAuditor::Record(const char* invariant, std::string detail) {
-  ++total_violations_;
+  ++stats_.audit_violations;
   if (config_.log_to_stderr) {
     std::fprintf(stderr, "rtvirt-audit: t=%lld ns [%s] %s\n",
                  static_cast<long long>(machine_->sim()->Now()), invariant,
@@ -44,8 +44,8 @@ void InvariantAuditor::Record(const char* invariant, std::string detail) {
 }
 
 size_t InvariantAuditor::CheckNow() {
-  ++checks_run_;
-  size_t before = total_violations_;
+  ++stats_.audit_checks;
+  uint64_t before = stats_.audit_violations;
   TimeNs now = machine_->sim()->Now();
   char buf[256];
 
@@ -60,7 +60,7 @@ size_t InvariantAuditor::CheckNow() {
     // quarantined co-resident does. Counted separately so harnesses can gate
     // on containment specifically.
     for (std::string& d : dpwrap_->AuditIsolation()) {
-      ++isolation_violations_;
+      ++stats_.isolation_violations;
       Record("trust-isolation", std::move(d));
     }
   }
@@ -135,7 +135,7 @@ size_t InvariantAuditor::CheckNow() {
       }
     }
   }
-  return total_violations_ - before;
+  return stats_.audit_violations - before;
 }
 
 }  // namespace rtvirt

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/common/time.h"
+#include "src/metrics/counters.h"
 #include "src/sim/event_queue.h"
 
 namespace rtvirt {
@@ -80,12 +81,9 @@ class InvariantAuditor : public EventTarget {
   void OnEvent(uint32_t kind, uint64_t payload) override;
 
   const AuditorConfig& config() const { return config_; }
+  // Stored violations are capped at max_violations; the counts are not.
   const std::vector<AuditViolation>& violations() const { return violations_; }
-  uint64_t total_violations() const { return total_violations_; }
-  // trust-isolation subset of the total: containment failures of the
-  // guest_trust boundary (stored violations are capped; this count is not).
-  uint64_t isolation_violations() const { return isolation_violations_; }
-  uint64_t checks_run() const { return checks_run_; }
+  const AuditStats& stats() const { return stats_; }
 
  private:
   struct WatchedGuest {
@@ -100,9 +98,7 @@ class InvariantAuditor : public EventTarget {
   AuditorConfig config_;
   std::vector<WatchedGuest> guests_;
   std::vector<AuditViolation> violations_;
-  uint64_t total_violations_ = 0;
-  uint64_t isolation_violations_ = 0;
-  uint64_t checks_run_ = 0;
+  AuditStats stats_;
 };
 
 }  // namespace rtvirt

@@ -1,6 +1,7 @@
 #include "src/cluster/federation.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "src/common/check.h"
@@ -385,10 +386,14 @@ Federation::VmStatus Federation::vm_status(const std::string& name) const {
 }
 
 ResilienceCounters Federation::resilience() const {
-  ResilienceCounters total = counters_;
-  for (const Host& h : hosts_) {
-    AccumulateResilience(total, h.exp->resilience());
+  // The allocation profile is process-wide, and host 0's warm-up and steady
+  // windows together span the federation's life: take it once, not summed
+  // over overlapping windows. Per-host counters and queue stats add up.
+  ResilienceCounters total = hosts_[0].exp->resilience();
+  for (size_t i = 1; i < hosts_.size(); ++i) {
+    AccumulateResilience(total, hosts_[i].exp->resilience());
   }
+  static_cast<ClusterStats&>(total) = counters_;
   return total;
 }
 
@@ -398,44 +403,9 @@ void Federation::PrintReport(std::ostream& out, const std::string& title) const 
 
 namespace {
 
-// The cluster slice of ResilienceCounters, in declaration order.
-void SaveClusterCounters(ckpt::Writer& w, const ResilienceCounters& c) {
-  w.U64(c.host_crashes);
-  w.U64(c.host_outages);
-  w.U64(c.host_degrades);
-  w.U64(c.host_heals);
-  w.U64(c.cluster_vms_admitted);
-  w.U64(c.cluster_vms_rejected);
-  w.U64(c.evacuations);
-  w.U64(c.migration_attempts);
-  w.U64(c.migration_retries);
-  w.U64(c.migration_rebalances);
-  w.U64(c.rebalance_moves);
-  w.U64(c.migration_aborts);
-  w.U64(c.migration_successes);
-  w.U64(c.degraded_placements);
-  w.U64(c.evacuations_unresolved);
-  w.I64(c.vm_unavailable_ns);
-}
-
-void RestoreClusterCounters(ckpt::Reader& r, ResilienceCounters* c) {
-  c->host_crashes = r.U64();
-  c->host_outages = r.U64();
-  c->host_degrades = r.U64();
-  c->host_heals = r.U64();
-  c->cluster_vms_admitted = r.U64();
-  c->cluster_vms_rejected = r.U64();
-  c->evacuations = r.U64();
-  c->migration_attempts = r.U64();
-  c->migration_retries = r.U64();
-  c->migration_rebalances = r.U64();
-  c->rebalance_moves = r.U64();
-  c->migration_aborts = r.U64();
-  c->migration_successes = r.U64();
-  c->degraded_placements = r.U64();
-  c->evacuations_unresolved = r.U64();
-  c->vm_unavailable_ns = r.I64();
-}
+// The federation's counters are the cluster rows of the counter table; its
+// checkpoint holds them in table order.
+bool IsClusterRow(const CounterRow& row) { return std::string_view(row.layer) == "cluster"; }
 
 }  // namespace
 
@@ -479,7 +449,13 @@ std::string Federation::SaveCheckpoint(ckpt::Image* out) const {
       w.I64(vm.host);
       w.Bool(vm.degraded);
     }
-    SaveClusterCounters(w, counters_);
+    ResilienceCounters cluster;
+    static_cast<ClusterStats&>(cluster) = counters_;
+    for (const CounterRow& row : CounterRows()) {
+      if (IsClusterRow(row)) {
+        w.U64(cluster.*row.field);
+      }
+    }
     out->sections.push_back({"federation", w.Take()});
   }
   for (size_t i = 0; i < hosts_.size(); ++i) {
@@ -546,7 +522,13 @@ std::string Federation::RestoreCheckpoint(const ckpt::Image& image) {
              std::to_string(host) + ", rebuilt host " + std::to_string(vms_[i].host) + ")";
     }
   }
-  RestoreClusterCounters(r, &counters_);
+  ResilienceCounters cluster;
+  for (const CounterRow& row : CounterRows()) {
+    if (IsClusterRow(row)) {
+      cluster.*row.field = r.U64();
+    }
+  }
+  counters_ = cluster;
   if (!r.ok() || !r.AtEnd()) {
     return "federation: malformed section 'federation'";
   }

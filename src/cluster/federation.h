@@ -154,7 +154,8 @@ class Federation {
   VmStatus vm_status(const std::string& name) const;
 
   // Aggregated counters: the sum of every host's ResilienceCounters plus
-  // the federation's own cluster section.
+  // the federation's own cluster section. The process-wide allocation
+  // profile is host 0's, which covers the federation's whole life.
   ResilienceCounters resilience() const;
   void PrintReport(std::ostream& out, const std::string& title) const;
 
@@ -246,8 +247,8 @@ class Federation {
   TimeNs now_ = 0;
   Launcher launcher_;
   Teardown teardown_;
-  // The federation's slice of ResilienceCounters (cluster section only).
-  ResilienceCounters counters_;
+  // The federation's own slice of ResilienceCounters.
+  ClusterStats counters_;
 };
 
 }  // namespace rtvirt

@@ -49,7 +49,7 @@ void SloController::OnJobCompleted(const Task& task, const Job& job, TimeNs comp
     Tenant& t = tenants_[it->second];
     t.window.Add(completion - job.release, completion);
     t.work_since_tick += static_cast<uint64_t>(job.work);
-    ++stats_.samples;
+    ++stats_.control_samples;
     if (t.downstream != nullptr) {
       t.downstream->OnJobCompleted(task, job, completion);
     }
@@ -104,7 +104,7 @@ int SloController::Actuate(Tenant& t, TimeNs new_slice) {
     t.integrator = 0.0;
     t.channel_strikes = 0;
   } else {
-    ++stats_.actuation_failures;
+    ++stats_.control_actuation_failures;
   }
   return rc;
 }
@@ -118,7 +118,7 @@ TimeNs SloController::DemandFloor(const Tenant& t) const {
 void SloController::EnterSaturation(Tenant& t) {
   if (!t.saturated) {
     t.saturated = true;
-    ++stats_.saturation_events;
+    ++stats_.control_saturation_events;
   }
 }
 
@@ -126,7 +126,7 @@ void SloController::ResolveSaturation(Tenant& t) {
   if (t.saturated) {
     t.saturated = false;
     t.inc_rejections = 0;
-    ++stats_.saturations_resolved;
+    ++stats_.control_saturations_resolved;
   }
 }
 
@@ -141,7 +141,7 @@ void SloController::EnterFrozen(Tenant& t, TimeNs now) {
   t.cur_backoff = config_.reengage_backoff;
   t.reengage_at = now + t.cur_backoff;
   t.integrator = 0.0;
-  ++stats_.freezes;
+  ++stats_.control_freezes;
 }
 
 void SloController::OnEvent(uint32_t /*kind*/, uint64_t /*payload*/) {
@@ -176,7 +176,7 @@ void SloController::Decide(Tenant& t, TimeNs now) {
     if (now < t.reengage_at) {
       return;
     }
-    ++stats_.reengage_probes;
+    ++stats_.control_reengage_probes;
     if (!ChannelHealthy(t)) {
       t.cur_backoff = std::min(
           static_cast<TimeNs>(static_cast<double>(t.cur_backoff) *
@@ -188,7 +188,7 @@ void SloController::Decide(Tenant& t, TimeNs now) {
     t.frozen = false;
     t.channel_strikes = 0;
     t.cur_backoff = 0;
-    ++stats_.reengages;
+    ++stats_.control_reengages;
     // Fall through: re-engaged this tick.
   }
 
@@ -205,14 +205,14 @@ void SloController::Decide(Tenant& t, TimeNs now) {
   // treats new parameters as a new contract) and fight the pressure
   // protocol's hysteresis with our own.
   if (t.task->shed() || t.task->compressed()) {
-    ++stats_.ladder_holds;
+    ++stats_.control_ladder_holds;
     return;
   }
 
   if (t.window.count() < config_.min_samples) {
     return;
   }
-  ++stats_.decisions;
+  ++stats_.control_decisions;
 
   TimeNs tail = t.window.Quantile(config_.target_quantile);
   double slo = static_cast<double>(t.slo);
@@ -231,10 +231,10 @@ void SloController::Decide(Tenant& t, TimeNs now) {
     t.integrator += config_.ki * err;
     if (t.integrator > config_.integrator_clamp) {
       t.integrator = config_.integrator_clamp;  // Anti-windup part 2: clamp.
-      ++stats_.windup_clamps;
+      ++stats_.control_windup_clamps;
     } else if (t.integrator < -config_.integrator_clamp) {
       t.integrator = -config_.integrator_clamp;
-      ++stats_.windup_clamps;
+      ++stats_.control_windup_clamps;
     }
   } else {
     t.integrator *= 0.5;
@@ -255,12 +255,12 @@ void SloController::Decide(Tenant& t, TimeNs now) {
     if (UnderPressure(t)) {
       // The host is asking guests to *shrink*; raising our reservation now
       // would fight the compress/shed ladder head on.
-      ++stats_.pressure_holds;
+      ++stats_.control_pressure_holds;
       t.integrator = pre_integrator;
       return;
     }
     if (RateBudgetExhausted(t, now)) {
-      ++stats_.rate_limit_holds;
+      ++stats_.control_rate_limit_holds;
       t.integrator = pre_integrator;
       return;
     }
@@ -276,7 +276,7 @@ void SloController::Decide(Tenant& t, TimeNs now) {
     }
     int rc = Actuate(t, new_slice);
     if (rc == kGuestOk) {
-      ++stats_.inc_adjustments;
+      ++stats_.control_inc_adjustments;
       t.inc_rejections = 0;
     } else if (ChannelHealthy(t)) {
       // Host-level rejection with a live channel: capacity, not connectivity.
@@ -297,12 +297,12 @@ void SloController::Decide(Tenant& t, TimeNs now) {
     // demand rate floors the DEC instead.
     TimeNs floor = DemandFloor(t);
     if (t.cur_slice <= floor) {
-      ++stats_.demand_floor_holds;
+      ++stats_.control_demand_floor_holds;
       t.integrator = pre_integrator;
       return;
     }
     if (RateBudgetExhausted(t, now)) {
-      ++stats_.rate_limit_holds;
+      ++stats_.control_rate_limit_holds;
       t.integrator = pre_integrator;
       return;
     }
@@ -312,7 +312,7 @@ void SloController::Decide(Tenant& t, TimeNs now) {
     TimeNs new_slice = std::max(t.cur_slice - step, floor);
     int rc = Actuate(t, new_slice);
     if (rc == kGuestOk) {
-      ++stats_.dec_adjustments;
+      ++stats_.control_dec_adjustments;
     } else if (!ChannelHealthy(t) && ++t.channel_strikes >= config_.freeze_after) {
       EnterFrozen(t, now);
     }
@@ -321,7 +321,7 @@ void SloController::Decide(Tenant& t, TimeNs now) {
 
   // Inside the hysteresis band (or the PI signal disagrees with the band):
   // hold, by design.
-  ++stats_.hysteresis_holds;
+  ++stats_.control_hysteresis_holds;
 }
 
 }  // namespace rtvirt

@@ -39,6 +39,7 @@
 #include "src/control/windowed_quantile.h"
 #include "src/guest/guest_os.h"
 #include "src/guest/task.h"
+#include "src/metrics/counters.h"
 #include "src/rtvirt/guest_channel.h"
 #include "src/sim/simulator.h"
 
@@ -111,26 +112,6 @@ struct ControlConfig {
   WindowedQuantile::Options window;
 };
 
-// Controller counters, aggregated into ResilienceCounters by the runner.
-struct ControlStats {
-  uint64_t samples = 0;              // Response-time samples observed.
-  uint64_t decisions = 0;            // Ticks with enough samples to evaluate.
-  uint64_t inc_adjustments = 0;
-  uint64_t dec_adjustments = 0;
-  uint64_t hysteresis_holds = 0;     // In-band: no action by design.
-  uint64_t demand_floor_holds = 0;   // DEC withheld: slice is load-bearing.
-  uint64_t pressure_holds = 0;       // INC withheld under host pressure.
-  uint64_t ladder_holds = 0;         // Tenant shed/compressed by PR 2 ladder.
-  uint64_t rate_limit_holds = 0;     // Per-window adjustment budget exhausted.
-  uint64_t windup_clamps = 0;        // Integrator hit the anti-windup clamp.
-  uint64_t actuation_failures = 0;   // SchedSetAttr adjustments rejected.
-  uint64_t saturation_events = 0;    // Handed off to the degradation ladder.
-  uint64_t saturations_resolved = 0; // Tail recovered after a handoff.
-  uint64_t freezes = 0;              // Fail-static entries.
-  uint64_t reengage_probes = 0;      // Probes issued while frozen.
-  uint64_t reengages = 0;            // Frozen -> engaged transitions.
-};
-
 class SloController : public JobObserver, public EventTarget {
  public:
   SloController(Simulator* sim, ControlConfig config);
@@ -167,7 +148,7 @@ class SloController : public JobObserver, public EventTarget {
   // Saturation handoffs that have not resolved yet (bench gate: must be 0
   // at the end of a run — the ladder must always dig the tenant out).
   uint64_t unresolved_saturations() const {
-    return stats_.saturation_events - stats_.saturations_resolved;
+    return stats_.control_saturation_events - stats_.control_saturations_resolved;
   }
 
   // JobObserver: records the response time and forwards downstream.

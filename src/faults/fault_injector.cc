@@ -381,7 +381,7 @@ void FaultInjector::AdversaryTick(size_t idx, uint64_t step) {
         if (step % 11 == 5) {
           page.PublishNextDeadline(SharedSchedPage::kMaxSlots + static_cast<int>(step), lie);
         }
-        ++stats_.deadline_lies;
+        ++stats_.adversarial_deadline_lies;
         break;
       }
       case FaultPlan::AdversarialGuest::Kind::kHypercallStorm: {
@@ -394,7 +394,7 @@ void FaultInjector::AdversaryTick(size_t idx, uint64_t step) {
         args.bw_a = Bandwidth::FromDouble(0.01);
         args.period_a = 0;
         machine_->Hypercall(vm->vcpu(0), args);
-        ++stats_.storm_calls;
+        ++stats_.adversarial_storm_calls;
         break;
       }
       case FaultPlan::AdversarialGuest::Kind::kBandwidthThrash: {
@@ -414,7 +414,7 @@ void FaultInjector::AdversaryTick(size_t idx, uint64_t step) {
           args.bw_a = a.thrash_low;
         }
         machine_->Hypercall(target, args);
-        ++stats_.thrash_calls;
+        ++stats_.adversarial_thrash_calls;
         break;
       }
     }
@@ -435,9 +435,9 @@ void FaultInjector::SaveState(ckpt::Writer& w) const {
   w.U64(stats_.pcpu_online_events);
   w.U64(stats_.pcpu_degrade_events);
   w.U64(stats_.pcpu_heal_events);
-  w.U64(stats_.deadline_lies);
-  w.U64(stats_.storm_calls);
-  w.U64(stats_.thrash_calls);
+  w.U64(stats_.adversarial_deadline_lies);
+  w.U64(stats_.adversarial_storm_calls);
+  w.U64(stats_.adversarial_thrash_calls);
   w.U64(stats_.control_outage_failures);
   w.U64(stats_.control_stale_windows);
 }
@@ -457,9 +457,9 @@ std::string FaultInjector::RestoreState(ckpt::Reader& r) {
   stats_.pcpu_online_events = r.U64();
   stats_.pcpu_degrade_events = r.U64();
   stats_.pcpu_heal_events = r.U64();
-  stats_.deadline_lies = r.U64();
-  stats_.storm_calls = r.U64();
-  stats_.thrash_calls = r.U64();
+  stats_.adversarial_deadline_lies = r.U64();
+  stats_.adversarial_storm_calls = r.U64();
+  stats_.adversarial_thrash_calls = r.U64();
   stats_.control_outage_failures = r.U64();
   stats_.control_stale_windows = r.U64();
   if (!r.ok()) {

@@ -31,6 +31,7 @@
 #include "src/common/rng.h"
 #include "src/common/time.h"
 #include "src/hv/machine.h"
+#include "src/metrics/counters.h"
 
 namespace rtvirt {
 
@@ -179,36 +180,6 @@ struct FaultPlan {
   // id bounds check but still rejects structurally malformed entries — the
   // Federation constructor re-validates with the real host count.
   std::string Validate(int num_pcpus, int num_vms = -1, int num_hosts = -1) const;
-};
-
-struct FaultStats {
-  uint64_t hypercall_attempts = 0;   // Calls seen by the injector.
-  uint64_t injected_failures = 0;    // Random transient -EAGAIN.
-  uint64_t injected_drops = 0;       // Random dropped calls.
-  uint64_t injected_spikes = 0;      // Random latency spikes.
-  uint64_t outage_failures = 0;      // Calls failed inside an outage window.
-  uint64_t vm_crashes = 0;
-  uint64_t vm_restarts = 0;
-  // PCPU fault events actually fired (paired per transient/degrade window).
-  uint64_t pcpu_offline_events = 0;  // Permanent failures + transient offlines.
-  uint64_t pcpu_online_events = 0;   // Re-onlines closing transient windows.
-  uint64_t pcpu_degrade_events = 0;  // Throttle applications.
-  uint64_t pcpu_heal_events = 0;     // Full speed restored.
-  // Adversarial-guest events actually issued.
-  uint64_t deadline_lies = 0;   // Hostile shared-page publications.
-  uint64_t storm_calls = 0;     // Hypercall-storm calls issued.
-  uint64_t thrash_calls = 0;    // Bandwidth-thrash calls issued.
-  // Controller-adversary events (ControlFault).
-  uint64_t control_outage_failures = 0;  // Calls failed in a per-VM outage.
-  uint64_t control_stale_windows = 0;    // Stale-page windows opened.
-
-  uint64_t TotalHypercallFaults() const {
-    return injected_failures + injected_drops + outage_failures;
-  }
-
-  uint64_t TotalAdversarialEvents() const {
-    return deadline_lies + storm_calls + thrash_calls;
-  }
 };
 
 class FaultInjector : public ckpt::Checkpointable {

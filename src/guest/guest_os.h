@@ -25,6 +25,7 @@
 #include "src/hv/machine.h"
 #include "src/hv/vcpu.h"
 #include "src/hv/vm.h"
+#include "src/metrics/counters.h"
 #include "src/sim/simulator.h"
 
 namespace rtvirt {
@@ -74,16 +75,6 @@ struct GuestConfig {
     Criticality compress_ceiling = Criticality::kMed;
   };
   OverloadControl overload;
-};
-
-// Counters for the overload-control machinery (reported by the benches).
-struct GuestOverloadStats {
-  uint64_t compressions = 0;        // Elastic reservations squeezed to min.
-  uint64_t expansions = 0;          // Compressed reservations re-inflated.
-  uint64_t sheds = 0;               // Tasks suspended by overload control.
-  uint64_t resumes = 0;             // Shed tasks re-admitted.
-  uint64_t shed_job_drops = 0;      // Job releases dropped while shed.
-  uint64_t overload_admissions = 0; // Registrations admitted only via degradation.
 };
 
 class GuestOs : public VcpuClient, public ckpt::Checkpointable {

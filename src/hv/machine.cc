@@ -75,7 +75,7 @@ void Machine::SetPcpuOnline(int pcpu, bool online) {
     Vcpu* evacuated = p->current();
     p->StopCurrent();
     if (evacuated != nullptr) {
-      ++pcpu_evacuations_;
+      ++stats_.pcpu_evacuations;
       ++evacuated->evacuations_;
       evacuated->evacuation_penalty_ += config_.evacuation_penalty;
     }
@@ -173,7 +173,7 @@ void Machine::SaveState(ckpt::Writer& w) const {
   w.I64(overhead_.migration_time);
   w.U64(overhead_.hypercalls);
   w.I64(overhead_.hypercall_time);
-  w.U64(pcpu_evacuations_);
+  w.U64(stats_.pcpu_evacuations);
   w.U32(static_cast<uint32_t>(vcpus_by_global_id_.size()));
   w.U32(static_cast<uint32_t>(pcpus_.size()));
   for (const auto& p : pcpus_) {
@@ -214,7 +214,7 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
   overhead_.migration_time = r.I64();
   overhead_.hypercalls = r.U64();
   overhead_.hypercall_time = r.I64();
-  pcpu_evacuations_ = r.U64();
+  stats_.pcpu_evacuations = r.U64();
   uint32_t global_ids = r.U32();
   if (global_ids != vcpus_by_global_id_.size()) {
     return "machine: VCPU count mismatch (checkpoint has " +

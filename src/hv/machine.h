@@ -16,6 +16,7 @@
 #include "src/hv/overhead.h"
 #include "src/hv/pcpu.h"
 #include "src/hv/vm.h"
+#include "src/metrics/counters.h"
 #include "src/sim/simulator.h"
 
 namespace rtvirt {
@@ -77,8 +78,7 @@ class Machine : public ckpt::Checkpointable {
   // Bandwidth::Cpus(num_pcpus()) on a healthy machine.
   Bandwidth EffectiveCapacity() const;
   int num_online_pcpus() const;
-  // VCPUs forcibly revoked by SetPcpuOnline(pcpu, false) so far.
-  uint64_t pcpu_evacuations() const { return pcpu_evacuations_; }
+  const MachineStats& stats() const { return stats_; }
 
   // Kicks every PCPU's scheduler once; call after creating VMs and workloads
   // (additional VMs/VCPUs may still be added later).
@@ -160,7 +160,7 @@ class Machine : public ckpt::Checkpointable {
   std::vector<std::unique_ptr<Pcpu>> pcpus_;
   std::vector<std::unique_ptr<Vm>> vms_;
   std::vector<Vcpu*> vcpus_by_global_id_;
-  uint64_t pcpu_evacuations_ = 0;
+  MachineStats stats_;
   OverheadStats overhead_;
   DispatchTracer dispatch_tracer_;
   HypercallInterceptor hypercall_interceptor_;

@@ -1,140 +1,131 @@
 #include "src/metrics/resilience.h"
 
+#include <iterator>
 #include <ostream>
+#include <string_view>
 
 #include "src/metrics/report.h"
 
 namespace rtvirt {
+namespace {
+
+using R = ResilienceCounters;
+
+// The only place a counter's layer and printed name live.
+constexpr CounterRow kRows[] = {
+    {"injected", "hypercall_attempts", &R::hypercall_attempts},
+    {"injected", "transient_failures", &R::injected_failures},
+    {"injected", "dropped_calls", &R::injected_drops},
+    {"injected", "latency_spikes", &R::injected_spikes},
+    {"injected", "outage_failures", &R::outage_failures},
+    {"injected", "vm_crashes", &R::vm_crashes},
+    {"injected", "vm_restarts", &R::vm_restarts},
+    {"guest", "transient_failures_seen", &R::transient_failures},
+    {"guest", "retries", &R::retries},
+    {"guest", "retry_successes", &R::retry_successes},
+    {"guest", "degraded_entries", &R::degraded_entries},
+    {"guest", "recoveries", &R::recoveries},
+    {"guest", "repair_attempts", &R::repair_attempts},
+    {"guest", "backoff_time_us", &R::backoff_time_ns, 1000},
+    {"host", "watchdog_reclaims", &R::watchdog_reclaims},
+    {"host", "stale_deadline_rejections", &R::stale_rejections},
+    {"overload", "pressure_raises", &R::pressure_raises},
+    {"overload", "pressure_clears", &R::pressure_clears},
+    {"overload", "admission_rejections", &R::admission_rejections},
+    {"overload", "shed_releases", &R::shed_releases},
+    {"overload", "compressions", &R::compressions},
+    {"overload", "expansions", &R::expansions},
+    {"overload", "sheds", &R::sheds},
+    {"overload", "resumes", &R::resumes},
+    {"overload", "shed_job_drops", &R::shed_job_drops},
+    {"overload", "overload_admissions", &R::overload_admissions},
+    {"pcpu", "offline_events", &R::pcpu_offline_events},
+    {"pcpu", "online_events", &R::pcpu_online_events},
+    {"pcpu", "degrade_events", &R::pcpu_degrade_events},
+    {"pcpu", "heal_events", &R::pcpu_heal_events},
+    {"pcpu", "vcpu_evacuations", &R::pcpu_evacuations},
+    {"pcpu", "capacity_replans", &R::capacity_replans},
+    {"trust", "adversarial_deadline_lies", &R::adversarial_deadline_lies},
+    {"trust", "adversarial_storm_calls", &R::adversarial_storm_calls},
+    {"trust", "adversarial_thrash_calls", &R::adversarial_thrash_calls},
+    {"trust", "deadline_lie_rejections", &R::deadline_lie_rejections},
+    {"trust", "deadline_floor_clamps", &R::deadline_floor_clamps},
+    {"trust", "replan_budget_trips", &R::replan_budget_trips},
+    {"trust", "hypercall_rate_rejections", &R::hypercall_rate_rejections},
+    {"trust", "bw_thrash_trips", &R::bw_thrash_trips},
+    {"trust", "quarantines", &R::quarantines},
+    {"trust", "quarantine_releases", &R::quarantine_releases},
+    {"trust", "quarantine_holds", &R::quarantine_holds},
+    {"trust", "isolation_violations", &R::isolation_violations},
+    {"audit", "checks_run", &R::audit_checks},
+    {"audit", "violations", &R::audit_violations},
+    {"control", "samples", &R::control_samples},
+    {"control", "decisions", &R::control_decisions},
+    {"control", "inc_adjustments", &R::control_inc_adjustments},
+    {"control", "dec_adjustments", &R::control_dec_adjustments},
+    {"control", "hysteresis_holds", &R::control_hysteresis_holds},
+    {"control", "demand_floor_holds", &R::control_demand_floor_holds},
+    {"control", "pressure_holds", &R::control_pressure_holds},
+    {"control", "ladder_holds", &R::control_ladder_holds},
+    {"control", "rate_limit_holds", &R::control_rate_limit_holds},
+    {"control", "windup_clamps", &R::control_windup_clamps},
+    {"control", "actuation_failures", &R::control_actuation_failures},
+    {"control", "saturation_events", &R::control_saturation_events},
+    {"control", "saturations_resolved", &R::control_saturations_resolved},
+    {"control", "freezes", &R::control_freezes},
+    {"control", "reengage_probes", &R::control_reengage_probes},
+    {"control", "reengages", &R::control_reengages},
+    {"control", "injected_outage_failures", &R::control_outage_failures},
+    {"control", "injected_stale_windows", &R::control_stale_windows},
+    {"cluster", "host_crashes", &R::host_crashes},
+    {"cluster", "host_outages", &R::host_outages},
+    {"cluster", "host_degrades", &R::host_degrades},
+    {"cluster", "host_heals", &R::host_heals},
+    {"cluster", "vms_admitted", &R::cluster_vms_admitted},
+    {"cluster", "vms_rejected", &R::cluster_vms_rejected},
+    {"cluster", "evacuations", &R::evacuations},
+    {"cluster", "migration_attempts", &R::migration_attempts},
+    {"cluster", "migration_retries", &R::migration_retries},
+    {"cluster", "migration_rebalances", &R::migration_rebalances},
+    {"cluster", "rebalance_moves", &R::rebalance_moves},
+    {"cluster", "migration_aborts", &R::migration_aborts},
+    {"cluster", "migration_successes", &R::migration_successes},
+    {"cluster", "degraded_placements", &R::degraded_placements},
+    {"cluster", "evacuations_unresolved", &R::evacuations_unresolved},
+    {"cluster", "vm_unavailable_ms", &R::vm_unavailable_ns, 1000000},
+};
+
+// As many rows as counter fields; a field named twice shows in the golden
+// report and the every-row accumulate test.
+static_assert(std::size(kRows) * sizeof(uint64_t) ==
+                  sizeof(MachineStats) + sizeof(FaultStats) + sizeof(ChannelStats) +
+                      sizeof(DpWrapStats) + sizeof(GuestOverloadStats) + sizeof(ControlStats) +
+                      sizeof(AuditStats) + sizeof(ClusterStats),
+              "a counter field has no row");
+
+bool AlwaysPrinted(std::string_view layer) {
+  return layer == "injected" || layer == "guest" || layer == "host";
+}
+
+}  // namespace
+
+std::span<const CounterRow> CounterRows() { return kRows; }
 
 void PrintResilience(std::ostream& out, const ResilienceCounters& c) {
   TablePrinter table({"layer", "counter", "value"});
   auto row = [&](const char* layer, const char* name, uint64_t v) {
     table.AddRow({layer, name, std::to_string(v)});
   };
-  row("injected", "hypercall_attempts", c.hypercall_attempts);
-  row("injected", "transient_failures", c.injected_failures);
-  row("injected", "dropped_calls", c.injected_drops);
-  row("injected", "latency_spikes", c.injected_spikes);
-  row("injected", "outage_failures", c.outage_failures);
-  row("injected", "vm_crashes", c.vm_crashes);
-  row("injected", "vm_restarts", c.vm_restarts);
-  row("guest", "transient_failures_seen", c.transient_failures);
-  row("guest", "retries", c.retries);
-  row("guest", "retry_successes", c.retry_successes);
-  row("guest", "degraded_entries", c.degraded_entries);
-  row("guest", "recoveries", c.recoveries);
-  row("guest", "repair_attempts", c.repair_attempts);
-  row("guest", "backoff_time_us", static_cast<uint64_t>(c.backoff_time_ns / 1000));
-  row("host", "watchdog_reclaims", c.watchdog_reclaims);
-  row("host", "stale_deadline_rejections", c.stale_rejections);
-  // Overload-control counters only appear when that machinery fired, so
-  // reports from overload-free runs are unchanged by this feature.
-  uint64_t overload_any = c.pressure_raises + c.pressure_clears + c.admission_rejections +
-                          c.shed_releases + c.compressions + c.expansions + c.sheds +
-                          c.resumes + c.shed_job_drops + c.overload_admissions;
-  if (overload_any > 0) {
-    row("overload", "pressure_raises", c.pressure_raises);
-    row("overload", "pressure_clears", c.pressure_clears);
-    row("overload", "admission_rejections", c.admission_rejections);
-    row("overload", "shed_releases", c.shed_releases);
-    row("overload", "compressions", c.compressions);
-    row("overload", "expansions", c.expansions);
-    row("overload", "sheds", c.sheds);
-    row("overload", "resumes", c.resumes);
-    row("overload", "shed_job_drops", c.shed_job_drops);
-    row("overload", "overload_admissions", c.overload_admissions);
-  }
-  // PCPU fault and audit sections likewise only appear when those subsystems
-  // fired / were armed, keeping prior reports byte-identical.
-  uint64_t pcpu_any = c.pcpu_offline_events + c.pcpu_online_events + c.pcpu_degrade_events +
-                      c.pcpu_heal_events + c.pcpu_evacuations + c.capacity_replans;
-  if (pcpu_any > 0) {
-    row("pcpu", "offline_events", c.pcpu_offline_events);
-    row("pcpu", "online_events", c.pcpu_online_events);
-    row("pcpu", "degrade_events", c.pcpu_degrade_events);
-    row("pcpu", "heal_events", c.pcpu_heal_events);
-    row("pcpu", "vcpu_evacuations", c.pcpu_evacuations);
-    row("pcpu", "capacity_replans", c.capacity_replans);
-  }
-  // Trust-boundary section: appears when adversarial traffic was injected or
-  // any guest_trust defense fired (same byte-identical-when-idle convention).
-  uint64_t trust_any = c.TotalAdversarial() + c.deadline_lie_rejections +
-                       c.deadline_floor_clamps + c.replan_budget_trips +
-                       c.hypercall_rate_rejections + c.bw_thrash_trips + c.quarantines +
-                       c.quarantine_releases + c.quarantine_holds + c.isolation_violations;
-  if (trust_any > 0) {
-    row("trust", "adversarial_deadline_lies", c.adversarial_deadline_lies);
-    row("trust", "adversarial_storm_calls", c.adversarial_storm_calls);
-    row("trust", "adversarial_thrash_calls", c.adversarial_thrash_calls);
-    row("trust", "deadline_lie_rejections", c.deadline_lie_rejections);
-    row("trust", "deadline_floor_clamps", c.deadline_floor_clamps);
-    row("trust", "replan_budget_trips", c.replan_budget_trips);
-    row("trust", "hypercall_rate_rejections", c.hypercall_rate_rejections);
-    row("trust", "bw_thrash_trips", c.bw_thrash_trips);
-    row("trust", "quarantines", c.quarantines);
-    row("trust", "quarantine_releases", c.quarantine_releases);
-    row("trust", "quarantine_holds", c.quarantine_holds);
-    row("trust", "isolation_violations", c.isolation_violations);
-  }
-  if (c.audit_checks > 0) {
-    row("audit", "checks_run", c.audit_checks);
-    row("audit", "violations", c.audit_violations);
-  }
-  // SLO-controller section: appears only when a controller was armed (it
-  // counts samples/decisions as soon as it runs) or controller-adversary
-  // faults were injected, so default-path reports stay byte-identical even
-  // with the subsystem compiled in.
-  uint64_t control_any = c.control_samples + c.control_decisions +
-                         c.control_inc_adjustments + c.control_dec_adjustments +
-                         c.control_hysteresis_holds + c.control_demand_floor_holds +
-                         c.control_pressure_holds +
-                         c.control_ladder_holds + c.control_rate_limit_holds +
-                         c.control_windup_clamps + c.control_actuation_failures +
-                         c.control_saturation_events + c.control_freezes +
-                         c.control_reengage_probes + c.control_outage_failures +
-                         c.control_stale_windows;
-  if (control_any > 0) {
-    row("control", "samples", c.control_samples);
-    row("control", "decisions", c.control_decisions);
-    row("control", "inc_adjustments", c.control_inc_adjustments);
-    row("control", "dec_adjustments", c.control_dec_adjustments);
-    row("control", "hysteresis_holds", c.control_hysteresis_holds);
-    row("control", "demand_floor_holds", c.control_demand_floor_holds);
-    row("control", "pressure_holds", c.control_pressure_holds);
-    row("control", "ladder_holds", c.control_ladder_holds);
-    row("control", "rate_limit_holds", c.control_rate_limit_holds);
-    row("control", "windup_clamps", c.control_windup_clamps);
-    row("control", "actuation_failures", c.control_actuation_failures);
-    row("control", "saturation_events", c.control_saturation_events);
-    row("control", "saturations_resolved", c.control_saturations_resolved);
-    row("control", "freezes", c.control_freezes);
-    row("control", "reengage_probes", c.control_reengage_probes);
-    row("control", "reengages", c.control_reengages);
-    row("control", "injected_outage_failures", c.control_outage_failures);
-    row("control", "injected_stale_windows", c.control_stale_windows);
-  }
-  // Cluster federation section: only multi-host runs with host faults or
-  // admissions fire these, so single-host reports stay byte-identical.
-  uint64_t cluster_any = c.TotalHostFaultEvents() + c.cluster_vms_admitted +
-                         c.cluster_vms_rejected + c.evacuations + c.migration_attempts +
-                         c.migration_aborts + c.evacuations_unresolved;
-  if (cluster_any > 0) {
-    row("cluster", "host_crashes", c.host_crashes);
-    row("cluster", "host_outages", c.host_outages);
-    row("cluster", "host_degrades", c.host_degrades);
-    row("cluster", "host_heals", c.host_heals);
-    row("cluster", "vms_admitted", c.cluster_vms_admitted);
-    row("cluster", "vms_rejected", c.cluster_vms_rejected);
-    row("cluster", "evacuations", c.evacuations);
-    row("cluster", "migration_attempts", c.migration_attempts);
-    row("cluster", "migration_retries", c.migration_retries);
-    row("cluster", "migration_rebalances", c.migration_rebalances);
-    row("cluster", "rebalance_moves", c.rebalance_moves);
-    row("cluster", "migration_aborts", c.migration_aborts);
-    row("cluster", "migration_successes", c.migration_successes);
-    row("cluster", "degraded_placements", c.degraded_placements);
-    row("cluster", "evacuations_unresolved", c.evacuations_unresolved);
-    row("cluster", "vm_unavailable_ms", static_cast<uint64_t>(c.vm_unavailable_ns / 1000000));
+  const std::span<const CounterRow> rows = kRows;
+  for (size_t begin = 0, end = 0; begin < rows.size(); begin = end) {
+    const std::string_view layer = rows[begin].layer;
+    bool print = AlwaysPrinted(layer);
+    for (end = begin; end < rows.size() && rows[end].layer == layer; ++end) {
+      print = print || c.*rows[end].field != 0;
+    }
+    for (size_t i = begin; print && i < end; ++i) {
+      row(rows[i].layer, rows[i].name, c.*rows[i].field / rows[i].divisor);
+    }
   }
   // Allocation profile: opt-in (ExperimentConfig::report_alloc /
   // RTVIRT_REPORT_ALLOC) because RSS and warm-up counts vary across builds
@@ -156,92 +147,10 @@ void PrintResilience(std::ostream& out, const ResilienceCounters& c) {
 }
 
 void AccumulateResilience(ResilienceCounters& into, const ResilienceCounters& from) {
-  into.hypercall_attempts += from.hypercall_attempts;
-  into.injected_failures += from.injected_failures;
-  into.injected_drops += from.injected_drops;
-  into.injected_spikes += from.injected_spikes;
-  into.outage_failures += from.outage_failures;
-  into.vm_crashes += from.vm_crashes;
-  into.vm_restarts += from.vm_restarts;
-  into.transient_failures += from.transient_failures;
-  into.retries += from.retries;
-  into.retry_successes += from.retry_successes;
-  into.degraded_entries += from.degraded_entries;
-  into.recoveries += from.recoveries;
-  into.repair_attempts += from.repair_attempts;
-  into.backoff_time_ns += from.backoff_time_ns;
-  into.watchdog_reclaims += from.watchdog_reclaims;
-  into.stale_rejections += from.stale_rejections;
-  into.pressure_raises += from.pressure_raises;
-  into.pressure_clears += from.pressure_clears;
-  into.admission_rejections += from.admission_rejections;
-  into.shed_releases += from.shed_releases;
-  into.compressions += from.compressions;
-  into.expansions += from.expansions;
-  into.sheds += from.sheds;
-  into.resumes += from.resumes;
-  into.shed_job_drops += from.shed_job_drops;
-  into.overload_admissions += from.overload_admissions;
-  into.pcpu_offline_events += from.pcpu_offline_events;
-  into.pcpu_online_events += from.pcpu_online_events;
-  into.pcpu_degrade_events += from.pcpu_degrade_events;
-  into.pcpu_heal_events += from.pcpu_heal_events;
-  into.pcpu_evacuations += from.pcpu_evacuations;
-  into.capacity_replans += from.capacity_replans;
-  into.adversarial_deadline_lies += from.adversarial_deadline_lies;
-  into.adversarial_storm_calls += from.adversarial_storm_calls;
-  into.adversarial_thrash_calls += from.adversarial_thrash_calls;
-  into.deadline_lie_rejections += from.deadline_lie_rejections;
-  into.deadline_floor_clamps += from.deadline_floor_clamps;
-  into.replan_budget_trips += from.replan_budget_trips;
-  into.hypercall_rate_rejections += from.hypercall_rate_rejections;
-  into.bw_thrash_trips += from.bw_thrash_trips;
-  into.quarantines += from.quarantines;
-  into.quarantine_releases += from.quarantine_releases;
-  into.quarantine_holds += from.quarantine_holds;
-  into.isolation_violations += from.isolation_violations;
-  into.audit_checks += from.audit_checks;
-  into.audit_violations += from.audit_violations;
-  into.control_samples += from.control_samples;
-  into.control_decisions += from.control_decisions;
-  into.control_inc_adjustments += from.control_inc_adjustments;
-  into.control_dec_adjustments += from.control_dec_adjustments;
-  into.control_hysteresis_holds += from.control_hysteresis_holds;
-  into.control_demand_floor_holds += from.control_demand_floor_holds;
-  into.control_pressure_holds += from.control_pressure_holds;
-  into.control_ladder_holds += from.control_ladder_holds;
-  into.control_rate_limit_holds += from.control_rate_limit_holds;
-  into.control_windup_clamps += from.control_windup_clamps;
-  into.control_actuation_failures += from.control_actuation_failures;
-  into.control_saturation_events += from.control_saturation_events;
-  into.control_saturations_resolved += from.control_saturations_resolved;
-  into.control_freezes += from.control_freezes;
-  into.control_reengage_probes += from.control_reengage_probes;
-  into.control_reengages += from.control_reengages;
-  into.control_outage_failures += from.control_outage_failures;
-  into.control_stale_windows += from.control_stale_windows;
-  into.host_crashes += from.host_crashes;
-  into.host_outages += from.host_outages;
-  into.host_degrades += from.host_degrades;
-  into.host_heals += from.host_heals;
-  into.cluster_vms_admitted += from.cluster_vms_admitted;
-  into.cluster_vms_rejected += from.cluster_vms_rejected;
-  into.evacuations += from.evacuations;
-  into.migration_attempts += from.migration_attempts;
-  into.migration_retries += from.migration_retries;
-  into.migration_rebalances += from.migration_rebalances;
-  into.rebalance_moves += from.rebalance_moves;
-  into.migration_aborts += from.migration_aborts;
-  into.migration_successes += from.migration_successes;
-  into.degraded_placements += from.degraded_placements;
-  into.evacuations_unresolved += from.evacuations_unresolved;
-  into.vm_unavailable_ns += from.vm_unavailable_ns;
+  for (const CounterRow& row : kRows) {
+    into.*row.field += from.*row.field;
+  }
   into.alloc_section = into.alloc_section || from.alloc_section;
-  into.warmup_allocs += from.warmup_allocs;
-  into.warmup_alloc_bytes += from.warmup_alloc_bytes;
-  into.steady_allocs += from.steady_allocs;
-  into.steady_alloc_bytes += from.steady_alloc_bytes;
-  into.peak_rss_kb = into.peak_rss_kb > from.peak_rss_kb ? into.peak_rss_kb : from.peak_rss_kb;
   into.event_queue.schedules += from.event_queue.schedules;
   into.event_queue.cancels += from.event_queue.cancels;
   into.event_queue.pops += from.event_queue.pops;

@@ -1,140 +1,36 @@
-// Aggregated fault/recovery counters for the resilience experiments: what
-// the fault injector did, how the guest channel coped, and what the host
-// watchdog reclaimed. Kept as plain counters so the metrics layer does not
-// depend on the faults/rtvirt subsystems; the runner fills it in.
+// A run's resilience counters in one struct, and the table that reports
+// them. ResilienceCounters derives from the component structs declared in
+// src/metrics/counters.h; CounterRows() gives each field its layer and
+// printed name, and the report, the cross-host sum and the federation's
+// checkpoint are loops over it.
 
 #ifndef SRC_METRICS_RESILIENCE_H_
 #define SRC_METRICS_RESILIENCE_H_
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 
+#include "src/metrics/counters.h"
 #include "src/sim/event_queue.h"
 
 namespace rtvirt {
 
-struct ResilienceCounters {
-  // Injected faults (FaultInjector).
-  uint64_t hypercall_attempts = 0;
-  uint64_t injected_failures = 0;
-  uint64_t injected_drops = 0;
-  uint64_t injected_spikes = 0;
-  uint64_t outage_failures = 0;
-  uint64_t vm_crashes = 0;
-  uint64_t vm_restarts = 0;
-
-  // Guest-channel recovery (summed over all RTVirt guests).
-  uint64_t transient_failures = 0;
-  uint64_t retries = 0;
-  uint64_t retry_successes = 0;
-  uint64_t degraded_entries = 0;
-  uint64_t recoveries = 0;
-  uint64_t repair_attempts = 0;
-  int64_t backoff_time_ns = 0;
-
-  // Host watchdog (DP-WRAP).
-  uint64_t watchdog_reclaims = 0;
-  uint64_t stale_rejections = 0;
-
-  // Overload control: host pressure signal (DP-WRAP) and guest-side
-  // mixed-criticality degradation (summed over all guests).
-  uint64_t pressure_raises = 0;
-  uint64_t pressure_clears = 0;
-  uint64_t admission_rejections = 0;
-  uint64_t shed_releases = 0;
-  uint64_t compressions = 0;
-  uint64_t expansions = 0;
-  uint64_t sheds = 0;
-  uint64_t resumes = 0;
-  uint64_t shed_job_drops = 0;
-  uint64_t overload_admissions = 0;
-
-  // PCPU fault & capacity-degradation model: injected capacity events
-  // (FaultInjector), forced VCPU evacuations (Machine), and capacity-driven
-  // host re-plans (DP-WRAP pcpu_recovery).
-  uint64_t pcpu_offline_events = 0;
-  uint64_t pcpu_online_events = 0;
-  uint64_t pcpu_degrade_events = 0;
-  uint64_t pcpu_heal_events = 0;
-  uint64_t pcpu_evacuations = 0;
-  uint64_t capacity_replans = 0;
-
-  // Byzantine-guest containment: adversarial events issued (FaultInjector)
-  // and the guest_trust defenses they ran into (DP-WRAP sanitizer, rate
-  // limiter, quarantine) plus the auditor's isolation-invariant verdict.
-  uint64_t adversarial_deadline_lies = 0;
-  uint64_t adversarial_storm_calls = 0;
-  uint64_t adversarial_thrash_calls = 0;
-  uint64_t deadline_lie_rejections = 0;
-  uint64_t deadline_floor_clamps = 0;
-  uint64_t replan_budget_trips = 0;
-  uint64_t hypercall_rate_rejections = 0;
-  uint64_t bw_thrash_trips = 0;
-  uint64_t quarantines = 0;
-  uint64_t quarantine_releases = 0;
-  uint64_t quarantine_holds = 0;
-  uint64_t isolation_violations = 0;
-
-  // Invariant auditor (zero when no auditor was armed).
-  uint64_t audit_checks = 0;
-  uint64_t audit_violations = 0;
-
-  // Closed-loop SLO controller (src/control): decision/adjustment traffic and
-  // every defensive hold (hysteresis, pressure, ladder, rate limit,
-  // anti-windup), plus saturation handoffs and fail-static freeze/re-engage
-  // cycles. The injected pair counts controller-adversary fault events
-  // (FaultPlan::ControlFault). All-zero — and unprinted — when no controller
-  // was armed.
-  uint64_t control_samples = 0;
-  uint64_t control_decisions = 0;
-  uint64_t control_inc_adjustments = 0;
-  uint64_t control_dec_adjustments = 0;
-  uint64_t control_hysteresis_holds = 0;
-  uint64_t control_demand_floor_holds = 0;
-  uint64_t control_pressure_holds = 0;
-  uint64_t control_ladder_holds = 0;
-  uint64_t control_rate_limit_holds = 0;
-  uint64_t control_windup_clamps = 0;
-  uint64_t control_actuation_failures = 0;
-  uint64_t control_saturation_events = 0;
-  uint64_t control_saturations_resolved = 0;
-  uint64_t control_freezes = 0;
-  uint64_t control_reengage_probes = 0;
-  uint64_t control_reengages = 0;
-  uint64_t control_outage_failures = 0;  // Injected controller-path outages.
-  uint64_t control_stale_windows = 0;    // Injected stale-shared-page windows.
-
-  // Cluster federation (multi-host): host-level fault events, failure-driven
-  // evacuation, and the migration retry/backoff/degradation machinery.
-  // Filled by the Federation (src/cluster/federation.h), summed over all
-  // hosts' counters; all-zero — and unprinted — for single-host runs.
-  uint64_t host_crashes = 0;
-  uint64_t host_outages = 0;
-  uint64_t host_degrades = 0;
-  uint64_t host_heals = 0;
-  uint64_t cluster_vms_admitted = 0;
-  uint64_t cluster_vms_rejected = 0;
-  uint64_t evacuations = 0;
-  uint64_t migration_attempts = 0;
-  uint64_t migration_retries = 0;
-  uint64_t migration_rebalances = 0;
-  uint64_t rebalance_moves = 0;
-  uint64_t migration_aborts = 0;      // In-flight target died; re-routed.
-  uint64_t migration_successes = 0;
-  uint64_t degraded_placements = 0;   // Landed via the compress/shed floors.
-  uint64_t evacuations_unresolved = 0;
-  int64_t vm_unavailable_ns = 0;      // Blackout charged across all moves.
-
-  uint64_t TotalHostFaultEvents() const {
-    return host_crashes + host_outages + host_degrades + host_heals;
-  }
-
+struct ResilienceCounters : MachineStats,
+                            FaultStats,
+                            ChannelStats,
+                            DpWrapStats,
+                            GuestOverloadStats,
+                            ControlStats,
+                            AuditStats,
+                            ClusterStats {
   // Allocation profile (perf subsystem, alloc_hooks): operator-new counts
   // split between warm-up (construction through the end of the first Run)
   // and steady state, plus event-queue node-storage allocations. Always
   // filled by the runner; printed only when `alloc_section` is set
   // (ExperimentConfig::report_alloc / RTVIRT_REPORT_ALLOC), so reports from
-  // runs that did not opt in stay byte-identical.
+  // runs that did not opt in stay byte-identical. The counts and peak RSS
+  // are process-wide snapshots, not per-host counters.
   bool alloc_section = false;
   uint64_t warmup_allocs = 0;
   uint64_t warmup_alloc_bytes = 0;
@@ -142,22 +38,28 @@ struct ResilienceCounters {
   uint64_t steady_alloc_bytes = 0;
   uint64_t peak_rss_kb = 0;
   EventQueueStats event_queue;
-
-  uint64_t TotalInjected() const {
-    return injected_failures + injected_drops + outage_failures;
-  }
-
-  uint64_t TotalAdversarial() const {
-    return adversarial_deadline_lies + adversarial_storm_calls + adversarial_thrash_calls;
-  }
 };
 
-// Two-column "counter  value" dump, one section per layer.
+// One report row per counter. Rows of a layer are contiguous and in print
+// order; the value printed is the field divided by `divisor` (unit change).
+struct CounterRow {
+  const char* layer;
+  const char* name;
+  uint64_t ResilienceCounters::*field;
+  uint64_t divisor = 1;
+};
+std::span<const CounterRow> CounterRows();
+
+// Two-column "counter  value" dump, one section per layer. The injected,
+// guest and host sections always print; every other layer prints when any
+// of its counters is nonzero, and the alloc section when alloc_section is
+// set, so runs that never touch a subsystem keep their report bytes.
 void PrintResilience(std::ostream& out, const ResilienceCounters& c);
 
-// Sums every per-run counter of `from` into `into` (cluster reports
-// aggregate one ResilienceCounters per host). alloc_section is OR-ed; the
-// event-queue stats are summed field-wise.
+// Sums every counter row and the event-queue stats of `from` into `into`
+// (cluster reports aggregate one ResilienceCounters per host) and ORs
+// alloc_section. The process-wide allocation profile does not add up across
+// hosts, so `into` keeps its own.
 void AccumulateResilience(ResilienceCounters& into, const ResilienceCounters& from);
 
 }  // namespace rtvirt

@@ -101,7 +101,7 @@ void DpWrapScheduler::TrustViolation(VmTrust& t) {
   if (!t.quarantined && t.score >= config_.guest_trust.quarantine_threshold) {
     t.quarantined = true;
     t.clean_scans = 0;
-    ++quarantines_;
+    ++stats_.quarantines;
     ScheduleReplan();
   }
 }
@@ -137,7 +137,7 @@ void DpWrapScheduler::TrustTick() {
           t.quarantined = false;
           t.clean_scans = 0;
           t.score = 0.0;
-          ++quarantine_releases_;
+          ++stats_.quarantine_releases;
           ScheduleReplan();
         }
       } else {
@@ -172,7 +172,7 @@ int64_t DpWrapScheduler::TrustAdmitHypercall(Vcpu* caller, const HypercallArgs& 
     // Exhausted bucket: the existing retry/degraded-fallback machinery
     // already speaks kHypercallAgain, so a throttled well-behaved guest
     // backs off and recovers while a storm keeps scoring violations.
-    ++hypercall_rate_rejections_;
+    ++stats_.hypercall_rate_rejections;
     TrustViolation(t);
     return kHypercallAgain;
   }
@@ -186,7 +186,7 @@ int64_t DpWrapScheduler::TrustAdmitHypercall(Vcpu* caller, const HypercallArgs& 
     if (t.last_bw_dir != 0 && dir != t.last_bw_dir &&
         ++t.bw_flips > gt.max_bw_flips) {
       t.bw_flips = 0;
-      ++bw_thrash_trips_;
+      ++stats_.bw_thrash_trips;
       TrustViolation(t);
     }
     t.last_bw_dir = dir;
@@ -199,7 +199,7 @@ int64_t DpWrapScheduler::TrustAdmitHypercall(Vcpu* caller, const HypercallArgs& 
     // the global slice and starve its neighbors through the quarantine. The
     // held bandwidth is merely wasteful (bounded by what admission already
     // granted); the shrink retries and lands after release.
-    ++quarantine_holds_;
+    ++stats_.quarantine_holds;
     return kHypercallAgain;
   }
   return kHypercallOk;
@@ -218,12 +218,12 @@ void DpWrapScheduler::OverloadTick() {
       pressure_ = true;
       pressure_reason_ =
           rejections_since_tick_ > 0 ? kPressureAdmission : kPressureWatermark;
-      ++pressure_raises_;
+      ++stats_.pressure_raises;
     }
   } else if (util <= config_.overload.low_watermark && rejections_since_tick_ == 0) {
     pressure_ = false;
     pressure_reason_ = kPressureNone;
-    ++pressure_clears_;
+    ++stats_.pressure_clears;
   }
   rejections_since_tick_ = 0;
   // Remaining admittable bandwidth, published so guest re-inflation can stay
@@ -271,7 +271,7 @@ void DpWrapScheduler::WatchdogTick() {
       continue;
     }
     total_ -= slots_[gid].res.bw;
-    ++watchdog_reclaims_;
+    ++stats_.watchdog_reclaims;
     Release(gid);  // Shifts the next reservation into position i.
     changed = true;
   }
@@ -478,11 +478,11 @@ void DpWrapScheduler::Replan() {
       if (published >= 0 && cand < published - res.period &&
           published != res.last_lie_publish) {
         res.last_lie_publish = published;
-        ++deadline_lie_rejections_;
+        ++stats_.deadline_lie_rejections;
         TrustViolation(t);
       } else if (published >= 0 && cand > now && cand - published < floor) {
         cand = std::max(cand, now + floor);
-        ++deadline_floor_clamps_;
+        ++stats_.deadline_floor_clamps;
       }
       if (t.quarantined || t.deadlines_distrusted) {
         distrusted = true;
@@ -496,7 +496,7 @@ void DpWrapScheduler::Replan() {
         res.last_floor_publish = published;
         if (++t.floor_bindings > config_.guest_trust.max_floor_bindings) {
           t.deadlines_distrusted = true;
-          ++replan_budget_trips_;
+          ++stats_.replan_budget_trips;
           TrustViolation(t);
           distrusted = true;
         }
@@ -508,7 +508,7 @@ void DpWrapScheduler::Replan() {
       // ancient promise would let the host under-serve everyone else.
       TimeNs published = page.last_publish_time(v->index());
       if (published < 0 || now - published > config_.watchdog.freshness_horizon) {
-        ++stale_rejections_;
+        ++stats_.stale_rejections;
         cand = 0;  // Forces the sporadic worst case below.
       }
     }
@@ -787,7 +787,7 @@ void DpWrapScheduler::PcpuCapacityChanged(Pcpu* pcpu) {
   // demand that no longer fits raises pressure at the next overload scan,
   // guests compress/shed, and the same hysteresis re-inflates after heal.
   capacity_ = machine_->EffectiveCapacity();
-  ++capacity_replans_;
+  ++stats_.capacity_replans;
   ScheduleReplan();
 }
 
@@ -830,7 +830,7 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
                                   static_cast<double>(capacity_.ppb()))));
     }
     if (admitted_total > limit) {
-      ++admission_rejections_;
+      ++stats_.admission_rejections;
       // Only *new* RTA demand counts toward pressure. The reason code is the
       // authoritative signal: guests pack several RTAs per VCPU, so a fresh
       // admission usually arrives here as a *raise* of an existing
@@ -909,7 +909,7 @@ int64_t DpWrapScheduler::Hypercall(Vcpu* caller, const HypercallArgs& args) {
     case SchedOp::kDecBw:
       rc = ApplyReservation(args.vcpu_a, args.bw_a, args.period_a, /*admit=*/false);
       if (rc == kHypercallOk && args.reason == kBwReasonOverloadShed) {
-        ++shed_releases_;  // Guest responded to pressure; observability only.
+        ++stats_.shed_releases;  // Guest responded to pressure; observability only.
       }
       break;
     case SchedOp::kIncDecBw: {
@@ -950,24 +950,24 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
   w.U64(be_cursor_);
   w.U32(static_cast<uint32_t>(tickle_cursor_));
   w.U64(replans_);
-  w.U64(watchdog_reclaims_);
-  w.U64(stale_rejections_);
-  w.U64(capacity_replans_);
+  w.U64(stats_.watchdog_reclaims);
+  w.U64(stats_.stale_rejections);
+  w.U64(stats_.capacity_replans);
   w.Bool(pressure_);
   w.I64(pressure_reason_);
   w.U64(rejections_since_tick_);
-  w.U64(pressure_raises_);
-  w.U64(pressure_clears_);
-  w.U64(shed_releases_);
-  w.U64(admission_rejections_);
-  w.U64(deadline_lie_rejections_);
-  w.U64(deadline_floor_clamps_);
-  w.U64(replan_budget_trips_);
-  w.U64(hypercall_rate_rejections_);
-  w.U64(bw_thrash_trips_);
-  w.U64(quarantines_);
-  w.U64(quarantine_releases_);
-  w.U64(quarantine_holds_);
+  w.U64(stats_.pressure_raises);
+  w.U64(stats_.pressure_clears);
+  w.U64(stats_.shed_releases);
+  w.U64(stats_.admission_rejections);
+  w.U64(stats_.deadline_lie_rejections);
+  w.U64(stats_.deadline_floor_clamps);
+  w.U64(stats_.replan_budget_trips);
+  w.U64(stats_.hypercall_rate_rejections);
+  w.U64(stats_.bw_thrash_trips);
+  w.U64(stats_.quarantines);
+  w.U64(stats_.quarantine_releases);
+  w.U64(stats_.quarantine_holds);
 
   // VCPU insertion order drives the best-effort round-robin; serialize the
   // global-id sequence so a restored scheduler validates it saw the same one.
@@ -1073,24 +1073,24 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
   be_cursor_ = r.U64();
   tickle_cursor_ = static_cast<int>(r.U32());
   replans_ = r.U64();
-  watchdog_reclaims_ = r.U64();
-  stale_rejections_ = r.U64();
-  capacity_replans_ = r.U64();
+  stats_.watchdog_reclaims = r.U64();
+  stats_.stale_rejections = r.U64();
+  stats_.capacity_replans = r.U64();
   pressure_ = r.Bool();
   pressure_reason_ = r.I64();
   rejections_since_tick_ = r.U64();
-  pressure_raises_ = r.U64();
-  pressure_clears_ = r.U64();
-  shed_releases_ = r.U64();
-  admission_rejections_ = r.U64();
-  deadline_lie_rejections_ = r.U64();
-  deadline_floor_clamps_ = r.U64();
-  replan_budget_trips_ = r.U64();
-  hypercall_rate_rejections_ = r.U64();
-  bw_thrash_trips_ = r.U64();
-  quarantines_ = r.U64();
-  quarantine_releases_ = r.U64();
-  quarantine_holds_ = r.U64();
+  stats_.pressure_raises = r.U64();
+  stats_.pressure_clears = r.U64();
+  stats_.shed_releases = r.U64();
+  stats_.admission_rejections = r.U64();
+  stats_.deadline_lie_rejections = r.U64();
+  stats_.deadline_floor_clamps = r.U64();
+  stats_.replan_budget_trips = r.U64();
+  stats_.hypercall_rate_rejections = r.U64();
+  stats_.bw_thrash_trips = r.U64();
+  stats_.quarantines = r.U64();
+  stats_.quarantine_releases = r.U64();
+  stats_.quarantine_holds = r.U64();
 
   uint32_t n_vcpus = r.U32();
   if (!r.ok() || n_vcpus != all_vcpus_.size()) {

@@ -23,6 +23,7 @@
 #include "src/common/bandwidth.h"
 #include "src/common/time.h"
 #include "src/hv/host_scheduler.h"
+#include "src/metrics/counters.h"
 #include "src/rtvirt/wrap_layout.h"
 #include "src/sim/simulator.h"
 
@@ -205,28 +206,10 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // when the idle tax is disabled.
   Bandwidth total_effective() const;
   double TaxFactor(const Vcpu* vcpu) const;
-  // Fault-model introspection: reservations reclaimed from crashed VMs and
-  // stale publications overridden by the freshness horizon.
-  uint64_t watchdog_reclaims() const { return watchdog_reclaims_; }
-  uint64_t stale_rejections() const { return stale_rejections_; }
-  // Re-plans triggered by PCPU capacity events (pcpu_recovery only).
-  uint64_t capacity_replans() const { return capacity_replans_; }
-  // Byzantine-guest containment introspection (guest_trust only).
-  uint64_t deadline_lie_rejections() const { return deadline_lie_rejections_; }
-  uint64_t deadline_floor_clamps() const { return deadline_floor_clamps_; }
-  uint64_t replan_budget_trips() const { return replan_budget_trips_; }
-  uint64_t hypercall_rate_rejections() const { return hypercall_rate_rejections_; }
-  uint64_t bw_thrash_trips() const { return bw_thrash_trips_; }
-  uint64_t quarantines() const { return quarantines_; }
-  uint64_t quarantine_releases() const { return quarantine_releases_; }
-  uint64_t quarantine_holds() const { return quarantine_holds_; }
+  // Watchdog, PCPU-recovery, overload-pressure and guest_trust counters.
+  const DpWrapStats& stats() const { return stats_; }
   bool Quarantined(const Vm* vm) const;
-  // Overload-pressure introspection.
   bool pressure() const { return pressure_; }
-  uint64_t pressure_raises() const { return pressure_raises_; }
-  uint64_t pressure_clears() const { return pressure_clears_; }
-  uint64_t shed_releases() const { return shed_releases_; }
-  uint64_t admission_rejections() const { return admission_rejections_; }
 
   // ---- Checkpoint support (src/checkpoint) ----
   static constexpr const char* kCkptSection = "dpwrap";
@@ -413,18 +396,12 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   size_t be_cursor_ = 0;
   int tickle_cursor_ = 0;
   uint64_t replans_ = 0;
-  uint64_t watchdog_reclaims_ = 0;
-  uint64_t stale_rejections_ = 0;
-  uint64_t capacity_replans_ = 0;
+  DpWrapStats stats_;
 
   // Overload-pressure state.
   bool pressure_ = false;
   int64_t pressure_reason_ = 0;          // kPressure* while pressure_ is set.
   uint64_t rejections_since_tick_ = 0;   // Admission rejections since last scan.
-  uint64_t pressure_raises_ = 0;
-  uint64_t pressure_clears_ = 0;
-  uint64_t shed_releases_ = 0;           // DEC_BW with kBwReasonOverloadShed.
-  uint64_t admission_rejections_ = 0;    // Lifetime kHypercallNoBandwidth count.
   // Demand of recently rejected new registrations, withheld from the
   // published headroom until `expires` (FIFO — holds expire in push order).
   struct HeldDemand {
@@ -436,14 +413,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // Byzantine-guest containment state, indexed by Vm::id(); grown on first
   // use, entries never touched stay untracked.
   std::vector<VmTrust> trust_;
-  uint64_t deadline_lie_rejections_ = 0;   // Past-at-publish publications scored.
-  uint64_t deadline_floor_clamps_ = 0;     // Below-floor horizons clamped (not scored).
-  uint64_t replan_budget_trips_ = 0;       // Floor-binding budget exhaustions.
-  uint64_t hypercall_rate_rejections_ = 0; // Token-bucket kHypercallAgain returns.
-  uint64_t bw_thrash_trips_ = 0;           // INC/DEC oscillation violations.
-  uint64_t quarantines_ = 0;
-  uint64_t quarantine_releases_ = 0;
-  uint64_t quarantine_holds_ = 0;          // Bandwidth raises held while quarantined.
 };
 
 }  // namespace rtvirt

@@ -59,7 +59,7 @@ int64_t RtvirtGuestChannel::TryHypercall(Vcpu* caller, const HypercallArgs& args
     // The sim clock cannot advance inside a synchronous guest syscall, so the
     // backoff interval is charged to the hypercall overhead account: the
     // guest kernel burns that time on the channel, exactly like a spike.
-    stats_.backoff_time += backoff;
+    stats_.backoff_time_ns += backoff;
     machine_->mutable_overhead().hypercall_time += backoff;
     rc = machine_->Hypercall(caller, args);
     if (rc != kHypercallAgain) {
@@ -281,7 +281,7 @@ void RtvirtGuestChannel::SaveState(ckpt::Writer& w) const {
   w.U64(stats_.degraded_entries);
   w.U64(stats_.recoveries);
   w.U64(stats_.repair_attempts);
-  w.I64(stats_.backoff_time);
+  w.U64(stats_.backoff_time_ns);
   std::vector<std::pair<const Vcpu*, const VcpuState*>> sorted;
   sorted.reserve(state_.size());
   for (const auto& [v, st] : state_) {
@@ -314,7 +314,7 @@ std::string RtvirtGuestChannel::RestoreState(ckpt::Reader& r) {
   stats_.degraded_entries = r.U64();
   stats_.recoveries = r.U64();
   stats_.repair_attempts = r.U64();
-  stats_.backoff_time = r.I64();
+  stats_.backoff_time_ns = r.U64();
   state_.clear();
   uint32_t n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {

@@ -29,6 +29,7 @@
 #include "src/common/time.h"
 #include "src/guest/cross_layer.h"
 #include "src/hv/machine.h"
+#include "src/metrics/counters.h"
 
 namespace rtvirt {
 
@@ -59,17 +60,6 @@ struct GuestChannelOptions {
   // Upper bound on both exponential backoffs: the repair loop's probe
   // interval and the in-call retry interval saturate here.
   TimeNs repair_backoff_max = Ms(100);
-};
-
-// Counters for the fault/recovery machinery (reported by the benches).
-struct ChannelStats {
-  uint64_t transient_failures = 0;  // -EAGAIN observations (incl. retries).
-  uint64_t retries = 0;             // Re-issued attempts.
-  uint64_t retry_successes = 0;     // Calls that recovered within the retry budget.
-  uint64_t degraded_entries = 0;    // Transitions into degraded mode.
-  uint64_t recoveries = 0;          // Degraded -> normal transitions.
-  uint64_t repair_attempts = 0;     // Async repair probes issued.
-  TimeNs backoff_time = 0;          // Virtual time spent backing off in-call.
 };
 
 class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable {

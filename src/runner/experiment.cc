@@ -148,88 +148,27 @@ RtvirtGuestChannel* Experiment::ChannelOf(const GuestOs* guest) const {
 
 ResilienceCounters Experiment::resilience() const {
   ResilienceCounters c;
+  static_cast<MachineStats&>(c) = machine_->stats();
   if (injector_ != nullptr) {
-    const FaultStats& f = injector_->stats();
-    c.hypercall_attempts = f.hypercall_attempts;
-    c.injected_failures = f.injected_failures;
-    c.injected_drops = f.injected_drops;
-    c.injected_spikes = f.injected_spikes;
-    c.outage_failures = f.outage_failures;
-    c.vm_crashes = f.vm_crashes;
-    c.vm_restarts = f.vm_restarts;
-    c.pcpu_offline_events = f.pcpu_offline_events;
-    c.pcpu_online_events = f.pcpu_online_events;
-    c.pcpu_degrade_events = f.pcpu_degrade_events;
-    c.pcpu_heal_events = f.pcpu_heal_events;
-    c.adversarial_deadline_lies = f.deadline_lies;
-    c.adversarial_storm_calls = f.storm_calls;
-    c.adversarial_thrash_calls = f.thrash_calls;
-    c.control_outage_failures = f.control_outage_failures;
-    c.control_stale_windows = f.control_stale_windows;
-  }
-  c.pcpu_evacuations = machine_->pcpu_evacuations();
-  if (auditor_ != nullptr) {
-    c.audit_checks = auditor_->checks_run();
-    c.audit_violations = auditor_->total_violations();
-    c.isolation_violations = auditor_->isolation_violations();
-  }
-  for (RtvirtGuestChannel* ch : channels_) {
-    if (ch == nullptr) {
-      continue;
-    }
-    const ChannelStats& s = ch->stats();
-    c.transient_failures += s.transient_failures;
-    c.retries += s.retries;
-    c.retry_successes += s.retry_successes;
-    c.degraded_entries += s.degraded_entries;
-    c.recoveries += s.recoveries;
-    c.repair_attempts += s.repair_attempts;
-    c.backoff_time_ns += s.backoff_time;
+    static_cast<FaultStats&>(c) = injector_->stats();
   }
   if (dpwrap_ != nullptr) {
-    c.watchdog_reclaims = dpwrap_->watchdog_reclaims();
-    c.stale_rejections = dpwrap_->stale_rejections();
-    c.capacity_replans = dpwrap_->capacity_replans();
-    c.pressure_raises = dpwrap_->pressure_raises();
-    c.pressure_clears = dpwrap_->pressure_clears();
-    c.admission_rejections = dpwrap_->admission_rejections();
-    c.shed_releases = dpwrap_->shed_releases();
-    c.deadline_lie_rejections = dpwrap_->deadline_lie_rejections();
-    c.deadline_floor_clamps = dpwrap_->deadline_floor_clamps();
-    c.replan_budget_trips = dpwrap_->replan_budget_trips();
-    c.hypercall_rate_rejections = dpwrap_->hypercall_rate_rejections();
-    c.bw_thrash_trips = dpwrap_->bw_thrash_trips();
-    c.quarantines = dpwrap_->quarantines();
-    c.quarantine_releases = dpwrap_->quarantine_releases();
-    c.quarantine_holds = dpwrap_->quarantine_holds();
+    static_cast<DpWrapStats&>(c) = dpwrap_->stats();
   }
   if (controller_ != nullptr) {
-    const ControlStats& s = controller_->stats();
-    c.control_samples = s.samples;
-    c.control_decisions = s.decisions;
-    c.control_inc_adjustments = s.inc_adjustments;
-    c.control_dec_adjustments = s.dec_adjustments;
-    c.control_hysteresis_holds = s.hysteresis_holds;
-    c.control_demand_floor_holds = s.demand_floor_holds;
-    c.control_pressure_holds = s.pressure_holds;
-    c.control_ladder_holds = s.ladder_holds;
-    c.control_rate_limit_holds = s.rate_limit_holds;
-    c.control_windup_clamps = s.windup_clamps;
-    c.control_actuation_failures = s.actuation_failures;
-    c.control_saturation_events = s.saturation_events;
-    c.control_saturations_resolved = s.saturations_resolved;
-    c.control_freezes = s.freezes;
-    c.control_reengage_probes = s.reengage_probes;
-    c.control_reengages = s.reengages;
+    static_cast<ControlStats&>(c) = controller_->stats();
   }
-  for (const auto& g : guests_) {
-    const GuestOverloadStats& s = g->overload_stats();
-    c.compressions += s.compressions;
-    c.expansions += s.expansions;
-    c.sheds += s.sheds;
-    c.resumes += s.resumes;
-    c.shed_job_drops += s.shed_job_drops;
-    c.overload_admissions += s.overload_admissions;
+  if (auditor_ != nullptr) {
+    static_cast<AuditStats&>(c) = auditor_->stats();
+  }
+  // One channel and one guest per VM: their counters add up.
+  for (size_t i = 0; i < guests_.size(); ++i) {
+    ResilienceCounters vm;
+    static_cast<GuestOverloadStats&>(vm) = guests_[i]->overload_stats();
+    if (channels_[i] != nullptr) {
+      static_cast<ChannelStats&>(vm) = channels_[i]->stats();
+    }
+    AccumulateResilience(c, vm);
   }
   // Allocation attribution (perf subsystem): warm-up covers construction
   // through the end of the first Run(); everything after is steady state.

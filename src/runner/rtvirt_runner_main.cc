@@ -10,8 +10,9 @@
 //                                           instance at interval K (one extra
 //                                           RNG draw) — auditor demo/test
 //                 [--checkpoint=FILE --checkpoint-at-ms=N]
-//                                           save a checkpoint at virtual N ms,
-//                                           then keep running to the horizon
+//                                           save a checkpoint at virtual N ms
+//                                           (an interval boundary past any
+//                                           resume point), then keep running
 //                 [--resume=FILE]           restore FILE instead of starting
 //                                           at t=0, then run to the horizon
 //
@@ -19,10 +20,12 @@
 // 2 divergence detected (the report pinpoints the first forked interval and
 // the component-level digests that broke).
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,7 +44,7 @@ struct RunnerArgs {
   std::string replay_trail;  // Optional recorded-trail file.
   int perturb = -1;          // Interval to fork at; -1 = none.
   std::string checkpoint_path;
-  int64_t checkpoint_at_ms = -1;
+  std::optional<int64_t> checkpoint_at_ms;
   std::string resume_path;
 };
 
@@ -54,12 +57,19 @@ bool ParseArg(const std::string& arg, const char* name, std::string* out) {
   return true;
 }
 
-bool ParseArg(const std::string& arg, const char* name, int64_t* out) {
+// Matches `name=N`; a value that is not a whole decimal integer sets *bad.
+bool ParseArg(const std::string& arg, const char* name, int64_t* out, bool* bad) {
   std::string value;
   if (!ParseArg(arg, name, &value)) {
     return false;
   }
-  *out = std::atoll(value.c_str());
+  errno = 0;
+  char* end = nullptr;
+  *out = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno != 0) {
+    std::cerr << name << " needs a whole number, got '" << value << "'\n";
+    *bad = true;
+  }
   return true;
 }
 
@@ -107,12 +117,13 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     int64_t n = 0;
-    std::string value;
-    if (ParseArg(arg, "--seed", &n)) {
+    bool bad = false;
+    if (ParseArg(arg, "--seed", &n, &bad)) {
       args.seed = static_cast<uint64_t>(n);
-    } else if (ParseArg(arg, "--horizon-ms", &args.horizon_ms) ||
-               ParseArg(arg, "--interval-ms", &args.interval_ms) ||
-               ParseArg(arg, "--checkpoint-at-ms", &args.checkpoint_at_ms) ||
+    } else if (ParseArg(arg, "--checkpoint-at-ms", &n, &bad)) {
+      args.checkpoint_at_ms = n;
+    } else if (ParseArg(arg, "--horizon-ms", &args.horizon_ms, &bad) ||
+               ParseArg(arg, "--interval-ms", &args.interval_ms, &bad) ||
                ParseArg(arg, "--record-digests", &args.record_digests) ||
                ParseArg(arg, "--checkpoint", &args.checkpoint_path) ||
                ParseArg(arg, "--resume", &args.resume_path)) {
@@ -122,17 +133,37 @@ int Main(int argc, char** argv) {
       args.replay_verify = true;
     } else if (ParseArg(arg, "--replay-verify", &args.replay_trail)) {
       args.replay_verify = true;
-    } else if (ParseArg(arg, "--perturb", &n)) {
+    } else if (ParseArg(arg, "--perturb", &n, &bad)) {
       args.perturb = static_cast<int>(n);
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return Usage(argv[0]);
+    }
+    if (bad) {
+      return 1;
     }
   }
   if (args.horizon_ms <= 0 || args.interval_ms <= 0 ||
       args.horizon_ms % args.interval_ms != 0) {
     std::cerr << "horizon-ms must be a positive multiple of interval-ms\n";
     return 1;
+  }
+  // A checkpoint is saved only at an interval boundary of a plain run.
+  if (args.checkpoint_path.empty() != !args.checkpoint_at_ms.has_value()) {
+    std::cerr << "--checkpoint=FILE and --checkpoint-at-ms=N go together\n";
+    return 1;
+  }
+  if (args.checkpoint_at_ms.has_value()) {
+    const int64_t at = *args.checkpoint_at_ms;
+    if (at <= 0 || at % args.interval_ms != 0 || at > args.horizon_ms) {
+      std::cerr << "--checkpoint-at-ms=" << at << " must be a positive multiple of --interval-ms="
+                << args.interval_ms << " no later than --horizon-ms=" << args.horizon_ms << "\n";
+      return 1;
+    }
+    if (args.replay_verify) {
+      std::cerr << "--checkpoint does not combine with --replay-verify\n";
+      return 1;
+    }
   }
 
   if (args.replay_verify) {
@@ -192,6 +223,11 @@ int Main(int argc, char** argv) {
       return 1;
     }
     start_t = s->exp->sim().Now();
+    if (args.checkpoint_at_ms.has_value() && Ms(*args.checkpoint_at_ms) <= start_t) {
+      std::cerr << "--checkpoint-at-ms=" << *args.checkpoint_at_ms
+                << " is not past the resume point t=" << start_t << "ns\n";
+      return 1;
+    }
     std::cout << "resumed from " << args.resume_path << " at t=" << start_t << "ns\n";
   } else {
     s->Start();
@@ -213,8 +249,7 @@ int Main(int argc, char** argv) {
     if (!args.record_digests.empty()) {
       trail.push_back(IntervalDigest{i, boundary, ckpt::DigestOf(image)});
     }
-    if (!args.checkpoint_path.empty() && args.checkpoint_at_ms >= 0 &&
-        boundary == Ms(args.checkpoint_at_ms)) {
+    if (args.checkpoint_at_ms.has_value() && boundary == Ms(*args.checkpoint_at_ms)) {
       err = ckpt::WriteFileAtomic(args.checkpoint_path, image.Serialize());
       if (!err.empty()) {
         std::cerr << err << "\n";

@@ -39,8 +39,8 @@ TEST(Auditor, CleanRunHasZeroViolations) {
   b.Start(Ms(50), Sec(1));
   exp.Run(Sec(1));
   ASSERT_NE(exp.auditor(), nullptr);
-  EXPECT_GT(exp.auditor()->checks_run(), 50u);
-  EXPECT_EQ(exp.auditor()->total_violations(), 0u);
+  EXPECT_GT(exp.auditor()->stats().audit_checks, 50u);
+  EXPECT_EQ(exp.auditor()->stats().audit_violations, 0u);
 }
 
 // Seed a cross-layer inconsistency: shrink the host reservation behind the
@@ -54,7 +54,7 @@ TEST(Auditor, DetectsHostReservationBelowAcknowledgedGrant) {
   a.Start(0, Sec(1));
   exp.Run(Ms(100));
   ASSERT_EQ(a.admission_result(), kGuestOk);
-  ASSERT_EQ(exp.auditor()->total_violations(), 0u);
+  ASSERT_EQ(exp.auditor()->stats().audit_violations, 0u);
 
   HypercallArgs dec;
   dec.op = SchedOp::kDecBw;
@@ -63,7 +63,7 @@ TEST(Auditor, DetectsHostReservationBelowAcknowledgedGrant) {
   dec.period_a = Ms(10);
   ASSERT_EQ(exp.machine().Hypercall(dec.vcpu_a, dec), kHypercallOk);
   exp.Run(Ms(150));  // Past the next audit tick.
-  ASSERT_GT(exp.auditor()->total_violations(), 0u);
+  ASSERT_GT(exp.auditor()->stats().audit_violations, 0u);
   EXPECT_EQ(exp.auditor()->violations().front().invariant, "grant-host");
 }
 

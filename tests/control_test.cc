@@ -253,10 +253,10 @@ TEST(SloController, RaisesReservationUnderLoadAndMeetsSlo) {
   ControlRig rig = MakeRig(6000.0, FastControl());
   rig.exp->Run(Sec(5));
   const ControlStats& s = rig.exp->controller()->stats();
-  EXPECT_GT(s.samples, 1000u);
-  EXPECT_GT(s.inc_adjustments, 0u);
+  EXPECT_GT(s.control_samples, 1000u);
+  EXPECT_GT(s.control_inc_adjustments, 0u);
   EXPECT_GT(rig.exp->controller()->CurrentSlice(rig.server->task()), Us(58));
-  EXPECT_EQ(s.actuation_failures, 0u);
+  EXPECT_EQ(s.control_actuation_failures, 0u);
   // With the raised reservation the tail must be healthy: a (generous)
   // end-state check that the loop actually converged rather than thrashed.
   EXPECT_LT(rig.monitor.TotalMissRatio(), 0.05);
@@ -270,12 +270,12 @@ TEST(SloController, HysteresisHoldsWhenComfortable) {
   ControlRig rig = MakeRig(500.0, FastControl());
   rig.exp->Run(Sec(5));
   const ControlStats& s = rig.exp->controller()->stats();
-  EXPECT_GT(s.decisions, 0u);
-  EXPECT_EQ(s.inc_adjustments, 0u);
-  EXPECT_EQ(s.dec_adjustments, 0u);
+  EXPECT_GT(s.control_decisions, 0u);
+  EXPECT_EQ(s.control_inc_adjustments, 0u);
+  EXPECT_EQ(s.control_dec_adjustments, 0u);
   // A comfortable tail either sits in-band (hysteresis) or below band at
   // the floor (the slice is already minimal); both are holds, never a DEC.
-  EXPECT_GT(s.hysteresis_holds + s.demand_floor_holds, 0u);
+  EXPECT_GT(s.control_hysteresis_holds + s.control_demand_floor_holds, 0u);
   EXPECT_EQ(rig.exp->controller()->CurrentSlice(rig.server->task()), Us(58));
 }
 
@@ -288,9 +288,9 @@ TEST(SloController, RateLimitBoundsAdjustmentsPerWindow) {
   ControlRig rig = MakeRig(6000.0, c);
   rig.exp->Run(Sec(2));
   const ControlStats& s = rig.exp->controller()->stats();
-  EXPECT_GT(s.rate_limit_holds, 0u);
+  EXPECT_GT(s.control_rate_limit_holds, 0u);
   // <= 2 adjustments per 100 ms over 2 s -> hard ceiling of 40.
-  EXPECT_LE(s.inc_adjustments + s.dec_adjustments, 40u);
+  EXPECT_LE(s.control_inc_adjustments + s.control_dec_adjustments, 40u);
 }
 
 TEST(SloController, WellBehavedControllerIsNeverQuarantined) {
@@ -298,12 +298,12 @@ TEST(SloController, WellBehavedControllerIsNeverQuarantined) {
   ControlRig rig = MakeRig(6000.0, c);
   rig.exp->Run(Sec(5));
   // The controller acted...
-  EXPECT_GT(rig.exp->controller()->stats().inc_adjustments, 0u);
+  EXPECT_GT(rig.exp->controller()->stats().control_inc_adjustments, 0u);
   // ...and the guest_trust layer (enabled by default) saw nothing wrong.
-  EXPECT_EQ(rig.exp->dpwrap()->quarantines(), 0u);
-  EXPECT_EQ(rig.exp->dpwrap()->replan_budget_trips(), 0u);
-  EXPECT_EQ(rig.exp->dpwrap()->hypercall_rate_rejections(), 0u);
-  EXPECT_EQ(rig.exp->dpwrap()->bw_thrash_trips(), 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().quarantines, 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().replan_budget_trips, 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().hypercall_rate_rejections, 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().bw_thrash_trips, 0u);
 }
 
 TEST(SloController, FreezesOnChannelOutageAndReengages) {
@@ -317,12 +317,12 @@ TEST(SloController, FreezesOnChannelOutageAndReengages) {
   ControlRig rig = MakeRig(6000.0, FastControl(), faults);
   rig.exp->Run(Sec(5));
   const ControlStats& s = rig.exp->controller()->stats();
-  EXPECT_GT(s.freezes, 0u);
-  EXPECT_GT(s.reengage_probes, 0u);
-  EXPECT_GT(s.reengages, 0u);
+  EXPECT_GT(s.control_freezes, 0u);
+  EXPECT_GT(s.control_reengage_probes, 0u);
+  EXPECT_GT(s.control_reengages, 0u);
   // Recovered by the end: not frozen, and the loop is steering again.
   EXPECT_FALSE(rig.exp->controller()->Frozen(rig.server->task()));
-  EXPECT_GT(s.inc_adjustments, 0u);
+  EXPECT_GT(s.control_inc_adjustments, 0u);
 }
 
 TEST(SloController, SaturationHandsOffAndResolves) {
@@ -360,7 +360,7 @@ TEST(SloController, SaturationHandsOffAndResolves) {
   exp.controller()->Watch(tenant, server.task(), exp.ChannelOf(tenant), topts);
 
   exp.Run(Sec(2));
-  EXPECT_GT(exp.controller()->stats().saturation_events, 0u);
+  EXPECT_GT(exp.controller()->stats().control_saturation_events, 0u);
   EXPECT_TRUE(exp.controller()->Saturated(server.task()));
   exp.Run(Sec(6));
   EXPECT_FALSE(exp.controller()->Saturated(server.task()));
@@ -398,11 +398,11 @@ TEST(SloController, AntiWindupKeepsIntegratorBounded) {
   exp.controller()->Watch(tenant, server.task(), exp.ChannelOf(tenant), topts);
   exp.Run(Sec(5));
   const ControlStats& s = exp.controller()->stats();
-  EXPECT_GT(s.windup_clamps, 0u);
-  EXPECT_GT(s.saturation_events, 0u);
+  EXPECT_GT(s.control_windup_clamps, 0u);
+  EXPECT_GT(s.control_saturation_events, 0u);
   // Saturation quiesces the INC path: a bounded number of attempts, not one
   // per tick for five seconds.
-  EXPECT_LE(s.inc_adjustments + s.actuation_failures, 20u);
+  EXPECT_LE(s.control_inc_adjustments + s.control_actuation_failures, 20u);
 }
 
 // ---- Controller determinism ----
@@ -509,7 +509,7 @@ TEST(ControlFaults, PerVmOutageOnlyHitsTargetVm) {
   const FaultStats& fs = rig.exp->fault_injector()->stats();
   EXPECT_GT(fs.control_outage_failures, 0u);
   // The targeted tenant froze and re-engaged, exactly like a global outage.
-  EXPECT_GT(rig.exp->controller()->stats().freezes, 0u);
+  EXPECT_GT(rig.exp->controller()->stats().control_freezes, 0u);
   EXPECT_FALSE(rig.exp->controller()->Frozen(rig.server->task()));
   // Resilience plumbing carried the counters through.
   ResilienceCounters rc = rig.exp->resilience();
@@ -526,8 +526,8 @@ TEST(ControlFaults, StalePageWindowArmsAndRestores) {
   EXPECT_EQ(fs.control_stale_windows, 1u);
   // The run survives the stale window: controller still converges, no
   // quarantine, no freeze cascade.
-  EXPECT_GT(rig.exp->controller()->stats().inc_adjustments, 0u);
-  EXPECT_EQ(rig.exp->dpwrap()->quarantines(), 0u);
+  EXPECT_GT(rig.exp->controller()->stats().control_inc_adjustments, 0u);
+  EXPECT_EQ(rig.exp->dpwrap()->stats().quarantines, 0u);
 }
 
 }  // namespace

@@ -211,8 +211,8 @@ TEST(Determinism, DifferentWorkloadSeedStillRunsCleanUnderFaults) {
   ChurnDriver churn(g, ccfg, Rng(31337), &mon);
   churn.Start();
   exp.Run(kRun);
-  EXPECT_GT(exp.auditor()->checks_run(), 0u);
-  EXPECT_EQ(exp.auditor()->total_violations(), 0u);
+  EXPECT_GT(exp.auditor()->stats().audit_checks, 0u);
+  EXPECT_EQ(exp.auditor()->stats().audit_violations, 0u);
 }
 
 // Drives the calendar queue and the std::set reference model

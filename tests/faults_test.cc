@@ -89,7 +89,7 @@ TraceSummary RunFaultedScenario(uint64_t fault_seed) {
   TraceSummary s;
   s.completed = mon.total_completed();
   s.misses = mon.total_misses();
-  s.injected = rc.TotalInjected();
+  s.injected = rc.injected_failures + rc.injected_drops + rc.outage_failures;
   s.spikes = rc.injected_spikes;
   s.retries = rc.retries;
   s.degraded = rc.degraded_entries;
@@ -141,7 +141,7 @@ TEST(ChannelRetry, RetryRecoversSingleTransientFailure) {
   EXPECT_EQ(st.transient_failures, 1u);
   EXPECT_EQ(st.retries, 1u);
   EXPECT_EQ(st.retry_successes, 1u);
-  EXPECT_EQ(st.backoff_time, Us(50));
+  EXPECT_EQ(st.backoff_time_ns, static_cast<uint64_t>(Us(50)));
   // The backoff was charged to the machine's hypercall overhead account.
   EXPECT_EQ(exp.machine().overhead().hypercall_time, Us(50));
 }
@@ -307,7 +307,7 @@ TEST(Watchdog, ReclaimsOrphanedReservationsOfCrashedVm) {
   EXPECT_EQ(exp.dpwrap()->ReservedBw(doomed->vm()->vcpu(0)), Bandwidth::Zero());
   EXPECT_EQ(exp.dpwrap()->ReservedBw(healthy->vm()->vcpu(0)), healthy_bw);
   EXPECT_EQ(exp.dpwrap()->total_reserved(), healthy_bw);
-  EXPECT_GE(exp.dpwrap()->watchdog_reclaims(), 1u);
+  EXPECT_GE(exp.dpwrap()->stats().watchdog_reclaims, 1u);
 }
 
 TEST(Watchdog, FreshnessHorizonDistrustsStaleDeadlines) {
@@ -326,7 +326,7 @@ TEST(Watchdog, FreshnessHorizonDistrustsStaleDeadlines) {
   // fall back to the sporadic worst case instead of trusting it.
   g->vm()->shared_page().PublishNextDeadline(0, Ms(500));
   exp.Run(Ms(150));
-  EXPECT_GE(exp.dpwrap()->stale_rejections(), 1u);
+  EXPECT_GE(exp.dpwrap()->stats().stale_rejections, 1u);
 }
 
 // ---- Shared-page staleness via the injector ----
@@ -432,7 +432,7 @@ TEST(ChannelRetry, InCallBackoffSaturatesAtRepairMax) {
   const ChannelStats& st = exp.ChannelOf(g)->stats();
   EXPECT_EQ(st.retries, 6u);
   // Charged intervals: 50 + 100 + 200 + 200 + 200 + 200 — capped, not 50<<k.
-  EXPECT_EQ(st.backoff_time, Us(950));
+  EXPECT_EQ(st.backoff_time_ns, static_cast<uint64_t>(Us(950)));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/cluster/federation.h"
+#include "src/perf/alloc_hooks.h"
 #include "src/workloads/periodic.h"
 
 namespace rtvirt {
@@ -138,7 +139,7 @@ TEST(FederationTest, CrashEvacuatesAndRePlacesOnSurvivor) {
   EXPECT_EQ(rc.migration_successes, 2u);
   EXPECT_EQ(rc.evacuations_unresolved, 0u);
   // Each cold restore is charged at least the model's full copy time.
-  EXPECT_GE(rc.vm_unavailable_ns, 2 * TinyImage().Predict().total_time);
+  EXPECT_GE(static_cast<TimeNs>(rc.vm_unavailable_ns), 2 * TinyImage().Predict().total_time);
 }
 
 TEST(FederationTest, EvacueeRetriesWithBackoffUntilRoomReturns) {
@@ -177,7 +178,7 @@ TEST(FederationTest, EvacueeRetriesWithBackoffUntilRoomReturns) {
   EXPECT_GE(rc.migration_retries, 4u);
   EXPECT_LE(rc.migration_retries, 8u);
   // The VM was dark from the outage until past the heal.
-  EXPECT_GE(rc.vm_unavailable_ns, Sec(1));
+  EXPECT_GE(static_cast<TimeNs>(rc.vm_unavailable_ns), Sec(1));
 }
 
 TEST(FederationTest, ExhaustedAttemptBudgetMarksEvacuationUnresolved) {
@@ -235,7 +236,7 @@ TEST(FederationTest, MigrationDeadlineFallsBackToDegradedFit) {
   EXPECT_GT(rc.migration_retries, 0u);  // Full fit was tried first.
   EXPECT_EQ(rc.evacuations_unresolved, 0u);
   // Dark for at least the deadline before the federation settled for less.
-  EXPECT_GE(rc.vm_unavailable_ns, Ms(200));
+  EXPECT_GE(static_cast<TimeNs>(rc.vm_unavailable_ns), Ms(200));
 }
 
 TEST(FederationTest, InFlightCopyAbortsWhenTargetFails) {
@@ -268,7 +269,7 @@ TEST(FederationTest, InFlightCopyAbortsWhenTargetFails) {
   EXPECT_EQ(rc.migration_successes, 1u);
   EXPECT_EQ(rc.evacuations, 1u);
   // The blackout spans crash -> abort -> backoff -> heal -> full re-copy.
-  EXPECT_GE(rc.vm_unavailable_ns, Sec(3));
+  EXPECT_GE(static_cast<TimeNs>(rc.vm_unavailable_ns), Sec(3));
 }
 
 TEST(FederationTest, FrozenBaselineTakesTheFaultWithoutResponding) {
@@ -352,6 +353,31 @@ TEST(FederationTest, HostFaultPlanValidation) {
   // The same window on another host is fine.
   after_crash.host_faults.back().host = 1;
   EXPECT_EQ(after_crash.Validate(4, -1, 2), "");
+}
+
+// The allocation profile is process-wide and the hosts' measuring windows
+// overlap, so a federation report must count the process once: no more
+// allocations than the process made from just before construction.
+TEST(FederationTest, AllocProfileCountsTheProcessOnce) {
+  if (!perf::AllocHooksActive()) {
+    GTEST_SKIP() << "allocation hooks are not linked in";
+  }
+  const perf::AllocSnapshot before = perf::AllocNow();
+  FederationConfig config;
+  config.num_hosts = 3;
+  config.pcpus_per_host = 2;
+  ExperimentConfig tmpl;
+  tmpl.report_alloc = true;
+  Federation fed(config, tmpl);
+  for (const char* name : {"a", "b", "c"}) {
+    ASSERT_TRUE(fed.AdmitVm(Spec(name, 0.5)).has_value()) << name;
+  }
+  fed.Run(Ms(100));
+  ResilienceCounters rc = fed.resilience();
+  const perf::AllocSnapshot after = perf::AllocNow();
+  EXPECT_TRUE(rc.alloc_section);
+  EXPECT_GT(rc.warmup_allocs, 0u);
+  EXPECT_LE(rc.warmup_allocs + rc.steady_allocs, after.allocs - before.allocs);
 }
 
 // Same seed + same plan => byte-identical report, with real workloads

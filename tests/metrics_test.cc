@@ -1,14 +1,19 @@
 // Metrics and reporting: deadline monitor, allocation tracker, table/CDF
-// rendering, and the dispatch tracer.
+// rendering, the resilience report, and the dispatch tracer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/metrics/alloc_tracker.h"
 #include "src/metrics/deadline_monitor.h"
 #include "src/metrics/report.h"
+#include "src/metrics/resilience.h"
 #include "src/runner/experiment.h"
 #include "src/workloads/periodic.h"
 #include "tests/test_util.h"
@@ -119,6 +124,90 @@ TEST(ReportTest, PrintCdfAndPercentiles) {
   EXPECT_NE(text.find("p50: 50.00 us"), std::string::npos);
   EXPECT_NE(text.find("p99: 99.00 us"), std::string::npos);
   EXPECT_NE(text.find("1.0000"), std::string::npos);  // CDF reaches 1.
+}
+
+// Every counter row holds a distinct value, row i = (i+1) * 10^6, and the
+// alloc section continues the sequence.
+ResilienceCounters EveryRowDistinct() {
+  ResilienceCounters c;
+  uint64_t v = 0;
+  for (const CounterRow& row : CounterRows()) {
+    c.*row.field = (v += 1000000);
+  }
+  c.alloc_section = true;
+  for (uint64_t* f : {&c.warmup_allocs, &c.warmup_alloc_bytes, &c.steady_allocs,
+                      &c.steady_alloc_bytes, &c.peak_rss_kb, &c.event_queue.schedules,
+                      &c.event_queue.cancels, &c.event_queue.pops, &c.event_queue.node_allocs,
+                      &c.event_queue.calendar_resizes, &c.event_queue.calendar_retunes}) {
+    *f = (v += 1000000);
+  }
+  return c;
+}
+
+// The layers a report prints, in order of appearance.
+std::vector<std::string> PrintedLayers(const ResilienceCounters& c) {
+  std::ostringstream out;
+  PrintResilience(out, c);
+  std::istringstream in(out.str());
+  std::vector<std::string> layers;
+  std::string line;
+  for (int n = 0; std::getline(in, line); ++n) {
+    std::istringstream words(line);
+    std::string layer;
+    words >> layer;
+    if (n >= 2 && (layers.empty() || layers.back() != layer)) {  // Past the header.
+      layers.push_back(layer);
+    }
+  }
+  return layers;
+}
+
+TEST(ResilienceReport, MatchesGoldenReport) {
+  std::ifstream in(RTVIRT_GOLDEN_REPORT, std::ios::binary);
+  ASSERT_TRUE(in) << "cannot open " << RTVIRT_GOLDEN_REPORT;
+  std::stringstream golden;
+  golden << in.rdbuf();
+  std::ostringstream out;
+  PrintResilience(out, EveryRowDistinct());
+  EXPECT_EQ(out.str(), golden.str());
+}
+
+TEST(ResilienceReport, OneNonzeroRowPrintsExactlyItsSection) {
+  const std::vector<std::string> always = {"injected", "guest", "host"};
+  EXPECT_EQ(PrintedLayers(ResilienceCounters()), always);
+  for (const CounterRow& row : CounterRows()) {
+    ResilienceCounters c;
+    c.*row.field = 1;
+    std::vector<std::string> want = always;
+    if (std::find(want.begin(), want.end(), row.layer) == want.end()) {
+      want.push_back(row.layer);
+    }
+    EXPECT_EQ(PrintedLayers(c), want) << row.layer << "." << row.name;
+  }
+}
+
+TEST(ResilienceReport, AccumulateSumsEveryRow) {
+  ResilienceCounters into;
+  ResilienceCounters from;
+  uint64_t i = 0;
+  for (const CounterRow& row : CounterRows()) {
+    ++i;
+    into.*row.field = i;
+    from.*row.field = 1000 * i;
+  }
+  from.alloc_section = true;
+  into.event_queue.pops = 2;
+  from.event_queue.pops = 3;
+  from.warmup_allocs = 7;  // Process-wide: `into` keeps its own.
+  AccumulateResilience(into, from);
+  i = 0;
+  for (const CounterRow& row : CounterRows()) {
+    ++i;
+    EXPECT_EQ(into.*row.field, 1001 * i) << row.layer << "." << row.name;
+  }
+  EXPECT_TRUE(into.alloc_section);
+  EXPECT_EQ(into.event_queue.pops, 5u);
+  EXPECT_EQ(into.warmup_allocs, 0u);
 }
 
 TEST(DispatchTracerTest, ObservesEveryDispatch) {

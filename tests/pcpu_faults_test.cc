@@ -94,7 +94,7 @@ TEST(PcpuFaults, OfflineEvacuatesTheRunningVcpu) {
   EXPECT_FALSE(rig.machine->pcpu(1)->online());
   EXPECT_EQ(rig.machine->pcpu(1)->current(), nullptr);
   EXPECT_EQ(rig.machine->pcpu(1)->run_until(), kTimeNever);
-  EXPECT_EQ(rig.machine->pcpu_evacuations(), 1u);
+  EXPECT_EQ(rig.machine->stats().pcpu_evacuations, 1u);
   EXPECT_EQ(rig.vm->vcpu(1)->evacuations(), 1u);
   EXPECT_EQ(rig.clients[1].revokes, 1);
   EXPECT_EQ(rig.machine->num_online_pcpus(), 1);
@@ -107,7 +107,7 @@ TEST(PcpuFaults, OfflineIdleCoreEvacuatesNobody) {
   rig.vm->vcpu(0)->Wake();
   rig.sim.At(Ms(1), [&] { rig.machine->SetPcpuOnline(1, false); });
   rig.sim.RunUntil(Ms(2));
-  EXPECT_EQ(rig.machine->pcpu_evacuations(), 0u);
+  EXPECT_EQ(rig.machine->stats().pcpu_evacuations, 0u);
   EXPECT_EQ(rig.machine->num_online_pcpus(), 1);
 }
 
@@ -414,13 +414,13 @@ TEST(PcpuRecovery, ReplansOffTheDeadCoreAndAuditsClean) {
   }
   exp.Run(Ms(200));
 
-  EXPECT_GE(exp.dpwrap()->capacity_replans(), 2u);  // Offline + re-online.
-  EXPECT_GT(exp.auditor()->checks_run(), 0u);
-  EXPECT_EQ(exp.auditor()->total_violations(), 0u);
+  EXPECT_GE(exp.dpwrap()->stats().capacity_replans, 2u);  // Offline + re-online.
+  EXPECT_GT(exp.auditor()->stats().audit_checks, 0u);
+  EXPECT_EQ(exp.auditor()->stats().audit_violations, 0u);
   ResilienceCounters rc = exp.resilience();
   EXPECT_EQ(rc.pcpu_offline_events, 1u);
   EXPECT_EQ(rc.pcpu_online_events, 1u);
-  EXPECT_EQ(rc.capacity_replans, exp.dpwrap()->capacity_replans());
+  EXPECT_EQ(rc.capacity_replans, exp.dpwrap()->stats().capacity_replans);
 }
 
 TEST(PcpuRecovery, DegradedPlanNeverExceedsEffectiveCapacity) {
@@ -441,8 +441,8 @@ TEST(PcpuRecovery, DegradedPlanNeverExceedsEffectiveCapacity) {
     rtas.back()->Start(0, Ms(200));
   }
   exp.Run(Ms(200));
-  EXPECT_GT(exp.auditor()->checks_run(), 0u);
-  EXPECT_EQ(exp.auditor()->total_violations(), 0u);
+  EXPECT_GT(exp.auditor()->stats().audit_checks, 0u);
+  EXPECT_EQ(exp.auditor()->stats().audit_violations, 0u);
   EXPECT_EQ(exp.resilience().pcpu_degrade_events, 1u);
 }
 
@@ -462,7 +462,7 @@ TEST(PcpuRecovery, FrozenLayoutKeepsNominalCapacity) {
   PeriodicRta rta(g, "t", RtaParams{Ms(2), Ms(10)});
   rta.Start(0, Ms(100));
   exp.Run(Ms(100));
-  EXPECT_EQ(exp.dpwrap()->capacity_replans(), 0u);
+  EXPECT_EQ(exp.dpwrap()->stats().capacity_replans, 0u);
   EXPECT_FALSE(exp.machine().pcpu(1)->online());
   EXPECT_EQ(exp.machine().EffectiveCapacity(), Bandwidth::Cpus(1));
 }

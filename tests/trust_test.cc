@@ -51,7 +51,7 @@ TEST(DeadlineSanitizer, EgregiouslyStaleDeadlineScoresOneLiePerPublication) {
   exp.Run(Ms(200));
   // Scored exactly once despite many replans rereading the same slot value:
   // re-counting a persisting publication would make rehabilitation impossible.
-  EXPECT_EQ(exp.dpwrap()->deadline_lie_rejections(), 1u);
+  EXPECT_EQ(exp.dpwrap()->stats().deadline_lie_rejections, 1u);
   EXPECT_FALSE(exp.dpwrap()->Quarantined(g->vm()));  // One lie is not a pattern.
 }
 
@@ -68,8 +68,8 @@ TEST(DeadlineSanitizer, HonestTardinessWithinOnePeriodIsNotScored) {
   // value, but the guest must not be scored for being a victim.
   g->vm()->shared_page().PublishNextDeadline(0, Ms(100) - Ms(5));
   exp.Run(Ms(200));
-  EXPECT_EQ(exp.dpwrap()->deadline_lie_rejections(), 0u);
-  EXPECT_EQ(exp.dpwrap()->deadline_floor_clamps(), 0u);
+  EXPECT_EQ(exp.dpwrap()->stats().deadline_lie_rejections, 0u);
+  EXPECT_EQ(exp.dpwrap()->stats().deadline_floor_clamps, 0u);
 }
 
 TEST(DeadlineSanitizer, ShortHorizonFuturePublicationClampedNotScored) {
@@ -88,8 +88,8 @@ TEST(DeadlineSanitizer, ShortHorizonFuturePublicationClampedNotScored) {
   ASSERT_EQ(exp.machine().Hypercall(v, BwCall(SchedOp::kIncBw, v, 0.6, Ms(10))),
             kHypercallOk);
   exp.Run(Ms(100) + Ms(1));
-  EXPECT_GE(exp.dpwrap()->deadline_floor_clamps(), 1u);
-  EXPECT_EQ(exp.dpwrap()->deadline_lie_rejections(), 0u);
+  EXPECT_GE(exp.dpwrap()->stats().deadline_floor_clamps, 1u);
+  EXPECT_EQ(exp.dpwrap()->stats().deadline_lie_rejections, 0u);
   EXPECT_FALSE(exp.dpwrap()->Quarantined(g->vm()));
 }
 
@@ -117,7 +117,7 @@ TEST(DeadlineSanitizer, FloorBindingBudgetDistrustsReplanForcer) {
   };
   sim.After(Us(200), pump);
   exp.Run(Ms(200));
-  EXPECT_GE(exp.dpwrap()->replan_budget_trips(), 1u);
+  EXPECT_GE(exp.dpwrap()->stats().replan_budget_trips, 1u);
 }
 
 // ---- Hypercall rate limiting ----
@@ -140,7 +140,7 @@ TEST(RateLimiter, TokenBucketRejectsBeyondBurstWithAgain) {
     }
   }
   EXPECT_EQ(again, 36);
-  EXPECT_EQ(exp.dpwrap()->hypercall_rate_rejections(), 36u);
+  EXPECT_EQ(exp.dpwrap()->stats().hypercall_rate_rejections, 36u);
   // kHypercallAgain is the existing transient-failure code: the channel's
   // retry/degraded machinery handles a throttled guest with no new ABI.
 }
@@ -159,7 +159,7 @@ TEST(RateLimiter, IncDecOscillationTripsThrashDetector) {
     double bw = i % 2 == 0 ? 0.2 : 0.1;
     exp.machine().Hypercall(v, BwCall(op, v, bw, Ms(10)));
   }
-  EXPECT_GE(exp.dpwrap()->bw_thrash_trips(), 1u);
+  EXPECT_GE(exp.dpwrap()->stats().bw_thrash_trips, 1u);
 }
 
 // ---- Quarantine state machine ----
@@ -177,7 +177,7 @@ TEST(Quarantine, StormQuarantinesFreezesReservationsAndRehabilitates) {
     exp.machine().Hypercall(v, BwCall(SchedOp::kIncBw, v, 50.0, Ms(10)));
   }
   EXPECT_TRUE(exp.dpwrap()->Quarantined(g->vm()));
-  EXPECT_EQ(exp.dpwrap()->quarantines(), 1u);
+  EXPECT_EQ(exp.dpwrap()->stats().quarantines, 1u);
 
   // Let the token bucket refill (50 ms at 2000/s) so the next call reaches
   // the quarantine check rather than the rate limiter; the score is still far
@@ -191,7 +191,7 @@ TEST(Quarantine, StormQuarantinesFreezesReservationsAndRehabilitates) {
   // global slice and starve its neighbors straight through the quarantine.
   EXPECT_EQ(exp.machine().Hypercall(v, BwCall(SchedOp::kDecBw, v, 0.1, Ms(10))),
             kHypercallAgain);
-  EXPECT_GE(exp.dpwrap()->quarantine_holds(), 1u);
+  EXPECT_GE(exp.dpwrap()->stats().quarantine_holds, 1u);
   EXPECT_EQ(exp.dpwrap()->ReservedBw(v), Bandwidth::FromDouble(0.3))
       << "the VM keeps exactly what admission already granted";
 
@@ -199,7 +199,7 @@ TEST(Quarantine, StormQuarantinesFreezesReservationsAndRehabilitates) {
   // enough consecutive clean scans the VM is released and served again.
   exp.Run(Sec(1));
   EXPECT_FALSE(exp.dpwrap()->Quarantined(g->vm()));
-  EXPECT_EQ(exp.dpwrap()->quarantine_releases(), 1u);
+  EXPECT_EQ(exp.dpwrap()->stats().quarantine_releases, 1u);
   EXPECT_EQ(exp.machine().Hypercall(v, BwCall(SchedOp::kDecBw, v, 0.1, Ms(10))),
             kHypercallOk);
 }
@@ -216,9 +216,9 @@ TEST(Quarantine, DisabledTrustLeavesEverythingUntouched) {
   }
   g->vm()->shared_page().PublishNextDeadline(0, Ms(1));
   exp.Run(Ms(50));
-  EXPECT_EQ(exp.dpwrap()->hypercall_rate_rejections(), 0u);
-  EXPECT_EQ(exp.dpwrap()->deadline_lie_rejections(), 0u);
-  EXPECT_EQ(exp.dpwrap()->quarantines(), 0u);
+  EXPECT_EQ(exp.dpwrap()->stats().hypercall_rate_rejections, 0u);
+  EXPECT_EQ(exp.dpwrap()->stats().deadline_lie_rejections, 0u);
+  EXPECT_EQ(exp.dpwrap()->stats().quarantines, 0u);
   EXPECT_FALSE(exp.dpwrap()->Quarantined(g->vm()));
 }
 
