@@ -8,8 +8,8 @@
 // owner = Fnv1a64(section name of its target), and restore hands (kind,
 // payload, time) back to the owning component, which re-arms it through its
 // ordinary schedule path. The header stays header-only (Writer / Reader /
-// hashes) so hypervisor and guest components can implement Checkpointable
-// without new link-time dependencies.
+// field lists / hashes) so hypervisor and guest components can implement
+// Checkpointable without new link-time dependencies.
 
 #ifndef SRC_CHECKPOINT_CHECKPOINT_H_
 #define SRC_CHECKPOINT_CHECKPOINT_H_
@@ -18,8 +18,10 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "src/common/bandwidth.h"
 #include "src/common/time.h"
 #include "src/sim/event_queue.h"
 
@@ -146,6 +148,65 @@ class Reader {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// ---------------------------------------------------------------------------
+// Field lists.
+//
+// Field(io, x) writes x through a Writer or assigns it from a Reader; x's
+// type fixes the encoding: int U32, int64_t/TimeNs I64, uint64_t U64, bool
+// Bool, double F64, Bandwidth I64 of its ppb, uint8_t U8, uint32_t U32. Any
+// other type is a compile error rather than a silent conversion. A record
+// declares its plain fields once, in byte order, as one Fields(io, ...) call
+// that SaveState (const record, Writer) and RestoreState (Reader) both run.
+
+inline void Field(Writer& w, int v) { w.U32(static_cast<uint32_t>(v)); }
+inline void Field(Reader& r, int& v) { v = static_cast<int>(r.U32()); }
+inline void Field(Writer& w, int64_t v) { w.I64(v); }
+inline void Field(Reader& r, int64_t& v) { v = r.I64(); }
+inline void Field(Writer& w, uint64_t v) { w.U64(v); }
+inline void Field(Reader& r, uint64_t& v) { v = r.U64(); }
+inline void Field(Writer& w, bool v) { w.Bool(v); }
+inline void Field(Reader& r, bool& v) { v = r.Bool(); }
+inline void Field(Writer& w, double v) { w.F64(v); }
+inline void Field(Reader& r, double& v) { v = r.F64(); }
+inline void Field(Writer& w, Bandwidth v) { w.I64(v.ppb()); }
+inline void Field(Reader& r, Bandwidth& v) { v = Bandwidth::FromPpb(r.I64()); }
+inline void Field(Writer& w, uint8_t v) { w.U8(v); }
+inline void Field(Reader& r, uint8_t& v) { v = r.U8(); }
+inline void Field(Writer& w, uint32_t v) { w.U32(v); }
+inline void Field(Reader& r, uint32_t& v) { v = r.U32(); }
+template <typename T>
+void Field(Writer&, const T&) = delete;
+template <typename T>
+void Field(Reader&, T&) = delete;
+
+// A field stored in another type's encoding, such as an enum as U8 or U32:
+// Fields(io, As<uint8_t>(state)).
+template <typename Wire, typename T>
+struct Encoded {
+  T& field;
+};
+template <typename Wire, typename T>
+Encoded<Wire, T> As(T& field) {
+  return {field};
+}
+template <typename Wire, typename T>
+void Field(Writer& w, Encoded<Wire, T> e) {
+  Field(w, static_cast<Wire>(e.field));
+}
+template <typename Wire, typename T>
+void Field(Reader& r, Encoded<Wire, T> e) {
+  Wire v{};
+  Field(r, v);
+  e.field = static_cast<T>(v);
+}
+
+// Forwarding keeps a restore from reading into a temporary: a Reader
+// binds only lvalues (and As<> views).
+template <typename Io, typename... T>
+void Fields(Io& io, T&&... fields) {
+  (Field(io, std::forward<T>(fields)), ...);
+}
 
 // ---------------------------------------------------------------------------
 // Component interface.

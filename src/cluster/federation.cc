@@ -403,11 +403,36 @@ void Federation::PrintReport(std::ostream& out, const std::string& title) const 
 
 namespace {
 
+// The federation section's records, each in byte order; save and restore
+// share them.
+template <typename H, typename Io>
+void HostFields(H& h, Io& io) {
+  ckpt::Fields(io, ckpt::As<uint32_t>(h.state), h.factor);
+}
+
+// After the VM's name; `host` is ClusterVm::host, kept as I64.
+template <typename V, typename Host, typename Io>
+void VmFields(V& vm, Host&& host, Io& io) {
+  ckpt::Fields(io, host, vm.degraded);
+}
+
 // The federation's counters are the cluster rows of the counter table; its
 // checkpoint holds them in table order.
-bool IsClusterRow(const CounterRow& row) { return std::string_view(row.layer) == "cluster"; }
+template <typename Io>
+void ClusterCounterFields(ResilienceCounters& cluster, Io& io) {
+  for (const CounterRow& row : CounterRows()) {
+    if (std::string_view(row.layer) == "cluster") {
+      ckpt::Field(io, cluster.*row.field);
+    }
+  }
+}
 
 }  // namespace
+
+template <typename Self, typename Io>
+void Federation::ClockFields(Self& self, Io& io) {
+  ckpt::Fields(io, self.now_, self.cursor_, self.seq_);
+}
 
 std::string Federation::SaveCheckpoint(ckpt::Image* out) const {
   if (!pendings_.empty()) {
@@ -435,27 +460,19 @@ std::string Federation::SaveCheckpoint(ckpt::Image* out) const {
   out->sections.clear();
   {
     ckpt::Writer w;
-    w.I64(now_);
-    w.U64(cursor_);
-    w.U64(seq_);
+    ClockFields(*this, w);
     w.U32(static_cast<uint32_t>(hosts_.size()));
     for (const Host& h : hosts_) {
-      w.U32(static_cast<uint32_t>(h.state));
-      w.F64(h.factor);
+      HostFields(h, w);
     }
     w.U32(static_cast<uint32_t>(vms_.size()));
     for (const ClusterVm& vm : vms_) {
       w.Str(vm.spec.name);
-      w.I64(vm.host);
-      w.Bool(vm.degraded);
+      VmFields(vm, int64_t{vm.host}, w);
     }
     ResilienceCounters cluster;
     static_cast<ClusterStats&>(cluster) = counters_;
-    for (const CounterRow& row : CounterRows()) {
-      if (IsClusterRow(row)) {
-        w.U64(cluster.*row.field);
-      }
-    }
+    ClusterCounterFields(cluster, w);
     out->sections.push_back({"federation", w.Take()});
   }
   for (size_t i = 0; i < hosts_.size(); ++i) {
@@ -479,36 +496,31 @@ std::string Federation::RestoreCheckpoint(const ckpt::Image& image) {
   if (fed == nullptr) {
     return "federation: missing section 'federation'";
   }
+  // The section is read in place and checked before any host restores.
   ckpt::Reader r(fed->bytes);
-  TimeNs saved_now = r.I64();
-  uint64_t saved_cursor = r.U64();
-  uint64_t saved_seq = r.U64();
+  ClockFields(*this, r);
   uint32_t n_hosts = r.U32();
   if (!r.ok() || n_hosts != hosts_.size()) {
     return "federation: host count mismatch (image has " + std::to_string(n_hosts) +
            ", this federation has " + std::to_string(hosts_.size()) + ")";
   }
-  std::vector<HostState> states(hosts_.size());
-  std::vector<double> factors(hosts_.size());
   for (size_t i = 0; i < hosts_.size(); ++i) {
-    uint32_t s = r.U32();
-    if (s > static_cast<uint32_t>(HostState::kCrashed)) {
+    HostFields(hosts_[i], r);
+    if (auto s = static_cast<uint32_t>(hosts_[i].state);
+        s > static_cast<uint32_t>(HostState::kCrashed)) {
       return "federation: host[" + std::to_string(i) + "] has invalid state " +
              std::to_string(s);
     }
-    states[i] = static_cast<HostState>(s);
-    factors[i] = r.F64();
   }
   uint32_t n_vms = r.U32();
   if (!r.ok() || n_vms != vms_.size()) {
     return "federation: VM count mismatch (image has " + std::to_string(n_vms) +
            ", this federation admitted " + std::to_string(vms_.size()) + ")";
   }
-  std::vector<bool> degraded(vms_.size());
   for (size_t i = 0; i < vms_.size(); ++i) {
     std::string name = r.Str();
-    TimeNs host = r.I64();
-    degraded[i] = r.Bool();
+    int64_t host = 0;
+    VmFields(vms_[i], host, r);
     if (!r.ok()) {
       return "federation: truncated section 'federation' at vm " + std::to_string(i);
     }
@@ -523,11 +535,7 @@ std::string Federation::RestoreCheckpoint(const ckpt::Image& image) {
     }
   }
   ResilienceCounters cluster;
-  for (const CounterRow& row : CounterRows()) {
-    if (IsClusterRow(row)) {
-      cluster.*row.field = r.U64();
-    }
-  }
+  ClusterCounterFields(cluster, r);
   counters_ = cluster;
   if (!r.ok() || !r.AtEnd()) {
     return "federation: malformed section 'federation'";
@@ -548,23 +556,15 @@ std::string Federation::RestoreCheckpoint(const ckpt::Image& image) {
       return "federation: host " + std::to_string(i) + ": " + err;
     }
   }
-  now_ = saved_now;
-  cursor_ = saved_cursor;
-  seq_ = saved_seq;
-  const bool ft = config_.fault_tolerance.enabled;
-  for (size_t i = 0; i < hosts_.size(); ++i) {
-    hosts_[i].state = states[i];
-    hosts_[i].factor = factors[i];
-    // The machines restored their own PCPU online/speed state; only the
-    // placer's availability/capacity view needs re-seeding here.
-    if (ft) {
-      bool online = states[i] == HostState::kHealthy || states[i] == HostState::kDegraded;
-      placer_.SetHostAvailable(static_cast<int>(i), online);
-      placer_.SetHostCapacityFactor(static_cast<int>(i), factors[i]);
+  // The machines restored their own PCPU online/speed state; only the
+  // placer's availability/capacity view needs re-seeding here.
+  if (config_.fault_tolerance.enabled) {
+    for (size_t i = 0; i < hosts_.size(); ++i) {
+      HostState state = hosts_[i].state;
+      placer_.SetHostAvailable(static_cast<int>(i),
+                               state == HostState::kHealthy || state == HostState::kDegraded);
+      placer_.SetHostCapacityFactor(static_cast<int>(i), hosts_[i].factor);
     }
-  }
-  for (size_t i = 0; i < vms_.size(); ++i) {
-    vms_[i].degraded = degraded[i];
   }
   return "";
 }

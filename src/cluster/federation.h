@@ -216,6 +216,10 @@ class Federation {
   };
 
   static std::vector<ClusterHost> MakeHosts(const FederationConfig& config);
+  // The checkpoint section's leading clocks, in byte order; SaveCheckpoint
+  // and RestoreCheckpoint both run this one list.
+  template <typename Self, typename Io>
+  static void ClockFields(Self& self, Io& io);
   size_t IndexOf(const std::string& name) const;
   PendingMigration* PendingFor(size_t vm_index);
   VmPlacementRequest RequestFor(const ClusterVmSpec& spec) const;

@@ -80,17 +80,6 @@ bool ClusterPlacer::HostAvailable(int host) const {
   return available_[host];
 }
 
-Bandwidth ClusterPlacer::TotalFree() const {
-  Bandwidth free;
-  for (const ClusterHost& h : hosts_) {
-    if (!available_[h.id]) {
-      continue;
-    }
-    free += EffectiveCapacity(h.id) - HostLoad(h.id);
-  }
-  return free;
-}
-
 int ClusterPlacer::ChooseHost(const VmPlacementRequest& request, bool degraded_fit) const {
   Bandwidth bw = degraded_fit ? request.MinBandwidth() : request.bandwidth;
   int best = -1;

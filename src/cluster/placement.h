@@ -111,7 +111,6 @@ class ClusterPlacer {
   // Effective capacity minus full load; negative when a degraded-fit
   // placement overbooked the host (the ladder keeps it physically feasible).
   Bandwidth HostFree(int host) const;
-  Bandwidth TotalFree() const;  // Over available hosts only.
   const std::vector<PlacedVm>& placements() const { return vms_; }
   int num_hosts() const { return static_cast<int>(hosts_.size()); }
 

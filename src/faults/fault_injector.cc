@@ -422,46 +422,31 @@ void FaultInjector::AdversaryTick(size_t idx, uint64_t step) {
   sim->After(a.period, this, kEvAdversaryTick, (static_cast<uint64_t>(idx) << 32) | (step + 1));
 }
 
+namespace {
+
+// The section's counters after the RNG state, in byte order; save and
+// restore share the list.
+template <typename Stats, typename Io>
+void StatsFields(Stats& s, Io& io) {
+  ckpt::Fields(io, s.hypercall_attempts, s.injected_failures, s.injected_drops,
+               s.injected_spikes, s.outage_failures, s.vm_crashes, s.vm_restarts,
+               s.pcpu_offline_events, s.pcpu_online_events, s.pcpu_degrade_events,
+               s.pcpu_heal_events, s.adversarial_deadline_lies, s.adversarial_storm_calls,
+               s.adversarial_thrash_calls, s.control_outage_failures, s.control_stale_windows);
+}
+
+}  // namespace
+
 void FaultInjector::SaveState(ckpt::Writer& w) const {
   w.Str(rng_.SaveState());
-  w.U64(stats_.hypercall_attempts);
-  w.U64(stats_.injected_failures);
-  w.U64(stats_.injected_drops);
-  w.U64(stats_.injected_spikes);
-  w.U64(stats_.outage_failures);
-  w.U64(stats_.vm_crashes);
-  w.U64(stats_.vm_restarts);
-  w.U64(stats_.pcpu_offline_events);
-  w.U64(stats_.pcpu_online_events);
-  w.U64(stats_.pcpu_degrade_events);
-  w.U64(stats_.pcpu_heal_events);
-  w.U64(stats_.adversarial_deadline_lies);
-  w.U64(stats_.adversarial_storm_calls);
-  w.U64(stats_.adversarial_thrash_calls);
-  w.U64(stats_.control_outage_failures);
-  w.U64(stats_.control_stale_windows);
+  StatsFields(stats_, w);
 }
 
 std::string FaultInjector::RestoreState(ckpt::Reader& r) {
   if (!rng_.RestoreState(r.Str())) {
     return "faults: malformed RNG state";
   }
-  stats_.hypercall_attempts = r.U64();
-  stats_.injected_failures = r.U64();
-  stats_.injected_drops = r.U64();
-  stats_.injected_spikes = r.U64();
-  stats_.outage_failures = r.U64();
-  stats_.vm_crashes = r.U64();
-  stats_.vm_restarts = r.U64();
-  stats_.pcpu_offline_events = r.U64();
-  stats_.pcpu_online_events = r.U64();
-  stats_.pcpu_degrade_events = r.U64();
-  stats_.pcpu_heal_events = r.U64();
-  stats_.adversarial_deadline_lies = r.U64();
-  stats_.adversarial_storm_calls = r.U64();
-  stats_.adversarial_thrash_calls = r.U64();
-  stats_.control_outage_failures = r.U64();
-  stats_.control_stale_windows = r.U64();
+  StatsFields(stats_, r);
   if (!r.ok()) {
     return "faults: truncated section";
   }

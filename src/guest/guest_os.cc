@@ -75,14 +75,6 @@ Task* GuestOs::CreateBackgroundTask(std::string name) {
   return t;
 }
 
-Bandwidth GuestOs::TotalReservedBw() const {
-  Bandwidth total;
-  for (const auto& vr : vcpus_) {
-    total += vr.reserved;
-  }
-  return total;
-}
-
 TimeNs GuestOs::NextEarliestDeadline(int vcpu_index) const {
   return EarliestDeadline(global_edf() ? global_rtas_ : vcpus_[vcpu_index].rtas);
 }
@@ -927,18 +919,41 @@ bool GuestOs::TryExpandOne() {
   return true;
 }
 
+template <typename Self, typename Io>
+void GuestOs::ScalarFields(Self& self, Io& io) {
+  auto& s = self.overload_stats_;
+  ckpt::Fields(io, self.global_total_, self.global_min_period_, self.bg_cursor_,
+               self.pressure_ticks_under_, self.pressure_clear_ticks_, s.compressions,
+               s.expansions, s.sheds, s.resumes, s.shed_job_drops, s.overload_admissions);
+}
+
+template <typename T, typename Io>
+void GuestOs::TaskFields(T& t, Io& io) {
+  auto& p = t.params_;
+  ckpt::Fields(io, p.slice, p.period, p.sporadic, ckpt::As<uint8_t>(p.criticality), p.min_slice,
+               t.registered_, t.vcpu_index_, t.shed_, t.compressed_slice_, t.next_release_,
+               t.jobs_completed_);
+}
+
+namespace {
+
+// Guest section records, each in byte order; save and restore share them.
+template <typename J, typename Io>
+void JobFields(J& j, Io& io) {
+  ckpt::Fields(io, j.release, j.deadline, j.work, j.remaining);
+}
+
+// `running` is the index of the running task, -1 for none.
+template <typename Run, typename Running, typename Io>
+void VcpuRunFields(Run& vr, Running&& running, Io& io) {
+  ckpt::Fields(io, vr.reserved, vr.capacity, vr.min_period, vr.on_cpu, running, vr.run_start,
+               vr.run_speed_ppb);
+}
+
+}  // namespace
+
 void GuestOs::SaveState(ckpt::Writer& w) const {
-  w.I64(global_total_.ppb());
-  w.I64(global_min_period_);
-  w.U64(bg_cursor_);
-  w.U32(static_cast<uint32_t>(pressure_ticks_under_));
-  w.U32(static_cast<uint32_t>(pressure_clear_ticks_));
-  w.U64(overload_stats_.compressions);
-  w.U64(overload_stats_.expansions);
-  w.U64(overload_stats_.sheds);
-  w.U64(overload_stats_.resumes);
-  w.U64(overload_stats_.shed_job_drops);
-  w.U64(overload_stats_.overload_admissions);
+  ScalarFields(*this, w);
 
   // Tasks are created by the experiment builder in a fixed order; the restore
   // target has the same tasks_ vector, so indices are stable identifiers.
@@ -948,29 +963,16 @@ void GuestOs::SaveState(ckpt::Writer& w) const {
         return static_cast<uint32_t>(i);
       }
     }
-    return static_cast<uint32_t>(-1);
+    return static_cast<uint32_t>(-1);  // Also for nullptr: no task.
   };
   w.U32(static_cast<uint32_t>(tasks_.size()));
   for (const auto& t : tasks_) {
     w.Str(t->name_);
     w.U8(static_cast<uint8_t>(t->kind_));
-    w.I64(t->params_.slice);
-    w.I64(t->params_.period);
-    w.Bool(t->params_.sporadic);
-    w.U8(static_cast<uint8_t>(t->params_.criticality));
-    w.I64(t->params_.min_slice);
-    w.Bool(t->registered_);
-    w.U32(static_cast<uint32_t>(t->vcpu_index_));
-    w.Bool(t->shed_);
-    w.I64(t->compressed_slice_);
-    w.I64(t->next_release_);
-    w.U64(t->jobs_completed_);
+    TaskFields(*t, w);
     w.U32(static_cast<uint32_t>(t->jobs_.size()));
     for (const Job& j : t->jobs_) {
-      w.I64(j.release);
-      w.I64(j.deadline);
-      w.I64(j.work);
-      w.I64(j.remaining);
+      JobFields(j, w);
     }
   }
 
@@ -980,13 +982,7 @@ void GuestOs::SaveState(ckpt::Writer& w) const {
     for (const Task* t : vr.rtas) {
       w.U32(index_of(t));
     }
-    w.I64(vr.reserved.ppb());
-    w.I64(vr.capacity.ppb());
-    w.I64(vr.min_period);
-    w.Bool(vr.on_cpu);
-    w.U32(vr.running != nullptr ? index_of(vr.running) : static_cast<uint32_t>(-1));
-    w.I64(vr.run_start);
-    w.I64(vr.run_speed_ppb);
+    VcpuRunFields(vr, index_of(vr.running), w);
   }
 
   w.U32(static_cast<uint32_t>(global_rtas_.size()));
@@ -1000,17 +996,7 @@ void GuestOs::SaveState(ckpt::Writer& w) const {
 }
 
 std::string GuestOs::RestoreState(ckpt::Reader& r) {
-  global_total_ = Bandwidth::FromPpb(r.I64());
-  global_min_period_ = r.I64();
-  bg_cursor_ = r.U64();
-  pressure_ticks_under_ = static_cast<int>(r.U32());
-  pressure_clear_ticks_ = static_cast<int>(r.U32());
-  overload_stats_.compressions = r.U64();
-  overload_stats_.expansions = r.U64();
-  overload_stats_.sheds = r.U64();
-  overload_stats_.resumes = r.U64();
-  overload_stats_.shed_job_drops = r.U64();
-  overload_stats_.overload_admissions = r.U64();
+  ScalarFields(*this, r);
 
   uint32_t n_tasks = r.U32();
   if (!r.ok() || n_tasks != tasks_.size()) {
@@ -1029,30 +1015,28 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
     if (kind != static_cast<uint8_t>(t->kind_)) {
       return ckpt_section_ + ": task '" + t->name_ + "' kind mismatch";
     }
-    t->params_.slice = r.I64();
-    t->params_.period = r.I64();
-    t->params_.sporadic = r.Bool();
-    t->params_.criticality = static_cast<Criticality>(r.U8());
-    t->params_.min_slice = r.I64();
-    t->registered_ = r.Bool();
-    t->vcpu_index_ = static_cast<int>(r.U32());
+    TaskFields(*t, r);
+    t->jobs_.clear();
+    uint32_t n_jobs = r.U32();
+    for (uint32_t k = 0; k < n_jobs && r.ok(); ++k) {
+      JobFields(t->jobs_.emplace_back(), r);
+    }
     if (t->vcpu_index_ < -1 || t->vcpu_index_ >= static_cast<int>(vcpus_.size())) {
       return ckpt_section_ + ": task '" + t->name_ + "' pinned to invalid vcpu " +
              std::to_string(t->vcpu_index_) + " of " + std::to_string(vcpus_.size());
     }
-    t->shed_ = r.Bool();
-    t->compressed_slice_ = r.I64();
-    t->next_release_ = r.I64();
-    t->jobs_completed_ = r.U64();
-    t->jobs_.clear();
-    uint32_t n_jobs = r.U32();
-    for (uint32_t k = 0; k < n_jobs && r.ok(); ++k) {
-      Job j;
-      j.release = r.I64();
-      j.deadline = r.I64();
-      j.work = r.I64();
-      j.remaining = r.I64();
-      t->jobs_.push_back(j);
+    // A registered (or shed) task's parameters divide into bandwidths and
+    // budgets, so they must be ones SchedSetAttr admits; an unregistered
+    // task may still hold its zero defaults.
+    const RtaParams& p = t->params_;
+    if ((t->registered_ || t->shed_) &&
+        (p.period <= 0 || p.slice <= 0 || p.slice > p.period || p.min_slice < 0 ||
+         p.min_slice > p.slice || p.criticality < Criticality::kLow ||
+         p.criticality > Criticality::kHigh)) {
+      return ckpt_section_ + ": task '" + t->name_ + "' has invalid parameters (slice " +
+             std::to_string(p.slice) + ", period " + std::to_string(p.period) +
+             ", min_slice " + std::to_string(p.min_slice) + ", criticality " +
+             std::to_string(static_cast<int>(p.criticality)) + ")";
     }
   }
 
@@ -1080,18 +1064,13 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
       }
       vr.rtas.push_back(t);
     }
-    vr.reserved = Bandwidth::FromPpb(r.I64());
-    vr.capacity = Bandwidth::FromPpb(r.I64());
-    vr.min_period = r.I64();
-    vr.on_cpu = r.Bool();
-    uint32_t running = r.U32();
+    uint32_t running = 0;
+    VcpuRunFields(vr, running, r);
     vr.running = running == static_cast<uint32_t>(-1) ? nullptr : task_at(running);
     if (running != static_cast<uint32_t>(-1) && vr.running == nullptr) {
       return ckpt_section_ + ": vcpu " + std::to_string(i) +
              " running references unknown task";
     }
-    vr.run_start = r.I64();
-    vr.run_speed_ppb = r.I64();
     if (vr.run_speed_ppb < 1 || vr.run_speed_ppb > Bandwidth::kUnit) {
       return ckpt_section_ + ": vcpu " + std::to_string(i) + " run speed " +
              std::to_string(vr.run_speed_ppb) + " ppb outside [1, " +

@@ -136,7 +136,6 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   // ---- Introspection (tests, benches) ----
   Bandwidth VcpuReservedBw(int vcpu_index) const { return vcpus_[vcpu_index].reserved; }
   TimeNs VcpuMinPeriod(int vcpu_index) const { return vcpus_[vcpu_index].min_period; }
-  Bandwidth TotalReservedBw() const;
   TimeNs NextEarliestDeadline(int vcpu_index) const;
   GuestSchedClass sched_class() const { return config_.sched_class; }
   const GuestOverloadStats& overload_stats() const { return overload_stats_; }
@@ -186,6 +185,13 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   // The one schedule path of this guest's events (kEv*); keeps the
   // completion events' cancel handles.
   void Arm(uint32_t kind, uint64_t payload, TimeNs when);
+  // Checkpoint field lists in byte order, each run by both SaveState and
+  // RestoreState: the section's leading scalars and counters, and one
+  // task's record after its name and kind.
+  template <typename Self, typename Io>
+  static void ScalarFields(Self& self, Io& io);
+  template <typename T, typename Io>
+  static void TaskFields(T& t, Io& io);
   VcpuRun& RunOf(Vcpu* vcpu) { return vcpus_[vcpu->index()]; }
 
   // EDF pick: earliest-deadline pending RTA job (pEDF: among the VCPU's

@@ -164,57 +164,53 @@ Vcpu* Machine::VcpuByGlobalId(int global_id) const {
 
 void Machine::OnEvent(uint32_t kind, uint64_t payload) { pcpus_[payload]->OnEvent(kind); }
 
+template <typename Self, typename Io>
+void Machine::ScalarFields(Self& self, Io& io) {
+  auto& o = self.overhead_;
+  ckpt::Fields(io, o.schedule_calls, o.schedule_time, o.context_switches, o.context_switch_time,
+               o.migrations, o.migration_time, o.hypercalls, o.hypercall_time,
+               self.stats_.pcpu_evacuations);
+}
+
+template <typename P, typename Id, typename Io>
+void Machine::PcpuFields(P& p, Id&& current, Io& io) {
+  ckpt::Fields(io, p.online_, p.speed_ppb_, current, p.granted_, p.granted_at_,
+               p.resched_pending_, p.run_until_, p.busy_time_);
+}
+
+template <typename V, typename Io>
+void Machine::VmFields(V& vm, Io& io) {
+  ckpt::Fields(io, vm.crashed_, vm.weight_);
+}
+
+template <typename V, typename Id, typename Io>
+void Machine::VcpuFields(V& v, Id&& pcpu, Id&& last_pcpu, Io& io) {
+  ckpt::Fields(io, ckpt::As<uint8_t>(v.state_), pcpu, last_pcpu, v.total_runtime_,
+               v.migrations_, v.evacuations_, v.evacuation_penalty_);
+}
+
 void Machine::SaveState(ckpt::Writer& w) const {
-  w.U64(overhead_.schedule_calls);
-  w.I64(overhead_.schedule_time);
-  w.U64(overhead_.context_switches);
-  w.I64(overhead_.context_switch_time);
-  w.U64(overhead_.migrations);
-  w.I64(overhead_.migration_time);
-  w.U64(overhead_.hypercalls);
-  w.I64(overhead_.hypercall_time);
-  w.U64(stats_.pcpu_evacuations);
+  ScalarFields(*this, w);
   w.U32(static_cast<uint32_t>(vcpus_by_global_id_.size()));
   w.U32(static_cast<uint32_t>(pcpus_.size()));
   for (const auto& p : pcpus_) {
-    w.Bool(p->online_);
-    w.I64(p->speed_ppb_);
-    w.U32(static_cast<uint32_t>(p->current_ != nullptr ? p->current_->global_id() : -1));
-    w.Bool(p->granted_);
-    w.I64(p->granted_at_);
-    w.Bool(p->resched_pending_);
-    w.I64(p->run_until_);
-    w.I64(p->busy_time_);
+    PcpuFields(*p, p->current_ != nullptr ? p->current_->global_id() : -1, w);
   }
+  auto id_of = [](const Pcpu* p) { return p != nullptr ? p->id() : -1; };
   w.U32(static_cast<uint32_t>(vms_.size()));
   for (const auto& vm : vms_) {
     w.Str(vm->name_);
-    w.Bool(vm->crashed_);
-    w.U32(static_cast<uint32_t>(vm->weight_));
+    VmFields(*vm, w);
     w.U32(static_cast<uint32_t>(vm->vcpus_.size()));
     for (const auto& v : vm->vcpus_) {
-      w.U8(static_cast<uint8_t>(v->state_));
-      w.U32(static_cast<uint32_t>(v->pcpu_ != nullptr ? v->pcpu_->id() : -1));
-      w.U32(static_cast<uint32_t>(v->last_pcpu_ != nullptr ? v->last_pcpu_->id() : -1));
-      w.I64(v->total_runtime_);
-      w.U64(v->migrations_);
-      w.U64(v->evacuations_);
-      w.I64(v->evacuation_penalty_);
+      VcpuFields(*v, id_of(v->pcpu_), id_of(v->last_pcpu_), w);
     }
     vm->shared_page_.SaveState(w);
   }
 }
 
 std::string Machine::RestoreState(ckpt::Reader& r) {
-  overhead_.schedule_calls = r.U64();
-  overhead_.schedule_time = r.I64();
-  overhead_.context_switches = r.U64();
-  overhead_.context_switch_time = r.I64();
-  overhead_.migrations = r.U64();
-  overhead_.migration_time = r.I64();
-  overhead_.hypercalls = r.U64();
-  overhead_.hypercall_time = r.I64();
-  stats_.pcpu_evacuations = r.U64();
+  ScalarFields(*this, r);
   uint32_t global_ids = r.U32();
   if (global_ids != vcpus_by_global_id_.size()) {
     return "machine: VCPU count mismatch (checkpoint has " +
@@ -228,24 +224,18 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
            std::to_string(pcpus_.size()) + ")";
   }
   for (auto& p : pcpus_) {
-    p->online_ = r.Bool();
-    p->speed_ppb_ = r.I64();
+    int current_id = -1;
+    PcpuFields(*p, current_id, r);
     if (p->speed_ppb_ < 1 || p->speed_ppb_ > Bandwidth::kUnit) {
       return "machine: pcpu " + std::to_string(p->id()) + " speed " +
              std::to_string(p->speed_ppb_) + " ppb outside [1, " +
              std::to_string(Bandwidth::kUnit) + "]";
     }
-    int current_id = static_cast<int>(r.U32());
     p->current_ = current_id < 0 ? nullptr : VcpuByGlobalId(current_id);
     if (current_id >= 0 && p->current_ == nullptr) {
       return "machine: pcpu " + std::to_string(p->id()) +
              " references unknown VCPU global id " + std::to_string(current_id);
     }
-    p->granted_ = r.Bool();
-    p->granted_at_ = r.I64();
-    p->resched_pending_ = r.Bool();
-    p->run_until_ = r.I64();
-    p->busy_time_ = r.I64();
   }
   uint32_t num_vms = r.U32();
   if (!r.ok() || num_vms != vms_.size()) {
@@ -259,41 +249,53 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
       return "machine: VM " + std::to_string(vm->id()) + " name mismatch (got '" +
              name + "', this machine has '" + vm->name_ + "')";
     }
-    vm->crashed_ = r.Bool();
-    vm->weight_ = static_cast<int>(r.U32());
+    VmFields(*vm, r);
     uint32_t num_vcpus = r.U32();
     if (!r.ok() || num_vcpus != vm->vcpus_.size()) {
       return "machine: VM '" + vm->name_ + "' VCPU count mismatch";
     }
     for (auto& v : vm->vcpus_) {
-      uint8_t state = r.U8();
-      if (state > static_cast<uint8_t>(VcpuState::kRunning)) {
+      int pcpu_id = -1;
+      int last_id = -1;
+      VcpuFields(*v, pcpu_id, last_id, r);
+      if (static_cast<int>(v->state_) > static_cast<int>(VcpuState::kRunning)) {
         return "machine: VCPU " + v->name() + " has invalid state " +
-               std::to_string(state);
+               std::to_string(static_cast<int>(v->state_));
       }
-      v->state_ = static_cast<VcpuState>(state);
-      int pcpu_id = static_cast<int>(r.U32());
-      int last_id = static_cast<int>(r.U32());
       if (pcpu_id >= static_cast<int>(pcpus_.size()) ||
           last_id >= static_cast<int>(pcpus_.size())) {
         return "machine: VCPU " + v->name() + " references invalid PCPU";
       }
       v->pcpu_ = pcpu_id < 0 ? nullptr : pcpus_[pcpu_id].get();
       v->last_pcpu_ = last_id < 0 ? nullptr : pcpus_[last_id].get();
-      v->total_runtime_ = r.I64();
-      v->migrations_ = r.U64();
-      v->evacuations_ = r.U64();
-      v->evacuation_penalty_ = r.I64();
     }
     std::string err = vm->shared_page_.RestoreState(r);
     if (!err.empty()) {
       return "machine: VM '" + vm->name_ + "' " + err;
     }
   }
+  if (!r.ok()) {
+    return "machine: truncated section";
+  }
+  // The image saves both ends of each dispatch, a PCPU's current VCPU and a
+  // VCPU's PCPU; they must agree.
+  for (const auto& p : pcpus_) {
+    const Vcpu* v = p->current_;
+    if (v != nullptr && (v->state_ != VcpuState::kRunning || v->pcpu_ != p.get())) {
+      return "machine: pcpu " + std::to_string(p->id()) + " runs VCPU " + v->name() +
+             ", which is not running there";
+    }
+  }
+  for (const Vcpu* v : vcpus_by_global_id_) {
+    if (v->pcpu_ != nullptr && v->pcpu_->current_ != v) {
+      return "machine: VCPU " + v->name() + " names pcpu " + std::to_string(v->pcpu_->id()) +
+             ", which does not run it";
+    }
+  }
   // The checkpoint was taken from a started machine; suppress the fresh
   // Start() kick (the rebound events carry the live schedule).
   started_ = true;
-  return r.ok() ? "" : "machine: truncated section";
+  return "";
 }
 
 std::string Machine::RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) {

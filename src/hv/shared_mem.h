@@ -142,43 +142,21 @@ class SharedSchedPage {
   // Checkpoint support: the page is plain data, serialized inside the
   // machine section (src/checkpoint).
   void SaveState(ckpt::Writer& w) const {
-    w.I64(visibility_delay_);
-    w.U32(static_cast<uint32_t>(pressure_level_));
-    w.I64(pressure_reason_);
-    w.I64(pressure_headroom_ppb_);
-    w.I64(pressure_published_at_);
+    ScalarFields(*this, w);
     w.U32(static_cast<uint32_t>(slots_.size()));
     for (const Slot& s : slots_) {
-      w.I64(s.next_deadline);
-      w.I64(s.published_at);
-      w.I64(s.alloc_start);
-      w.I64(s.alloc_len);
-      w.Bool(s.has_pending);
-      w.I64(s.pending_deadline);
-      w.I64(s.pending_published_at);
-      w.I64(s.pending_visible_at);
+      SlotFields(s, w);
     }
   }
   std::string RestoreState(ckpt::Reader& r) {
-    visibility_delay_ = r.I64();
-    pressure_level_ = static_cast<int>(r.U32());
-    pressure_reason_ = r.I64();
-    pressure_headroom_ppb_ = r.I64();
-    pressure_published_at_ = r.I64();
+    ScalarFields(*this, r);
     uint32_t n = r.U32();
     if (!r.ok() || n > kMaxSlots) {
       return "shared page: bad slot count";
     }
     slots_.assign(n, Slot{});
     for (Slot& s : slots_) {
-      s.next_deadline = r.I64();
-      s.published_at = r.I64();
-      s.alloc_start = r.I64();
-      s.alloc_len = r.I64();
-      s.has_pending = r.Bool();
-      s.pending_deadline = r.I64();
-      s.pending_published_at = r.I64();
-      s.pending_visible_at = r.I64();
+      SlotFields(s, r);
     }
     return r.ok() ? "" : "shared page: truncated slots";
   }
@@ -195,6 +173,19 @@ class SharedSchedPage {
     TimeNs pending_published_at = -1;
     TimeNs pending_visible_at = 0;
   };
+
+  // Checkpoint field lists in byte order, each run by both SaveState and
+  // RestoreState: the page's scalars and one slot.
+  template <typename Self, typename Io>
+  static void ScalarFields(Self& self, Io& io) {
+    ckpt::Fields(io, self.visibility_delay_, self.pressure_level_, self.pressure_reason_,
+                 self.pressure_headroom_ppb_, self.pressure_published_at_);
+  }
+  template <typename S, typename Io>
+  static void SlotFields(S& s, Io& io) {
+    ckpt::Fields(io, s.next_deadline, s.published_at, s.alloc_start, s.alloc_len, s.has_pending,
+                 s.pending_deadline, s.pending_published_at, s.pending_visible_at);
+  }
 
   TimeNs Now() const { return sim_ != nullptr ? sim_->Now() : 0; }
 

@@ -40,44 +40,36 @@ int DeadlineMonitor::TasksWithMisses() const {
 
 namespace {
 
-void SaveTaskStats(ckpt::Writer& w, const DeadlineMonitor::TaskStats& ts) {
-  w.U64(ts.completed);
-  w.U64(ts.misses);
-  w.I64(ts.max_tardiness);
-  w.I64(ts.max_response);
-}
-
-void RestoreTaskStats(ckpt::Reader& r, DeadlineMonitor::TaskStats* ts) {
-  ts->completed = r.U64();
-  ts->misses = r.U64();
-  ts->max_tardiness = r.I64();
-  ts->max_response = r.I64();
+// One TaskStats record, in byte order; save and restore share it.
+template <typename Stats, typename Io>
+void TaskStatsFields(Stats& ts, Io& io) {
+  ckpt::Fields(io, ts.completed, ts.misses, ts.max_tardiness, ts.max_response);
 }
 
 }  // namespace
 
 void DeadlineMonitor::SaveState(ckpt::Writer& w) const {
-  SaveTaskStats(w, total_);
+  TaskStatsFields(total_, w);
   // std::map iterates in key order: deterministic across processes.
   w.U32(static_cast<uint32_t>(per_task_.size()));
   for (const auto& [name, ts] : per_task_) {
     w.Str(name);
-    SaveTaskStats(w, ts);
+    TaskStatsFields(ts, w);
   }
   const std::vector<double>& samples = response_us_.raw_values();
   w.U32(static_cast<uint32_t>(samples.size()));
   for (double v : samples) {
-    w.F64(v);
+    ckpt::Field(w, v);
   }
 }
 
 std::string DeadlineMonitor::RestoreState(ckpt::Reader& r) {
-  RestoreTaskStats(r, &total_);
+  TaskStatsFields(total_, r);
   per_task_.clear();
   uint32_t n_tasks = r.U32();
   for (uint32_t i = 0; i < n_tasks && r.ok(); ++i) {
     std::string name = r.Str();
-    RestoreTaskStats(r, &per_task_[name]);
+    TaskStatsFields(per_task_[name], r);
   }
   uint32_t n_samples = r.U32();
   std::vector<double> samples;
@@ -85,7 +77,7 @@ std::string DeadlineMonitor::RestoreState(ckpt::Reader& r) {
   // truncated section below.
   samples.reserve(std::min<size_t>(n_samples, r.remaining() / sizeof(double)));
   for (uint32_t i = 0; i < n_samples && r.ok(); ++i) {
-    samples.push_back(r.F64());
+    ckpt::Field(r, samples.emplace_back());
   }
   response_us_.RestoreValues(std::move(samples));
   return r.ok() ? "" : "monitor: truncated section";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <type_traits>
 
 #include "src/common/check.h"
 #include "src/hv/machine.h"
@@ -447,7 +448,7 @@ void DpWrapScheduler::Replan() {
   slice_start_ = now;
   TimeNs next_gd = now + config_.max_global_slice;
   bool trust_on = config_.guest_trust.enabled;
-  TimeNs floor = config_.guest_trust.floor(config_.min_global_slice);
+  TimeNs floor = config_.min_global_slice;
   // Global-id order: the trust sanitizer's side effects (a quarantine one
   // VCPU raises is seen by its VM's later VCPUs) follow a fixed sequence.
   for (size_t gid = 0; gid < slots_.size(); ++gid) {
@@ -940,34 +941,56 @@ int64_t DpWrapScheduler::Hypercall(Vcpu* caller, const HypercallArgs& args) {
   return rc;
 }
 
+template <typename Self, typename Io>
+void DpWrapScheduler::ScalarFields(Self& self, Io& io) {
+  auto& s = self.stats_;
+  ckpt::Fields(io, self.capacity_, self.total_, self.next_order_, self.slice_start_,
+               self.slice_end_, self.replan_pending_, self.be_cursor_, self.tickle_cursor_,
+               self.replans_, s.watchdog_reclaims, s.stale_rejections, s.capacity_replans,
+               self.pressure_, self.pressure_reason_, self.rejections_since_tick_,
+               s.pressure_raises, s.pressure_clears, s.shed_releases, s.admission_rejections,
+               s.deadline_lie_rejections, s.deadline_floor_clamps, s.replan_budget_trips,
+               s.hypercall_rate_rejections, s.bw_thrash_trips, s.quarantines,
+               s.quarantine_releases, s.quarantine_holds);
+}
+
+namespace {
+
+// The section's records, each in byte order; save and restore share them.
+// Save passes the ids in a record by value, restore the ints it checks.
+// A reservation repeats its VCPU's pin, -1 for none.
+template <typename Res, typename Pin, typename Io>
+void ReservationFields(Res& res, Pin&& pin, Io& io) {
+  ckpt::Fields(io, res.bw, res.period, res.order, res.carry_ppb, pin, res.used_in_window,
+               res.tax_factor, res.last_lie_publish, res.last_floor_publish);
+}
+
+template <typename Segment, typename Gid, typename Io>
+void SegmentFields(Segment& seg, Gid&& gid, Io& io) {
+  ckpt::Fields(io, gid, seg.pcpu, seg.start, seg.end);
+}
+
+template <typename Held, typename Io>
+void HeldDemandFields(Held& h, Io& io) {
+  ckpt::Fields(io, h.expires, h.bw);
+}
+
+// last_bw_dir (-1, 0 or +1) is stored plus one.
+template <typename Trust, typename Io>
+void TrustFields(Trust& t, Io& io) {
+  int dir = t.last_bw_dir + 1;
+  ckpt::Fields(io, t.tokens, t.token_time, t.bucket_init, t.window_start, t.floor_bindings,
+               t.bw_flips, dir, t.deadlines_distrusted, t.score, t.quarantined, t.clean_scans,
+               t.violated_since_scan);
+  if constexpr (std::is_same_v<Io, ckpt::Reader>) {
+    t.last_bw_dir = dir - 1;
+  }
+}
+
+}  // namespace
+
 void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
-  w.I64(capacity_.ppb());
-  w.I64(total_.ppb());
-  w.U64(next_order_);
-  w.I64(slice_start_);
-  w.I64(slice_end_);
-  w.Bool(replan_pending_);
-  w.U64(be_cursor_);
-  w.U32(static_cast<uint32_t>(tickle_cursor_));
-  w.U64(replans_);
-  w.U64(stats_.watchdog_reclaims);
-  w.U64(stats_.stale_rejections);
-  w.U64(stats_.capacity_replans);
-  w.Bool(pressure_);
-  w.I64(pressure_reason_);
-  w.U64(rejections_since_tick_);
-  w.U64(stats_.pressure_raises);
-  w.U64(stats_.pressure_clears);
-  w.U64(stats_.shed_releases);
-  w.U64(stats_.admission_rejections);
-  w.U64(stats_.deadline_lie_rejections);
-  w.U64(stats_.deadline_floor_clamps);
-  w.U64(stats_.replan_budget_trips);
-  w.U64(stats_.hypercall_rate_rejections);
-  w.U64(stats_.bw_thrash_trips);
-  w.U64(stats_.quarantines);
-  w.U64(stats_.quarantine_releases);
-  w.U64(stats_.quarantine_holds);
+  ScalarFields(*this, w);
 
   // VCPU insertion order drives the best-effort round-robin; serialize the
   // global-id sequence so a restored scheduler validates it saw the same one.
@@ -984,17 +1007,8 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     if (!slot.reserved) {
       continue;
     }
-    const Reservation& res = slot.res;
     w.U32(static_cast<uint32_t>(gid));
-    w.I64(res.bw.ppb());
-    w.I64(res.period);
-    w.U64(res.order);
-    w.I64(res.carry_ppb);
-    w.U32(static_cast<uint32_t>(slot.pin.value_or(-1)));
-    w.I64(res.used_in_window);
-    w.F64(res.tax_factor);
-    w.I64(res.last_lie_publish);
-    w.I64(res.last_floor_publish);
+    ReservationFields(slot.res, slot.pin.value_or(-1), w);
   }
 
   w.U32(static_cast<uint32_t>(std::count_if(
@@ -1006,18 +1020,12 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     }
   }
 
-  auto save_segment = [&w](const PlanSegment& seg) {
-    w.U32(static_cast<uint32_t>(seg.vcpu->global_id()));
-    w.U32(static_cast<uint32_t>(seg.pcpu));
-    w.I64(seg.start);
-    w.I64(seg.end);
-  };
   w.U32(static_cast<uint32_t>(pcpu_segs_.size()));
   for (size_t p = 0; p < pcpu_segs_.size(); ++p) {
     std::span<const PlanSegment> plan = PlanOf(static_cast<int>(p));
     w.U32(static_cast<uint32_t>(plan.size()));
     for (const PlanSegment& seg : plan) {
-      save_segment(seg);
+      SegmentFields(seg, seg.vcpu->global_id(), w);
     }
   }
   w.U32(static_cast<uint32_t>(std::count_if(
@@ -1030,67 +1038,27 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     w.U32(static_cast<uint32_t>(gid));
     w.U32(static_cast<uint32_t>(segs.size()));
     for (const PlanSegment& seg : segs) {
-      save_segment(seg);
+      SegmentFields(seg, seg.vcpu->global_id(), w);
     }
   }
 
   w.U32(static_cast<uint32_t>(held_demand_.size()));
   for (const HeldDemand& h : held_demand_) {
-    w.I64(h.expires);
-    w.I64(h.bw.ppb());
+    HeldDemandFields(h, w);
   }
 
   w.U32(static_cast<uint32_t>(std::count_if(
       trust_.begin(), trust_.end(), [](const VmTrust& t) { return t.tracked; })));
   for (size_t vm_id = 0; vm_id < trust_.size(); ++vm_id) {
-    const VmTrust& t = trust_[vm_id];
-    if (!t.tracked) {
-      continue;
+    if (trust_[vm_id].tracked) {
+      w.U32(static_cast<uint32_t>(vm_id));
+      TrustFields(trust_[vm_id], w);
     }
-    w.U32(static_cast<uint32_t>(vm_id));
-    w.F64(t.tokens);
-    w.I64(t.token_time);
-    w.Bool(t.bucket_init);
-    w.I64(t.window_start);
-    w.U32(static_cast<uint32_t>(t.floor_bindings));
-    w.U32(static_cast<uint32_t>(t.bw_flips));
-    w.U32(static_cast<uint32_t>(t.last_bw_dir + 1));
-    w.Bool(t.deadlines_distrusted);
-    w.F64(t.score);
-    w.Bool(t.quarantined);
-    w.U32(static_cast<uint32_t>(t.clean_scans));
-    w.Bool(t.violated_since_scan);
   }
 }
 
 std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
-  capacity_ = Bandwidth::FromPpb(r.I64());
-  total_ = Bandwidth::FromPpb(r.I64());
-  next_order_ = r.U64();
-  slice_start_ = r.I64();
-  slice_end_ = r.I64();
-  replan_pending_ = r.Bool();
-  be_cursor_ = r.U64();
-  tickle_cursor_ = static_cast<int>(r.U32());
-  replans_ = r.U64();
-  stats_.watchdog_reclaims = r.U64();
-  stats_.stale_rejections = r.U64();
-  stats_.capacity_replans = r.U64();
-  pressure_ = r.Bool();
-  pressure_reason_ = r.I64();
-  rejections_since_tick_ = r.U64();
-  stats_.pressure_raises = r.U64();
-  stats_.pressure_clears = r.U64();
-  stats_.shed_releases = r.U64();
-  stats_.admission_rejections = r.U64();
-  stats_.deadline_lie_rejections = r.U64();
-  stats_.deadline_floor_clamps = r.U64();
-  stats_.replan_budget_trips = r.U64();
-  stats_.hypercall_rate_rejections = r.U64();
-  stats_.bw_thrash_trips = r.U64();
-  stats_.quarantines = r.U64();
-  stats_.quarantine_releases = r.U64();
-  stats_.quarantine_holds = r.U64();
+  ScalarFields(*this, r);
 
   uint32_t n_vcpus = r.U32();
   if (!r.ok() || n_vcpus != all_vcpus_.size()) {
@@ -1139,16 +1107,8 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
       return "dpwrap: reservation[" + std::to_string(i) + "] repeats VCPU global id " +
              std::to_string(gid);
     }
-    Reservation& res = slot.res;
-    res.bw = Bandwidth::FromPpb(r.I64());
-    res.period = r.I64();
-    res.order = r.U64();
-    res.carry_ppb = r.I64();
-    int pin = static_cast<int>(r.U32());
-    res.used_in_window = r.I64();
-    res.tax_factor = r.F64();
-    res.last_lie_publish = r.I64();
-    res.last_floor_publish = r.I64();
+    int pin = -1;
+    ReservationFields(slot.res, pin, r);
     if (!valid_pin(pin)) {
       return "dpwrap: reservation[" + std::to_string(i) + "] pins VCPU " +
              std::to_string(gid) + " to invalid pcpu " + std::to_string(pin);
@@ -1186,11 +1146,9 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
 
   // Returns what is wrong with the segment, or "" if it is usable.
   auto load_segment = [&](PlanSegment* seg) -> std::string {
-    int gid = static_cast<int>(r.U32());
+    int gid = -1;
+    SegmentFields(*seg, gid, r);
     seg->vcpu = lookup(gid);
-    seg->pcpu = static_cast<int>(r.U32());
-    seg->start = r.I64();
-    seg->end = r.I64();
     if (seg->vcpu == nullptr) {
       return "references unknown VCPU";
     }
@@ -1249,10 +1207,7 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
   held_demand_.clear();
   uint32_t n_held = r.U32();
   for (uint32_t i = 0; i < n_held && r.ok(); ++i) {
-    HeldDemand h;
-    h.expires = r.I64();
-    h.bw = Bandwidth::FromPpb(r.I64());
-    held_demand_.push_back(h);
+    HeldDemandFields(held_demand_.emplace_back(), r);
   }
 
   trust_.clear();
@@ -1262,19 +1217,7 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     if (machine_ == nullptr || vm_id < 0 || vm_id >= machine_->num_vms()) {
       return "dpwrap: trust entry references unknown VM " + std::to_string(vm_id);
     }
-    VmTrust& t = TrustOf(machine_->vm(vm_id));
-    t.tokens = r.F64();
-    t.token_time = r.I64();
-    t.bucket_init = r.Bool();
-    t.window_start = r.I64();
-    t.floor_bindings = static_cast<int>(r.U32());
-    t.bw_flips = static_cast<int>(r.U32());
-    t.last_bw_dir = static_cast<int>(r.U32()) - 1;
-    t.deadlines_distrusted = r.Bool();
-    t.score = r.F64();
-    t.quarantined = r.Bool();
-    t.clean_scans = static_cast<int>(r.U32());
-    t.violated_since_scan = r.Bool();
+    TrustFields(TrustOf(machine_->vm(vm_id)), r);
   }
   return r.ok() ? "" : "dpwrap: truncated section";
 }

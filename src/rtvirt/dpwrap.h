@@ -109,7 +109,8 @@ struct DpWrapConfig {
   // adversarial VM from destroying co-resident guarantees:
   //   (1) a deadline sanitizer on shared-page reads — publications already in
   //       the past when written are distrusted and scored; publications whose
-  //       horizon at publish time is below the floor are clamped (clamps are
+  //       horizon at publish time is below the floor (min_global_slice, the
+  //       replan-rate bound it protects) are clamped (clamps are
   //       benign-common near period boundaries and are counted, not scored);
   //       a VM whose fresh publications bind the global slice at the floor
   //       more than max_floor_bindings times per rate_window loses deadline
@@ -124,9 +125,6 @@ struct DpWrapConfig {
   //       scans rehabilitate it (hysteresis, like the overload watermarks).
   struct GuestTrust {
     bool enabled = false;
-    // Sanitizer floor on the publish-time horizon of a deadline; 0 derives
-    // it from min_global_slice (the replan-rate bound it protects).
-    TimeNs deadline_floor = 0;
     // Replan-rate budget: fresh publications from one VM binding the global
     // slice at/below the floor, per rate_window.
     TimeNs rate_window = Ms(100);
@@ -144,10 +142,6 @@ struct DpWrapConfig {
     double score_decay = 0.8;
     double quarantine_threshold = 8.0;
     int rehab_clean_scans = 20;
-
-    TimeNs floor(TimeNs min_global_slice) const {
-      return deadline_floor > 0 ? deadline_floor : min_global_slice;
-    }
   };
   GuestTrust guest_trust;
 
@@ -165,8 +159,6 @@ struct DpWrapConfig {
     // publication interval (roughly the largest RTA period), otherwise
     // healthy long-period publications get distrusted and over-served.
     TimeNs freshness_horizon = 0;
-
-    bool enabled() const { return reclaim_crashed || freshness_horizon > 0; }
   };
   Watchdog watchdog;
 };
@@ -293,6 +285,10 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // The one schedule path of this scheduler's events (kEv*); keeps the
   // cancel handles of the two replan timers.
   void Arm(uint32_t kind, TimeNs when);
+  // The checkpoint section's leading scalars and counters, in byte order;
+  // SaveState and RestoreState both run this one list.
+  template <typename Self, typename Io>
+  static void ScalarFields(Self& self, Io& io);
   // Recomputes the global deadline and the per-PCPU plan, effective now.
   void Replan();
   // Coalesced deferred replan (multiple hypercalls in one instant).

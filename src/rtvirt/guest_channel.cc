@@ -1,8 +1,6 @@
 #include "src/rtvirt/guest_channel.h"
 
 #include <algorithm>
-#include <utility>
-#include <vector>
 
 namespace rtvirt {
 
@@ -40,11 +38,6 @@ bool RtvirtGuestChannel::degraded(const Vcpu* vcpu) const {
 Bandwidth RtvirtGuestChannel::GrantedBw(const Vcpu* vcpu) const {
   auto it = state_.find(vcpu);
   return it != state_.end() ? it->second.granted : Bandwidth::Zero();
-}
-
-TimeNs RtvirtGuestChannel::GrantedPeriod(const Vcpu* vcpu) const {
-  auto it = state_.find(vcpu);
-  return it != state_.end() ? it->second.granted_period : 0;
 }
 
 int64_t RtvirtGuestChannel::TryHypercall(Vcpu* caller, const HypercallArgs& args) {
@@ -273,48 +266,40 @@ void RtvirtGuestChannel::Reset() {
   ++generation_;
 }
 
+template <typename Self, typename Io>
+void RtvirtGuestChannel::ScalarFields(Self& self, Io& io) {
+  auto& s = self.stats_;
+  ckpt::Fields(io, self.generation_, s.transient_failures, s.retries, s.retry_successes,
+               s.degraded_entries, s.recoveries, s.repair_attempts, s.backoff_time_ns);
+}
+
+namespace {
+
+// One VCPU's record after its global id, in byte order; save and restore
+// share it.
+template <typename State, typename Io>
+void StateFields(State& st, Io& io) {
+  ckpt::Fields(io, st.rta_bw, st.rta_period, st.granted, st.granted_period, st.desired,
+               st.desired_period, st.degraded, st.cached_deadline, st.repair_backoff,
+               st.repair_scheduled);
+}
+
+}  // namespace
+
 void RtvirtGuestChannel::SaveState(ckpt::Writer& w) const {
-  w.U64(generation_);
-  w.U64(stats_.transient_failures);
-  w.U64(stats_.retries);
-  w.U64(stats_.retry_successes);
-  w.U64(stats_.degraded_entries);
-  w.U64(stats_.recoveries);
-  w.U64(stats_.repair_attempts);
-  w.U64(stats_.backoff_time_ns);
-  std::vector<std::pair<const Vcpu*, const VcpuState*>> sorted;
-  sorted.reserve(state_.size());
-  for (const auto& [v, st] : state_) {
-    sorted.push_back({v, &st});
-  }
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    return a.first->global_id() < b.first->global_id();
-  });
-  w.U32(static_cast<uint32_t>(sorted.size()));
-  for (const auto& [v, st] : sorted) {
-    w.U32(static_cast<uint32_t>(v->global_id()));
-    w.I64(st->rta_bw.ppb());
-    w.I64(st->rta_period);
-    w.I64(st->granted.ppb());
-    w.I64(st->granted_period);
-    w.I64(st->desired.ppb());
-    w.I64(st->desired_period);
-    w.Bool(st->degraded);
-    w.I64(st->cached_deadline);
-    w.I64(st->repair_backoff);
-    w.Bool(st->repair_scheduled);
+  ScalarFields(*this, w);
+  // In global-id order, so the bytes do not depend on the hash map's.
+  w.U32(static_cast<uint32_t>(state_.size()));
+  for (int gid = 0; const Vcpu* v = machine_->VcpuByGlobalId(gid); ++gid) {
+    if (auto it = state_.find(v); it != state_.end()) {
+      w.U32(static_cast<uint32_t>(gid));
+      StateFields(it->second, w);
+    }
   }
 }
 
 std::string RtvirtGuestChannel::RestoreState(ckpt::Reader& r) {
-  generation_ = r.U64();
-  stats_.transient_failures = r.U64();
-  stats_.retries = r.U64();
-  stats_.retry_successes = r.U64();
-  stats_.degraded_entries = r.U64();
-  stats_.recoveries = r.U64();
-  stats_.repair_attempts = r.U64();
-  stats_.backoff_time_ns = r.U64();
+  ScalarFields(*this, r);
   state_.clear();
   uint32_t n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
@@ -324,18 +309,7 @@ std::string RtvirtGuestChannel::RestoreState(ckpt::Reader& r) {
       return ckpt_section_ + ": entry[" + std::to_string(i) +
              "] references unknown VCPU global id " + std::to_string(gid);
     }
-    VcpuState st;
-    st.rta_bw = Bandwidth::FromPpb(r.I64());
-    st.rta_period = r.I64();
-    st.granted = Bandwidth::FromPpb(r.I64());
-    st.granted_period = r.I64();
-    st.desired = Bandwidth::FromPpb(r.I64());
-    st.desired_period = r.I64();
-    st.degraded = r.Bool();
-    st.cached_deadline = r.I64();
-    st.repair_backoff = r.I64();
-    st.repair_scheduled = r.Bool();
-    state_[v] = st;
+    StateFields(state_[v], r);
   }
   return r.ok() ? "" : ckpt_section_ + ": truncated section";
 }

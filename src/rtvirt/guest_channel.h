@@ -96,7 +96,6 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   // never spoke for it). The invariant auditor compares this against both the
   // guest's local admission total and the host scheduler's reservation table.
   Bandwidth GrantedBw(const Vcpu* vcpu) const;
-  TimeNs GrantedPeriod(const Vcpu* vcpu) const;
 
   // ---- Checkpointing (src/checkpoint) ----
   // The experiment names this channel's section ("channel.<vmid>") right
@@ -134,6 +133,10 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   void EnterDegraded(VcpuState& st, Vcpu* vcpu);
   void ScheduleRepair(VcpuState& st, Vcpu* vcpu);
   VcpuState& StateOf(Vcpu* vcpu) { return state_[vcpu]; }
+  // The checkpoint section's leading scalars and counters, in byte order;
+  // SaveState and RestoreState both run this one list.
+  template <typename Self, typename Io>
+  static void ScalarFields(Self& self, Io& io);
 
   Machine* machine_;
   GuestChannelOptions options_;

@@ -55,22 +55,16 @@ void PeriodicRta::ReleaseOne() {
   sim()->After(params_.period, this, kEvRelease);
 }
 
-void PeriodicRta::SaveState(ckpt::Writer& w) const {
-  w.I64(stop_);
-  w.I64(job_work_);
-  w.I64(admission_retry_);
-  w.U32(static_cast<uint32_t>(admission_result_));
-  w.U32(static_cast<uint32_t>(admission_attempts_));
-  w.I64(admitted_at_);
+template <typename Self, typename Io>
+void PeriodicRta::ScalarFields(Self& self, Io& io) {
+  ckpt::Fields(io, self.stop_, self.job_work_, self.admission_retry_, self.admission_result_,
+               self.admission_attempts_, self.admitted_at_);
 }
 
+void PeriodicRta::SaveState(ckpt::Writer& w) const { ScalarFields(*this, w); }
+
 std::string PeriodicRta::RestoreState(ckpt::Reader& r) {
-  stop_ = r.I64();
-  job_work_ = r.I64();
-  admission_retry_ = r.I64();
-  admission_result_ = static_cast<int>(r.U32());
-  admission_attempts_ = static_cast<int>(r.U32());
-  admitted_at_ = r.I64();
+  ScalarFields(*this, r);
   return r.ok() ? "" : ckpt_section_ + ": truncated section";
 }
 

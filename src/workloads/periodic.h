@@ -60,6 +60,10 @@ class PeriodicRta : public ckpt::Checkpointable {
   void Register();
   void ReleaseOne();
   Simulator* sim() const { return guest_->vm()->machine()->sim(); }
+  // The checkpoint section, in byte order; SaveState and RestoreState both
+  // run this one list.
+  template <typename Self, typename Io>
+  static void ScalarFields(Self& self, Io& io);
 
   GuestOs* guest_;
   Task* task_;

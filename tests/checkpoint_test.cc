@@ -232,14 +232,18 @@ TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
 
 // Every opt-in layer that schedules checkpointable events, at once: all four
 // DP-WRAP policy scans, the guest pressure poll, channel repair, and every
-// FaultPlan event kind. 2 PCPUs, 4 VMs x 2 VCPUs.
+// FaultPlan event kind. 2 PCPUs, 4 VMs x 2 VCPUs. With `all_layers`, VM 0's
+// first VCPU is also pinned to PCPU 0, VM 1's tasks are sheddable, and a
+// fifth, gEDF guest loads the host until the PCPU 1 outage (50-70 ms) sheds
+// VM 1 and rejects the gEDF guest's third registration, so the pin list,
+// shed tasks, the gEDF list and held demand are in the sections too.
 struct EveryKindRig {
   std::unique_ptr<Experiment> exp;
   std::vector<std::unique_ptr<PeriodicRta>> rtas;
 
   static constexpr TimeNs kHorizon = Ms(160);
 
-  EveryKindRig() {
+  explicit EveryKindRig(bool all_layers = false) {
     ExperimentConfig cfg;
     cfg.machine.num_pcpus = 2;
     cfg.dpwrap.idle_tax.enabled = true;
@@ -267,19 +271,37 @@ struct EveryKindRig {
       for (int k = 0; k < 2; ++k) {
         RtaParams params{Ms(1 + k), Ms(10 + 4 * vm + 2 * k)};
         params.min_slice = Us(500);
+        if (all_layers && vm == 1) {
+          params.criticality = Criticality::kLow;  // Sheddable.
+        }
         rtas.push_back(std::make_unique<PeriodicRta>(
             g, "vm" + std::to_string(vm) + ".rta" + std::to_string(k), params));
         rtas.back()->set_admission_retry(Ms(3));
         exp->RegisterCheckpointable(rtas.back()->ckpt_section(), rtas.back().get());
       }
     }
+    if (!all_layers) {
+      return;
+    }
+    exp->dpwrap()->SetAffinity(exp->guests()[0]->vm()->vcpu(0), 0);
+    GuestConfig gedf;
+    gedf.sched_class = GuestSchedClass::kGlobalEdf;
+    GuestOs* g = exp->AddGuest("vm4", 2, gedf);
+    for (int k = 0; k < 3; ++k) {
+      rtas.push_back(std::make_unique<PeriodicRta>(g, "vm4.rta" + std::to_string(k),
+                                                   RtaParams{Ms(5 - k), Ms(10)}));
+      rtas.back()->set_admission_retry(Ms(3));
+      exp->RegisterCheckpointable(rtas.back()->ckpt_section(), rtas.back().get());
+    }
   }
 
   // Fresh path only. Registrations start after Run() has armed the injector
-  // (one lands inside the hypercall outage, driving a channel into repair).
+  // (one lands inside the hypercall outage, driving a channel into repair,
+  // and the all-layers rig's last one inside the PCPU 1 outage).
   void Start() {
     for (size_t i = 0; i < rtas.size(); ++i) {
-      rtas[i]->Start(i == 5 ? Ms(35) : Ms(1 + static_cast<int64_t>(i)), kHorizon);
+      TimeNs at = i == 5 ? Ms(35) : i == 10 ? Ms(55) : Ms(1 + static_cast<int64_t>(i));
+      rtas[i]->Start(at, kHorizon);
     }
   }
 };
@@ -594,6 +616,8 @@ TEST(CheckpointRoundTripTest, MachinePcpuSpeedOutOfRangeFailsRestoreLoudly) {
 // Byte offsets of fields in a guest section, found by walking it the way
 // GuestOs::SaveState writes it.
 struct GuestFields {
+  size_t task0_slice = 0;  // i64 slice of task[0]; i64 period, bool sporadic,
+                           // u8 criticality and i64 min_slice follow.
   size_t task0_vcpu = 0;   // u32 VCPU index of task[0].
   size_t vcpu0_speed = 0;  // i64 run speed of VCPU 0.
 };
@@ -609,6 +633,7 @@ GuestFields LocateGuestFields(const std::string& bytes) {
     if (at.task0_vcpu == 0) {
       // After kind, slice, period, sporadic, criticality, min_slice and the
       // registered flag.
+      at.task0_slice = pos + 1;
       at.task0_vcpu = pos + 28;
     }
     // The fixed fields, then the jobs (32 bytes each) counted at +57.
@@ -648,6 +673,79 @@ TEST(CheckpointRoundTripTest, GuestTaskVcpuOutOfRangeFailsRestoreLoudly) {
   }
 }
 
+// A registered task's parameters divide into its bandwidth and budgets, so
+// restore admits only what SchedSetAttr would (and a criticality and elastic
+// floor the overload ladder can use).
+TEST(CheckpointRoundTripTest, GuestTaskParamsOutOfRangeFailRestoreLoudly) {
+  struct Patch {
+    size_t offset;  // From task[0]'s slice.
+    int64_t value;
+    const char* params;  // As the error prints them.
+  };
+  const Patch patches[] = {
+      {8, 0, "slice 2000000, period 0, min_slice 0, criticality 1"},
+      {0, 0, "slice 0, period 10000000, min_slice 0, criticality 1"},
+      {0, Ms(10) + 1, "slice 10000001, period 10000000, min_slice 0, criticality 1"},
+      {18, -1, "slice 2000000, period 10000000, min_slice -1, criticality 1"},
+      {18, Ms(2) + 1, "slice 2000000, period 10000000, min_slice 2000001, criticality 1"},
+  };
+  for (const Patch& patch : patches) {
+    std::string err = RestoreWithPatchedSection("guest.0", [&patch](std::string* bytes) {
+      size_t at = LocateGuestFields(*bytes).task0_slice;
+      ASSERT_EQ(I64At(*bytes, at), Ms(2));      // vm0.cam: 2 ms every 10 ms.
+      ASSERT_EQ(I64At(*bytes, at + 8), Ms(10));
+      PutI64(bytes, at + patch.offset, patch.value);
+    });
+    EXPECT_NE(err.find(std::string("guest.0: task 'vm0.cam' has invalid parameters (") +
+                       patch.params + ")"),
+              std::string::npos)
+        << err;
+  }
+  std::string err = RestoreWithPatchedSection("guest.0", [](std::string* bytes) {
+    size_t criticality = LocateGuestFields(*bytes).task0_slice + 17;
+    ASSERT_EQ((*bytes)[criticality], 1);  // kMed.
+    (*bytes)[criticality] = 3;
+  });
+  EXPECT_NE(err.find("guest.0: task 'vm0.cam' has invalid parameters (slice 2000000, "
+                     "period 10000000, min_slice 0, criticality 3)"),
+            std::string::npos)
+      << err;
+}
+
+// Each dispatch is saved from both ends, the PCPU's current VCPU and the
+// VCPU's PCPU; restore rejects an image where the two disagree.
+TEST(CheckpointRoundTripTest, MachineDispatchDisagreementFailsRestoreLoudly) {
+  // Nine counters and two counts, then 39-byte PCPU records whose current
+  // VCPU (u32 global id, -1 for none) follows the online flag and speed.
+  auto current_at = [](int pcpu) { return size_t{9 * 8 + 2 * 4 + 9} + 39 * pcpu; };
+  constexpr uint32_t kNone = 0xFFFFFFFFu;
+  int busy = -1;
+  int idle = -1;
+  auto find_pcpus = [&](const std::string& bytes) {
+    for (int p = 0; p < 4; ++p) {
+      (U32At(bytes, current_at(p)) == kNone ? idle : busy) = p;
+    }
+    ASSERT_GE(busy, 0);
+    ASSERT_GE(idle, 0);
+  };
+  // A busy PCPU's VCPU listed as current on an idle PCPU too.
+  std::string err = RestoreWithPatchedSection(Machine::kCkptSection, [&](std::string* bytes) {
+    find_pcpus(*bytes);
+    PutU32(bytes, current_at(idle), U32At(*bytes, current_at(busy)));
+  });
+  EXPECT_NE(err.find("machine: pcpu " + std::to_string(idle) + " runs VCPU "), std::string::npos)
+      << err;
+  EXPECT_NE(err.find(", which is not running there"), std::string::npos) << err;
+  // A busy PCPU listed idle while its VCPU still names it.
+  err = RestoreWithPatchedSection(Machine::kCkptSection, [&](std::string* bytes) {
+    find_pcpus(*bytes);
+    PutU32(bytes, current_at(busy), kNone);
+  });
+  EXPECT_NE(err.find(" names pcpu " + std::to_string(busy) + ", which does not run it"),
+            std::string::npos)
+      << err;
+}
+
 // The canonical scenario's committed digest trail (rtvirt_runner --seed=7
 // --horizon-ms=1000 --record-digests=...). Any change to simulated state or
 // schedule shows up as the first divergent interval and component; an
@@ -668,6 +766,53 @@ TEST(CheckpointGoldenTrailTest, CanonicalScenarioMatchesRecordedTrail) {
   ASSERT_EQ(RecordDigestTrail(*s, Ms(50), 20, &actual), "");
   DivergenceReport report = CompareTrails(expected, actual);
   EXPECT_FALSE(report.diverged) << report.summary;
+}
+
+// The all-layers rig's committed trail, one boundary every 10 ms. Round trips
+// compare a build against itself, so only recorded bytes catch a field that
+// moved within a section; this rig fills the sections the canonical scenario
+// leaves empty or at defaults (trust, idle tax, held demand, pins, gEDF,
+// shed tasks, PCPU speeds, every fault counter). Each boundary's image also
+// restores and continues to the same final bytes.
+TEST(CheckpointGoldenTrailTest, AllLayersRigMatchesRecordedTrail) {
+  std::string text;
+  ASSERT_TRUE(ckpt::ReadFileToString(RTVIRT_GOLDEN_ALL_LAYERS_TRAIL, &text))
+      << RTVIRT_GOLDEN_ALL_LAYERS_TRAIL;
+  std::vector<IntervalDigest> expected;
+  ASSERT_EQ(ParseTrail(text, &expected), "");
+  ASSERT_EQ(expected.size(), 16u);
+
+  EveryKindRig rig(/*all_layers=*/true);
+  rig.Start();
+  std::vector<IntervalDigest> actual;
+  std::vector<ckpt::Image> images(16);
+  bool gedf_registered = false;  // Registered and unpinned.
+  for (int i = 0; i < 16; ++i) {
+    TimeNs t = Ms(10) * (i + 1);
+    rig.exp->Run(t);
+    ASSERT_EQ(rig.exp->SaveCheckpoint(&images[i]), "") << "t=" << t;
+    actual.push_back(IntervalDigest{i, t, ckpt::DigestOf(images[i])});
+    const Task* gedf = rig.rtas[8]->task();
+    gedf_registered = gedf_registered || (gedf->registered() && gedf->vcpu_index() == -1);
+  }
+  const DpWrapScheduler* dp = rig.exp->dpwrap();
+  EXPECT_EQ(dp->Affinity(rig.exp->guests()[0]->vm()->vcpu(0)), 0);
+  EXPECT_GT(dp->stats().admission_rejections, 0u);
+  EXPECT_GT(rig.exp->guests()[1]->overload_stats().sheds, 0u);
+  EXPECT_TRUE(gedf_registered);
+  DivergenceReport report = CompareTrails(expected, actual);
+  EXPECT_FALSE(report.diverged) << report.summary << "\nthis build's trail:\n"
+                                << TrailToText(actual);
+
+  const std::string end = images.back().Serialize();
+  for (size_t i = 0; i + 1 < images.size(); ++i) {
+    EveryKindRig b(/*all_layers=*/true);
+    ASSERT_EQ(b.exp->RestoreCheckpoint(images[i]), "") << "split " << i;
+    b.exp->Run(EveryKindRig::kHorizon);
+    ckpt::Image end_b;
+    ASSERT_EQ(b.exp->SaveCheckpoint(&end_b), "");
+    EXPECT_EQ(end_b.Serialize(), end) << "split " << i;
+  }
 }
 
 TEST(CheckpointRoundTripTest, RestoreRequiresFreshExperiment) {
