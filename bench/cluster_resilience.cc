@@ -228,35 +228,8 @@ TimelineResult RunTimeline(Mode mode) {
     fed.AdmitVm(VmSpec("hi" + std::to_string(h), HiProfile(), hardened));
     fed.AdmitVm(VmSpec("lo" + std::to_string(h), LoProfile(), hardened));
   }
-  std::vector<std::function<void()>> samplers(kHosts);
-  if (std::getenv("RTVIRT_CLUSTER_TRACE") != nullptr && mode == Mode::kHardened) {
-    for (int h = 0; h < kHosts; ++h) {
-      Experiment& exp = fed.host(h);
-      samplers[h] = [&exp, &wl, h, &samplers] {
-        std::cout << "t=" << exp.sim().Now() / Ms(1) << "ms host" << h
-                  << " cap=" << Cpus(exp.machine().EffectiveCapacity())
-                  << " resv=" << exp.dpwrap()->total_reserved().ppb() / 1000000
-                  << " pressure=" << exp.dpwrap()->pressure()
-                  << " hi=" << wl.hi_mon.total_completed() << "/"
-                  << wl.hi_mon.total_misses() << "\n";
-        if (exp.sim().Now() < kRunLength) {
-          exp.sim().After(Ms(500), samplers[h]);
-        }
-      };
-      exp.sim().After(Ms(500), samplers[h]);
-    }
-  }
   fed.Run(kRunLength);
 
-  if (std::getenv("RTVIRT_CLUSTER_TRACE") != nullptr) {
-    for (const auto& [name, st] : wl.hi_mon.per_task()) {
-      if (st.misses > 0) {
-        std::cout << ModeName(mode) << " " << name << " completed=" << st.completed
-                  << " misses=" << st.misses << " max_tard_ms=" << st.max_tardiness / Ms(1)
-                  << "\n";
-      }
-    }
-  }
   TimelineResult r;
   r.hi.ontime = wl.hi_mon.total_completed() - wl.hi_mon.total_misses();
   r.hi.missed = wl.hi_mon.total_misses();

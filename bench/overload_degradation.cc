@@ -28,8 +28,6 @@
 // stays ~0 through the ramp; binary locks HIGH arrivals out (or misses);
 // none collapses; the auditor observes zero invariant violations.
 
-#include <cstdlib>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -141,21 +139,6 @@ RampResult RunRamp(Mode mode) {
   lo_churn.Start();
   med_churn.Start();
   hi_churn.Start();
-  std::function<void()> sample;
-  if (std::getenv("RTVIRT_RAMP_TRACE") != nullptr) {
-    sample = [&] {
-      std::cout << "t=" << exp.sim().Now() / Ms(1) << "ms hi=" << hi_mon.total_completed()
-                << "/" << hi_mon.total_misses() << " med=" << med_mon.total_completed()
-                << "/" << med_mon.total_misses() << " lo=" << lo_mon.total_completed()
-                << "/" << lo_mon.total_misses()
-                << " host=" << exp.dpwrap()->total_reserved().ppb() / 1000000
-                << " pressure=" << exp.dpwrap()->pressure() << "\n";
-      if (exp.sim().Now() < kRunLength) {
-        exp.sim().After(Ms(500), sample);
-      }
-    };
-    exp.sim().After(Ms(500), sample);
-  }
   exp.Run(kRunLength);
 
   RampResult r;

@@ -29,8 +29,6 @@
 // against *effective*, not nominal, capacity) records zero violations;
 // frozen demonstrably misses HIGH deadlines.
 
-#include <cstdlib>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -169,21 +167,6 @@ TimelineResult RunTimeline(Mode mode) {
   ChurnDriver lo_churn(lo, Tier(Ms(200), half, Criticality::kLow, 0.5), Rng(212), &lo_mon);
   hi_churn.Start();
   lo_churn.Start();
-  std::function<void()> sample;
-  if (std::getenv("RTVIRT_RESILIENCE_TRACE") != nullptr) {
-    sample = [&] {
-      std::cout << "t=" << exp.sim().Now() / Ms(1) << "ms hi=" << hi_mon.total_completed()
-                << "/" << hi_mon.total_misses() << " lo=" << lo_mon.total_completed()
-                << "/" << lo_mon.total_misses()
-                << " cap=" << Cpus(exp.machine().EffectiveCapacity())
-                << " host=" << exp.dpwrap()->total_reserved().ppb() / 1000000
-                << " pressure=" << exp.dpwrap()->pressure() << "\n";
-      if (exp.sim().Now() < kRunLength) {
-        exp.sim().After(Ms(500), sample);
-      }
-    };
-    exp.sim().After(Ms(500), sample);
-  }
   exp.Run(kRunLength);
 
   TimelineResult r;

@@ -48,10 +48,6 @@ struct AuditorConfig {
   bool enabled = false;
   // Cadence of the periodic check.
   TimeNs period = Ms(10);
-  // Stored-violation cap; the total count keeps incrementing past it.
-  size_t max_violations = 64;
-  // Also print each violation to stderr as it is recorded.
-  bool log_to_stderr = false;
 };
 
 struct AuditViolation {
@@ -80,8 +76,8 @@ class InvariantAuditor : public EventTarget {
   // The periodic check (the auditor's only event).
   void OnEvent(uint32_t kind, uint64_t payload) override;
 
-  const AuditorConfig& config() const { return config_; }
-  // Stored violations are capped at max_violations; the counts are not.
+  // Stored violations are capped at kMaxViolations (Record); the counts are
+  // not.
   const std::vector<AuditViolation>& violations() const { return violations_; }
   const AuditStats& stats() const { return stats_; }
 

@@ -6,6 +6,12 @@
 #include "src/hv/machine.h"
 
 namespace rtvirt {
+namespace {
+
+// Periodic scheduler tick per PCPU (its cost is CreditConfig::tick_cost).
+constexpr TimeNs kTickPeriod = Ms(10);
+
+}  // namespace
 
 CreditScheduler::CreditScheduler(CreditConfig config) : config_(config) {}
 
@@ -14,7 +20,7 @@ void CreditScheduler::Attach(Machine* machine) {
   accounting_event_ = machine_->sim()->After(config_.timeslice, this, kEvAccounting);
   tick_events_.resize(machine_->num_pcpus());
   for (int i = 0; i < machine_->num_pcpus(); ++i) {
-    tick_events_[i] = machine_->sim()->After(config_.tick_period, this, kEvTick, i);
+    tick_events_[i] = machine_->sim()->After(kTickPeriod, this, kEvTick, i);
   }
 }
 
@@ -33,11 +39,6 @@ void CreditScheduler::VcpuInserted(Vcpu* vcpu) {
   states_[vcpu] = st;
 }
 
-void CreditScheduler::VcpuRemoved(Vcpu* vcpu) {
-  all_vcpus_.erase(std::remove(all_vcpus_.begin(), all_vcpus_.end(), vcpu), all_vcpus_.end());
-  states_.erase(vcpu);
-}
-
 int CreditScheduler::TotalWeight() const {
   int total = 0;
   for (const Vcpu* v : all_vcpus_) {
@@ -52,7 +53,7 @@ void CreditScheduler::Tick(int pcpu_id) {
   // runqueue (boost decay and priority changes take effect here).
   machine_->pcpu(pcpu_id)->SettleAccounting();
   machine_->pcpu(pcpu_id)->RequestReschedule();
-  tick_events_[pcpu_id] = machine_->sim()->After(config_.tick_period, this, kEvTick,
+  tick_events_[pcpu_id] = machine_->sim()->After(kTickPeriod, this, kEvTick,
                                                  static_cast<uint64_t>(pcpu_id));
 }
 
@@ -95,7 +96,7 @@ void CreditScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
   st.last_run = machine_->sim()->Now();
   if (st.priority == Priority::kBoost) {
     st.boost_ran += ran;
-    if (st.boost_ran >= config_.tick_period) {
+    if (st.boost_ran >= kTickPeriod) {
       st.priority = st.credits >= 0 ? Priority::kUnder : Priority::kOver;
     }
   }
@@ -129,8 +130,6 @@ void CreditScheduler::VcpuWake(Vcpu* vcpu) {
     victim->RequestReschedule();
   }
 }
-
-void CreditScheduler::VcpuBlock(Vcpu* vcpu) { (void)vcpu; }
 
 ScheduleDecision CreditScheduler::PickNext(Pcpu* pcpu) {
   TimeNs now = machine_->sim()->Now();

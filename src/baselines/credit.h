@@ -32,8 +32,8 @@ struct CreditConfig {
   TimeNs timeslice = Ms(30);
   // Minimum uninterrupted run before a preemption is honored.
   TimeNs ratelimit = Us(500);
-  // Periodic scheduler tick per PCPU and its interference cost.
-  TimeNs tick_period = Ms(10);
+  // Interference cost of the periodic per-PCPU scheduler tick (every
+  // kTickPeriod, credit.cc).
   TimeNs tick_cost = Us(40);
   TimeNs pick_cost = 500;  // ns
   // Wake->dispatch path cost (softirq + timer reprogram + runqueue ops),
@@ -53,9 +53,7 @@ class CreditScheduler : public HostScheduler, public EventTarget {
   std::string_view name() const override { return "credit"; }
   void Attach(Machine* machine) override;
   void VcpuInserted(Vcpu* vcpu) override;
-  void VcpuRemoved(Vcpu* vcpu) override;
   void VcpuWake(Vcpu* vcpu) override;
-  void VcpuBlock(Vcpu* vcpu) override;
   ScheduleDecision PickNext(Pcpu* pcpu) override;
   void AccountRun(Vcpu* vcpu, TimeNs ran) override;
   TimeNs ScheduleCost(const Pcpu* pcpu) const override;

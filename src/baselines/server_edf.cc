@@ -30,15 +30,6 @@ void ServerEdfScheduler::OnEvent(uint32_t kind, uint64_t payload) {
 
 void ServerEdfScheduler::VcpuInserted(Vcpu* vcpu) { all_vcpus_.push_back(vcpu); }
 
-void ServerEdfScheduler::VcpuRemoved(Vcpu* vcpu) {
-  all_vcpus_.erase(std::remove(all_vcpus_.begin(), all_vcpus_.end(), vcpu), all_vcpus_.end());
-  auto it = servers_.find(vcpu);
-  if (it != servers_.end()) {
-    machine_->sim()->Cancel(it->second.replenish_event);
-    servers_.erase(it);
-  }
-}
-
 void ServerEdfScheduler::SetServer(Vcpu* vcpu, ServerParams params) {
   assert(params.budget > 0 && params.period >= params.budget);
   Server& s = servers_[vcpu];
@@ -118,8 +109,6 @@ void ServerEdfScheduler::VcpuWake(Vcpu* vcpu) {
   }
 }
 
-void ServerEdfScheduler::VcpuBlock(Vcpu* vcpu) { (void)vcpu; }
-
 Vcpu* ServerEdfScheduler::PickBestEffort(Pcpu* pcpu) {
   size_t n = all_vcpus_.size();
   for (size_t i = 0; i < n; ++i) {
@@ -169,9 +158,11 @@ ScheduleDecision ServerEdfScheduler::PickNext(Pcpu* pcpu) {
     }
     return ScheduleDecision{best->vcpu, now + horizon};
   }
+  // Round-robin quantum for best-effort (serverless) VCPUs.
+  constexpr TimeNs kBestEffortQuantum = Ms(1);
   Vcpu* be = PickBestEffort(pcpu);
   if (be != nullptr) {
-    return ScheduleDecision{be, now + config_.best_effort_quantum};
+    return ScheduleDecision{be, now + kBestEffortQuantum};
   }
   return ScheduleDecision{nullptr, kTimeNever};
 }

@@ -29,8 +29,6 @@ struct ServerParams {
 };
 
 struct ServerEdfConfig {
-  // Round-robin quantum for best-effort (serverless) VCPUs.
-  TimeNs best_effort_quantum = Ms(1);
   // Virtual cost of one PickNext: a sorted-runqueue gEDF pick.
   TimeNs pick_cost = 900;  // ns
   // Quantum-driven mode (RT-Xen 2.0 as evaluated by the paper; 0 = the
@@ -53,9 +51,7 @@ class ServerEdfScheduler : public HostScheduler, public EventTarget {
   std::string_view name() const override { return "server-gedf"; }
   void Attach(Machine* machine) override;
   void VcpuInserted(Vcpu* vcpu) override;
-  void VcpuRemoved(Vcpu* vcpu) override;
   void VcpuWake(Vcpu* vcpu) override;
-  void VcpuBlock(Vcpu* vcpu) override;
   ScheduleDecision PickNext(Pcpu* pcpu) override;
   void AccountRun(Vcpu* vcpu, TimeNs ran) override;
   TimeNs ScheduleCost(const Pcpu* pcpu) const override;

@@ -216,7 +216,10 @@ void Fields(Io& io, T&&... fields) {
 // RestoreEvent checks one saved live event's (kind, payload) and re-arms it
 // at virtual time `when` through the component's schedule path. Restore
 // hooks return an empty string on success or a loud error naming what went
-// wrong; they must not partially apply.
+// wrong. A failing hook may already have stored part of its state (a field
+// list stores as it reads, and the checks run after it), so the owner never
+// uses a component whose restore failed: Experiment::RestoreCheckpoint and
+// Federation::RestoreCheckpoint mark themselves unusable instead.
 class Checkpointable : public EventTarget {
  public:
   virtual ~Checkpointable() = default;

@@ -138,6 +138,8 @@ TimeNs Federation::NextWakeup() const {
 }
 
 void Federation::Run(TimeNs until) {
+  RTVIRT_CHECK(restore_error_.empty(), "Run after a failed restore: %s",
+               restore_error_.c_str());
   RTVIRT_CHECK(until >= now_, "federation time cannot go backwards");
   while (true) {
     TimeNs next = std::min(until, NextWakeup());
@@ -360,13 +362,16 @@ void Federation::TryPlace(size_t idx) {
     return;
   }
   ++counters_.migration_retries;
-  TimeNs backoff = ft.backoff_initial;
-  for (int i = 1; i < pm.attempts && backoff < ft.backoff_cap; ++i) {
-    backoff = static_cast<TimeNs>(static_cast<double>(backoff) * ft.backoff_factor);
+  // Bounded exponential backoff between placement attempts for an evacuee the
+  // cluster currently has no room for.
+  constexpr TimeNs kEvacuationBackoffInitial = Ms(50);
+  constexpr double kEvacuationBackoffFactor = 2.0;
+  constexpr TimeNs kEvacuationBackoffCap = Sec(2);
+  TimeNs backoff = kEvacuationBackoffInitial;
+  for (int i = 1; i < pm.attempts && backoff < kEvacuationBackoffCap; ++i) {
+    backoff = static_cast<TimeNs>(static_cast<double>(backoff) * kEvacuationBackoffFactor);
   }
-  backoff = std::min(backoff, ft.backoff_cap);
-  backoff = std::max<TimeNs>(backoff, 1);
-  pm.due = now_ + backoff;
+  pm.due = now_ + std::min(backoff, kEvacuationBackoffCap);
 }
 
 Federation::VmStatus Federation::vm_status(const std::string& name) const {
@@ -435,6 +440,9 @@ void Federation::ClockFields(Self& self, Io& io) {
 }
 
 std::string Federation::SaveCheckpoint(ckpt::Image* out) const {
+  if (!restore_error_.empty()) {
+    return restore_error_;
+  }
   if (!pendings_.empty()) {
     return "federation: checkpoint requires no in-flight migrations (" +
            std::to_string(pendings_.size()) + " pending)";
@@ -487,6 +495,9 @@ std::string Federation::SaveCheckpoint(ckpt::Image* out) const {
 }
 
 std::string Federation::RestoreCheckpoint(const ckpt::Image& image) {
+  if (!restore_error_.empty()) {
+    return restore_error_;
+  }
   if (image.sections.size() != hosts_.size() + 1) {
     return "federation: component count mismatch (image has " +
            std::to_string(image.sections.size()) + " sections, this federation expects " +
@@ -496,8 +507,16 @@ std::string Federation::RestoreCheckpoint(const ckpt::Image& image) {
   if (fed == nullptr) {
     return "federation: missing section 'federation'";
   }
+  std::string err = ApplyImage(image, *fed);
+  if (!err.empty()) {
+    restore_error_ = "federation: unusable after a failed restore (" + err + ")";
+  }
+  return err;
+}
+
+std::string Federation::ApplyImage(const ckpt::Image& image, const ckpt::Section& fed) {
   // The section is read in place and checked before any host restores.
-  ckpt::Reader r(fed->bytes);
+  ckpt::Reader r(fed.bytes);
   ClockFields(*this, r);
   uint32_t n_hosts = r.U32();
   if (!r.ok() || n_hosts != hosts_.size()) {

@@ -87,12 +87,9 @@ struct FederationConfig {
   // Host-failure recovery. Disabled by default: host faults then still hit
   // the machines (frozen baseline), but nobody evacuates or re-places.
   struct FaultTolerance {
+    // An evacuee the cluster currently has no room for is retried with
+    // bounded exponential backoff (kEvacuationBackoff*, Federation::TryPlace).
     bool enabled = false;
-    // Bounded exponential backoff between placement attempts for an evacuee
-    // the cluster currently has no room for.
-    TimeNs backoff_initial = Ms(50);
-    double backoff_factor = 2.0;
-    TimeNs backoff_cap = Sec(2);
     // Attempt budget per evacuation; exhausting it marks the evacuation
     // unresolved (counted, reported) instead of retrying forever.
     int max_attempts = 16;
@@ -171,7 +168,11 @@ class Federation {
 
   // Restores onto a freshly built federation (same config, same AdmitVm
   // sequence, never Run). Re-applies host availability/capacity to the
-  // placer from the restored host states. Never partially applies silently.
+  // placer from the restored host states. An error found once the restore
+  // began to overwrite state (the federation section, or any host's restore)
+  // leaves the federation unusable, as Experiment::RestoreCheckpoint does:
+  // Run fails an RTVIRT_CHECK, and SaveCheckpoint and RestoreCheckpoint
+  // return that same error.
   std::string RestoreCheckpoint(const ckpt::Image& image);
 
  private:
@@ -216,6 +217,9 @@ class Federation {
   };
 
   static std::vector<ClusterHost> MakeHosts(const FederationConfig& config);
+  // RestoreCheckpoint past its up-front checks: reads the federation section
+  // in place, then restores every host.
+  std::string ApplyImage(const ckpt::Image& image, const ckpt::Section& fed);
   // The checkpoint section's leading clocks, in byte order; SaveCheckpoint
   // and RestoreCheckpoint both run this one list.
   template <typename Self, typename Io>
@@ -253,6 +257,8 @@ class Federation {
   Teardown teardown_;
   // The federation's own slice of ResilienceCounters.
   ClusterStats counters_;
+  // Non-empty once a restore failed part-way (see RestoreCheckpoint).
+  std::string restore_error_;
 };
 
 }  // namespace rtvirt

@@ -6,13 +6,58 @@
 #include "src/hv/hypercall.h"
 
 namespace rtvirt {
+namespace {
+
+// Tail quantile tracked against the SLO.
+constexpr double kTargetQuantile = 0.999;
+
+// Hysteresis band, as fractions of the tenant SLO: INC when the tracked
+// quantile exceeds kIncBand * slo, DEC only when it falls below
+// kDecBand * slo. Between the two the controller holds.
+constexpr double kIncBand = 0.9;
+constexpr double kDecBand = 0.45;
+static_assert(kIncBand > kDecBand, "control: hysteresis bands inverted");
+
+// PI controller on the normalized error (quantile - kIncBand*slo) / slo.
+// The integrator only accumulates while the tail is *outside* the
+// hysteresis band (conditional integration); in-band it decays toward
+// zero, so a long healthy stretch cannot wind up a reserve of negative
+// error that would later delay the INC response to a flash crowd.
+constexpr double kKp = 0.5;
+constexpr double kKi = 0.2;
+
+// Demand floor: DEC never shrinks the slice below the observed work rate
+// times this headroom factor. The work rate comes from an EMA over the
+// completed jobs' execution demand (alpha per decision tick), which is
+// what prevents INC/DEC oscillation under sustained load: once the tail
+// is healthy the *measured demand*, not the (now comfortable) tail, says
+// how much of the reservation is actually load-bearing.
+constexpr double kDemandHeadroom = 1.3;
+constexpr double kDemandEmaAlpha = 0.2;
+
+// Smallest slice change one adjustment makes.
+constexpr TimeNs kMinStep = Us(4);
+
+// Window of the per-tenant adjustment rate limit.
+constexpr TimeNs kRateWindow = Ms(100);
+
+// Consecutive host INC rejections before the tenant is marked saturated
+// and handed off to the pressure/degradation ladder.
+constexpr int kSaturationAfter = 3;
+
+// Consecutive ticks with a degraded channel (or channel-level actuation
+// failures) before entering fail-static freeze.
+constexpr int kFreezeAfter = 2;
+// Re-engage probe backoff while frozen: initial, growth, cap.
+constexpr TimeNs kReengageBackoff = Ms(100);
+constexpr double kReengageBackoffMult = 2.0;
+constexpr TimeNs kReengageBackoffMax = Sec(2);
+
+}  // namespace
 
 SloController::SloController(Simulator* sim, ControlConfig config)
     : sim_(sim), config_(config) {
   RTVIRT_CHECK(config_.decision_period > 0, "control: non-positive decision period");
-  RTVIRT_CHECK(config_.inc_band > config_.dec_band,
-               "control: hysteresis bands inverted (inc %f <= dec %f)",
-               config_.inc_band, config_.dec_band);
 }
 
 void SloController::Watch(GuestOs* guest, Task* task, RtvirtGuestChannel* channel,
@@ -25,7 +70,10 @@ void SloController::Watch(GuestOs* guest, Task* task, RtvirtGuestChannel* channe
   t.channel = channel;
   t.downstream = task->observer();
   t.slo = opts.slo > 0 ? opts.slo : task->params().period;
-  t.min_slice = opts.min_slice > 0 ? opts.min_slice : task->params().slice;
+  // DEC never goes below what the task itself tolerates: SchedSetAttr
+  // refuses a slice under the task's min_slice.
+  t.min_slice = std::max(opts.min_slice > 0 ? opts.min_slice : task->params().slice,
+                         task->params().min_slice);
   t.max_slice = opts.max_slice > 0 ? opts.max_slice : task->params().slice * 4;
   t.cur_slice = task->params().slice;
   RTVIRT_CHECK(t.min_slice <= t.cur_slice && t.cur_slice <= t.max_slice,
@@ -83,7 +131,7 @@ bool SloController::UnderPressure(const Tenant& t) const {
 }
 
 bool SloController::RateBudgetExhausted(Tenant& t, TimeNs now) {
-  int64_t epoch = now / config_.rate_window;
+  int64_t epoch = now / kRateWindow;
   if (epoch != t.rate_epoch) {
     t.rate_epoch = epoch;
     t.adjustments_in_window = 0;
@@ -110,7 +158,7 @@ int SloController::Actuate(Tenant& t, TimeNs new_slice) {
 }
 
 TimeNs SloController::DemandFloor(const Tenant& t) const {
-  double demand_slice = t.work_rate_ema * config_.demand_headroom *
+  double demand_slice = t.work_rate_ema * kDemandHeadroom *
                         static_cast<double>(t.task->params().period);
   return std::max(t.min_slice, static_cast<TimeNs>(demand_slice));
 }
@@ -138,7 +186,7 @@ void SloController::EnterFrozen(Tenant& t, TimeNs now) {
   // it until a successful DEC, which the starved channel cannot deliver
   // anyway); the controller merely stops steering until a probe succeeds.
   t.frozen = true;
-  t.cur_backoff = config_.reengage_backoff;
+  t.cur_backoff = kReengageBackoff;
   t.reengage_at = now + t.cur_backoff;
   t.integrator = 0.0;
   ++stats_.control_freezes;
@@ -166,8 +214,7 @@ void SloController::Decide(Tenant& t, TimeNs now) {
                   static_cast<double>(now - t.last_tick);
     t.work_rate_ema = t.last_tick == 0
                           ? inst
-                          : (1.0 - config_.demand_ema_alpha) * t.work_rate_ema +
-                                config_.demand_ema_alpha * inst;
+                          : (1.0 - kDemandEmaAlpha) * t.work_rate_ema + kDemandEmaAlpha * inst;
     t.work_since_tick = 0;
     t.last_tick = now;
   }
@@ -179,9 +226,8 @@ void SloController::Decide(Tenant& t, TimeNs now) {
     ++stats_.control_reengage_probes;
     if (!ChannelHealthy(t)) {
       t.cur_backoff = std::min(
-          static_cast<TimeNs>(static_cast<double>(t.cur_backoff) *
-                              config_.reengage_backoff_mult),
-          config_.reengage_backoff_max);
+          static_cast<TimeNs>(static_cast<double>(t.cur_backoff) * kReengageBackoffMult),
+          kReengageBackoffMax);
       t.reengage_at = now + t.cur_backoff;
       return;
     }
@@ -193,7 +239,7 @@ void SloController::Decide(Tenant& t, TimeNs now) {
   }
 
   if (!ChannelHealthy(t)) {
-    if (++t.channel_strikes >= config_.freeze_after) {
+    if (++t.channel_strikes >= kFreezeAfter) {
       EnterFrozen(t, now);
     }
     return;
@@ -214,12 +260,12 @@ void SloController::Decide(Tenant& t, TimeNs now) {
   }
   ++stats_.control_decisions;
 
-  TimeNs tail = t.window.Quantile(config_.target_quantile);
+  TimeNs tail = t.window.Quantile(kTargetQuantile);
   double slo = static_cast<double>(t.slo);
-  double err = (static_cast<double>(tail) - config_.inc_band * slo) / slo;
+  double err = (static_cast<double>(tail) - kIncBand * slo) / slo;
 
-  bool above_band = static_cast<double>(tail) > config_.inc_band * slo;
-  bool below_band = static_cast<double>(tail) < config_.dec_band * slo;
+  bool above_band = static_cast<double>(tail) > kIncBand * slo;
+  bool below_band = static_cast<double>(tail) < kDecBand * slo;
 
   // Conditional integration (anti-windup part 1): the integrator only
   // accumulates while the tail is outside the hysteresis band; in-band it
@@ -228,7 +274,7 @@ void SloController::Decide(Tenant& t, TimeNs now) {
   // Remember the pre-tick value so a withheld action rolls integration back.
   double pre_integrator = t.integrator;
   if (above_band || below_band) {
-    t.integrator += config_.ki * err;
+    t.integrator += kKi * err;
     if (t.integrator > config_.integrator_clamp) {
       t.integrator = config_.integrator_clamp;  // Anti-windup part 2: clamp.
       ++stats_.control_windup_clamps;
@@ -239,7 +285,7 @@ void SloController::Decide(Tenant& t, TimeNs now) {
   } else {
     t.integrator *= 0.5;
   }
-  double signal = config_.kp * err + t.integrator;
+  double signal = kKp * err + t.integrator;
 
   // Back under the INC threshold means the ladder (or subsiding load) dug
   // the tenant out of any outstanding saturation handoff.
@@ -264,9 +310,8 @@ void SloController::Decide(Tenant& t, TimeNs now) {
       t.integrator = pre_integrator;
       return;
     }
-    TimeNs step = std::max(
-        config_.min_step, static_cast<TimeNs>(static_cast<double>(t.cur_slice) *
-                                              config_.step_fraction));
+    TimeNs step = std::max(kMinStep, static_cast<TimeNs>(static_cast<double>(t.cur_slice) *
+                                                         config_.step_fraction));
     TimeNs new_slice = std::min(t.cur_slice + step, t.max_slice);
     if (new_slice <= t.cur_slice) {
       // At the cap with the SLO still missed: more reservation cannot come
@@ -280,10 +325,10 @@ void SloController::Decide(Tenant& t, TimeNs now) {
       t.inc_rejections = 0;
     } else if (ChannelHealthy(t)) {
       // Host-level rejection with a live channel: capacity, not connectivity.
-      if (++t.inc_rejections >= config_.saturation_after) {
+      if (++t.inc_rejections >= kSaturationAfter) {
         EnterSaturation(t);
       }
-    } else if (++t.channel_strikes >= config_.freeze_after) {
+    } else if (++t.channel_strikes >= kFreezeAfter) {
       EnterFrozen(t, now);
     }
     return;
@@ -306,14 +351,13 @@ void SloController::Decide(Tenant& t, TimeNs now) {
       t.integrator = pre_integrator;
       return;
     }
-    TimeNs step = std::max(
-        config_.min_step, static_cast<TimeNs>(static_cast<double>(t.cur_slice) *
-                                              config_.step_fraction));
+    TimeNs step = std::max(kMinStep, static_cast<TimeNs>(static_cast<double>(t.cur_slice) *
+                                                         config_.step_fraction));
     TimeNs new_slice = std::max(t.cur_slice - step, floor);
     int rc = Actuate(t, new_slice);
     if (rc == kGuestOk) {
       ++stats_.control_dec_adjustments;
-    } else if (!ChannelHealthy(t) && ++t.channel_strikes >= config_.freeze_after) {
+    } else if (!ChannelHealthy(t) && ++t.channel_strikes >= kFreezeAfter) {
       EnterFrozen(t, now);
     }
     return;

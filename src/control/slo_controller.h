@@ -20,7 +20,7 @@
 //   * rate limiting — at most max_adjust_per_window adjustments per tenant
 //     per rate window, sized well inside the PR 4 token bucket and replan
 //     budget: a well-behaved controller must never be quarantined;
-//   * saturation handoff — when the host rejects INC saturation_after times
+//   * saturation handoff — when the host rejects INC kSaturationAfter times
 //     in a row (or the slice cap is reached with the SLO still missed) the
 //     tenant is marked saturated and the controller stops retrying; the
 //     pressure/degradation ladder owns the overload until the tail recovers;
@@ -54,56 +54,19 @@ struct ControlConfig {
   // registration order (deterministic).
   TimeNs decision_period = Ms(100);
 
-  // Tail quantile tracked against the SLO.
-  double target_quantile = 0.999;
-
-  // Hysteresis band, as fractions of the tenant SLO: INC when the tracked
-  // quantile exceeds inc_band * slo, DEC only when it falls below
-  // dec_band * slo. Between the two the controller holds.
-  double inc_band = 0.9;
-  double dec_band = 0.45;
-
-  // PI controller on the normalized error (quantile - inc_band*slo) / slo.
-  // The integrator only accumulates while the tail is *outside* the
-  // hysteresis band (conditional integration); in-band it decays toward
-  // zero, so a long healthy stretch cannot wind up a reserve of negative
-  // error that would later delay the INC response to a flash crowd.
-  double kp = 0.5;
-  double ki = 0.2;
-  // Anti-windup clamp on the integrator magnitude.
+  // Anti-windup clamp on the PI integrator's magnitude (the gains and the
+  // hysteresis band are slo_controller.cc's constants).
   double integrator_clamp = 2.0;
 
-  // Demand floor: DEC never shrinks the slice below the observed work rate
-  // times this headroom factor. The work rate comes from an EMA over the
-  // completed jobs' execution demand (alpha per decision tick), which is
-  // what prevents INC/DEC oscillation under sustained load: once the tail
-  // is healthy the *measured demand*, not the (now comfortable) tail, says
-  // how much of the reservation is actually load-bearing.
-  double demand_headroom = 1.3;
-  double demand_ema_alpha = 0.2;
-
   // Adjustment sizing: one step changes the slice by step_fraction of its
-  // current value, but at least min_step.
+  // current value, but at least kMinStep (slo_controller.cc).
   double step_fraction = 0.25;
-  TimeNs min_step = Us(4);
 
-  // Per-tenant adjustment rate limit. Defaults sit far inside the PR 4
-  // guest_trust budgets (2000 calls/s token bucket, 32 INC/DEC flips per
-  // 100 ms): 4 adjustments per 100 ms is two orders of magnitude below both.
+  // Per-tenant adjustment rate limit, per kRateWindow (slo_controller.cc).
+  // The default, 4 adjustments per 100 ms, sits two orders of magnitude
+  // inside the guest_trust budgets (2000 calls/s token bucket, 32 INC/DEC
+  // flips per 100 ms).
   int max_adjust_per_window = 4;
-  TimeNs rate_window = Ms(100);
-
-  // Consecutive host INC rejections before the tenant is marked saturated
-  // and handed off to the pressure/degradation ladder.
-  int saturation_after = 3;
-
-  // Consecutive ticks with a degraded channel (or channel-level actuation
-  // failures) before entering fail-static freeze.
-  int freeze_after = 2;
-  // Re-engage probe backoff while frozen: initial, growth, cap.
-  TimeNs reengage_backoff = Ms(100);
-  double reengage_backoff_mult = 2.0;
-  TimeNs reengage_backoff_max = Sec(2);
 
   // Minimum samples in the window before a decision is made.
   uint64_t min_samples = 32;
@@ -118,7 +81,9 @@ class SloController : public JobObserver, public EventTarget {
 
   struct TenantOptions {
     TimeNs slo = 0;        // Response-time SLO; 0 = the task's period.
-    TimeNs min_slice = 0;  // DEC floor; 0 = the slice at Watch time.
+    // DEC floor, raised to the task's RtaParams::min_slice; 0 = the slice at
+    // Watch time.
+    TimeNs min_slice = 0;
     TimeNs max_slice = 0;  // INC ceiling; 0 = 4x the slice at Watch time.
   };
 

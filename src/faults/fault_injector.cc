@@ -9,6 +9,11 @@ namespace rtvirt {
 
 namespace {
 
+// What a caller waits on a dropped hypercall before giving up.
+constexpr TimeNs kHypercallDropTimeout = Ms(1);
+// Reservation period of an adversarial kBandwidthThrash campaign's calls.
+constexpr TimeNs kThrashPeriod = Ms(10);
+
 std::string Entry(const char* field, size_t i, const char* what, long long a, long long b) {
   char buf[192];
   std::snprintf(buf, sizeof(buf), "%s[%zu]: %s (%lld, %lld)", field, i, what, a, b);
@@ -62,16 +67,11 @@ std::string FaultPlan::Validate(int num_pcpus, int num_vms, int num_hosts) const
     if (a.period <= 0) {
       return Entry("adversarial_guests", i, "non-positive event cadence", a.period, 0);
     }
-    if (a.kind == AdversarialGuest::Kind::kBandwidthThrash) {
-      if (a.thrash_low > a.thrash_high || a.thrash_high > Bandwidth::One() ||
-          a.thrash_low <= Bandwidth::Zero()) {
-        return Entry("adversarial_guests", i, "thrash bandwidths out of order or range (ppb)",
-                     a.thrash_low.ppb(), a.thrash_high.ppb());
-      }
-      if (a.thrash_period <= 0) {
-        return Entry("adversarial_guests", i, "non-positive thrash reservation period",
-                     a.thrash_period, 0);
-      }
+    if (a.kind == AdversarialGuest::Kind::kBandwidthThrash &&
+        (a.thrash_low > a.thrash_high || a.thrash_high > Bandwidth::One() ||
+         a.thrash_low <= Bandwidth::Zero())) {
+      return Entry("adversarial_guests", i, "thrash bandwidths out of order or range (ppb)",
+                   a.thrash_low.ppb(), a.thrash_high.ppb());
     }
   }
   for (size_t i = 0; i < pcpu_faults.size(); ++i) {
@@ -209,7 +209,7 @@ Machine::HypercallFault FaultInjector::OnHypercall(Vcpu* caller, const Hypercall
   if (plan_.hypercall_drop_prob > 0 && rng_.Bernoulli(plan_.hypercall_drop_prob)) {
     ++stats_.injected_drops;
     fault.action = Machine::HypercallFault::Action::kDrop;
-    fault.extra_latency = plan_.hypercall_drop_timeout;
+    fault.extra_latency = kHypercallDropTimeout;
     return fault;
   }
   if (plan_.hypercall_fail_prob > 0 && rng_.Bernoulli(plan_.hypercall_fail_prob)) {
@@ -405,7 +405,7 @@ void FaultInjector::AdversaryTick(size_t idx, uint64_t step) {
         Vcpu* target = vm->vcpu(vm->num_vcpus() - 1);
         HypercallArgs args;
         args.vcpu_a = target;
-        args.period_a = a.thrash_period;
+        args.period_a = kThrashPeriod;
         if (step % 2 == 0) {
           args.op = SchedOp::kIncBw;
           args.bw_a = a.thrash_high;

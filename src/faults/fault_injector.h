@@ -45,7 +45,7 @@ struct FaultPlan {
   double hypercall_drop_prob = 0.0;   // Lost call: timeout, then -EAGAIN.
   double hypercall_spike_prob = 0.0;  // Latency spike on a delivered call.
   TimeNs hypercall_spike_latency = Us(100);
-  TimeNs hypercall_drop_timeout = Ms(1);  // What the caller waits before giving up.
+  // A dropped call costs the caller kHypercallDropTimeout (fault_injector.cc).
   // Hard outages: every hypercall issued in [start, end) fails. This is what
   // exhausts bounded retries and forces the guest channel into degraded mode.
   struct Outage {
@@ -106,10 +106,10 @@ struct FaultPlan {
     TimeNs start = 0;
     TimeNs end = kTimeNever;   // Campaign window [start, end).
     TimeNs period = Us(500);   // Event cadence inside the window.
-    // kBandwidthThrash only: the two reservations it flips between.
+    // kBandwidthThrash only: the two reservations it flips between (at
+    // period kThrashPeriod, fault_injector.cc).
     Bandwidth thrash_low = Bandwidth::FromDouble(0.05);
     Bandwidth thrash_high = Bandwidth::FromDouble(0.25);
-    TimeNs thrash_period = Ms(10);  // Reservation period used in the calls.
   };
   std::vector<AdversarialGuest> adversarial_guests;
 

@@ -6,6 +6,24 @@
 #include <utility>
 
 namespace rtvirt {
+namespace {
+
+// Overload control (GuestConfig::overload). Cadence of the host-pressure
+// poll (and of re-inflation steps).
+constexpr TimeNs kPressurePoll = Ms(5);
+// Consecutive pressured polls with nothing left to compress before a task is
+// shed; more ticks = more tolerance for transient pressure.
+constexpr int kPressureShedAfterTicks = 2;
+// Consecutive pressure-free polls before the first re-inflation step
+// (hysteresis against compress/expand oscillation).
+constexpr int kPressureReinflateHoldTicks = 4;
+// Only tasks at or below these levels may be shed / compressed by the
+// pressure poll. (Admission-time degradation is stricter still: it only
+// touches tasks of strictly lower criticality than the newcomer.)
+constexpr Criticality kPressureShedCeiling = Criticality::kLow;
+constexpr Criticality kPressureCompressCeiling = Criticality::kMed;
+
+}  // namespace
 
 GuestOs::GuestOs(Vm* vm, GuestConfig config)
     : vm_(vm), config_(config), ckpt_section_("guest." + std::to_string(vm->id())),
@@ -18,7 +36,7 @@ GuestOs::GuestOs(Vm* vm, GuestConfig config)
     vcpus_.push_back(std::move(vr));
   }
   if (config_.overload.enabled) {
-    Arm(kEvPressure, 0, sim()->Now() + config_.overload.pressure_poll);
+    Arm(kEvPressure, 0, sim()->Now() + kPressurePoll);
   }
 }
 
@@ -435,8 +453,7 @@ int GuestOs::SchedUnregisterGlobal(Task* task) {
 }
 
 int GuestOs::SchedSetAttr(Task* task, const RtaParams& params, int64_t bw_reason) {
-  if (!task->is_rta() || params.period <= 0 || params.slice <= 0 ||
-      params.slice > params.period) {
+  if (!task->is_rta() || !params.Valid()) {
     return kGuestErrInvalid;
   }
   if (vm_->crashed()) {
@@ -795,28 +812,28 @@ int GuestOs::AdmitViaOverload(const RtaParams& params) {
 
 void GuestOs::PressureTick() {
   // Fixed cadence regardless of what this tick does.
-  Arm(kEvPressure, 0, sim()->Now() + config_.overload.pressure_poll);
+  Arm(kEvPressure, 0, sim()->Now() + kPressurePoll);
   if (vm_->crashed() || global_edf()) {
     return;
   }
   if (vm_->shared_page().pressure_level() > 0) {
     pressure_clear_ticks_ = 0;
-    if (CompressUpTo(static_cast<int>(config_.overload.compress_ceiling))) {
+    if (CompressUpTo(static_cast<int>(kPressureCompressCeiling))) {
       // Compression just released bandwidth; give the host a tick to react
       // before escalating to shedding.
       pressure_ticks_under_ = 0;
       return;
     }
-    if (pressure_ticks_under_ < config_.overload.shed_after_ticks) {
+    if (pressure_ticks_under_ < kPressureShedAfterTicks) {
       ++pressure_ticks_under_;
     }
-    if (pressure_ticks_under_ >= config_.overload.shed_after_ticks) {
-      ShedOneUpTo(static_cast<int>(config_.overload.shed_ceiling));
+    if (pressure_ticks_under_ >= kPressureShedAfterTicks) {
+      ShedOneUpTo(static_cast<int>(kPressureShedCeiling));
     }
     return;
   }
   pressure_ticks_under_ = 0;
-  if (pressure_clear_ticks_ < config_.overload.reinflate_hold_ticks) {
+  if (pressure_clear_ticks_ < kPressureReinflateHoldTicks) {
     ++pressure_clear_ticks_;
     return;
   }
@@ -1029,10 +1046,7 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
     // budgets, so they must be ones SchedSetAttr admits; an unregistered
     // task may still hold its zero defaults.
     const RtaParams& p = t->params_;
-    if ((t->registered_ || t->shed_) &&
-        (p.period <= 0 || p.slice <= 0 || p.slice > p.period || p.min_slice < 0 ||
-         p.min_slice > p.slice || p.criticality < Criticality::kLow ||
-         p.criticality > Criticality::kHigh)) {
+    if ((t->registered_ || t->shed_) && !p.Valid()) {
       return ckpt_section_ + ": task '" + t->name_ + "' has invalid parameters (slice " +
              std::to_string(p.slice) + ", period " + std::to_string(p.period) +
              ", min_slice " + std::to_string(p.min_slice) + ", criticality " +

@@ -57,22 +57,10 @@ struct GuestConfig {
   // and a periodic poll of the host's shared-page pressure signal degrades
   // proactively under host overload and re-inflates when pressure clears.
   // When disabled (the default) no events are scheduled and behavior is
-  // identical to the classic binary admission test.
+  // identical to the classic binary admission test. The poll's cadence,
+  // hysteresis and ceilings are guest_os.cc's kPressure* constants.
   struct OverloadControl {
     bool enabled = false;
-    // Cadence of the host-pressure poll (and of re-inflation steps).
-    TimeNs pressure_poll = Ms(5);
-    // Consecutive pressured polls with nothing left to compress before a
-    // task is shed; more ticks = more tolerance for transient pressure.
-    int shed_after_ticks = 2;
-    // Consecutive pressure-free polls before the first re-inflation step
-    // (hysteresis against compress/expand oscillation).
-    int reinflate_hold_ticks = 4;
-    // Only tasks at or below these levels may be shed / compressed by the
-    // pressure poll. (Admission-time degradation is stricter still: it only
-    // touches tasks of strictly lower criticality than the newcomer.)
-    Criticality shed_ceiling = Criticality::kLow;
-    Criticality compress_ceiling = Criticality::kMed;
   };
   OverloadControl overload;
 };
@@ -105,7 +93,8 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   Task* CreateBackgroundTask(std::string name);
 
   // sched_setattr(): registers `task` as an RTA or changes its parameters.
-  // Returns kGuestOk or kGuestErrBusy if admission fails at either level.
+  // Returns kGuestOk, kGuestErrInvalid for parameters RtaParams::Valid
+  // refuses, or kGuestErrBusy if admission fails at either level.
   // `bw_reason` is the kBwReason* code carried by the resulting hypercall for
   // an in-place parameter change of a registered RTA (the SLO controller
   // passes kBwReasonSloControl so its raises are watermark-limited and never
@@ -139,8 +128,6 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   TimeNs NextEarliestDeadline(int vcpu_index) const;
   GuestSchedClass sched_class() const { return config_.sched_class; }
   const GuestOverloadStats& overload_stats() const { return overload_stats_; }
-  // Tasks currently suspended by overload control (registered, no pin).
-  const std::vector<Task*>& shed_tasks() const { return shed_; }
 
   // Self-check of the guest scheduler's bookkeeping invariants (used by the
   // cross-layer invariant auditor). Returns human-readable violation

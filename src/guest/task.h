@@ -29,8 +29,6 @@ enum class Criticality {
   kHigh = 2,
 };
 
-const char* CriticalityName(Criticality c);
-
 struct RtaParams {
   TimeNs slice = 0;
   TimeNs period = 0;
@@ -41,6 +39,15 @@ struct RtaParams {
   // Must be <= slice when set.
   TimeNs min_slice = 0;
 
+  // The one validity rule for an RTA's parameters: period > 0,
+  // 0 < slice <= period, 0 <= min_slice <= slice, and a criticality in
+  // [kLow, kHigh]. GuestOs::SchedSetAttr refuses anything else, and a guest
+  // restore rejects a registered task holding it.
+  bool Valid() const {
+    return period > 0 && slice > 0 && slice <= period && min_slice >= 0 &&
+           min_slice <= slice && criticality >= Criticality::kLow &&
+           criticality <= Criticality::kHigh;
+  }
   Bandwidth bandwidth() const { return Bandwidth::FromSlicePeriod(slice, period); }
   bool elastic() const { return min_slice > 0 && min_slice < slice; }
   Bandwidth min_bandwidth() const {
@@ -127,18 +134,6 @@ class Task {
   JobObserver* observer_ = nullptr;
   uint64_t jobs_completed_ = 0;
 };
-
-inline const char* CriticalityName(Criticality c) {
-  switch (c) {
-    case Criticality::kLow:
-      return "LOW";
-    case Criticality::kMed:
-      return "MED";
-    case Criticality::kHigh:
-      return "HIGH";
-  }
-  return "?";
-}
 
 }  // namespace rtvirt
 

@@ -35,13 +35,15 @@ class HostScheduler {
   // Called once when installed into a machine.
   virtual void Attach(Machine* machine) { machine_ = machine; }
 
-  // VCPU lifecycle (also used for CPU hotplug).
+  // VCPU lifecycle (also used for CPU hotplug). The machine never removes a
+  // VCPU, so the default ignores VcpuRemoved.
   virtual void VcpuInserted(Vcpu* vcpu) = 0;
-  virtual void VcpuRemoved(Vcpu* vcpu) = 0;
+  virtual void VcpuRemoved(Vcpu* vcpu) { (void)vcpu; }
 
-  // A blocked VCPU became runnable / a VCPU ran out of work.
+  // A blocked VCPU became runnable / a VCPU ran out of work. The default
+  // ignores a block: a scheduler skips non-runnable VCPUs when it picks.
   virtual void VcpuWake(Vcpu* vcpu) = 0;
-  virtual void VcpuBlock(Vcpu* vcpu) = 0;
+  virtual void VcpuBlock(Vcpu* vcpu) { (void)vcpu; }
 
   // Pick what `pcpu` runs next, starting now. The machine re-invokes this at
   // `run_until`, or earlier if the PCPU is tickled. Never called for an

@@ -10,6 +10,41 @@
 namespace rtvirt {
 namespace {
 
+// Horizon used when no reserved VCPU publishes a deadline.
+constexpr TimeNs kMaxGlobalSlice = Ms(100);
+// Round-robin quantum for best-effort (non-reserved) VCPUs.
+constexpr TimeNs kBestEffortQuantum = Ms(1);
+// Idle tax: grant this much above observed usage, and never tax below 10%
+// of the claim.
+constexpr double kTaxHeadroom = 0.25;
+constexpr double kTaxMinFactor = 0.1;
+// Overload pressure scan cadence.
+constexpr TimeNs kOverloadScanPeriod = Ms(5);
+// After a new registration is rejected, its demand is withheld from the
+// published headroom for this long: the freed bandwidth is earmarked for the
+// retrying newcomer instead of being re-absorbed by guests re-inflating
+// compressed reservations. Must exceed the application's admission-retry
+// interval to be effective.
+constexpr TimeNs kAdmissionHold = Ms(200);
+// Guest trust. Replan-rate budget: fresh publications from one VM binding
+// the global slice at/below the floor, per kTrustRateWindow.
+constexpr TimeNs kTrustRateWindow = Ms(100);
+constexpr int kMaxFloorBindings = 128;
+// Token bucket: sustained hypercalls/second per VM.
+constexpr double kHypercallRate = 2000.0;
+// INC_BW/DEC_BW direction flips tolerated per kTrustRateWindow before an
+// oscillation-abuse violation is scored.
+constexpr int kMaxBwFlips = 32;
+// Reputation scan cadence, per-scan score decay factor, the score at which a
+// VM is quarantined (each violation adds 1), and how many consecutive clean
+// scans rehabilitate a quarantined VM.
+constexpr TimeNs kTrustScanPeriod = Ms(10);
+constexpr double kScoreDecay = 0.8;
+constexpr double kQuarantineThreshold = 8.0;
+constexpr int kRehabCleanScans = 20;
+// Watchdog scan cadence (crashed-VM reservation reclaim).
+constexpr TimeNs kWatchdogScanPeriod = Ms(10);
+
 // Stable counting sort of `plan` into `out` by key(segment), a number in
 // [0, keys): afterwards range_of(k) locates key k's segments in `out`, in
 // the order `plan` has them.
@@ -50,13 +85,13 @@ void DpWrapScheduler::Attach(Machine* machine) {
     Arm(kEvTax, now + config_.idle_tax.window);
   }
   if (config_.watchdog.reclaim_crashed) {
-    Arm(kEvWatchdog, now + config_.watchdog.scan_period);
+    Arm(kEvWatchdog, now + kWatchdogScanPeriod);
   }
   if (config_.overload.enabled) {
-    Arm(kEvOverload, now + config_.overload.scan_period);
+    Arm(kEvOverload, now + kOverloadScanPeriod);
   }
   if (config_.guest_trust.enabled) {
-    Arm(kEvTrust, now + config_.guest_trust.scan_period);
+    Arm(kEvTrust, now + kTrustScanPeriod);
   }
 }
 
@@ -88,7 +123,7 @@ void DpWrapScheduler::OnEvent(uint32_t kind, uint64_t /*payload*/) {
 }
 
 void DpWrapScheduler::RollTrustWindow(VmTrust& t, TimeNs now) {
-  if (now - t.window_start >= config_.guest_trust.rate_window) {
+  if (now - t.window_start >= kTrustRateWindow) {
     t.window_start = now;
     t.floor_bindings = 0;
     t.bw_flips = 0;
@@ -99,7 +134,7 @@ void DpWrapScheduler::RollTrustWindow(VmTrust& t, TimeNs now) {
 void DpWrapScheduler::TrustViolation(VmTrust& t) {
   t.score += 1.0;
   t.violated_since_scan = true;
-  if (!t.quarantined && t.score >= config_.guest_trust.quarantine_threshold) {
+  if (!t.quarantined && t.score >= kQuarantineThreshold) {
     t.quarantined = true;
     t.clean_scans = 0;
     ++stats_.quarantines;
@@ -117,14 +152,13 @@ DpWrapScheduler::VmTrust& DpWrapScheduler::TrustOf(const Vm* vm) {
 }
 
 void DpWrapScheduler::TrustTick() {
-  const DpWrapConfig::GuestTrust& gt = config_.guest_trust;
   // VM id order: rehabilitation replans must fire in a deterministic
   // sequence.
   for (VmTrust& t : trust_) {
     if (!t.tracked) {
       continue;
     }
-    t.score *= gt.score_decay;
+    t.score *= kScoreDecay;
     if (t.score < 1e-6) {
       t.score = 0.0;
     }
@@ -133,8 +167,8 @@ void DpWrapScheduler::TrustTick() {
       // watermarks and the PCPU heal path: release only after enough
       // consecutive scans with no violation and a mostly decayed score —
       // a still-attacking VM keeps resetting the counter itself.
-      if (!t.violated_since_scan && t.score < gt.quarantine_threshold / 2) {
-        if (++t.clean_scans >= gt.rehab_clean_scans) {
+      if (!t.violated_since_scan && t.score < kQuarantineThreshold / 2) {
+        if (++t.clean_scans >= kRehabCleanScans) {
           t.quarantined = false;
           t.clean_scans = 0;
           t.score = 0.0;
@@ -147,7 +181,7 @@ void DpWrapScheduler::TrustTick() {
     }
     t.violated_since_scan = false;
   }
-  Arm(kEvTrust, machine_->sim()->Now() + gt.scan_period);
+  Arm(kEvTrust, machine_->sim()->Now() + kTrustScanPeriod);
 }
 
 bool DpWrapScheduler::Quarantined(const Vm* vm) const {
@@ -156,17 +190,16 @@ bool DpWrapScheduler::Quarantined(const Vm* vm) const {
 }
 
 int64_t DpWrapScheduler::TrustAdmitHypercall(Vcpu* caller, const HypercallArgs& args) {
-  const DpWrapConfig::GuestTrust& gt = config_.guest_trust;
+  const auto burst = static_cast<double>(config_.guest_trust.hypercall_burst);
   TimeNs now = machine_->sim()->Now();
   VmTrust& t = TrustOf(caller->vm());
   RollTrustWindow(t, now);
   if (!t.bucket_init) {
     t.bucket_init = true;
-    t.tokens = static_cast<double>(gt.hypercall_burst);
+    t.tokens = burst;
   } else {
-    t.tokens = std::min(static_cast<double>(gt.hypercall_burst),
-                        t.tokens + static_cast<double>(now - t.token_time) *
-                                       gt.hypercall_rate / 1e9);
+    t.tokens = std::min(
+        burst, t.tokens + static_cast<double>(now - t.token_time) * kHypercallRate / 1e9);
   }
   t.token_time = now;
   if (t.tokens < 1.0) {
@@ -185,7 +218,7 @@ int64_t DpWrapScheduler::TrustAdmitHypercall(Vcpu* caller, const HypercallArgs& 
   int dir = args.op == SchedOp::kIncBw ? 1 : args.op == SchedOp::kDecBw ? -1 : 0;
   if (dir != 0) {
     if (t.last_bw_dir != 0 && dir != t.last_bw_dir &&
-        ++t.bw_flips > gt.max_bw_flips) {
+        ++t.bw_flips > kMaxBwFlips) {
       t.bw_flips = 0;
       ++stats_.bw_thrash_trips;
       TrustViolation(t);
@@ -257,7 +290,7 @@ void DpWrapScheduler::OverloadTick() {
     machine_->vm(i)->shared_page().PublishPressure(pressure_ ? 1 : 0, pressure_reason_,
                                                    headroom_ppb);
   }
-  Arm(kEvOverload, machine_->sim()->Now() + config_.overload.scan_period);
+  Arm(kEvOverload, machine_->sim()->Now() + kOverloadScanPeriod);
 }
 
 void DpWrapScheduler::WatchdogTick() {
@@ -279,7 +312,7 @@ void DpWrapScheduler::WatchdogTick() {
   if (changed) {
     ScheduleReplan();
   }
-  Arm(kEvWatchdog, machine_->sim()->Now() + config_.watchdog.scan_period);
+  Arm(kEvWatchdog, machine_->sim()->Now() + kWatchdogScanPeriod);
 }
 
 void DpWrapScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
@@ -300,8 +333,8 @@ void DpWrapScheduler::TaxTick() {
     Reservation& res = slots_[gid].res;
     double granted = static_cast<double>(res.EffectiveBw().ppb()) / Bandwidth::kUnit * window;
     double u = granted > 0 ? static_cast<double>(res.used_in_window) / granted : 0.0;
-    double next = std::clamp(res.tax_factor * std::min(u, 1.0) + config_.idle_tax.headroom,
-                             config_.idle_tax.min_factor, 1.0);
+    double next =
+        std::clamp(res.tax_factor * std::min(u, 1.0) + kTaxHeadroom, kTaxMinFactor, 1.0);
     if (std::abs(next - res.tax_factor) > 1e-3) {
       res.tax_factor = next;
       changed = true;
@@ -365,20 +398,6 @@ void DpWrapScheduler::SizePlanBuffers() {
   emitted_.reserve(pieces);
   pcpu_plan_.reserve(pieces);
   vcpu_plan_.reserve(pieces);
-}
-
-void DpWrapScheduler::VcpuRemoved(Vcpu* vcpu) {
-  if (!Owns(vcpu)) {
-    return;
-  }
-  int gid = vcpu->global_id();
-  all_vcpus_[gid] = nullptr;
-  if (slots_[gid].reserved) {
-    total_ -= slots_[gid].res.bw;
-    Release(gid);
-    ScheduleReplan();
-  }
-  slots_[gid].segs.count = 0;
 }
 
 void DpWrapScheduler::Release(int gid) {
@@ -446,7 +465,7 @@ void DpWrapScheduler::Replan() {
   machine_->mutable_overhead().schedule_time += cost;
 
   slice_start_ = now;
-  TimeNs next_gd = now + config_.max_global_slice;
+  TimeNs next_gd = now + kMaxGlobalSlice;
   bool trust_on = config_.guest_trust.enabled;
   TimeNs floor = config_.min_global_slice;
   // Global-id order: the trust sanitizer's side effects (a quarantine one
@@ -495,7 +514,7 @@ void DpWrapScheduler::Replan() {
         // to replan at the maximum rate — distrust its slots for the rest of
         // the window.
         res.last_floor_publish = published;
-        if (++t.floor_bindings > config_.guest_trust.max_floor_bindings) {
+        if (++t.floor_bindings > kMaxFloorBindings) {
           t.deadlines_distrusted = true;
           ++stats_.replan_budget_trips;
           TrustViolation(t);
@@ -637,7 +656,7 @@ Vcpu* DpWrapScheduler::PickBestEffort(TimeNs now, Pcpu* pcpu) {
     size_t next = idx + 1 == n ? 0 : idx + 1;
     // Eligible: runnable, or continuing on this PCPU, and not inside its own
     // segment (that segment's PCPU is about to pick it).
-    if (v != nullptr && (v->runnable() || (v->running() && v->pcpu() == pcpu)) &&
+    if ((v->runnable() || (v->running() && v->pcpu() == pcpu)) &&
         !HasActiveSegment(static_cast<int>(idx), now)) {
       be_cursor_ = next;
       return v;
@@ -661,7 +680,7 @@ ScheduleDecision DpWrapScheduler::PickNext(Pcpu* pcpu) {
       // Gap before the next reserved segment: best-effort fill.
       Vcpu* be = PickBestEffort(now, pcpu);
       if (be != nullptr) {
-        return ScheduleDecision{be, std::min(seg.start, now + config_.best_effort_quantum)};
+        return ScheduleDecision{be, std::min(seg.start, now + kBestEffortQuantum)};
       }
       return ScheduleDecision{nullptr, seg.start};
     }
@@ -696,14 +715,14 @@ ScheduleDecision DpWrapScheduler::PickNext(Pcpu* pcpu) {
     // Reserved VCPU is blocked: backfill, but re-check at segment end.
     Vcpu* be = PickBestEffort(now, pcpu);
     if (be != nullptr) {
-      return ScheduleDecision{be, std::min(seg.end, now + config_.best_effort_quantum)};
+      return ScheduleDecision{be, std::min(seg.end, now + kBestEffortQuantum)};
     }
     return ScheduleDecision{nullptr, seg.end};
   }
   // Trailing residual time up to the global deadline.
   Vcpu* be = PickBestEffort(now, pcpu);
   if (be != nullptr) {
-    return ScheduleDecision{be, std::min(slice_end_, now + config_.best_effort_quantum)};
+    return ScheduleDecision{be, std::min(slice_end_, now + kBestEffortQuantum)};
   }
   return ScheduleDecision{nullptr, slice_end_};
 }
@@ -774,8 +793,6 @@ void DpWrapScheduler::VcpuWake(Vcpu* vcpu) {
     }
   }
 }
-
-void DpWrapScheduler::VcpuBlock(Vcpu* vcpu) { (void)vcpu; }
 
 void DpWrapScheduler::PcpuCapacityChanged(Pcpu* pcpu) {
   (void)pcpu;
@@ -854,8 +871,7 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
           }
           Bandwidth delta = bw > old ? bw - old : Bandwidth::Zero();
           if (delta > Bandwidth::Zero()) {
-            held_demand_.push_back(
-                HeldDemand{now + config_.overload.admission_hold, delta});
+            held_demand_.push_back(HeldDemand{now + kAdmissionHold, delta});
           }
         }
       }
@@ -863,7 +879,7 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
     }
   }
   total_ = new_total;
-  TimeNs clamped_period = std::min(period, config_.max_global_slice);
+  TimeNs clamped_period = std::min(period, kMaxGlobalSlice);
   if (bw == Bandwidth::Zero()) {
     if (slot.reserved) {
       Release(gid);

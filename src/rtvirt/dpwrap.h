@@ -35,13 +35,9 @@ struct DpWrapConfig {
   // Lower bound on the interval between global deadlines, bounding the
   // scheduling overhead (paper: 250 us, empirically set for the hardware).
   TimeNs min_global_slice = Us(250);
-  // Horizon used when no reserved VCPU publishes a deadline.
-  TimeNs max_global_slice = Ms(100);
   // Replan early when a reserved VCPU wakes after its segments in the
   // current slice have passed (dynamic adaptation, section 4.3).
   bool replan_on_wake = true;
-  // Round-robin quantum for best-effort (non-reserved) VCPUs.
-  TimeNs best_effort_quantum = Ms(1);
   // Virtual cost model for Table 6: one O(1) VCPU pick, and one global
   // deadline computation per slice costing base + per_log * log2(n_vcpus).
   TimeNs pick_cost = 300;          // ns
@@ -56,13 +52,12 @@ struct DpWrapConfig {
   // Idle tax (paper section 6): untrusted guests may claim more bandwidth
   // than they use. When enabled, each reservation's actual usage is observed
   // per window and its *effective* allocation shrinks towards its usage
-  // (never below min_factor of the claim); admission is performed against
-  // the taxed total, so hoarded-but-idle bandwidth becomes admissible again.
+  // (never below kTaxMinFactor of the claim, dpwrap.cc); admission is
+  // performed against the taxed total, so hoarded-but-idle bandwidth becomes
+  // admissible again.
   struct IdleTax {
     bool enabled = false;
     TimeNs window = Sec(1);
-    double headroom = 0.25;   // Grant this much above observed usage.
-    double min_factor = 0.1;  // Never tax below 10% of the claim.
   };
   IdleTax idle_tax;
 
@@ -72,18 +67,13 @@ struct DpWrapConfig {
   // overload control poll it and compress/shed elastic reservations; the
   // hysteresis gap between the watermarks keeps reservations from
   // oscillating. Admission rejections observed since the previous scan also
-  // raise pressure (the clearest overload signal there is).
+  // raise pressure (the clearest overload signal there is). A rejected
+  // registration's demand is withheld from the published headroom for
+  // kAdmissionHold (dpwrap.cc).
   struct Overload {
     bool enabled = false;
-    TimeNs scan_period = Ms(5);
     double high_watermark = 0.98;  // Raise pressure at util >= this.
     double low_watermark = 0.85;   // Clear pressure at util <= this.
-    // After a new registration is rejected, its demand is withheld from the
-    // published headroom for this long: the freed bandwidth is earmarked for
-    // the retrying newcomer instead of being re-absorbed by guests
-    // re-inflating compressed reservations. Must exceed the application's
-    // admission-retry interval to be effective.
-    TimeNs admission_hold = Ms(200);
   };
   Overload overload;
 
@@ -113,35 +103,21 @@ struct DpWrapConfig {
   //       replan-rate bound it protects) are clamped (clamps are
   //       benign-common near period boundaries and are counted, not scored);
   //       a VM whose fresh publications bind the global slice at the floor
-  //       more than max_floor_bindings times per rate_window loses deadline
-  //       trust for the window remainder (replan-rate budget);
+  //       more than kMaxFloorBindings times per kTrustRateWindow loses
+  //       deadline trust for the window remainder (replan-rate budget);
   //   (2) a per-VM hypercall token bucket returning kHypercallAgain on
   //       exhaustion (the guest channel's retry/degraded machinery already
   //       speaks that protocol), plus INC/DEC oscillation-abuse detection;
   //   (3) a per-VM reputation score with a quarantine state machine: scores
-  //       decay every scan; crossing quarantine_threshold demotes the VM to
+  //       decay every scan; crossing kQuarantineThreshold demotes the VM to
   //       bandwidth-only scheduling (deadline slots ignored, bandwidth raises
-  //       admission-held) until rehab_clean_scans consecutive violation-free
+  //       admission-held) until kRehabCleanScans consecutive violation-free
   //       scans rehabilitate it (hysteresis, like the overload watermarks).
+  // The k* constants are dpwrap.cc's.
   struct GuestTrust {
     bool enabled = false;
-    // Replan-rate budget: fresh publications from one VM binding the global
-    // slice at/below the floor, per rate_window.
-    TimeNs rate_window = Ms(100);
-    int max_floor_bindings = 128;
-    // Token bucket: sustained hypercalls/second and burst, per VM.
-    double hypercall_rate = 2000.0;
+    // Token bucket burst per VM (the sustained rate is kHypercallRate).
     int hypercall_burst = 64;
-    // INC_BW/DEC_BW direction flips tolerated per rate_window before an
-    // oscillation-abuse violation is scored.
-    int max_bw_flips = 32;
-    // Reputation scan cadence, per-scan score decay factor, the score at
-    // which a VM is quarantined (each violation adds 1), and how many
-    // consecutive clean scans rehabilitate a quarantined VM.
-    TimeNs scan_period = Ms(10);
-    double score_decay = 0.8;
-    double quarantine_threshold = 8.0;
-    int rehab_clean_scans = 20;
   };
   GuestTrust guest_trust;
 
@@ -150,9 +126,9 @@ struct DpWrapConfig {
   // orphaned until the host takes it back) and optionally distrusts shared-
   // page deadlines that have not been refreshed within freshness_horizon.
   struct Watchdog {
-    // Reclaim orphaned reservations of crashed VMs.
+    // Reclaim orphaned reservations of crashed VMs, every
+    // kWatchdogScanPeriod (dpwrap.cc).
     bool reclaim_crashed = false;
-    TimeNs scan_period = Ms(10);
     // Ignore a published deadline whose last write is older than this when
     // deriving the global deadline; the sporadic worst case (now + period)
     // applies instead. 0 disables the check. Must exceed the longest RTA
@@ -170,9 +146,7 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   std::string_view name() const override { return "rtvirt-dpwrap"; }
   void Attach(Machine* machine) override;
   void VcpuInserted(Vcpu* vcpu) override;
-  void VcpuRemoved(Vcpu* vcpu) override;
   void VcpuWake(Vcpu* vcpu) override;
-  void VcpuBlock(Vcpu* vcpu) override;
   ScheduleDecision PickNext(Pcpu* pcpu) override;
   void PcpuCapacityChanged(Pcpu* pcpu) override;
   void AccountRun(Vcpu* vcpu, TimeNs ran) override;
@@ -193,7 +167,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   Bandwidth ReservedBw(const Vcpu* vcpu) const;
   uint64_t replans() const { return replans_; }
   TimeNs slice_start() const { return slice_start_; }
-  TimeNs slice_end() const { return slice_end_; }
   // Taxed (effective) total and per-VCPU tax factor; equals the raw values
   // when the idle tax is disabled.
   Bandwidth total_effective() const;
@@ -294,8 +267,8 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // Coalesced deferred replan (multiple hypercalls in one instant).
   void ScheduleReplan();
   void TickleAll();
-  // True for a VCPU handed to this scheduler through VcpuInserted and not
-  // removed since; its state is slots_[vcpu->global_id()].
+  // True for a VCPU handed to this scheduler through VcpuInserted; its state
+  // is slots_[vcpu->global_id()].
   bool Owns(const Vcpu* vcpu) const;
   // The VCPU's reservation; nullptr if it has none or is not owned.
   const Reservation* FindReservation(const Vcpu* vcpu) const;
@@ -362,9 +335,8 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   DpWrapConfig config_;
   Bandwidth capacity_;
   // Indexed by Vcpu::global_id(), which the machine hands out densely in
-  // VcpuInserted order; a removed VCPU leaves a null entry and a slot with
-  // neither reservation nor segments. all_vcpus_ is also the best-effort
-  // round-robin order. A slot is plain data, so adding VCPUs only copies.
+  // VcpuInserted order. all_vcpus_ is also the best-effort round-robin
+  // order. A slot is plain data, so adding VCPUs only copies.
   std::vector<Vcpu*> all_vcpus_;
   std::vector<Slot> slots_;
   std::vector<int> active_;  // Reserved global ids in Reservation::order.

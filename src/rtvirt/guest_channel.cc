@@ -3,6 +3,19 @@
 #include <algorithm>
 
 namespace rtvirt {
+namespace {
+
+// Upper bound on the slack as a fraction of the VCPU period, protecting
+// short-period reservations (e.g., a 500 us memcached SLO) from a slack tuned
+// for millisecond periods: 500 us of slack on a 500 us period would otherwise
+// double the reservation to a full CPU.
+constexpr double kMaxSlackFraction = 0.1;
+// First retry backoff; multiplied by kRetryBackoffMult per retry. Also seeds
+// the degraded-mode repair loop's probe interval.
+constexpr TimeNs kRetryBackoff = Us(50);
+constexpr double kRetryBackoffMult = 2.0;
+
+}  // namespace
 
 Bandwidth RtvirtGuestChannel::WithSlack(Bandwidth rta_bw, TimeNs period) const {
   if (rta_bw == Bandwidth::Zero() || period <= 0 || period >= kTimeNever) {
@@ -10,8 +23,7 @@ Bandwidth RtvirtGuestChannel::WithSlack(Bandwidth rta_bw, TimeNs period) const {
   }
   auto slack = static_cast<TimeNs>(static_cast<double>(options_.budget_slack) *
                                    options_.priority_scale);
-  slack = std::min(slack, static_cast<TimeNs>(static_cast<double>(period) *
-                                              options_.max_slack_fraction));
+  slack = std::min(slack, static_cast<TimeNs>(static_cast<double>(period) * kMaxSlackFraction));
   Bandwidth padded = rta_bw + Bandwidth::FromSlicePeriod(slack, period);
   return std::min(padded, Bandwidth::One());
 }
@@ -20,7 +32,7 @@ Bandwidth RtvirtGuestChannel::ConservativeBw(Bandwidth rta_bw, TimeNs period) co
   if (rta_bw == Bandwidth::Zero() || period <= 0 || period >= kTimeNever) {
     return rta_bw;
   }
-  // Full slack, deliberately not trimmed by max_slack_fraction: without
+  // Full slack, deliberately not trimmed by kMaxSlackFraction: without
   // deadline sharing the host schedules this VCPU on bandwidth alone, so the
   // reservation must absorb worst-case dispatch latency the way a standalone
   // RT-Xen server would.
@@ -46,7 +58,7 @@ int64_t RtvirtGuestChannel::TryHypercall(Vcpu* caller, const HypercallArgs& args
     return rc;
   }
   ++stats_.transient_failures;
-  TimeNs backoff = options_.retry_backoff;
+  TimeNs backoff = kRetryBackoff;
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
     ++stats_.retries;
     // The sim clock cannot advance inside a synchronous guest syscall, so the
@@ -64,7 +76,7 @@ int64_t RtvirtGuestChannel::TryHypercall(Vcpu* caller, const HypercallArgs& args
     // streak (e.g. a rate-limited or quarantined VM) grows the charged
     // backoff geometrically without bound.
     backoff = std::min(
-        static_cast<TimeNs>(static_cast<double>(backoff) * options_.retry_backoff_mult),
+        static_cast<TimeNs>(static_cast<double>(backoff) * kRetryBackoffMult),
         options_.repair_backoff_max);
   }
   return rc;
@@ -90,13 +102,13 @@ void RtvirtGuestChannel::ScheduleRepair(VcpuState& st, Vcpu* vcpu) {
   }
   st.repair_scheduled = true;
   if (st.repair_backoff <= 0) {
-    st.repair_backoff = std::max<TimeNs>(options_.retry_backoff, 1);
+    st.repair_backoff = kRetryBackoff;
   }
   uint64_t payload =
       (static_cast<uint64_t>(vcpu->global_id()) << 32) | (generation_ & 0xffffffffull);
   machine_->sim()->After(st.repair_backoff, this, kEvRepair, payload);
   st.repair_backoff = std::min(
-      static_cast<TimeNs>(static_cast<double>(st.repair_backoff) * options_.retry_backoff_mult),
+      static_cast<TimeNs>(static_cast<double>(st.repair_backoff) * kRetryBackoffMult),
       options_.repair_backoff_max);
 }
 

@@ -14,7 +14,7 @@
 // so the host schedules the VCPU on bandwidth alone), and a repair loop
 // probes the channel in virtual time with exponential backoff until it can
 // install a conservative standalone reservation (full slack, uncapped by
-// max_slack_fraction). On success the VCPU returns to normal cross-layer
+// kMaxSlackFraction). On success the VCPU returns to normal cross-layer
 // operation and republishes its deadline.
 
 #ifndef SRC_RTVIRT_GUEST_CHANNEL_H_
@@ -41,20 +41,12 @@ struct GuestChannelOptions {
   // proportionally more slack, making their residual miss probability lower
   // than that of less important VMs. Effective slack = budget_slack * scale.
   double priority_scale = 1.0;
-  // Upper bound on the slack as a fraction of the VCPU period, protecting
-  // short-period reservations (e.g., a 500 us memcached SLO) from a slack
-  // tuned for millisecond periods: 500 us of slack on a 500 us period would
-  // otherwise double the reservation to a full CPU.
-  double max_slack_fraction = 0.1;
 
   // ---- Fault recovery ----
-  // In-call retries after a transient (-EAGAIN) hypercall failure. 0 keeps
-  // the legacy behavior: the first failure is surfaced to the guest.
+  // In-call retries after a transient (-EAGAIN) hypercall failure, backing
+  // off from kRetryBackoff (guest_channel.cc). 0 keeps the legacy behavior:
+  // the first failure is surfaced to the guest.
   int max_retries = 0;
-  // First retry backoff; multiplied by retry_backoff_mult per retry. Also
-  // seeds the degraded-mode repair loop's probe interval.
-  TimeNs retry_backoff = Us(50);
-  double retry_backoff_mult = 2.0;
   // Enter degraded mode instead of failing when retries are exhausted.
   bool degraded_fallback = false;
   // Upper bound on both exponential backoffs: the repair loop's probe
@@ -85,7 +77,7 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   // bandwidth plus the slack, capped at one full CPU.
   Bandwidth WithSlack(Bandwidth rta_bw, TimeNs period) const;
 
-  // Degraded-mode reservation: full slack (no max_slack_fraction trim), the
+  // Degraded-mode reservation: full slack (no kMaxSlackFraction trim), the
   // conservative RT-Xen-style over-provisioning the channel falls back to.
   Bandwidth ConservativeBw(Bandwidth rta_bw, TimeNs period) const;
 

@@ -211,6 +211,9 @@ std::string HexOwner(uint64_t owner) {
 }  // namespace
 
 std::string Experiment::SaveCheckpoint(ckpt::Image* out) const {
+  if (!restore_error_.empty()) {
+    return restore_error_;
+  }
   if (config_.framework != Framework::kRtvirt) {
     return std::string("checkpoint: framework ") + FrameworkName(config_.framework) +
            " is not checkpointable (RTVirt only)";
@@ -276,6 +279,9 @@ std::string Experiment::SaveCheckpoint(ckpt::Image* out) const {
 }
 
 std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
+  if (!restore_error_.empty()) {
+    return restore_error_;
+  }
   if (config_.framework != Framework::kRtvirt) {
     return std::string("checkpoint: framework ") + FrameworkName(config_.framework) +
            " is not checkpointable (RTVirt only)";
@@ -305,12 +311,28 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
   if (events_section == nullptr) {
     return "checkpoint: missing section 'events'";
   }
-  // Point of no return: from here on any failure leaves the experiment
-  // unusable, so every path below returns a loud error rather than limping on
-  // with partial state.
+  // Point of no return: from here on state is overwritten, so a failure
+  // leaves the experiment half-restored and unusable.
+  std::string err = ApplyImage(image, *sim_section, *rng_section, *events_section);
+  if (!err.empty()) {
+    restore_error_ = "checkpoint: experiment unusable after a failed restore (" + err + ")";
+    return err;
+  }
+  // The restored components re-created their armed/started flags themselves
+  // (machine started, injector interceptor installed), so the next Run() must
+  // skip Arm()/Start() and go straight to RunUntil.
+  started_ = true;
+  warmup_recorded_ = true;
+  warmup_end_alloc_ = perf::AllocNow();
+  return "";
+}
+
+std::string Experiment::ApplyImage(const ckpt::Image& image, const ckpt::Section& sim_section,
+                                   const ckpt::Section& rng_section,
+                                   const ckpt::Section& events_section) {
   sim_.ClearEventsForRestore();
   {
-    ckpt::Reader r(sim_section->bytes);
+    ckpt::Reader r(sim_section.bytes);
     TimeNs now = r.I64();
     uint64_t processed = r.U64();
     if (!r.ok() || !r.AtEnd()) {
@@ -319,7 +341,7 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
     sim_.RestoreClock(now, processed);
   }
   {
-    ckpt::Reader r(rng_section->bytes);
+    ckpt::Reader r(rng_section.bytes);
     std::string state = r.Str();
     if (!r.ok() || !r.AtEnd() || !rng_.RestoreState(state)) {
       return "checkpoint: malformed section 'rng'";
@@ -340,7 +362,7 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
     }
   }
   {
-    ckpt::Reader r(events_section->bytes);
+    ckpt::Reader r(events_section.bytes);
     uint32_t count = r.U32();
     for (uint32_t i = 0; i < count; ++i) {
       uint64_t owner = r.U64();
@@ -374,12 +396,6 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
       return "checkpoint: section 'events' has trailing bytes";
     }
   }
-  // The restored components re-created their armed/started flags themselves
-  // (machine started, injector interceptor installed), so the next Run() must
-  // skip Arm()/Start() and go straight to RunUntil.
-  started_ = true;
-  warmup_recorded_ = true;
-  warmup_end_alloc_ = perf::AllocNow();
   return "";
 }
 
@@ -393,6 +409,8 @@ void Experiment::SetVcpuServer(Vcpu* vcpu, ServerParams params) {
 }
 
 void Experiment::Run(TimeNs until) {
+  RTVIRT_CHECK(restore_error_.empty(), "Run after a failed restore: %s",
+               restore_error_.c_str());
   if (!started_) {
     if (injector_ != nullptr) {
       injector_->Arm();  // All VMs exist by now.

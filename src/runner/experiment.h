@@ -135,14 +135,23 @@ class Experiment {
   // Restores `image` onto this freshly built (never Run) experiment, which
   // must have been constructed by the same builder code as the saver. On
   // success the experiment behaves as if it had simulated to the checkpoint
-  // instant: the next Run(until) continues byte-identically. Never partially
-  // applies silently: any error is returned naming the offending section.
+  // instant: the next Run(until) continues byte-identically. Any error is
+  // returned naming the offending section. One found after the restore began
+  // to overwrite state leaves a half-restored experiment, which is unusable:
+  // Run then fails an RTVIRT_CHECK naming the failed restore, and
+  // SaveCheckpoint and RestoreCheckpoint return that same error.
   std::string RestoreCheckpoint(const ckpt::Image& image);
   // The standard end-of-run report: resilience counters (including the PCPU
   // fault/recovery and audit sections when those fired) under a title line.
   void PrintReport(std::ostream& out, const std::string& title) const;
 
  private:
+  // RestoreCheckpoint past its up-front checks: overwrites the clock, the
+  // RNG and every component, then re-arms the saved events.
+  std::string ApplyImage(const ckpt::Image& image, const ckpt::Section& sim_section,
+                         const ckpt::Section& rng_section,
+                         const ckpt::Section& events_section);
+
   ExperimentConfig config_;
   Simulator sim_;
   std::unique_ptr<Machine> machine_;
@@ -156,6 +165,8 @@ class Experiment {
   std::unique_ptr<SloController> controller_;
   Rng rng_;
   bool started_ = false;
+  // Non-empty once a restore failed part-way (see RestoreCheckpoint).
+  std::string restore_error_;
   // Checkpoint registry, in serialization order. A live event is saved under
   // owner Fnv1a64(name) of the component it targets, and restore hands it
   // back to that component.

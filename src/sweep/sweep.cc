@@ -17,6 +17,9 @@ namespace rtvirt::sweep {
 
 namespace {
 
+// Growth of the retry delay per failed attempt (SweepConfig::backoff_*).
+constexpr double kBackoffFactor = 2.0;
+
 class MonotonicClock : public Clock {
  public:
   int64_t NowMs() override {
@@ -119,9 +122,6 @@ ShardSupervisor::ShardSupervisor(const SweepConfig& config, int num_shards)
   if (config_.backoff_initial_ms < 0) {
     config_.backoff_initial_ms = 0;
   }
-  if (config_.backoff_factor < 1.0) {
-    config_.backoff_factor = 1.0;
-  }
   if (config_.backoff_cap_ms < config_.backoff_initial_ms) {
     config_.backoff_cap_ms = config_.backoff_initial_ms;
   }
@@ -170,7 +170,7 @@ ShardSupervisor::AttemptTicket ShardSupervisor::BeginAttempt(int shard, int64_t 
 int64_t ShardSupervisor::BackoffDelayMs(int failures) const {
   double delay = static_cast<double>(config_.backoff_initial_ms);
   for (int i = 1; i < failures; ++i) {
-    delay *= config_.backoff_factor;
+    delay *= kBackoffFactor;
     if (delay >= static_cast<double>(config_.backoff_cap_ms)) {
       return config_.backoff_cap_ms;
     }

@@ -152,9 +152,8 @@ struct SweepConfig {
   Isolation isolation = Isolation::kThread;
   int max_attempts = 3;           // Per-shard attempt budget (>=1).
   int64_t shard_deadline_ms = 0;  // Watchdog deadline per attempt; 0 = off.
-  int64_t backoff_initial_ms = 10;  // Delay after the first failure...
-  double backoff_factor = 2.0;      // ...growing by this factor per retry...
-  int64_t backoff_cap_ms = 1000;    // ...saturating here.
+  int64_t backoff_initial_ms = 10;  // Delay after the first failure, growing
+  int64_t backoff_cap_ms = 1000;    // by kBackoffFactor per retry, saturating here.
   uint64_t base_seed = 1;  // ShardContext::seed = DeriveSeed(base_seed, shard).
   Clock* clock = nullptr;  // Null = RealClock(). Injected by policy tests.
   // Crash-resume (DESIGN.md §10). When checkpoint_dir is non-empty, every

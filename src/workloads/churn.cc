@@ -46,7 +46,9 @@ void ChurnDriver::NextEpisode(int slot) {
   if (rng_.Bernoulli(config_.idle_prob)) {
     // Idle interval with a 10% standing reservation and no job releases.
     Task* idle = guest_->CreateTask(name + ".idle");
-    RtaParams params{config_.idle_slice, config_.idle_period, false};
+    constexpr TimeNs kIdleSlice = Ms(1);  // 10% of a CPU.
+    constexpr TimeNs kIdlePeriod = Ms(10);
+    RtaParams params{kIdleSlice, kIdlePeriod, false};
     if (guest_->SchedSetAttr(idle, params) == kGuestOk) {
       sim->At(stop, this, kEvIdleEnd, idle_tasks_.size());
     }

@@ -24,8 +24,6 @@ struct ChurnConfig {
   TimeNs max_episode = Sec(360);
   TimeNs max_gap = Sec(10);     // Random pause between episodes on a VCPU slot.
   double idle_prob = 0.2;       // Probability an episode is an idle reservation.
-  TimeNs idle_slice = Ms(1);    // Idle reservation: 10% of a CPU.
-  TimeNs idle_period = Ms(10);
 
   // ---- Overload-experiment knobs (defaults leave behavior unchanged) ----
   // Delay before the per-slot episode chains start (on top of the random

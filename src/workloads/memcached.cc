@@ -44,9 +44,12 @@ void MemcachedServer::Register() {
 }
 
 TimeNs MemcachedServer::SampleService() {
-  double s = rng_.LogNormal(static_cast<double>(config_.service_median),
-                            config_.service_sigma);
-  return std::clamp(static_cast<TimeNs>(s), config_.service_min, config_.service_max);
+  // Per-request service time: LogNormal(median, sigma), clipped to the
+  // kMemcachedService* bounds.
+  constexpr TimeNs kServiceMedian = Us(48);
+  constexpr double kServiceSigma = 0.035;
+  double s = rng_.LogNormal(static_cast<double>(kServiceMedian), kServiceSigma);
+  return std::clamp(static_cast<TimeNs>(s), kMemcachedServiceMin, kMemcachedServiceMax);
 }
 
 double MemcachedServer::RateAt(TimeNs now) const {
@@ -86,9 +89,10 @@ void MemcachedServer::ClientSend() {
     double mean_gap = kNsPerSec / RateAt(now);
     gap = std::max<TimeNs>(1, static_cast<TimeNs>(rng_.Exponential(mean_gap)));
   } else {
+    constexpr double kInterarrivalSigmaFrac = 0.3;  // Sigma as a fraction of the mean gap.
     double mean_gap = kNsPerSec / config_.qps;
     gap = static_cast<TimeNs>(rng_.NormalAtLeast(
-        mean_gap, mean_gap * config_.interarrival_sigma_frac, mean_gap * 0.05));
+        mean_gap, mean_gap * kInterarrivalSigmaFrac, mean_gap * 0.05));
   }
   sim->After(gap, this, kEvClientSend);
 }

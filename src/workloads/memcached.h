@@ -24,14 +24,14 @@
 
 namespace rtvirt {
 
+// Bounds of a request's service time: memcached.cc samples a log-normal and
+// clips it to [min, max]; max is the rare slow path (hash collisions, TCP
+// slow path).
+constexpr TimeNs kMemcachedServiceMin = Us(40);
+constexpr TimeNs kMemcachedServiceMax = Us(90);
+
 struct MemcachedConfig {
   double qps = 100.0;
-  double interarrival_sigma_frac = 0.3;  // Sigma as a fraction of the mean gap.
-  // Per-request service time: LogNormal(median, sigma), clipped below.
-  TimeNs service_median = Us(48);
-  double service_sigma = 0.035;
-  TimeNs service_min = Us(40);
-  TimeNs service_max = Us(90);  // Rare slow path (hash collisions, TCP slow path).
   // SLO / RTA period: complete requests within this deadline.
   TimeNs slo = Us(500);
   // RTA slice (the per-framework reservation; Table 4 derivation).

@@ -71,7 +71,6 @@ TEST(CreditCaps, CapEnforcedPerAccountingWindow) {
 
 TEST(CreditBoost, BoostDecaysAfterTickOfCpu) {
   ExperimentConfig cfg = CreditConfig0(1, Ms(30));
-  cfg.credit.tick_period = Ms(10);
   Experiment exp(cfg);
   GuestOs* lat = exp.AddGuest("lat", 1);
   GuestOs* hog = exp.AddGuest("hog", 1);

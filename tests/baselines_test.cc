@@ -156,7 +156,6 @@ TEST(Credit, RatelimitDelaysPreemption) {
 TEST(Credit, TickInterferenceChargesOverhead) {
   ExperimentConfig cfg = BaseConfig(Framework::kCredit, 1);
   cfg.credit.tick_cost = Us(40);
-  cfg.credit.tick_period = Ms(10);
   Experiment exp(cfg);
   GuestOs* hog = exp.AddGuest("hog", 1);
   hog->CreateBackgroundTask("bg");

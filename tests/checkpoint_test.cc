@@ -151,6 +151,34 @@ TEST(CheckpointCorruptionTest, TruncatedSectionNamesTheComponent) {
   EXPECT_NE(err.find("'rng'"), std::string::npos) << err;
 }
 
+// Cuts the last three bytes off the section `name` of `image`. Cut from
+// "events", a restore fails part-way through the event list, after every
+// component has restored.
+void TruncateSection(ckpt::Image* image, const std::string& name) {
+  for (ckpt::Section& s : image->sections) {
+    if (s.name == name) {
+      s.bytes.resize(s.bytes.size() - 3);
+    }
+  }
+}
+
+// A restore that fails part-way has already overwritten state, so the
+// experiment refuses to run, save or restore that mix, naming the failure.
+TEST(CheckpointRestoreDeathTest, FailedRestoreLeavesExperimentUnusable) {
+  ckpt::Image image;
+  SavedScenarioBytes(&image);
+  TruncateSection(&image, "events");
+  auto fresh = BuildCkptScenario(CkptScenarioOptions{});
+  std::string err = fresh->exp->RestoreCheckpoint(image);
+  EXPECT_NE(err.find("truncated section 'events'"), std::string::npos) << err;
+  ckpt::Image out;
+  std::string unusable = fresh->exp->SaveCheckpoint(&out);
+  EXPECT_EQ(unusable, "checkpoint: experiment unusable after a failed restore (" + err + ")");
+  EXPECT_EQ(fresh->exp->RestoreCheckpoint(image), unusable);
+  EXPECT_DEATH(fresh->exp->Run(Ms(200)),
+               "Run after a failed restore: .*truncated section 'events'");
+}
+
 // ---------------------------------------------------------------------------
 // Save-path rejections.
 
@@ -963,6 +991,30 @@ TEST(CheckpointFederationTest, BarrierSnapshotRestoresAndContinuesByteIdentical)
   ASSERT_EQ(restored->fed->SaveCheckpoint(&end_restored), "");
 
   EXPECT_EQ(end_live.Serialize(), end_restored.Serialize());
+}
+
+TEST(CheckpointFederationDeathTest, FailedHostRestoreLeavesFederationUnusable) {
+  auto live = BuildFed();
+  live->fed->Run(Ms(300));
+  ckpt::Image mid;
+  ASSERT_EQ(live->fed->SaveCheckpoint(&mid), "");
+  for (ckpt::Section& s : mid.sections) {
+    if (s.name == "host.0") {
+      ckpt::Image host;
+      ASSERT_EQ(ckpt::Image::Parse(s.bytes, &host), "");
+      TruncateSection(&host, "events");
+      s.bytes = host.Serialize();
+    }
+  }
+  auto restored = BuildFed();
+  std::string err = restored->fed->RestoreCheckpoint(mid);
+  EXPECT_NE(err.find("host 0: checkpoint: truncated section 'events'"), std::string::npos)
+      << err;
+  ckpt::Image out;
+  std::string unusable = restored->fed->SaveCheckpoint(&out);
+  EXPECT_EQ(unusable, "federation: unusable after a failed restore (" + err + ")");
+  EXPECT_EQ(restored->fed->RestoreCheckpoint(mid), unusable);
+  EXPECT_DEATH(restored->fed->Run(Ms(600)), "Run after a failed restore: federation");
 }
 
 TEST(CheckpointFederationTest, RestoreRejectsMismatchedCluster) {

@@ -264,6 +264,38 @@ TEST(SloController, RaisesReservationUnderLoadAndMeetsSlo) {
   EXPECT_EQ(rig.exp->controller()->unresolved_saturations(), 0u);
 }
 
+// A comfortable elastic tenant watched with a DEC floor below its own
+// min_slice: DECs stop at the task's min_slice, the one SchedSetAttr accepts.
+TEST(SloController, DecFloorNeverUndercutsTaskMinSlice) {
+  ExperimentConfig cfg;
+  cfg.framework = Framework::kRtvirt;
+  cfg.machine = ZeroCostMachine(1);
+  cfg.control = FastControl();
+  Experiment exp(std::move(cfg));
+  GuestOs* tenant = exp.AddGuest("tenant", 1);
+  MemcachedConfig mc;
+  mc.qps = 500.0;
+  mc.slo = Ms(1);
+  mc.slice = Us(58);
+  MemcachedServer server(tenant, "mc", mc, Rng(5));
+  server.Start(0, Sec(3));
+  ASSERT_EQ(server.admission_result(), kGuestOk);
+  RtaParams elastic = server.task()->params();
+  elastic.min_slice = Us(50);
+  ASSERT_EQ(tenant->SchedSetAttr(server.task(), elastic), kGuestOk);
+  SloController::TenantOptions topts;
+  topts.slo = Ms(1);
+  topts.min_slice = Us(20);
+  exp.controller()->Watch(tenant, server.task(), exp.ChannelOf(tenant), topts);
+  exp.Run(Sec(3));
+  const RtaParams& p = server.task()->params();
+  EXPECT_LE(p.min_slice, p.slice);
+  EXPECT_EQ(p.min_slice, Us(50));
+  const ControlStats& s = exp.controller()->stats();
+  EXPECT_GT(s.control_dec_adjustments, 0u);
+  EXPECT_EQ(s.control_actuation_failures, 0u);
+}
+
 TEST(SloController, HysteresisHoldsWhenComfortable) {
   // 500 qps needs ~0.024 CPU; the default 0.058 reservation is comfortable,
   // so the controller must sit inside the band and never adjust.
@@ -283,7 +315,6 @@ TEST(SloController, RateLimitBoundsAdjustmentsPerWindow) {
   ControlConfig c = FastControl();
   c.decision_period = Ms(2);          // Ticks far faster than the budget.
   c.max_adjust_per_window = 2;
-  c.rate_window = Ms(100);
   c.min_samples = 8;
   ControlRig rig = MakeRig(6000.0, c);
   rig.exp->Run(Sec(2));

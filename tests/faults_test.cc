@@ -58,7 +58,6 @@ TraceSummary RunFaultedScenario(uint64_t fault_seed) {
   cfg.faults.vm_failures.push_back({/*vm_index=*/1, /*crash_at=*/Ms(520),
                                     /*restart_at=*/Ms(700)});
   cfg.dpwrap.watchdog.reclaim_crashed = true;
-  cfg.dpwrap.watchdog.scan_period = Ms(10);
 
   Experiment exp(cfg);
   DeadlineMonitor mon;
@@ -124,7 +123,6 @@ TEST(FaultDeterminism, DifferentSeedDifferentFaultDraws) {
 
 TEST(ChannelRetry, RetryRecoversSingleTransientFailure) {
   ExperimentConfig cfg = ResilientConfig(2);
-  cfg.channel.retry_backoff = Us(50);
   Experiment exp(cfg);
   GuestOs* g = exp.AddGuest("vm", 1);
   int calls = 0;
@@ -227,7 +225,6 @@ TEST(DegradedMode, LocalAdmissionWithinGrantThenRepair) {
 TEST(DegradedMode, ConservativeBwUsesFullSlack) {
   ExperimentConfig cfg = ResilientConfig(1);
   cfg.channel.budget_slack = Us(500);
-  cfg.channel.max_slack_fraction = 0.1;
   Experiment exp(cfg);
   RtvirtGuestChannel ch(&exp.machine(), cfg.channel);
   // 500 us period: WithSlack trims the pad to 50 us, ConservativeBw does not.
@@ -291,7 +288,6 @@ TEST(Watchdog, ReclaimsOrphanedReservationsOfCrashedVm) {
   cfg.faults.vm_failures.push_back({/*vm_index=*/0, /*crash_at=*/Ms(5),
                                     /*restart_at=*/kTimeNever});
   cfg.dpwrap.watchdog.reclaim_crashed = true;
-  cfg.dpwrap.watchdog.scan_period = Ms(10);
   Experiment exp(cfg);
   GuestOs* doomed = exp.AddGuest("doomed", 1);
   GuestOs* healthy = exp.AddGuest("healthy", 1);
@@ -416,8 +412,6 @@ TEST(PlanValidation, AdversarialCampaignShapeChecks) {
 TEST(ChannelRetry, InCallBackoffSaturatesAtRepairMax) {
   ExperimentConfig cfg = ResilientConfig(2);
   cfg.channel.max_retries = 6;
-  cfg.channel.retry_backoff = Us(50);
-  cfg.channel.retry_backoff_mult = 2.0;
   cfg.channel.repair_backoff_max = Us(200);
   cfg.channel.degraded_fallback = false;  // Isolate the in-call retry loop.
   Experiment exp(cfg);

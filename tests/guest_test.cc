@@ -43,6 +43,12 @@ TEST(GuestAdmission, RejectsInvalidParams) {
   EXPECT_EQ(rig.guest->SchedSetAttr(t, P(0, Ms(10))), kGuestErrInvalid);
   EXPECT_EQ(rig.guest->SchedSetAttr(t, P(Ms(11), Ms(10))), kGuestErrInvalid);
   EXPECT_EQ(rig.guest->SchedSetAttr(t, P(Ms(1), 0)), kGuestErrInvalid);
+  RtaParams floor_above_slice = P(Us(100), Ms(1));
+  floor_above_slice.min_slice = Us(200);
+  EXPECT_EQ(rig.guest->SchedSetAttr(t, floor_above_slice), kGuestErrInvalid);
+  RtaParams unknown_criticality = P(Us(100), Ms(1));
+  unknown_criticality.criticality = static_cast<Criticality>(7);
+  EXPECT_EQ(rig.guest->SchedSetAttr(t, unknown_criticality), kGuestErrInvalid);
 }
 
 TEST(GuestAdmission, FirstFitPinsToFirstVcpuWithRoom) {

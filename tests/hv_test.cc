@@ -19,9 +19,6 @@ class FifoScheduler : public HostScheduler {
 
   std::string_view name() const override { return "fifo-test"; }
   void VcpuInserted(Vcpu* v) override { vcpus_.push_back(v); }
-  void VcpuRemoved(Vcpu* v) override {
-    vcpus_.erase(std::remove(vcpus_.begin(), vcpus_.end(), v), vcpus_.end());
-  }
   void VcpuWake(Vcpu* v) override {
     (void)v;
     for (int i = 0; i < machine_->num_pcpus(); ++i) {
@@ -31,7 +28,6 @@ class FifoScheduler : public HostScheduler {
       }
     }
   }
-  void VcpuBlock(Vcpu* v) override { (void)v; }
   ScheduleDecision PickNext(Pcpu* pcpu) override {
     TimeNs now = machine_->sim()->Now();
     size_t n = vcpus_.size();

@@ -158,7 +158,6 @@ TEST(GuestChannelTest, SlackCappedAtOneCpuAndFraction) {
   m.SetScheduler(std::make_unique<DedicatedScheduler>());
   GuestChannelOptions opts;
   opts.budget_slack = Us(500);
-  opts.max_slack_fraction = 0.1;
   RtvirtGuestChannel channel(&m, opts);
   // ms-scale period: full 500 us slack applies.
   Bandwidth ms_task = Bandwidth::FromSlicePeriod(Ms(5), Ms(10));

@@ -37,7 +37,6 @@ SweepConfig PolicyConfig() {
   SweepConfig cfg;
   cfg.max_attempts = 3;
   cfg.backoff_initial_ms = 10;
-  cfg.backoff_factor = 2.0;
   cfg.backoff_cap_ms = 50;
   return cfg;
 }

@@ -4,7 +4,6 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
-#include <algorithm>
 #include <vector>
 
 #include "src/hv/machine.h"
@@ -19,16 +18,12 @@ class DedicatedScheduler : public HostScheduler {
   void VcpuInserted(Vcpu* v) override {
     slots_.push_back(v);
   }
-  void VcpuRemoved(Vcpu* v) override {
-    std::replace(slots_.begin(), slots_.end(), v, static_cast<Vcpu*>(nullptr));
-  }
   void VcpuWake(Vcpu* v) override {
     int slot = SlotOf(v);
     if (slot >= 0 && slot < machine_->num_pcpus()) {
       machine_->pcpu(slot)->RequestReschedule();
     }
   }
-  void VcpuBlock(Vcpu* v) override { (void)v; }
   ScheduleDecision PickNext(Pcpu* pcpu) override {
     if (pcpu->id() < static_cast<int>(slots_.size())) {
       Vcpu* v = slots_[pcpu->id()];

@@ -103,7 +103,7 @@ TEST(DeadlineSanitizer, FloorBindingBudgetDistrustsReplanForcer) {
   // The attack shape from the bench: a fresh publication every 200 us whose
   // horizon (now + 300 us) is still in the future at every read, so each one
   // binds the global slice at its 250 us floor. Once the first replan reads
-  // one (the initial quiet slice runs a full max_global_slice, 100 ms), the
+  // one (the initial quiet slice runs a full kMaxGlobalSlice, 100 ms), the
   // planner is forced to replan at its maximum rate and the budget (128
   // fresh bindings per 100 ms window) trips well inside the second window.
   SharedSchedPage& page = g->vm()->shared_page();

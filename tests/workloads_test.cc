@@ -101,9 +101,9 @@ TEST(Memcached, ServiceTimesWithinCalibratedRange) {
   EXPECT_GT(mon.total_completed(), 1500u);
   // On a dedicated CPU latency == service time plus queueing: clustered
   // arrivals at 2000 qps can stack a few ~50 us requests.
-  EXPECT_GE(mon.response_times_us().Min(), ToUs(mcfg.service_min));
-  EXPECT_LE(mon.response_times_us().Percentile(50), ToUs(mcfg.service_max));
-  EXPECT_LE(mon.response_times_us().Max(), ToUs(mcfg.service_max) + 300.0);
+  EXPECT_GE(mon.response_times_us().Min(), ToUs(kMemcachedServiceMin));
+  EXPECT_LE(mon.response_times_us().Percentile(50), ToUs(kMemcachedServiceMax));
+  EXPECT_LE(mon.response_times_us().Max(), ToUs(kMemcachedServiceMax) + 300.0);
 }
 
 TEST(Memcached, MeetsSloOnDedicatedCpuUnderRtvirt) {
