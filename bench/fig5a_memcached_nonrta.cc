@@ -35,8 +35,7 @@ struct Outcome {
 Outcome Run(const Setup& setup) {
   ExperimentConfig cfg = bench::Config(setup.fw, 2);
   if (setup.fw == Framework::kCredit) {
-    cfg.credit.timeslice = Ms(1);     // Paper: global timeslice 1 ms.
-    cfg.credit.ratelimit = Us(500);   // Paper: ratelimit 500 us.
+    cfg.credit.timeslice = Ms(1);  // Paper: global timeslice 1 ms.
   }
   Experiment exp(cfg);
   GuestOs* mc = exp.AddGuest("memcached", 1);

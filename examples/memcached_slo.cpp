@@ -27,7 +27,6 @@ RunResult RunUnder(rtvirt::Framework fw) {
   config.machine.num_pcpus = 2;
   if (fw == Framework::kCredit) {
     config.credit.timeslice = Ms(1);
-    config.credit.ratelimit = Us(500);
   }
   Experiment host(config);
 

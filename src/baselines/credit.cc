@@ -10,6 +10,9 @@ namespace {
 
 // Periodic scheduler tick per PCPU (its cost is CreditConfig::tick_cost).
 constexpr TimeNs kTickPeriod = Ms(10);
+// Minimum uninterrupted run before a preemption is honored (paper: ratelimit
+// 500 us, the Credit setting of the section 4.4 memcached experiments).
+constexpr TimeNs kRatelimit = Us(500);
 
 }  // namespace
 
@@ -137,8 +140,8 @@ ScheduleDecision CreditScheduler::PickNext(Pcpu* pcpu) {
   if (cur != nullptr && !cur->blocked()) {
     // Honor the ratelimit: do not preempt a VCPU that just started.
     const CreditState& st = states_[cur];
-    if (!st.capped_out && now < st.dispatched_at + config_.ratelimit) {
-      return ScheduleDecision{cur, st.dispatched_at + config_.ratelimit};
+    if (!st.capped_out && now < st.dispatched_at + kRatelimit) {
+      return ScheduleDecision{cur, st.dispatched_at + kRatelimit};
     }
   }
   CreditState* best = nullptr;

@@ -7,11 +7,11 @@
 // A VCPU waking from idle is boosted (BOOST) ahead of UNDER/OVER work until
 // it has consumed a tick's worth of CPU — this is why Credit serves an idle
 // latency-sensitive VM quickly on average while providing no tail guarantee.
-// The ratelimit prevents preemption of a VCPU that has run for less than the
-// configured minimum. A periodic accounting tick charges interference on
-// every PCPU (Credit is quantum-driven, unlike the event-driven RT
-// schedulers), which is the source of its longer dedicated-CPU tail
-// (Table 4).
+// The ratelimit (kRatelimit, credit.cc) prevents preemption of a VCPU that
+// has run for less than that minimum. A periodic accounting tick charges
+// interference on every PCPU (Credit is quantum-driven, unlike the
+// event-driven RT schedulers), which is the source of its longer
+// dedicated-CPU tail (Table 4).
 
 #ifndef SRC_BASELINES_CREDIT_H_
 #define SRC_BASELINES_CREDIT_H_
@@ -30,8 +30,6 @@ struct CreditConfig {
   // Accounting period and round-robin quantum (Xen default 30 ms; the paper
   // sets it to 1 ms for the memcached experiments).
   TimeNs timeslice = Ms(30);
-  // Minimum uninterrupted run before a preemption is honored.
-  TimeNs ratelimit = Us(500);
   // Interference cost of the periodic per-PCPU scheduler tick (every
   // kTickPeriod, credit.cc).
   TimeNs tick_cost = Us(40);

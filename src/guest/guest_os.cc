@@ -347,6 +347,14 @@ void GuestOs::RecomputeVcpu(VcpuRun& vr) {
   vr.min_period = MinPeriod(vr.rtas);
 }
 
+Bandwidth GuestOs::GlobalTotal() const {
+  Bandwidth total;
+  for (const Task* t : global_rtas_) {
+    total += t->params().bandwidth();
+  }
+  return total;
+}
+
 TimeNs GuestOs::MinPeriod(const std::vector<Task*>& rtas, TimeNs period, const Task* except) {
   for (const Task* t : rtas) {
     if (t != except) {
@@ -939,17 +947,16 @@ bool GuestOs::TryExpandOne() {
 template <typename Self, typename Io>
 void GuestOs::ScalarFields(Self& self, Io& io) {
   auto& s = self.overload_stats_;
-  ckpt::Fields(io, self.global_total_, self.global_min_period_, self.bg_cursor_,
-               self.pressure_ticks_under_, self.pressure_clear_ticks_, s.compressions,
-               s.expansions, s.sheds, s.resumes, s.shed_job_drops, s.overload_admissions);
+  ckpt::Fields(io, self.bg_cursor_, self.pressure_ticks_under_, self.pressure_clear_ticks_,
+               s.compressions, s.expansions, s.sheds, s.resumes, s.shed_job_drops,
+               s.overload_admissions);
 }
 
 template <typename T, typename Io>
 void GuestOs::TaskFields(T& t, Io& io) {
   auto& p = t.params_;
   ckpt::Fields(io, p.slice, p.period, p.sporadic, ckpt::As<uint8_t>(p.criticality), p.min_slice,
-               t.registered_, t.vcpu_index_, t.shed_, t.compressed_slice_, t.next_release_,
-               t.jobs_completed_);
+               t.registered_, t.shed_, t.compressed_slice_, t.next_release_, t.jobs_completed_);
 }
 
 namespace {
@@ -963,12 +970,15 @@ void JobFields(J& j, Io& io) {
 // `running` is the index of the running task, -1 for none.
 template <typename Run, typename Running, typename Io>
 void VcpuRunFields(Run& vr, Running&& running, Io& io) {
-  ckpt::Fields(io, vr.reserved, vr.capacity, vr.min_period, vr.on_cpu, running, vr.run_start,
-               vr.run_speed_ppb);
+  ckpt::Fields(io, vr.capacity, vr.on_cpu, running, vr.run_start, vr.run_speed_ppb);
 }
 
 }  // namespace
 
+// The pin sets are the one record of where a task runs. Restore rebuilds
+// what the live code derives from them and from the gEDF list: each task's
+// VCPU index, each VCPU's reserved bandwidth and minimum period
+// (RecomputeVcpu), and the gEDF total and minimum period.
 void GuestOs::SaveState(ckpt::Writer& w) const {
   ScalarFields(*this, w);
 
@@ -1038,10 +1048,7 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
     for (uint32_t k = 0; k < n_jobs && r.ok(); ++k) {
       JobFields(t->jobs_.emplace_back(), r);
     }
-    if (t->vcpu_index_ < -1 || t->vcpu_index_ >= static_cast<int>(vcpus_.size())) {
-      return ckpt_section_ + ": task '" + t->name_ + "' pinned to invalid vcpu " +
-             std::to_string(t->vcpu_index_) + " of " + std::to_string(vcpus_.size());
-    }
+    t->vcpu_index_ = -1;  // Set from the pin sets below.
     // A registered (or shed) task's parameters divide into bandwidths and
     // budgets, so they must be ones SchedSetAttr admits; an unregistered
     // task may still hold its zero defaults.
@@ -1076,8 +1083,18 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
         return ckpt_section_ + ": vcpu " + std::to_string(i) +
                " pin set references unknown task";
       }
+      if (t->vcpu_index_ >= 0) {
+        return ckpt_section_ + ": task '" + t->name_ + "' is in the pin sets of vcpu " +
+               std::to_string(t->vcpu_index_) + " and vcpu " + std::to_string(i);
+      }
+      if (!t->registered_ || t->shed_) {
+        return ckpt_section_ + ": task '" + t->name_ + "' is in the pin set of vcpu " +
+               std::to_string(i) + " but " + (t->shed_ ? "marked shed" : "not registered");
+      }
+      t->vcpu_index_ = static_cast<int>(i);
       vr.rtas.push_back(t);
     }
+    RecomputeVcpu(vr);
     uint32_t running = 0;
     VcpuRunFields(vr, running, r);
     vr.running = running == static_cast<uint32_t>(-1) ? nullptr : task_at(running);
@@ -1101,6 +1118,8 @@ std::string GuestOs::RestoreState(ckpt::Reader& r) {
     }
     global_rtas_.push_back(t);
   }
+  global_total_ = GlobalTotal();
+  global_min_period_ = MinPeriod(global_rtas_);
   shed_.clear();
   uint32_t n_shed = r.U32();
   for (uint32_t k = 0; k < n_shed && r.ok(); ++k) {
@@ -1128,10 +1147,7 @@ std::vector<std::string> GuestOs::AuditInvariants() const {
   std::vector<std::string> violations;
   char buf[256];
   if (global_edf()) {
-    Bandwidth total;
-    for (const Task* t : global_rtas_) {
-      total += t->params().bandwidth();
-    }
+    Bandwidth total = GlobalTotal();
     if (total != global_total_) {
       std::snprintf(buf, sizeof(buf),
                     "gEDF total %lld ppb != sum of registered RTA bandwidths %lld ppb",

@@ -211,6 +211,9 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
   void PinTask(Task* task, int vcpu_index, const RtaParams& params);
   void UnpinTask(Task* task);
   void RecomputeVcpu(VcpuRun& vr);
+  // gEDF: the sum of the registered RTAs' bandwidths, which global_total_
+  // keeps up to date.
+  Bandwidth GlobalTotal() const;
   // Smallest period among `rtas` other than `except`, and `period`: the
   // period a VCPU's (or, under gEDF, every VCPU's) reservation requests.
   static TimeNs MinPeriod(const std::vector<Task*>& rtas, TimeNs period = kTimeNever,

@@ -65,11 +65,6 @@ struct HypercallArgs {
   int64_t reason = kBwReasonNone;
 };
 
-// Host overload-pressure reason codes published in the shared page.
-constexpr int64_t kPressureNone = 0;
-constexpr int64_t kPressureWatermark = 1;   // Reserved total above high watermark.
-constexpr int64_t kPressureAdmission = 2;   // Recent admission rejections.
-
 // Hypercall status codes (mirroring negative-errno kernel conventions).
 constexpr int64_t kHypercallOk = 0;
 constexpr int64_t kHypercallAgain = -11;         // -EAGAIN: transient failure, retry.

@@ -175,7 +175,7 @@ void Machine::ScalarFields(Self& self, Io& io) {
 template <typename P, typename Id, typename Io>
 void Machine::PcpuFields(P& p, Id&& current, Io& io) {
   ckpt::Fields(io, p.online_, p.speed_ppb_, current, p.granted_, p.granted_at_,
-               p.resched_pending_, p.run_until_, p.busy_time_);
+               p.resched_pending_, p.run_until_);
 }
 
 template <typename V, typename Io>
@@ -184,9 +184,9 @@ void Machine::VmFields(V& vm, Io& io) {
 }
 
 template <typename V, typename Id, typename Io>
-void Machine::VcpuFields(V& v, Id&& pcpu, Id&& last_pcpu, Io& io) {
-  ckpt::Fields(io, ckpt::As<uint8_t>(v.state_), pcpu, last_pcpu, v.total_runtime_,
-               v.migrations_, v.evacuations_, v.evacuation_penalty_);
+void Machine::VcpuFields(V& v, Id&& last_pcpu, Io& io) {
+  ckpt::Fields(io, ckpt::As<uint8_t>(v.state_), last_pcpu, v.total_runtime_, v.migrations_,
+               v.evacuations_, v.evacuation_penalty_);
 }
 
 void Machine::SaveState(ckpt::Writer& w) const {
@@ -203,7 +203,7 @@ void Machine::SaveState(ckpt::Writer& w) const {
     VmFields(*vm, w);
     w.U32(static_cast<uint32_t>(vm->vcpus_.size()));
     for (const auto& v : vm->vcpus_) {
-      VcpuFields(*v, id_of(v->pcpu_), id_of(v->last_pcpu_), w);
+      VcpuFields(*v, id_of(v->last_pcpu_), w);
     }
     vm->shared_page_.SaveState(w);
   }
@@ -255,18 +255,15 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
       return "machine: VM '" + vm->name_ + "' VCPU count mismatch";
     }
     for (auto& v : vm->vcpus_) {
-      int pcpu_id = -1;
       int last_id = -1;
-      VcpuFields(*v, pcpu_id, last_id, r);
+      VcpuFields(*v, last_id, r);
       if (static_cast<int>(v->state_) > static_cast<int>(VcpuState::kRunning)) {
         return "machine: VCPU " + v->name() + " has invalid state " +
                std::to_string(static_cast<int>(v->state_));
       }
-      if (pcpu_id >= static_cast<int>(pcpus_.size()) ||
-          last_id >= static_cast<int>(pcpus_.size())) {
+      if (last_id >= static_cast<int>(pcpus_.size())) {
         return "machine: VCPU " + v->name() + " references invalid PCPU";
       }
-      v->pcpu_ = pcpu_id < 0 ? nullptr : pcpus_[pcpu_id].get();
       v->last_pcpu_ = last_id < 0 ? nullptr : pcpus_[last_id].get();
     }
     std::string err = vm->shared_page_.RestoreState(r);
@@ -277,19 +274,30 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
   if (!r.ok()) {
     return "machine: truncated section";
   }
-  // The image saves both ends of each dispatch, a PCPU's current VCPU and a
-  // VCPU's PCPU; they must agree.
+  // The image saves each dispatch once, as a PCPU's current VCPU; the
+  // VCPU's PCPU derives from it. A VCPU runs on one PCPU and is running
+  // exactly when a PCPU runs it.
+  for (Vcpu* v : vcpus_by_global_id_) {
+    v->pcpu_ = nullptr;
+  }
   for (const auto& p : pcpus_) {
-    const Vcpu* v = p->current_;
-    if (v != nullptr && (v->state_ != VcpuState::kRunning || v->pcpu_ != p.get())) {
-      return "machine: pcpu " + std::to_string(p->id()) + " runs VCPU " + v->name() +
-             ", which is not running there";
+    Vcpu* v = p->current_;
+    if (v == nullptr) {
+      continue;
     }
+    if (v->pcpu_ != nullptr) {
+      return "machine: VCPU " + v->name() + " runs on pcpu " + std::to_string(v->pcpu_->id()) +
+             " and pcpu " + std::to_string(p->id());
+    }
+    if (v->state_ != VcpuState::kRunning) {
+      return "machine: pcpu " + std::to_string(p->id()) + " runs VCPU " + v->name() +
+             ", which is not running";
+    }
+    v->pcpu_ = p.get();
   }
   for (const Vcpu* v : vcpus_by_global_id_) {
-    if (v->pcpu_ != nullptr && v->pcpu_->current_ != v) {
-      return "machine: VCPU " + v->name() + " names pcpu " + std::to_string(v->pcpu_->id()) +
-             ", which does not run it";
+    if (v->state_ == VcpuState::kRunning && v->pcpu_ == nullptr) {
+      return "machine: VCPU " + v->name() + " is running but no pcpu runs it";
     }
   }
   // The checkpoint was taken from a started machine; suppress the fresh

@@ -155,8 +155,9 @@ class Machine : public ckpt::Checkpointable {
   Vcpu* RegisterVcpu(Vm* vm, int index);
   // Checkpoint field lists in byte order, each run by both SaveState and
   // RestoreState: the leading counters and one PCPU's, VM's or VCPU's
-  // record. PCPU and VCPU records carry ids, -1 for none, that save passes
-  // by value and restore reads into the ints it maps to pointers.
+  // record. PCPU and VCPU records carry ids (a PCPU's current VCPU, a
+  // VCPU's last PCPU), -1 for none, that save passes by value and restore
+  // reads into the ints it maps to pointers.
   template <typename Self, typename Io>
   static void ScalarFields(Self& self, Io& io);
   template <typename P, typename Id, typename Io>
@@ -164,7 +165,7 @@ class Machine : public ckpt::Checkpointable {
   template <typename V, typename Io>
   static void VmFields(V& vm, Io& io);
   template <typename V, typename Id, typename Io>
-  static void VcpuFields(V& v, Id&& pcpu, Id&& last_pcpu, Io& io);
+  static void VcpuFields(V& v, Id&& last_pcpu, Io& io);
 
   Simulator* sim_;
   MachineConfig config_;

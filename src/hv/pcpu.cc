@@ -9,8 +9,6 @@ namespace rtvirt {
 
 Pcpu::Pcpu(Machine* machine, int id) : machine_(machine), id_(id) {}
 
-TimeNs Pcpu::idle_time(TimeNs now) const { return now - busy_time_; }
-
 void Pcpu::Arm(uint32_t kind, TimeNs when) {
   Simulator::EventId id = machine_->sim()->At(when, machine_, kind, static_cast<uint64_t>(id_));
   if (kind == Machine::kEvSliceEnd) {
@@ -50,7 +48,6 @@ void Pcpu::StopCurrent() {
   if (granted_) {
     TimeNs ran = sim->Now() - granted_at_;
     v->total_runtime_ += ran;
-    busy_time_ += ran;
     machine_->scheduler()->AccountRun(v, ran);
     granted_ = false;
   }
@@ -151,7 +148,6 @@ void Pcpu::SettleAccounting() {
   TimeNs ran = now - granted_at_;
   if (ran > 0) {
     current_->total_runtime_ += ran;
-    busy_time_ += ran;
     machine_->scheduler()->AccountRun(current_, ran);
     granted_at_ = now;
   }

@@ -61,9 +61,6 @@ class Pcpu {
   // Live execution time of `vcpu` in its current dispatch (0 if not here).
   TimeNs LiveRunNs(const Vcpu* vcpu) const;
 
-  TimeNs busy_time() const { return busy_time_; }
-  TimeNs idle_time(TimeNs now) const;
-
  private:
   friend class Machine;
   friend class Vcpu;
@@ -96,7 +93,6 @@ class Pcpu {
   TimeNs run_until_ = kTimeNever;  // Current dispatch horizon.
   Simulator::EventId grant_event_;
   Simulator::EventId slice_end_event_;
-  TimeNs busy_time_ = 0;  // Cumulative useful (granted) VCPU time.
 };
 
 }  // namespace rtvirt

@@ -119,23 +119,20 @@ class SharedSchedPage {
   // Host side: publish overload-pressure state for the whole VM (one word per
   // page, not per VCPU — pressure is a property of the host scheduler). Level
   // 0 means no pressure; higher levels ask the guest to compress / shed
-  // elastic reservations. `reason` is one of kPressure* (informational).
-  // `headroom_ppb` is the host's remaining admittable bandwidth: guests gate
-  // re-inflation on it so recovery probes do not turn into admission
-  // rejections (which would read as fresh pressure and oscillate). It is
-  // advisory — the host still enforces admission; a stale value merely costs
-  // one rejected hypercall. Host->guest writes are not subject to the
-  // staleness model.
-  void PublishPressure(int level, int64_t reason, int64_t headroom_ppb) {
+  // elastic reservations. `headroom_ppb` is the host's remaining admittable
+  // bandwidth: guests gate re-inflation on it so recovery probes do not turn
+  // into admission rejections (which would read as fresh pressure and
+  // oscillate). It is advisory — the host still enforces admission; a stale
+  // value merely costs one rejected hypercall. Host->guest writes are not
+  // subject to the staleness model.
+  void PublishPressure(int level, int64_t headroom_ppb) {
     pressure_level_ = level;
-    pressure_reason_ = reason;
     pressure_headroom_ppb_ = headroom_ppb;
     pressure_published_at_ = Now();
   }
 
   // Guest side: poll the host's pressure signal.
   int pressure_level() const { return pressure_level_; }
-  int64_t pressure_reason() const { return pressure_reason_; }
   int64_t pressure_headroom_ppb() const { return pressure_headroom_ppb_; }
   TimeNs pressure_published_at() const { return pressure_published_at_; }
 
@@ -178,8 +175,8 @@ class SharedSchedPage {
   // RestoreState: the page's scalars and one slot.
   template <typename Self, typename Io>
   static void ScalarFields(Self& self, Io& io) {
-    ckpt::Fields(io, self.visibility_delay_, self.pressure_level_, self.pressure_reason_,
-                 self.pressure_headroom_ppb_, self.pressure_published_at_);
+    ckpt::Fields(io, self.visibility_delay_, self.pressure_level_, self.pressure_headroom_ppb_,
+                 self.pressure_published_at_);
   }
   template <typename S, typename Io>
   static void SlotFields(S& s, Io& io) {
@@ -209,7 +206,6 @@ class SharedSchedPage {
   const Simulator* sim_ = nullptr;
   TimeNs visibility_delay_ = 0;
   int pressure_level_ = 0;
-  int64_t pressure_reason_ = 0;
   int64_t pressure_headroom_ppb_ = 0;
   TimeNs pressure_published_at_ = -1;  // -1 = never published.
   // Mutable: host-side reads promote pending writes in place (the page is

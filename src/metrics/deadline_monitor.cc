@@ -8,16 +8,22 @@ namespace rtvirt {
 void DeadlineMonitor::OnJobCompleted(const Task& task, const Job& job, TimeNs completion) {
   TaskStats& ts = per_task_[task.name()];
   ++ts.completed;
-  ++total_.completed;
   ts.max_response = std::max(ts.max_response, completion - job.release);
-  total_.max_response = std::max(total_.max_response, completion - job.release);
   if (completion > job.deadline) {
     ++ts.misses;
-    ++total_.misses;
     ts.max_tardiness = std::max(ts.max_tardiness, completion - job.deadline);
-    total_.max_tardiness = std::max(total_.max_tardiness, completion - job.deadline);
   }
   response_us_.Add(ToUs(completion - job.release));
+}
+
+DeadlineMonitor::TaskStats DeadlineMonitor::Total() const {
+  TaskStats total;
+  for (const auto& [name, ts] : per_task_) {
+    total.completed += ts.completed;
+    total.misses += ts.misses;
+    total.max_tardiness = std::max(total.max_tardiness, ts.max_tardiness);
+  }
+  return total;
 }
 
 double DeadlineMonitor::WorstTaskMissRatio() const {
@@ -49,7 +55,6 @@ void TaskStatsFields(Stats& ts, Io& io) {
 }  // namespace
 
 void DeadlineMonitor::SaveState(ckpt::Writer& w) const {
-  TaskStatsFields(total_, w);
   // std::map iterates in key order: deterministic across processes.
   w.U32(static_cast<uint32_t>(per_task_.size()));
   for (const auto& [name, ts] : per_task_) {
@@ -64,7 +69,6 @@ void DeadlineMonitor::SaveState(ckpt::Writer& w) const {
 }
 
 std::string DeadlineMonitor::RestoreState(ckpt::Reader& r) {
-  TaskStatsFields(total_, r);
   per_task_.clear();
   uint32_t n_tasks = r.U32();
   for (uint32_t i = 0; i < n_tasks && r.ok(); ++i) {

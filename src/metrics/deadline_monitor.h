@@ -32,10 +32,12 @@ class DeadlineMonitor : public JobObserver, public ckpt::Checkpointable {
 
   void OnJobCompleted(const Task& task, const Job& job, TimeNs completion) override;
 
-  uint64_t total_completed() const { return total_.completed; }
-  uint64_t total_misses() const { return total_.misses; }
-  double TotalMissRatio() const { return total_.MissRatio(); }
-  TimeNs max_tardiness() const { return total_.max_tardiness; }
+  // Totals over every task, summed from per_task() at each call (end-of-run
+  // readers only).
+  uint64_t total_completed() const { return Total().completed; }
+  uint64_t total_misses() const { return Total().misses; }
+  double TotalMissRatio() const { return Total().MissRatio(); }
+  TimeNs max_tardiness() const { return Total().max_tardiness; }
 
   // Response times (completion - release) in microseconds, across all tasks.
   const Samples& response_times_us() const { return response_us_; }
@@ -56,7 +58,9 @@ class DeadlineMonitor : public JobObserver, public ckpt::Checkpointable {
   std::string RestoreEvent(uint32_t kind, uint64_t payload, TimeNs when) override;
 
  private:
-  TaskStats total_;
+  // Sums of completed and misses and the worst tardiness over per_task_.
+  TaskStats Total() const;
+
   std::map<std::string, TaskStats> per_task_;
   Samples response_us_;
 };

@@ -250,13 +250,10 @@ void DpWrapScheduler::OverloadTick() {
     // creeping case where everything was admitted but nothing is left.
     if (rejections_since_tick_ > 0 || util >= config_.overload.high_watermark) {
       pressure_ = true;
-      pressure_reason_ =
-          rejections_since_tick_ > 0 ? kPressureAdmission : kPressureWatermark;
       ++stats_.pressure_raises;
     }
   } else if (util <= config_.overload.low_watermark && rejections_since_tick_ == 0) {
     pressure_ = false;
-    pressure_reason_ = kPressureNone;
     ++stats_.pressure_clears;
   }
   rejections_since_tick_ = 0;
@@ -287,8 +284,7 @@ void DpWrapScheduler::OverloadTick() {
   int64_t headroom_ppb = eff < limit ? (limit - eff).ppb() : 0;
   // Publish to every VM's page each scan (idempotent; guests poll).
   for (int i = 0; i < machine_->num_vms(); ++i) {
-    machine_->vm(i)->shared_page().PublishPressure(pressure_ ? 1 : 0, pressure_reason_,
-                                                   headroom_ppb);
+    machine_->vm(i)->shared_page().PublishPressure(pressure_ ? 1 : 0, headroom_ppb);
   }
   Arm(kEvOverload, machine_->sim()->Now() + kOverloadScanPeriod);
 }
@@ -620,14 +616,7 @@ void DpWrapScheduler::Replan() {
   for (const WrapSegment& seg : wrap_out_) {
     emit(seg.item_id, seg.pcpu, seg.start, seg.end);
   }
-  // Each PCPU's pieces come out in start order.
-  GroupBy(
-      emitted_, m, [](const PlanSegment& seg) { return seg.pcpu; },
-      [this](int pcpu) -> Range& { return pcpu_segs_[pcpu]; }, &pcpu_plan_);
-  GroupBy(
-      emitted_, static_cast<int>(slots_.size()),
-      [](const PlanSegment& seg) { return seg.vcpu->global_id(); },
-      [this](int gid) -> Range& { return slots_[gid].segs; }, &vcpu_plan_);
+  GroupPlan();
   // Host->guest notification of the slice allocation (Figure 2).
   for (int gid : active_) {
     std::span<const PlanSegment> segs = SegmentsOf(gid);
@@ -644,6 +633,18 @@ void DpWrapScheduler::Replan() {
 
   Arm(kEvReplan, slice_end_);
   TickleAll();
+}
+
+void DpWrapScheduler::GroupPlan() {
+  // Each PCPU's pieces come out in start order.
+  GroupBy(
+      emitted_, static_cast<int>(pcpu_segs_.size()),
+      [](const PlanSegment& seg) { return seg.pcpu; },
+      [this](int pcpu) -> Range& { return pcpu_segs_[pcpu]; }, &pcpu_plan_);
+  GroupBy(
+      emitted_, static_cast<int>(slots_.size()),
+      [](const PlanSegment& seg) { return seg.vcpu->global_id(); },
+      [this](int gid) -> Range& { return slots_[gid].segs; }, &vcpu_plan_);
 }
 
 Vcpu* DpWrapScheduler::PickBestEffort(TimeNs now, Pcpu* pcpu) {
@@ -899,7 +900,6 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
     slot.res = Reservation{};
     slot.res.bw = bw;
     slot.res.period = clamped_period;
-    slot.res.order = next_order_++;  // Past every order in active_: append.
     slot.reserved = true;
     active_.push_back(gid);
     SizePlanBuffers();
@@ -960,25 +960,23 @@ int64_t DpWrapScheduler::Hypercall(Vcpu* caller, const HypercallArgs& args) {
 template <typename Self, typename Io>
 void DpWrapScheduler::ScalarFields(Self& self, Io& io) {
   auto& s = self.stats_;
-  ckpt::Fields(io, self.capacity_, self.total_, self.next_order_, self.slice_start_,
-               self.slice_end_, self.replan_pending_, self.be_cursor_, self.tickle_cursor_,
-               self.replans_, s.watchdog_reclaims, s.stale_rejections, s.capacity_replans,
-               self.pressure_, self.pressure_reason_, self.rejections_since_tick_,
-               s.pressure_raises, s.pressure_clears, s.shed_releases, s.admission_rejections,
-               s.deadline_lie_rejections, s.deadline_floor_clamps, s.replan_budget_trips,
-               s.hypercall_rate_rejections, s.bw_thrash_trips, s.quarantines,
-               s.quarantine_releases, s.quarantine_holds);
+  ckpt::Fields(io, self.capacity_, self.slice_start_, self.slice_end_, self.replan_pending_,
+               self.be_cursor_, self.tickle_cursor_, self.replans_, s.watchdog_reclaims,
+               s.stale_rejections, s.capacity_replans, self.pressure_,
+               self.rejections_since_tick_, s.pressure_raises, s.pressure_clears,
+               s.shed_releases, s.admission_rejections, s.deadline_lie_rejections,
+               s.deadline_floor_clamps, s.replan_budget_trips, s.hypercall_rate_rejections,
+               s.bw_thrash_trips, s.quarantines, s.quarantine_releases, s.quarantine_holds);
 }
 
 namespace {
 
 // The section's records, each in byte order; save and restore share them.
 // Save passes the ids in a record by value, restore the ints it checks.
-// A reservation repeats its VCPU's pin, -1 for none.
-template <typename Res, typename Pin, typename Io>
-void ReservationFields(Res& res, Pin&& pin, Io& io) {
-  ckpt::Fields(io, res.bw, res.period, res.order, res.carry_ppb, pin, res.used_in_window,
-               res.tax_factor, res.last_lie_publish, res.last_floor_publish);
+template <typename Res, typename Io>
+void ReservationFields(Res& res, Io& io) {
+  ckpt::Fields(io, res.bw, res.period, res.carry_ppb, res.used_in_window, res.tax_factor,
+               res.last_lie_publish, res.last_floor_publish);
 }
 
 template <typename Segment, typename Gid, typename Io>
@@ -1005,26 +1003,18 @@ void TrustFields(Trust& t, Io& io) {
 
 }  // namespace
 
+// Each fact is written once: the reservations in layout order (active_), the
+// pins as the one record of affinity, and the plan in emission order
+// (emitted_). Restore derives the rest as the live code does: total_ sums
+// the reservations, and GroupPlan regroups the plan by PCPU and by VCPU.
 void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
   ScalarFields(*this, w);
-
-  // VCPU insertion order drives the best-effort round-robin; serialize the
-  // global-id sequence so a restored scheduler validates it saw the same one.
   w.U32(static_cast<uint32_t>(all_vcpus_.size()));
-  for (size_t gid = 0; gid < all_vcpus_.size(); ++gid) {
-    w.U32(static_cast<uint32_t>(gid));
-  }
 
-  // Per-VCPU state is written in global-id (slot) order, so the byte stream
-  // (and hence the divergence digest) depends on nothing but the state.
   w.U32(static_cast<uint32_t>(active_.size()));
-  for (size_t gid = 0; gid < slots_.size(); ++gid) {
-    const Slot& slot = slots_[gid];
-    if (!slot.reserved) {
-      continue;
-    }
+  for (int gid : active_) {
     w.U32(static_cast<uint32_t>(gid));
-    ReservationFields(slot.res, slot.pin.value_or(-1), w);
+    ReservationFields(slots_[gid].res, w);
   }
 
   w.U32(static_cast<uint32_t>(std::count_if(
@@ -1036,26 +1026,9 @@ void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
     }
   }
 
-  w.U32(static_cast<uint32_t>(pcpu_segs_.size()));
-  for (size_t p = 0; p < pcpu_segs_.size(); ++p) {
-    std::span<const PlanSegment> plan = PlanOf(static_cast<int>(p));
-    w.U32(static_cast<uint32_t>(plan.size()));
-    for (const PlanSegment& seg : plan) {
-      SegmentFields(seg, seg.vcpu->global_id(), w);
-    }
-  }
-  w.U32(static_cast<uint32_t>(std::count_if(
-      slots_.begin(), slots_.end(), [](const Slot& slot) { return slot.segs.count > 0; })));
-  for (size_t gid = 0; gid < slots_.size(); ++gid) {
-    std::span<const PlanSegment> segs = SegmentsOf(static_cast<int>(gid));
-    if (segs.empty()) {
-      continue;
-    }
-    w.U32(static_cast<uint32_t>(gid));
-    w.U32(static_cast<uint32_t>(segs.size()));
-    for (const PlanSegment& seg : segs) {
-      SegmentFields(seg, seg.vcpu->global_id(), w);
-    }
+  w.U32(static_cast<uint32_t>(emitted_.size()));
+  for (const PlanSegment& seg : emitted_) {
+    SegmentFields(seg, seg.vcpu->global_id(), w);
   }
 
   w.U32(static_cast<uint32_t>(held_demand_.size()));
@@ -1078,14 +1051,8 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
 
   uint32_t n_vcpus = r.U32();
   if (!r.ok() || n_vcpus != all_vcpus_.size()) {
-    return "dpwrap: VCPU insertion-order mismatch (checkpoint has " +
-           std::to_string(n_vcpus) + ", scheduler has " +
-           std::to_string(all_vcpus_.size()) + ")";
-  }
-  for (size_t i = 0; i < all_vcpus_.size(); ++i) {
-    if (r.U32() != i) {
-      return "dpwrap: VCPU insertion order diverges at position " + std::to_string(i);
-    }
+    return "dpwrap: VCPU count mismatch (checkpoint has " + std::to_string(n_vcpus) +
+           ", scheduler has " + std::to_string(all_vcpus_.size()) + ")";
   }
 
   // Ids, PCPU numbers and cursors come from the image: each is checked
@@ -1102,15 +1069,12 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     Vcpu* v = machine_ != nullptr ? machine_->VcpuByGlobalId(gid) : nullptr;
     return v != nullptr && Owns(v) ? v : nullptr;
   };
-  auto valid_pin = [num_pcpus](int pcpu) { return pcpu >= -1 && pcpu < num_pcpus; };
 
   for (Slot& slot : slots_) {
     slot.reserved = false;
   }
   active_.clear();
-  // Each reservation record repeats its VCPU's pin, which must agree with
-  // the pin list that follows.
-  std::vector<int> recorded_pins(slots_.size(), -1);
+  total_ = Bandwidth::Zero();
   uint32_t n_res = r.U32();
   for (uint32_t i = 0; i < n_res && r.ok(); ++i) {
     int gid = static_cast<int>(r.U32());
@@ -1123,18 +1087,11 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
       return "dpwrap: reservation[" + std::to_string(i) + "] repeats VCPU global id " +
              std::to_string(gid);
     }
-    int pin = -1;
-    ReservationFields(slot.res, pin, r);
-    if (!valid_pin(pin)) {
-      return "dpwrap: reservation[" + std::to_string(i) + "] pins VCPU " +
-             std::to_string(gid) + " to invalid pcpu " + std::to_string(pin);
-    }
-    recorded_pins[gid] = pin;
+    ReservationFields(slot.res, r);
     slot.reserved = true;
     active_.push_back(gid);
+    total_ += slot.res.bw;
   }
-  std::sort(active_.begin(), active_.end(),
-            [this](int a, int b) { return slots_[a].res.order < slots_[b].res.order; });
   SizePlanBuffers();
 
   for (Slot& slot : slots_) {
@@ -1147,78 +1104,30 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     if (lookup(gid) == nullptr) {
       return "dpwrap: pending affinity references unknown VCPU " + std::to_string(gid);
     }
-    if (!valid_pin(pin)) {
+    if (pin < -1 || pin >= num_pcpus) {
       return "dpwrap: pending affinity of VCPU " + std::to_string(gid) +
              " names invalid pcpu " + std::to_string(pin);
     }
     slots_[gid].pin = pin;
   }
-  for (int gid : active_) {
-    if (int pin = slots_[gid].pin.value_or(-1); recorded_pins[gid] != pin) {
-      return "dpwrap: reservation of VCPU " + std::to_string(gid) + " pins pcpu " +
-             std::to_string(recorded_pins[gid]) + " but its affinity is " + std::to_string(pin);
-    }
-  }
 
-  // Returns what is wrong with the segment, or "" if it is usable.
-  auto load_segment = [&](PlanSegment* seg) -> std::string {
+  emitted_.clear();
+  uint32_t n_segs = r.U32();
+  for (uint32_t i = 0; i < n_segs && r.ok(); ++i) {
+    PlanSegment seg;
     int gid = -1;
-    SegmentFields(*seg, gid, r);
-    seg->vcpu = lookup(gid);
-    if (seg->vcpu == nullptr) {
-      return "references unknown VCPU";
+    SegmentFields(seg, gid, r);
+    seg.vcpu = lookup(gid);
+    if (seg.vcpu == nullptr) {
+      return "dpwrap: plan segment references unknown VCPU " + std::to_string(gid);
     }
-    if (seg->pcpu < 0 || seg->pcpu >= num_pcpus) {
-      return "of VCPU " + std::to_string(gid) + " names invalid pcpu " +
-             std::to_string(seg->pcpu);
+    if (seg.pcpu < 0 || seg.pcpu >= num_pcpus) {
+      return "dpwrap: plan segment of VCPU " + std::to_string(gid) + " names invalid pcpu " +
+             std::to_string(seg.pcpu);
     }
-    return "";
-  };
-  uint32_t n_plans = r.U32();
-  if (!r.ok() || n_plans != pcpu_segs_.size()) {
-    return "dpwrap: PCPU plan count mismatch";
+    emitted_.push_back(seg);
   }
-  pcpu_plan_.clear();
-  for (Range& range : pcpu_segs_) {
-    range = Range{static_cast<int>(pcpu_plan_.size()), 0};
-    uint32_t n_segs = r.U32();
-    for (uint32_t i = 0; i < n_segs && r.ok(); ++i) {
-      PlanSegment seg;
-      if (std::string err = load_segment(&seg); !err.empty()) {
-        return "dpwrap: plan segment " + err;
-      }
-      pcpu_plan_.push_back(seg);
-      ++range.count;
-    }
-  }
-  for (Slot& slot : slots_) {
-    slot.segs.count = 0;
-  }
-  vcpu_plan_.clear();
-  uint32_t n_vseg = r.U32();
-  int prev = -1;
-  for (uint32_t i = 0; i < n_vseg && r.ok(); ++i) {
-    int gid = static_cast<int>(r.U32());
-    if (lookup(gid) == nullptr) {
-      return "dpwrap: segment map references unknown VCPU " + std::to_string(gid);
-    }
-    if (gid <= prev) {
-      return "dpwrap: segment map lists VCPU " + std::to_string(gid) +
-             " out of global-id order";
-    }
-    prev = gid;
-    Range& range = slots_[gid].segs;
-    range = Range{static_cast<int>(vcpu_plan_.size()), 0};
-    uint32_t n_segs = r.U32();
-    for (uint32_t k = 0; k < n_segs && r.ok(); ++k) {
-      PlanSegment seg;
-      if (std::string err = load_segment(&seg); !err.empty()) {
-        return "dpwrap: segment map entry " + err;
-      }
-      vcpu_plan_.push_back(seg);
-      ++range.count;
-    }
-  }
+  GroupPlan();
 
   held_demand_.clear();
   uint32_t n_held = r.U32();

@@ -211,7 +211,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   struct Reservation {
     Bandwidth bw;
     TimeNs period = 0;
-    uint64_t order = 0;  // Stable layout order: keeps segments at stable offsets.
     // Sub-ns remainder carried between slices so that the cumulative
     // allocation tracks the fluid schedule to within 1 ns over any window.
     int64_t carry_ppb = 0;
@@ -264,6 +263,9 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   static void ScalarFields(Self& self, Io& io);
   // Recomputes the global deadline and the per-PCPU plan, effective now.
   void Replan();
+  // Groups emitted_ by PCPU and by VCPU into pcpu_plan_ and vcpu_plan_;
+  // Replan and RestoreState both derive the two groupings here.
+  void GroupPlan();
   // Coalesced deferred replan (multiple hypercalls in one instant).
   void ScheduleReplan();
   void TickleAll();
@@ -339,14 +341,15 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   // order. A slot is plain data, so adding VCPUs only copies.
   std::vector<Vcpu*> all_vcpus_;
   std::vector<Slot> slots_;
-  std::vector<int> active_;  // Reserved global ids in Reservation::order.
-  Bandwidth total_;
-  uint64_t next_order_ = 0;
+  // Reserved global ids in layout order: appended on creation, so segments
+  // keep stable offsets across slices.
+  std::vector<int> active_;
+  Bandwidth total_;  // Sum of the reservations' bw.
 
   TimeNs slice_start_ = 0;
   TimeNs slice_end_ = 0;
-  // The current plan twice, grouped by PCPU and by VCPU, each group in
-  // emission order; pcpu_segs_ and Slot::segs locate the groups.
+  // The current plan twice, grouped from emitted_ by PCPU and by VCPU, each
+  // group in emission order; pcpu_segs_ and Slot::segs locate the groups.
   std::vector<PlanSegment> pcpu_plan_;
   std::vector<Range> pcpu_segs_;
   std::vector<PlanSegment> vcpu_plan_;
@@ -368,7 +371,6 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
 
   // Overload-pressure state.
   bool pressure_ = false;
-  int64_t pressure_reason_ = 0;          // kPressure* while pressure_ is set.
   uint64_t rejections_since_tick_ = 0;   // Admission rejections since last scan.
   // Demand of recently rejected new registrations, withheld from the
   // published headroom until `expires` (FIFO — holds expire in push order).

@@ -91,8 +91,6 @@ void RtvirtGuestChannel::EnterDegraded(VcpuState& st, Vcpu* vcpu) {
   // Stop sharing deadlines: a deadline the guest can no longer refresh is
   // worse than none — the host falls back to period-based worst cases.
   vcpu->vm()->shared_page().PublishNextDeadline(vcpu->index(), kTimeNever);
-  st.desired = ConservativeBw(st.rta_bw, st.rta_period);
-  st.desired_period = st.rta_period;
   ScheduleRepair(st, vcpu);
 }
 
@@ -132,8 +130,8 @@ void RtvirtGuestChannel::OnEvent(uint32_t /*kind*/, uint64_t payload) {
   HypercallArgs args;
   args.op = SchedOp::kIncBw;
   args.vcpu_a = vcpu;
-  args.bw_a = st.desired;
-  args.period_a = st.desired_period;
+  args.bw_a = ConservativeBw(st.rta_bw, st.rta_period);
+  args.period_a = st.rta_period;
   int64_t rc = machine_->Hypercall(vcpu, args);
   if (rc == kHypercallAgain) {
     ++stats_.transient_failures;
@@ -147,8 +145,7 @@ void RtvirtGuestChannel::OnEvent(uint32_t /*kind*/, uint64_t payload) {
   // accepted requests within it), so normal operation is safe either way and
   // the next guest request right-sizes the reservation.
   if (rc == kHypercallOk) {
-    st.granted = st.desired;
-    st.granted_period = st.desired_period;
+    st.granted = args.bw_a;
   }
   st.degraded = false;
   st.repair_backoff = 0;
@@ -168,8 +165,6 @@ int64_t RtvirtGuestChannel::RequestBandwidth(Vcpu* vcpu, Bandwidth rta_bw, TimeN
     if (padded <= st.granted) {
       st.rta_bw = rta_bw;
       st.rta_period = period;
-      st.desired = ConservativeBw(rta_bw, period);
-      st.desired_period = period;
       return kHypercallOk;
     }
     return kHypercallAgain;
@@ -186,7 +181,6 @@ int64_t RtvirtGuestChannel::RequestBandwidth(Vcpu* vcpu, Bandwidth rta_bw, TimeN
     st.rta_bw = rta_bw;
     st.rta_period = period;
     st.granted = padded;
-    st.granted_period = period;
     return rc;
   }
   if (rc == kHypercallAgain && options_.degraded_fallback) {
@@ -194,8 +188,6 @@ int64_t RtvirtGuestChannel::RequestBandwidth(Vcpu* vcpu, Bandwidth rta_bw, TimeN
     if (padded <= st.granted) {
       st.rta_bw = rta_bw;
       st.rta_period = period;
-      st.desired = ConservativeBw(rta_bw, period);
-      st.desired_period = period;
       return kHypercallOk;
     }
   }
@@ -225,12 +217,10 @@ int64_t RtvirtGuestChannel::MoveBandwidth(Vcpu* to, Bandwidth to_bw, TimeNs to_p
     st_to.rta_bw = to_bw;
     st_to.rta_period = to_period;
     st_to.granted = args.bw_a;
-    st_to.granted_period = to_period;
     VcpuState& st_from = StateOf(from);
     st_from.rta_bw = from_bw;
     st_from.rta_period = from_period;
     st_from.granted = args.bw_b;
-    st_from.granted_period = from_period;
   }
   return rc;
 }
@@ -241,10 +231,8 @@ void RtvirtGuestChannel::ReleaseBandwidth(Vcpu* vcpu, Bandwidth rta_bw, TimeNs p
   st.rta_bw = rta_bw;
   st.rta_period = period;
   if (st.degraded) {
-    // Channel is down; remember the smaller target and let the repair loop
-    // hand the surplus back when the channel heals.
-    st.desired = ConservativeBw(rta_bw, period);
-    st.desired_period = period;
+    // Channel is down; the smaller target is remembered above, and the
+    // repair loop hands the surplus back when the channel heals.
     return;
   }
   HypercallArgs args;
@@ -256,7 +244,6 @@ void RtvirtGuestChannel::ReleaseBandwidth(Vcpu* vcpu, Bandwidth rta_bw, TimeNs p
   int64_t rc = TryHypercall(vcpu, args);
   if (rc == kHypercallOk) {
     st.granted = args.bw_a;
-    st.granted_period = period;
   } else if (rc == kHypercallAgain && options_.degraded_fallback) {
     // The host kept the larger reservation (safe, merely wasteful); degrade
     // so the repair loop eventually shrinks it.
@@ -291,9 +278,8 @@ namespace {
 // share it.
 template <typename State, typename Io>
 void StateFields(State& st, Io& io) {
-  ckpt::Fields(io, st.rta_bw, st.rta_period, st.granted, st.granted_period, st.desired,
-               st.desired_period, st.degraded, st.cached_deadline, st.repair_backoff,
-               st.repair_scheduled);
+  ckpt::Fields(io, st.rta_bw, st.rta_period, st.granted, st.degraded, st.cached_deadline,
+               st.repair_backoff, st.repair_scheduled);
 }
 
 }  // namespace

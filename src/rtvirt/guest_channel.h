@@ -61,7 +61,9 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
 
   // Harness set-up, before the channel has carried any call: gives one VM
   // options other than the experiment-wide ones (e.g. a microsecond-period
-  // VM's smaller slack) without replacing the registered channel.
+  // VM's smaller slack) without replacing the registered channel. Options
+  // never change after the first call, so the repair probe can recompute
+  // its target from the last accepted request.
   void set_options(const GuestChannelOptions& options) { options_ = options; }
 
   int64_t RequestBandwidth(Vcpu* vcpu, Bandwidth rta_bw, TimeNs period,
@@ -105,15 +107,13 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
 
  private:
   struct VcpuState {
-    // Raw RTA demand of the last request the channel accepted.
+    // Raw RTA demand of the last request the channel accepted; while
+    // degraded, the repair loop reconciles towards
+    // ConservativeBw(rta_bw, rta_period).
     Bandwidth rta_bw;
     TimeNs rta_period = 0;
     // Padded reservation the host last acknowledged.
     Bandwidth granted;
-    TimeNs granted_period = 0;
-    // Reservation the repair loop reconciles towards while degraded.
-    Bandwidth desired;
-    TimeNs desired_period = 0;
     bool degraded = false;
     TimeNs cached_deadline = kTimeNever;  // Republished on recovery.
     TimeNs repair_backoff = 0;

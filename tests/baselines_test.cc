@@ -128,7 +128,6 @@ TEST(Credit, BoostServesWakingVmQuickly) {
 
 TEST(Credit, RatelimitDelaysPreemption) {
   ExperimentConfig cfg = BaseConfig(Framework::kCredit, 1);
-  cfg.credit.ratelimit = Us(500);
   Experiment exp(cfg);
   GuestOs* lat = exp.AddGuest("lat", 1);
   GuestOs* hog = exp.AddGuest("hog", 1);

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -112,11 +114,16 @@ TEST(CheckpointCorruptionTest, CrcMismatchFailsLoudly) {
 
 TEST(CheckpointCorruptionTest, UnknownSchemaVersionFailsLoudly) {
   std::string bytes = SavedScenarioBytes();
-  // u32 version sits right after the 8-byte magic (little-endian).
-  bytes[8] = 99;
-  ckpt::Image out;
-  std::string err = ckpt::Image::Parse(bytes, &out);
-  EXPECT_NE(err.find("unknown schema version 99"), std::string::npos) << err;
+  // u32 version sits right after the 8-byte magic (little-endian). Version 1
+  // is the format before each fact was stored once.
+  for (int version : {99, 1}) {
+    bytes[8] = static_cast<char>(version);
+    ckpt::Image out;
+    std::string err = ckpt::Image::Parse(bytes, &out);
+    EXPECT_NE(err.find("unknown schema version " + std::to_string(version) + " (supported: 2)"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(CheckpointCorruptionTest, BadMagicFailsLoudly) {
@@ -232,6 +239,11 @@ TEST(CheckpointRegistryDeathTest, ComponentUnderTwoNamesIsFatal) {
 // Byte-identical continuation: run->save->continue vs restore->continue must
 // serialize to the same bytes at the horizon.
 
+// The monitor's four totals, which it sums from its per-task records.
+std::tuple<uint64_t, uint64_t, double, TimeNs> MonitorTotals(const DeadlineMonitor& m) {
+  return {m.total_completed(), m.total_misses(), m.TotalMissRatio(), m.max_tardiness()};
+}
+
 TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
   CkptScenarioOptions opt;
   opt.horizon = Ms(600);
@@ -241,6 +253,7 @@ TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
   a->exp->Run(Ms(300));
   ckpt::Image mid;
   ASSERT_EQ(a->exp->SaveCheckpoint(&mid), "");
+  const auto mid_totals = MonitorTotals(a->monitor);
   a->exp->Run(Ms(600));
   ckpt::Image end_a;
   ASSERT_EQ(a->exp->SaveCheckpoint(&end_a), "");
@@ -248,6 +261,7 @@ TEST(CheckpointRoundTripTest, CalendarBackendContinuesByteIdentical) {
   auto b = BuildCkptScenario(opt);  // NOT started: restore rebuilds the chains.
   ASSERT_EQ(b->exp->RestoreCheckpoint(mid), "");
   EXPECT_EQ(b->exp->sim().Now(), Ms(300));
+  EXPECT_EQ(MonitorTotals(b->monitor), mid_totals);
   b->exp->Run(Ms(600));
   ckpt::Image end_b;
   ASSERT_EQ(b->exp->SaveCheckpoint(&end_b), "");
@@ -321,6 +335,37 @@ struct EveryKindRig {
       rtas.back()->set_admission_retry(Ms(3));
       exp->RegisterCheckpointable(rtas.back()->ckpt_section(), rtas.back().get());
     }
+  }
+
+  // What restore rebuilds instead of reading, one line per value: DP-WRAP's
+  // total, each VCPU's guest-side reserved bandwidth and minimum period and
+  // DP-WRAP reservation, and each task's VCPU index.
+  std::string DerivedState() const {
+    const DpWrapScheduler* dp = exp->dpwrap();
+    std::string out = "dpwrap total=" + std::to_string(dp->total_reserved().ppb()) + "\n";
+    for (const auto& g : exp->guests()) {
+      for (int k = 0; k < g->num_vcpus(); ++k) {
+        const Vcpu* v = g->vm()->vcpu(k);
+        out += v->name() + " reserved=" + std::to_string(g->VcpuReservedBw(k).ppb()) +
+               " min_period=" + std::to_string(g->VcpuMinPeriod(k)) +
+               " dpwrap=" + std::to_string(dp->ReservedBw(v).ppb()) + "\n";
+      }
+    }
+    for (const auto& rta : rtas) {
+      out += rta->task()->name() + " vcpu=" + std::to_string(rta->task()->vcpu_index()) + "\n";
+    }
+    return out;
+  }
+
+  // DP-WRAP's plan audit and every guest's invariant audit.
+  std::vector<std::string> Audits() const {
+    std::vector<std::string> violations = exp->dpwrap()->AuditPlan();
+    for (const auto& g : exp->guests()) {
+      for (const std::string& v : g->AuditInvariants()) {
+        violations.push_back(g->ckpt_section() + ": " + v);
+      }
+    }
+    return violations;
   }
 
   // Fresh path only. Registrations start after Run() has armed the injector
@@ -488,25 +533,19 @@ std::string RestoreWithPatchedSection(const std::string& name, Patch&& patch) {
 struct DpwrapLists {
   size_t reservations = 0;  // u32 count, then kReservationBytes records.
   size_t pins = 0;          // u32 count, then (u32 gid, u32 pcpu) pairs.
-  size_t plans = 0;         // u32 PCPU count, then per PCPU a u32 count + segments.
-  size_t segment_map = 0;   // u32 count, then (u32 gid, u32 count, segments).
-  static constexpr size_t kReservationBytes = 72;  // The pin sits at +36.
+  size_t plan = 0;          // u32 count, then kSegmentBytes segments.
+  static constexpr size_t kReservationBytes = 60;  // u32 gid, seven 8-byte fields.
   static constexpr size_t kSegmentBytes = 24;      // u32 gid, u32 pcpu, i64 x2.
 };
 
 DpwrapLists LocateDpwrapLists(const std::string& bytes) {
-  // 24 eight-byte scalars and counters, 2 flags and the tickle cursor come
-  // before the list of VCPU ids.
-  constexpr size_t kHeaderBytes = 24 * 8 + 2 + 4;
+  // 21 eight-byte scalars and counters, 2 flags, the tickle cursor and the
+  // VCPU count come before the reservations.
+  constexpr size_t kHeaderBytes = 21 * 8 + 2 + 4 + 4;
   DpwrapLists at;
-  at.reservations = kHeaderBytes + 4 + 4 * size_t{U32At(bytes, kHeaderBytes)};
+  at.reservations = kHeaderBytes;
   at.pins = at.reservations + 4 + DpwrapLists::kReservationBytes * U32At(bytes, at.reservations);
-  at.plans = at.pins + 4 + 8 * size_t{U32At(bytes, at.pins)};
-  size_t pos = at.plans + 4;
-  for (uint32_t p = U32At(bytes, at.plans); p > 0; --p) {
-    pos += 4 + DpwrapLists::kSegmentBytes * U32At(bytes, pos);
-  }
-  at.segment_map = pos;
+  at.plan = at.pins + 4 + 8 * size_t{U32At(bytes, at.pins)};
   return at;
 }
 
@@ -520,34 +559,18 @@ std::string RestoreWithPatchedDpwrap(Patch&& patch) {
 
 TEST(CheckpointRoundTripTest, DpwrapPatchOffsetsFollowTheSavedLayout) {
   EXPECT_EQ(RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
-              // The offsets land where the lists are: two reservations on a
-              // 4-PCPU machine, no pins, a segment on PCPU 0.
+              // The offsets land where the lists are: 4 VCPUs, two
+              // reservations, no pins, and a plan whose first segment is on
+              // one of the 4 PCPUs.
+              ASSERT_EQ(U32At(*bytes, at.reservations - 4), 4u);
               ASSERT_EQ(U32At(*bytes, at.reservations), 2u);
               ASSERT_EQ(U32At(*bytes, at.pins), 0u);
-              ASSERT_EQ(U32At(*bytes, at.plans), 4u);
-              ASSERT_GT(U32At(*bytes, at.plans + 4), 0u);
-              ASSERT_GT(U32At(*bytes, at.segment_map), 0u);
+              ASSERT_GT(U32At(*bytes, at.plan), 0u);
+              ASSERT_LT(U32At(*bytes, at.plan + 4 + 4), 4u);
+              ASSERT_EQ(bytes->size() - at.plan,
+                        4 + DpwrapLists::kSegmentBytes * U32At(*bytes, at.plan) + 4 + 4);
             }),
             "");
-}
-
-TEST(CheckpointRoundTripTest, DpwrapReservationPinOutOfRangeFailsRestoreLoudly) {
-  std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
-    PutU32(bytes, at.reservations + 4 + 36, 4);  // reservation[0] pinned to PCPU 4 of 4.
-  });
-  EXPECT_NE(err.find("dpwrap: reservation[0] pins VCPU 0 to invalid pcpu 4"), std::string::npos)
-      << err;
-}
-
-TEST(CheckpointRoundTripTest, DpwrapReservationPinDisagreeingWithAffinityFailsRestoreLoudly) {
-  // Affinity lives in the pin list, which sets none here; the reservation
-  // record repeats it.
-  std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
-    PutU32(bytes, at.reservations + 4 + 36, 2);
-  });
-  EXPECT_NE(err.find("dpwrap: reservation of VCPU 0 pins pcpu 2 but its affinity is -1"),
-            std::string::npos)
-      << err;
 }
 
 TEST(CheckpointRoundTripTest, DpwrapPendingPinOutOfRangeFailsRestoreLoudly) {
@@ -572,37 +595,18 @@ TEST(CheckpointRoundTripTest, DpwrapPendingPinOutOfRangeFailsRestoreLoudly) {
 }
 
 TEST(CheckpointRoundTripTest, DpwrapSegmentPcpuOutOfRangeFailsRestoreLoudly) {
-  // The first segment of PCPU 0's plan, then the first of the per-VCPU lists.
+  // The first segment of the plan.
   std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
-    PutU32(bytes, at.plans + 8 + 4, 9);
+    PutU32(bytes, at.plan + 4 + 4, 9);
   });
   EXPECT_NE(err.find("dpwrap: plan segment of VCPU"), std::string::npos) << err;
   EXPECT_NE(err.find("names invalid pcpu 9"), std::string::npos) << err;
-  err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
-    PutU32(bytes, at.segment_map + 12 + 4, 9);
-  });
-  EXPECT_NE(err.find("dpwrap: segment map entry of VCPU"), std::string::npos) << err;
-  EXPECT_NE(err.find("names invalid pcpu 9"), std::string::npos) << err;
-}
-
-TEST(CheckpointRoundTripTest, DpwrapSegmentListOutOfOrderFailsRestoreLoudly) {
-  // Per-VCPU segment lists are saved in global-id order, one list per VCPU;
-  // a repeated id would re-point that VCPU's list.
-  std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
-    ASSERT_GE(U32At(*bytes, at.segment_map), 2u);
-    uint32_t first = U32At(*bytes, at.segment_map + 4);
-    size_t second =
-        at.segment_map + 12 + DpwrapLists::kSegmentBytes * U32At(*bytes, at.segment_map + 8);
-    PutU32(bytes, second, first);
-  });
-  EXPECT_NE(err.find("dpwrap: segment map lists VCPU"), std::string::npos) << err;
-  EXPECT_NE(err.find("out of global-id order"), std::string::npos) << err;
 }
 
 TEST(CheckpointRoundTripTest, DpwrapCursorOutOfRangeFailsRestoreLoudly) {
   // The best-effort cursor (u64) and the wake-tickle cursor (u32) follow the
-  // five leading scalars and the replan-pending flag.
-  constexpr size_t kBeCursor = 5 * 8 + 1;
+  // three leading scalars and the replan-pending flag.
+  constexpr size_t kBeCursor = 3 * 8 + 1;
   std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists&) {
     PutU32(bytes, kBeCursor, 4);  // 4 VCPUs: valid cursors are 0..3.
   });
@@ -622,12 +626,15 @@ TEST(CheckpointRoundTripTest, DpwrapDuplicateReservationFailsRestoreLoudly) {
       << err;
 }
 
-// Speeds divide guest work into wall time, and a task's VCPU index indexes
-// its guest's VCPUs, so the machine and guest restores check them too.
+// Machine section offsets: nine counters and two counts, then 31-byte PCPU
+// records (online flag, i64 speed, u32 current VCPU global id or -1, ...).
+constexpr size_t kPcpuRecords = 9 * 8 + 2 * 4;
+constexpr size_t kPcpuRecordBytes = 31;
+
+// Speeds divide guest work into wall time, so the machine and guest restores
+// check them.
 TEST(CheckpointRoundTripTest, MachinePcpuSpeedOutOfRangeFailsRestoreLoudly) {
-  // Nine counters and two counts, then 39-byte PCPU records whose speed
-  // follows the online flag.
-  constexpr size_t kPcpu2Speed = 9 * 8 + 2 * 4 + 2 * 39 + 1;
+  constexpr size_t kPcpu2Speed = kPcpuRecords + 2 * kPcpuRecordBytes + 1;
   for (int64_t speed : {int64_t{0}, Bandwidth::kUnit + 1}) {
     std::string err =
         RestoreWithPatchedSection(Machine::kCkptSection, [speed](std::string* bytes) {
@@ -644,32 +651,35 @@ TEST(CheckpointRoundTripTest, MachinePcpuSpeedOutOfRangeFailsRestoreLoudly) {
 // Byte offsets of fields in a guest section, found by walking it the way
 // GuestOs::SaveState writes it.
 struct GuestFields {
-  size_t task0_slice = 0;  // i64 slice of task[0]; i64 period, bool sporadic,
-                           // u8 criticality and i64 min_slice follow.
-  size_t task0_vcpu = 0;   // u32 VCPU index of task[0].
-  size_t vcpu0_speed = 0;  // i64 run speed of VCPU 0.
+  size_t task0_slice = 0;       // i64 slice of task[0]; i64 period, bool sporadic,
+                                // u8 criticality and i64 min_slice follow.
+  size_t task0_registered = 0;  // bool registered of task[0]; bool shed follows.
+  size_t vcpu0_pins = 0;        // u32 pin-set count of VCPU 0, then u32 task indices.
+  size_t vcpu1_pins = 0;
+  size_t vcpu0_speed = 0;       // i64 run speed of VCPU 0.
 };
 
 GuestFields LocateGuestFields(const std::string& bytes) {
-  // Two totals, the background cursor, two tick counters and six overload
-  // stats come before the task list.
-  constexpr size_t kHeaderBytes = 3 * 8 + 2 * 4 + 6 * 8;
+  // The background cursor, two tick counters and six overload stats come
+  // before the task list.
+  constexpr size_t kHeaderBytes = 8 + 2 * 4 + 6 * 8;
   GuestFields at;
   size_t pos = kHeaderBytes + 4;
   for (uint32_t t = U32At(bytes, kHeaderBytes); t > 0; --t) {
     pos += 4 + U32At(bytes, pos);  // The name.
-    if (at.task0_vcpu == 0) {
-      // After kind, slice, period, sporadic, criticality, min_slice and the
-      // registered flag.
+    if (at.task0_slice == 0) {
+      // After kind, then slice, period, sporadic, criticality and min_slice.
       at.task0_slice = pos + 1;
-      at.task0_vcpu = pos + 28;
+      at.task0_registered = pos + 27;
     }
-    // The fixed fields, then the jobs (32 bytes each) counted at +57.
-    pos += 61 + 32 * size_t{U32At(bytes, pos + 57)};
+    // The fixed fields, then the jobs (32 bytes each) counted at +53.
+    pos += 57 + 32 * size_t{U32At(bytes, pos + 53)};
   }
-  // VCPU 0: its pin set, then reserved, capacity, min_period, on_cpu,
-  // running and run_start.
-  at.vcpu0_speed = pos + 4 + 4 + 4 * size_t{U32At(bytes, pos + 4)} + 37;
+  // Each VCPU: its pin set, then capacity, on_cpu, running, run_start and
+  // run speed (29 bytes).
+  at.vcpu0_pins = pos + 4;
+  at.vcpu0_speed = at.vcpu0_pins + 4 + 4 * size_t{U32At(bytes, at.vcpu0_pins)} + 21;
+  at.vcpu1_pins = at.vcpu0_speed + 8;
   return at;
 }
 
@@ -687,15 +697,40 @@ TEST(CheckpointRoundTripTest, GuestRunSpeedOutOfRangeFailsRestoreLoudly) {
   }
 }
 
-TEST(CheckpointRoundTripTest, GuestTaskVcpuOutOfRangeFailsRestoreLoudly) {
-  for (int vcpu : {2, -2}) {
-    std::string err = RestoreWithPatchedSection("guest.0", [vcpu](std::string* bytes) {
-      size_t at = LocateGuestFields(*bytes).task0_vcpu;
-      ASSERT_LT(U32At(*bytes, at), 2u);  // vm0.cam is pinned to one of two VCPUs.
-      PutU32(bytes, at, static_cast<uint32_t>(vcpu));
+// The pin sets are the one record of where a task runs, so restore rejects
+// pin sets the live code cannot produce: a task in two of them, and a pinned
+// task that is not registered or is shed.
+TEST(CheckpointRoundTripTest, GuestTaskInTwoPinSetsFailsRestoreLoudly) {
+  std::string err = RestoreWithPatchedSection("guest.0", [](std::string* bytes) {
+    GuestFields at = LocateGuestFields(*bytes);
+    ASSERT_GT(U32At(*bytes, at.vcpu0_pins), 0u);
+    uint32_t task = U32At(*bytes, at.vcpu0_pins + 4);
+    ASSERT_EQ(task, 0u);  // vm0.cam is pinned to VCPU 0.
+    ckpt::Writer pin;
+    pin.U32(task);
+    bytes->insert(at.vcpu1_pins + 4, pin.data());
+    PutU32(bytes, at.vcpu1_pins, U32At(*bytes, at.vcpu1_pins) + 1);
+  });
+  EXPECT_NE(err.find("guest.0: task 'vm0.cam' is in the pin sets of vcpu 0 and vcpu 1"),
+            std::string::npos)
+      << err;
+}
+
+TEST(CheckpointRoundTripTest, GuestPinnedTaskNotRegisteredFailsRestoreLoudly) {
+  struct Patch {
+    size_t offset;  // From task[0]'s registered flag.
+    uint8_t value;
+    const char* state;  // As the error names it.
+  };
+  for (const Patch& patch : {Patch{0, 0, "not registered"}, Patch{1, 1, "marked shed"}}) {
+    std::string err = RestoreWithPatchedSection("guest.0", [&patch](std::string* bytes) {
+      size_t at = LocateGuestFields(*bytes).task0_registered;
+      ASSERT_EQ((*bytes)[at], 1);      // vm0.cam: registered,
+      ASSERT_EQ((*bytes)[at + 1], 0);  // not shed.
+      (*bytes)[at + patch.offset] = static_cast<char>(patch.value);
     });
-    EXPECT_NE(err.find("guest.0: task 'vm0.cam' pinned to invalid vcpu " +
-                       std::to_string(vcpu) + " of 2"),
+    EXPECT_NE(err.find(std::string("guest.0: task 'vm0.cam' is in the pin set of vcpu 0 but ") +
+                       patch.state),
               std::string::npos)
         << err;
   }
@@ -740,38 +775,53 @@ TEST(CheckpointRoundTripTest, GuestTaskParamsOutOfRangeFailRestoreLoudly) {
       << err;
 }
 
-// Each dispatch is saved from both ends, the PCPU's current VCPU and the
-// VCPU's PCPU; restore rejects an image where the two disagree.
+// Each dispatch is saved once, as the PCPU's current VCPU, and the VCPU's
+// PCPU derives from it; restore rejects a VCPU on two PCPUs, a current VCPU
+// that is not running, and a running VCPU that no PCPU runs.
 TEST(CheckpointRoundTripTest, MachineDispatchDisagreementFailsRestoreLoudly) {
-  // Nine counters and two counts, then 39-byte PCPU records whose current
-  // VCPU (u32 global id, -1 for none) follows the online flag and speed.
-  auto current_at = [](int pcpu) { return size_t{9 * 8 + 2 * 4 + 9} + 39 * pcpu; };
+  // The current VCPU (u32 global id, -1 for none) follows the online flag
+  // and the speed.
+  auto current_at = [](int pcpu) { return kPcpuRecords + 9 + kPcpuRecordBytes * pcpu; };
   constexpr uint32_t kNone = 0xFFFFFFFFu;
   int busy = -1;
   int idle = -1;
+  uint32_t not_running = 0;  // A VCPU no PCPU runs (4 VCPUs, some PCPU idle).
   auto find_pcpus = [&](const std::string& bytes) {
+    std::set<uint32_t> running;
     for (int p = 0; p < 4; ++p) {
-      (U32At(bytes, current_at(p)) == kNone ? idle : busy) = p;
+      uint32_t current = U32At(bytes, current_at(p));
+      (current == kNone ? idle : busy) = p;
+      running.insert(current);
     }
     ASSERT_GE(busy, 0);
     ASSERT_GE(idle, 0);
+    while (running.count(not_running) > 0) {
+      ++not_running;
+    }
   };
   // A busy PCPU's VCPU listed as current on an idle PCPU too.
   std::string err = RestoreWithPatchedSection(Machine::kCkptSection, [&](std::string* bytes) {
     find_pcpus(*bytes);
     PutU32(bytes, current_at(idle), U32At(*bytes, current_at(busy)));
   });
+  EXPECT_NE(err.find(" runs on pcpu " + std::to_string(std::min(busy, idle)) + " and pcpu " +
+                     std::to_string(std::max(busy, idle))),
+            std::string::npos)
+      << err;
+  // An idle PCPU listing a VCPU that is not running.
+  err = RestoreWithPatchedSection(Machine::kCkptSection, [&](std::string* bytes) {
+    find_pcpus(*bytes);
+    PutU32(bytes, current_at(idle), not_running);
+  });
   EXPECT_NE(err.find("machine: pcpu " + std::to_string(idle) + " runs VCPU "), std::string::npos)
       << err;
-  EXPECT_NE(err.find(", which is not running there"), std::string::npos) << err;
-  // A busy PCPU listed idle while its VCPU still names it.
+  EXPECT_NE(err.find(", which is not running"), std::string::npos) << err;
+  // A busy PCPU listed idle while its VCPU is still running.
   err = RestoreWithPatchedSection(Machine::kCkptSection, [&](std::string* bytes) {
     find_pcpus(*bytes);
     PutU32(bytes, current_at(busy), kNone);
   });
-  EXPECT_NE(err.find(" names pcpu " + std::to_string(busy) + ", which does not run it"),
-            std::string::npos)
-      << err;
+  EXPECT_NE(err.find(" is running but no pcpu runs it"), std::string::npos) << err;
 }
 
 // The canonical scenario's committed digest trail (rtvirt_runner --seed=7
@@ -814,12 +864,14 @@ TEST(CheckpointGoldenTrailTest, AllLayersRigMatchesRecordedTrail) {
   rig.Start();
   std::vector<IntervalDigest> actual;
   std::vector<ckpt::Image> images(16);
+  std::vector<std::string> derived(16);  // What each image leaves to restore.
   bool gedf_registered = false;  // Registered and unpinned.
   for (int i = 0; i < 16; ++i) {
     TimeNs t = Ms(10) * (i + 1);
     rig.exp->Run(t);
     ASSERT_EQ(rig.exp->SaveCheckpoint(&images[i]), "") << "t=" << t;
     actual.push_back(IntervalDigest{i, t, ckpt::DigestOf(images[i])});
+    derived[i] = rig.DerivedState();
     const Task* gedf = rig.rtas[8]->task();
     gedf_registered = gedf_registered || (gedf->registered() && gedf->vcpu_index() == -1);
   }
@@ -832,10 +884,15 @@ TEST(CheckpointGoldenTrailTest, AllLayersRigMatchesRecordedTrail) {
   EXPECT_FALSE(report.diverged) << report.summary << "\nthis build's trail:\n"
                                 << TrailToText(actual);
 
+  // The digests do not cover derived values, so each restore's rebuilt
+  // values are compared with the saving run's, and the restored state
+  // passes the plan and guest audits.
   const std::string end = images.back().Serialize();
   for (size_t i = 0; i + 1 < images.size(); ++i) {
     EveryKindRig b(/*all_layers=*/true);
     ASSERT_EQ(b.exp->RestoreCheckpoint(images[i]), "") << "split " << i;
+    EXPECT_EQ(b.DerivedState(), derived[i]) << "split " << i;
+    EXPECT_EQ(b.Audits(), std::vector<std::string>{}) << "split " << i;
     b.exp->Run(EveryKindRig::kHorizon);
     ckpt::Image end_b;
     ASSERT_EQ(b.exp->SaveCheckpoint(&end_b), "");
