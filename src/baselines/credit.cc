@@ -1,8 +1,8 @@
 #include "src/baselines/credit.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "src/common/check.h"
 #include "src/hv/machine.h"
 
 namespace rtvirt {
@@ -36,18 +36,9 @@ void CreditScheduler::OnEvent(uint32_t kind, uint64_t payload) {
 }
 
 void CreditScheduler::VcpuInserted(Vcpu* vcpu) {
-  all_vcpus_.push_back(vcpu);
-  CreditState st;
-  st.vcpu = vcpu;
-  states_[vcpu] = st;
-}
-
-int CreditScheduler::TotalWeight() const {
-  int total = 0;
-  for (const Vcpu* v : all_vcpus_) {
-    total += v->vm()->weight();
-  }
-  return total;
+  RTVIRT_CHECK(vcpu->global_id() == static_cast<int>(states_.size()),
+               "credit: VCPU %s inserted out of global-id order", vcpu->name().c_str());
+  states_.emplace_back().vcpu = vcpu;
 }
 
 void CreditScheduler::Tick(int pcpu_id) {
@@ -65,8 +56,11 @@ void CreditScheduler::Accounting() {
     machine_->pcpu(i)->SettleAccounting();  // Charge consumption to this window.
   }
   TimeNs pool = config_.timeslice * machine_->num_pcpus();
-  int total_weight = TotalWeight();
-  for (auto& [v, st] : states_) {
+  int total_weight = 0;
+  for (const CreditState& st : states_) {
+    total_weight += st.vcpu->vm()->weight();
+  }
+  for (CreditState& st : states_) {
     if (total_weight > 0) {
       st.credits += pool * st.vcpu->vm()->weight() / total_weight;
     }
@@ -83,14 +77,15 @@ void CreditScheduler::Accounting() {
   }
 }
 
-void CreditScheduler::SetCap(Vcpu* vcpu, Bandwidth cap) { states_[vcpu].cap = cap; }
+void CreditScheduler::SetCap(Vcpu* vcpu, Bandwidth cap) {
+  size_t gid = static_cast<size_t>(vcpu->global_id());
+  RTVIRT_CHECK(gid < states_.size() && states_[gid].vcpu == vcpu,
+               "SetCap: VCPU %s is not on this scheduler's machine", vcpu->name().c_str());
+  states_[gid].cap = cap;
+}
 
 void CreditScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
-  auto it = states_.find(vcpu);
-  if (it == states_.end()) {
-    return;
-  }
-  CreditState& st = it->second;
+  CreditState& st = states_[vcpu->global_id()];
   st.credits -= ran;
   st.window_consumed += ran;
   if (st.cap > Bandwidth::Zero() && st.window_consumed >= st.cap.SliceOf(config_.timeslice)) {
@@ -106,7 +101,7 @@ void CreditScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
 }
 
 void CreditScheduler::VcpuWake(Vcpu* vcpu) {
-  CreditState& st = states_[vcpu];
+  CreditState& st = states_[vcpu->global_id()];
   if (st.credits >= 0) {
     st.priority = Priority::kBoost;  // Boost on wake from idle.
     st.boost_ran = 0;
@@ -123,9 +118,9 @@ void CreditScheduler::VcpuWake(Vcpu* vcpu) {
       p->RequestReschedule();
       return;
     }
-    auto it = states_.find(p->current());
-    if (it != states_.end() && it->second.priority > victim_pri) {
-      victim_pri = it->second.priority;
+    Priority pri = states_[p->current()->global_id()].priority;
+    if (pri > victim_pri) {
+      victim_pri = pri;
       victim = p;
     }
   }
@@ -139,15 +134,14 @@ ScheduleDecision CreditScheduler::PickNext(Pcpu* pcpu) {
   Vcpu* cur = pcpu->current();
   if (cur != nullptr && !cur->blocked()) {
     // Honor the ratelimit: do not preempt a VCPU that just started.
-    const CreditState& st = states_[cur];
+    const CreditState& st = states_[cur->global_id()];
     if (!st.capped_out && now < st.dispatched_at + kRatelimit) {
       return ScheduleDecision{cur, st.dispatched_at + kRatelimit};
     }
   }
   CreditState* best = nullptr;
-  // Insertion order: deterministic round-robin tie-breaking.
-  for (Vcpu* vcpu : all_vcpus_) {
-    CreditState& st = states_[vcpu];
+  // Global-id order: deterministic round-robin tie-breaking.
+  for (CreditState& st : states_) {
     bool continuing = st.vcpu->running() && st.vcpu->pcpu() == pcpu;
     if (!st.vcpu->runnable() && !continuing) {
       continue;

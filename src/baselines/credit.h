@@ -17,7 +17,6 @@
 #define SRC_BASELINES_CREDIT_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/time.h"
@@ -45,7 +44,8 @@ class CreditScheduler : public HostScheduler, public EventTarget {
 
   // Xen Credit "cap": an upper bound on the CPU a VCPU may consume per
   // accounting window, even when the host is idle (0 = uncapped). The paper
-  // uses caps to bound each VM to its allocated bandwidth in Figure 5b.
+  // uses caps to bound each VM to its allocated bandwidth in Figure 5b. A
+  // VCPU on another machine is fatal.
   void SetCap(Vcpu* vcpu, Bandwidth cap);
 
   std::string_view name() const override { return "credit"; }
@@ -80,11 +80,11 @@ class CreditScheduler : public HostScheduler, public EventTarget {
 
   void Accounting();
   void Tick(int pcpu_id);
-  int TotalWeight() const;
 
   CreditConfig config_;
-  std::unordered_map<const Vcpu*, CreditState> states_;
-  std::vector<Vcpu*> all_vcpus_;
+  // Indexed by Vcpu::global_id(), which the machine hands out densely in
+  // VcpuInserted order; also the round-robin tie-breaking order.
+  std::vector<CreditState> states_;
   Simulator::EventId accounting_event_;
   int tickle_cursor_ = 0;
   std::vector<Simulator::EventId> tick_events_;

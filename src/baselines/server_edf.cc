@@ -1,8 +1,8 @@
 #include "src/baselines/server_edf.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "src/common/check.h"
 #include "src/hv/machine.h"
 
 namespace rtvirt {
@@ -22,48 +22,54 @@ void ServerEdfScheduler::Attach(Machine* machine) {
 
 void ServerEdfScheduler::OnEvent(uint32_t kind, uint64_t payload) {
   if (kind == kEvReplenish) {
-    return Replenish(machine_->VcpuByGlobalId(static_cast<int>(payload)));
+    return Replenish(servers_[payload]);
   }
   machine_->pcpu(static_cast<int>(payload))->RequestReschedule();  // kEvQuantum.
   quantum_ticks_[payload] = machine_->sim()->After(config_.quantum, this, kEvQuantum, payload);
 }
 
-void ServerEdfScheduler::VcpuInserted(Vcpu* vcpu) { all_vcpus_.push_back(vcpu); }
-
-void ServerEdfScheduler::SetServer(Vcpu* vcpu, ServerParams params) {
-  assert(params.budget > 0 && params.period >= params.budget);
-  Server& s = servers_[vcpu];
-  machine_->sim()->Cancel(s.replenish_event);
-  s.vcpu = vcpu;
-  s.params = params;
-  Replenish(vcpu);
+void ServerEdfScheduler::VcpuInserted(Vcpu* vcpu) {
+  RTVIRT_CHECK(vcpu->global_id() == static_cast<int>(servers_.size()),
+               "server-gedf: VCPU %s inserted out of global-id order", vcpu->name().c_str());
+  servers_.emplace_back().vcpu = vcpu;
 }
 
-void ServerEdfScheduler::Replenish(Vcpu* vcpu) {
+void ServerEdfScheduler::SetServer(Vcpu* vcpu, ServerParams params) {
+  size_t gid = static_cast<size_t>(vcpu->global_id());
+  RTVIRT_CHECK(gid < servers_.size() && servers_[gid].vcpu == vcpu,
+               "SetServer: VCPU %s is not on this scheduler's machine", vcpu->name().c_str());
+  RTVIRT_CHECK(params.budget > 0 && params.period >= params.budget,
+               "SetServer: VCPU %s needs 0 < budget <= period", vcpu->name().c_str());
+  Server& s = servers_[gid];
+  machine_->sim()->Cancel(s.replenish_event);
+  s.params = params;
+  Replenish(s);
+}
+
+void ServerEdfScheduler::Replenish(Server& s) {
   // Settle any in-flight consumption first, so it is charged against the
   // old budget and not silently deducted from the fresh one.
-  if (vcpu->running()) {
-    vcpu->pcpu()->SettleAccounting();
+  if (s.vcpu->running()) {
+    s.vcpu->pcpu()->SettleAccounting();
   }
-  Server& s = servers_[vcpu];
   TimeNs now = machine_->sim()->Now();
   // Quantum-driven overruns (negative budget) are repaid here; positive
   // leftovers (deferrable) are preserved but never exceed one budget.
   s.budget = std::min(s.params.budget, s.budget + s.params.budget);
   s.deadline = now + s.params.period;
   s.replenish_event = machine_->sim()->After(s.params.period, this, kEvReplenish,
-                                             static_cast<uint64_t>(vcpu->global_id()));
-  if (vcpu->runnable() || vcpu->running()) {
-    TickleFor(vcpu);
+                                             static_cast<uint64_t>(s.vcpu->global_id()));
+  if (s.vcpu->runnable() || s.vcpu->running()) {
+    TickleFor(s.vcpu);
   }
 }
 
 void ServerEdfScheduler::AccountRun(Vcpu* vcpu, TimeNs ran) {
-  auto it = servers_.find(vcpu);
-  if (it != servers_.end()) {
+  Server& s = servers_[vcpu->global_id()];
+  if (s.params.budget > 0) {
     // May go negative in quantum-driven mode (enforcement lag); the debt is
     // repaid at replenishment.
-    it->second.budget -= ran;
+    s.budget -= ran;
   }
 }
 
@@ -84,11 +90,11 @@ void ServerEdfScheduler::TickleFor(Vcpu* vcpu) {
       p->RequestReschedule();
       return;
     }
-    auto it = servers_.find(cur);
-    if (it == servers_.end()) {
+    const Server& running = servers_[cur->global_id()];
+    if (running.params.budget == 0) {
       best_effort_pcpu = p;
-    } else if (it->second.deadline > latest_deadline) {
-      latest_deadline = it->second.deadline;
+    } else if (running.deadline > latest_deadline) {
+      latest_deadline = running.deadline;
       latest_pcpu = p;
     }
   }
@@ -96,26 +102,27 @@ void ServerEdfScheduler::TickleFor(Vcpu* vcpu) {
     best_effort_pcpu->RequestReschedule();
     return;
   }
-  auto it = servers_.find(vcpu);
-  if (it != servers_.end() && latest_pcpu != nullptr && it->second.deadline < latest_deadline) {
+  const Server& s = servers_[vcpu->global_id()];
+  if (s.params.budget > 0 && latest_pcpu != nullptr && s.deadline < latest_deadline) {
     latest_pcpu->RequestReschedule();
   }
 }
 
 void ServerEdfScheduler::VcpuWake(Vcpu* vcpu) {
-  auto it = servers_.find(vcpu);
-  if (it == servers_.end() || it->second.budget > 0) {
+  const Server& s = servers_[vcpu->global_id()];
+  if (s.params.budget == 0 || s.budget > 0) {
     TickleFor(vcpu);
   }
 }
 
 Vcpu* ServerEdfScheduler::PickBestEffort(Pcpu* pcpu) {
-  size_t n = all_vcpus_.size();
+  size_t n = servers_.size();
   for (size_t i = 0; i < n; ++i) {
-    Vcpu* v = all_vcpus_[(be_cursor_ + i) % n];
-    if (servers_.find(v) != servers_.end()) {
+    const Server& s = servers_[(be_cursor_ + i) % n];
+    if (s.params.budget > 0) {
       continue;  // Depleted servers wait for replenishment (non-work-conserving).
     }
+    Vcpu* v = s.vcpu;
     bool continuing = v->running() && v->pcpu() == pcpu;
     if (!v->runnable() && !continuing) {
       continue;
@@ -130,13 +137,8 @@ ScheduleDecision ServerEdfScheduler::PickNext(Pcpu* pcpu) {
   TimeNs now = machine_->sim()->Now();
   Server* best = nullptr;
   // Iterate in VCPU insertion order so EDF tie-breaking is deterministic.
-  for (Vcpu* v : all_vcpus_) {
-    auto it = servers_.find(v);
-    if (it == servers_.end()) {
-      continue;
-    }
-    Server& s = it->second;
-    if (s.budget <= 0) {
+  for (Server& s : servers_) {
+    if (s.params.budget == 0 || s.budget <= 0) {
       continue;
     }
     bool continuing = s.vcpu->running() && s.vcpu->pcpu() == pcpu;

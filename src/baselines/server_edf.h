@@ -14,7 +14,6 @@
 #define SRC_BASELINES_SERVER_EDF_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/time.h"
@@ -45,7 +44,8 @@ class ServerEdfScheduler : public HostScheduler, public EventTarget {
   explicit ServerEdfScheduler(ServerEdfConfig config = {});
 
   // Configures (or reconfigures) a VCPU's server interface. The first period
-  // starts at the current simulation time.
+  // starts at the current simulation time. A VCPU on another machine, or
+  // params outside 0 < budget <= period, is fatal.
   void SetServer(Vcpu* vcpu, ServerParams params);
 
   std::string_view name() const override { return "server-gedf"; }
@@ -64,20 +64,21 @@ class ServerEdfScheduler : public HostScheduler, public EventTarget {
   };
   struct Server {
     Vcpu* vcpu = nullptr;
-    ServerParams params;
+    ServerParams params;  // Budget 0 until SetServer: a best-effort VCPU.
     TimeNs budget = 0;    // Remaining budget in the current period.
     TimeNs deadline = 0;  // End of the current period (EDF key).
     Simulator::EventId replenish_event;
   };
 
-  void Replenish(Vcpu* vcpu);
+  void Replenish(Server& s);
   // Preempt the PCPU running the lowest-priority work if `vcpu` beats it.
   void TickleFor(Vcpu* vcpu);
   Vcpu* PickBestEffort(Pcpu* pcpu);
 
   ServerEdfConfig config_;
-  std::unordered_map<const Vcpu*, Server> servers_;
-  std::vector<Vcpu*> all_vcpus_;
+  // Indexed by Vcpu::global_id(), which the machine hands out densely in
+  // VcpuInserted order; also the EDF tie-break and round-robin order.
+  std::vector<Server> servers_;
   std::vector<Simulator::EventId> quantum_ticks_;
   size_t be_cursor_ = 0;
   int tickle_cursor_ = 0;

@@ -64,6 +64,8 @@ void SloController::Watch(GuestOs* guest, Task* task, RtvirtGuestChannel* channe
                           TenantOptions opts) {
   RTVIRT_CHECK(task->is_rta() && task->registered(),
                "control: Watch() requires a registered RTA");
+  RTVIRT_CHECK(Find(task) == tenants_.size(), "control: task %s is already watched",
+               task->name().c_str());
   Tenant t(config_.window);
   t.guest = guest;
   t.task = task;
@@ -79,7 +81,6 @@ void SloController::Watch(GuestOs* guest, Task* task, RtvirtGuestChannel* channe
   RTVIRT_CHECK(t.min_slice <= t.cur_slice && t.cur_slice <= t.max_slice,
                "control: slice bounds exclude the registered slice");
   task->set_observer(this);
-  by_task_[task] = tenants_.size();
   tenants_.push_back(std::move(t));
 }
 
@@ -91,10 +92,17 @@ void SloController::Arm() {
   sim_->After(config_.decision_period, this, 0);
 }
 
+size_t SloController::Find(const Task* task) const {
+  return static_cast<size_t>(
+      std::find_if(tenants_.begin(), tenants_.end(),
+                   [task](const Tenant& t) { return t.task == task; }) -
+      tenants_.begin());
+}
+
 void SloController::OnJobCompleted(const Task& task, const Job& job, TimeNs completion) {
-  auto it = by_task_.find(&task);
-  if (it != by_task_.end()) {
-    Tenant& t = tenants_[it->second];
+  size_t i = Find(&task);
+  if (i < tenants_.size()) {
+    Tenant& t = tenants_[i];
     t.window.Add(completion - job.release, completion);
     t.work_since_tick += static_cast<uint64_t>(job.work);
     ++stats_.control_samples;
@@ -105,18 +113,18 @@ void SloController::OnJobCompleted(const Task& task, const Job& job, TimeNs comp
 }
 
 TimeNs SloController::CurrentSlice(const Task* task) const {
-  auto it = by_task_.find(task);
-  return it == by_task_.end() ? 0 : tenants_[it->second].cur_slice;
+  size_t i = Find(task);
+  return i < tenants_.size() ? tenants_[i].cur_slice : 0;
 }
 
 bool SloController::Frozen(const Task* task) const {
-  auto it = by_task_.find(task);
-  return it != by_task_.end() && tenants_[it->second].frozen;
+  size_t i = Find(task);
+  return i < tenants_.size() && tenants_[i].frozen;
 }
 
 bool SloController::Saturated(const Task* task) const {
-  auto it = by_task_.find(task);
-  return it != by_task_.end() && tenants_[it->second].saturated;
+  size_t i = Find(task);
+  return i < tenants_.size() && tenants_[i].saturated;
 }
 
 bool SloController::ChannelHealthy(const Tenant& t) const {

@@ -32,7 +32,6 @@
 #define SRC_CONTROL_SLO_CONTROLLER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/time.h"
@@ -91,7 +90,8 @@ class SloController : public JobObserver, public EventTarget {
   // itself as the task's observer, forwarding completions to whatever
   // observer was installed before (deadline monitors keep working).
   // `channel` may be null (non-RTVirt framework): the degraded-channel
-  // fail-static trigger is then disabled for this tenant.
+  // fail-static trigger is then disabled for this tenant. Watching a task
+  // twice is fatal.
   void Watch(GuestOs* guest, Task* task, RtvirtGuestChannel* channel,
              TenantOptions opts);
   void Watch(GuestOs* guest, Task* task, RtvirtGuestChannel* channel) {
@@ -101,10 +101,8 @@ class SloController : public JobObserver, public EventTarget {
   // Schedules the periodic decision tick. Idempotent; called by the
   // Experiment on first Run().
   void Arm();
-  bool armed() const { return armed_; }
 
   const ControlStats& stats() const { return stats_; }
-  int num_tenants() const { return static_cast<int>(tenants_.size()); }
 
   // Introspection (tests, benches).
   TimeNs CurrentSlice(const Task* task) const;
@@ -167,11 +165,12 @@ class SloController : public JobObserver, public EventTarget {
   void EnterSaturation(Tenant& t);
   void ResolveSaturation(Tenant& t);
   void EnterFrozen(Tenant& t, TimeNs now);
+  // Index in tenants_ of `task`'s tenant, or tenants_.size() if unwatched.
+  size_t Find(const Task* task) const;
 
   Simulator* sim_;
   ControlConfig config_;
   std::vector<Tenant> tenants_;
-  std::unordered_map<const Task*, size_t> by_task_;
   ControlStats stats_;
   bool armed_ = false;
 };

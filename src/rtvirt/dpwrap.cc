@@ -76,7 +76,6 @@ DpWrapScheduler::DpWrapScheduler(DpWrapConfig config) : config_(config) {}
 
 void DpWrapScheduler::Attach(Machine* machine) {
   HostScheduler::Attach(machine);
-  capacity_ = Bandwidth::Cpus(machine->num_pcpus());
   pcpu_segs_.resize(machine->num_pcpus());
   occupied_.resize(machine->num_pcpus());
   speeds_.resize(machine->num_pcpus());
@@ -240,10 +239,10 @@ int64_t DpWrapScheduler::TrustAdmitHypercall(Vcpu* caller, const HypercallArgs& 
 }
 
 void DpWrapScheduler::OverloadTick() {
-  double util = capacity_.ppb() > 0
-                    ? static_cast<double>(total_effective().ppb()) /
-                          static_cast<double>(capacity_.ppb())
-                    : 0.0;
+  Bandwidth cap = capacity();
+  double util = cap.ppb() > 0 ? static_cast<double>(total_effective().ppb()) /
+                                    static_cast<double>(cap.ppb())
+                              : 0.0;
   if (!pressure_) {
     // Admission rejections are the sharpest overload signal: a guest just
     // asked for bandwidth the host does not have. The watermark catches the
@@ -272,13 +271,13 @@ void DpWrapScheduler::OverloadTick() {
   for (const HeldDemand& h : held_demand_) {
     held += h.bw;
   }
-  Bandwidth limit = capacity_ + Bandwidth::FromPpb(config_.admission_epsilon_ppb);
+  Bandwidth limit = cap + Bandwidth::FromPpb(config_.admission_epsilon_ppb);
   // Advertise headroom against the *high watermark*, not the admission
   // limit: room the guests could legally take but that would immediately
   // re-raise pressure (util >= high_watermark) must not be advertised, or
   // resume -> watermark pressure -> shed becomes a steady limit cycle.
   Bandwidth watermark = Bandwidth::FromPpb(static_cast<int64_t>(
-      config_.overload.high_watermark * static_cast<double>(capacity_.ppb())));
+      config_.overload.high_watermark * static_cast<double>(cap.ppb())));
   limit = std::min(limit, watermark);
   Bandwidth eff = total_effective() + held;
   int64_t headroom_ppb = eff < limit ? (limit - eff).ppb() : 0;
@@ -296,7 +295,7 @@ void DpWrapScheduler::WatchdogTick() {
   bool changed = false;
   for (size_t i = 0; i < active_.size();) {
     int gid = active_[i];
-    if (!all_vcpus_[gid]->vm()->crashed()) {
+    if (!slots_[gid].vcpu->vm()->crashed()) {
       ++i;
       continue;
     }
@@ -356,7 +355,12 @@ Bandwidth DpWrapScheduler::total_effective() const {
 
 bool DpWrapScheduler::Owns(const Vcpu* vcpu) const {
   size_t gid = static_cast<size_t>(vcpu->global_id());
-  return gid < all_vcpus_.size() && all_vcpus_[gid] == vcpu;
+  return gid < slots_.size() && slots_[gid].vcpu == vcpu;
+}
+
+Bandwidth DpWrapScheduler::capacity() const {
+  return config_.pcpu_recovery.enabled ? machine_->EffectiveCapacity()
+                                       : Bandwidth::Cpus(machine_->num_pcpus());
 }
 
 const DpWrapScheduler::Reservation* DpWrapScheduler::FindReservation(const Vcpu* vcpu) const {
@@ -373,18 +377,17 @@ double DpWrapScheduler::TaxFactor(const Vcpu* vcpu) const {
 }
 
 void DpWrapScheduler::VcpuInserted(Vcpu* vcpu) {
-  RTVIRT_CHECK(vcpu->global_id() == static_cast<int>(all_vcpus_.size()),
+  RTVIRT_CHECK(vcpu->global_id() == static_cast<int>(slots_.size()),
                "DpWrapScheduler: VCPU with global id %d inserted as VCPU number %zu",
-               vcpu->global_id(), all_vcpus_.size());
-  all_vcpus_.push_back(vcpu);
-  slots_.emplace_back();
+               vcpu->global_id(), slots_.size());
+  slots_.emplace_back().vcpu = vcpu;
 }
 
 void DpWrapScheduler::SizePlanBuffers() {
   // A plan has one piece per reservation plus at most m-1 splits (more only
   // in the wrap layouts' overlap fallback, where push_back grows the
   // buffers). Doubling keeps the resizes few while VMs are still added.
-  size_t pieces = all_vcpus_.size() + pcpu_segs_.size();
+  size_t pieces = slots_.size() + pcpu_segs_.size();
   if (emitted_.capacity() >= pieces) {
     return;
   }
@@ -414,7 +417,7 @@ void DpWrapScheduler::SetAffinity(Vcpu* vcpu, int pcpu) {
 }
 
 int DpWrapScheduler::Affinity(const Vcpu* vcpu) const {
-  return Owns(vcpu) ? slots_[vcpu->global_id()].pin.value_or(-1) : -1;
+  return Owns(vcpu) ? slots_[vcpu->global_id()].pin : -1;
 }
 
 Bandwidth DpWrapScheduler::ReservedBw(const Vcpu* vcpu) const {
@@ -470,7 +473,7 @@ void DpWrapScheduler::Replan() {
     if (!slots_[gid].reserved) {
       continue;
     }
-    Vcpu* v = all_vcpus_[gid];
+    Vcpu* v = slots_[gid].vcpu;
     Reservation& res = slots_[gid].res;
     const SharedSchedPage& page = v->vm()->shared_page();
     TimeNs cand = page.next_deadline(v->index());
@@ -558,7 +561,7 @@ void DpWrapScheduler::Replan() {
   emitted_.clear();
   auto emit = [&](int gid, int pcpu, TimeNs start, TimeNs end) {
     emitted_.push_back(
-        PlanSegment{all_vcpus_[gid], pcpu, slice_start_ + start, slice_start_ + end});
+        PlanSegment{slots_[gid].vcpu, pcpu, slice_start_ + start, slice_start_ + end});
   };
 
   // Plan in effective (full-speed-equivalent) ns at each PCPU's planning
@@ -586,7 +589,7 @@ void DpWrapScheduler::Replan() {
   items_.clear();
   for (int gid : active_) {
     Reservation& res = slots_[gid].res;
-    int pcpu = slots_[gid].pin.value_or(-1);
+    int pcpu = slots_[gid].pin;
     if (pcpu < 0 || speeds_[pcpu] <= 0) {
       // A pin to a dead core cannot hold: evacuate into the wrap. The pin
       // itself persists and re-applies on heal.
@@ -627,7 +630,7 @@ void DpWrapScheduler::Replan() {
     for (const PlanSegment& seg : segs) {
       alloc += seg.end - seg.start;
     }
-    Vcpu* v = all_vcpus_[gid];
+    Vcpu* v = slots_[gid].vcpu;
     v->vm()->shared_page().PublishAllocation(v->index(), segs.front().start, alloc);
   }
 
@@ -650,10 +653,10 @@ void DpWrapScheduler::GroupPlan() {
 Vcpu* DpWrapScheduler::PickBestEffort(TimeNs now, Pcpu* pcpu) {
   // Round-robin from the cursor, which is always below n (or 0); the scan
   // wraps by comparison.
-  size_t n = all_vcpus_.size();
+  size_t n = slots_.size();
   size_t idx = be_cursor_;
   for (size_t i = 0; i < n; ++i) {
-    Vcpu* v = all_vcpus_[idx];
+    Vcpu* v = slots_[idx].vcpu;
     size_t next = idx + 1 == n ? 0 : idx + 1;
     // Eligible: runnable, or continuing on this PCPU, and not inside its own
     // segment (that segment's PCPU is about to pick it).
@@ -801,11 +804,10 @@ void DpWrapScheduler::PcpuCapacityChanged(Pcpu* pcpu) {
     return;  // Frozen layout: keep planning against nominal capacity.
   }
   // Admission, the overload watermarks, and the published headroom all key
-  // off capacity_; once it tracks the surviving effective supply, the
+  // off capacity(), which tracks the surviving effective supply: the
   // renegotiation with the guests rides the existing pressure protocol —
   // demand that no longer fits raises pressure at the next overload scan,
   // guests compress/shed, and the same hysteresis re-inflates after heal.
-  capacity_ = machine_->EffectiveCapacity();
   ++stats_.capacity_replans;
   ScheduleReplan();
 }
@@ -835,7 +837,8 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
     // over-claims do not block new tenants.
     Bandwidth old_eff = slot.reserved ? slot.res.EffectiveBw() : Bandwidth::Zero();
     Bandwidth admitted_total = total_effective() - old_eff + bw;
-    Bandwidth limit = capacity_ + Bandwidth::FromPpb(config_.admission_epsilon_ppb);
+    Bandwidth cap = capacity();
+    Bandwidth limit = cap + Bandwidth::FromPpb(config_.admission_epsilon_ppb);
     if (config_.overload.enabled &&
         (reason == kBwReasonReinflate || reason == kBwReasonSloControl)) {
       // Re-inflation and SLO-controller raises are only admitted up to the
@@ -846,7 +849,7 @@ int64_t DpWrapScheduler::ApplyReservation(Vcpu* vcpu, Bandwidth bw, TimeNs perio
       // watermark-pressure/shed cycle.
       limit = std::min(limit, Bandwidth::FromPpb(static_cast<int64_t>(
                                   config_.overload.high_watermark *
-                                  static_cast<double>(capacity_.ppb()))));
+                                  static_cast<double>(cap.ppb()))));
     }
     if (admitted_total > limit) {
       ++stats_.admission_rejections;
@@ -960,7 +963,7 @@ int64_t DpWrapScheduler::Hypercall(Vcpu* caller, const HypercallArgs& args) {
 template <typename Self, typename Io>
 void DpWrapScheduler::ScalarFields(Self& self, Io& io) {
   auto& s = self.stats_;
-  ckpt::Fields(io, self.capacity_, self.slice_start_, self.slice_end_, self.replan_pending_,
+  ckpt::Fields(io, self.slice_start_, self.slice_end_, self.replan_pending_,
                self.be_cursor_, self.tickle_cursor_, self.replans_, s.watchdog_reclaims,
                s.stale_rejections, s.capacity_replans, self.pressure_,
                self.rejections_since_tick_, s.pressure_raises, s.pressure_clears,
@@ -1003,27 +1006,21 @@ void TrustFields(Trust& t, Io& io) {
 
 }  // namespace
 
-// Each fact is written once: the reservations in layout order (active_), the
-// pins as the one record of affinity, and the plan in emission order
+// Each fact is written once: one pin per VCPU in global-id order, the
+// reservations in layout order (active_), and the plan in emission order
 // (emitted_). Restore derives the rest as the live code does: total_ sums
 // the reservations, and GroupPlan regroups the plan by PCPU and by VCPU.
 void DpWrapScheduler::SaveState(ckpt::Writer& w) const {
   ScalarFields(*this, w);
-  w.U32(static_cast<uint32_t>(all_vcpus_.size()));
+  w.U32(static_cast<uint32_t>(slots_.size()));
+  for (const Slot& slot : slots_) {
+    ckpt::Field(w, slot.pin);
+  }
 
   w.U32(static_cast<uint32_t>(active_.size()));
   for (int gid : active_) {
     w.U32(static_cast<uint32_t>(gid));
     ReservationFields(slots_[gid].res, w);
-  }
-
-  w.U32(static_cast<uint32_t>(std::count_if(
-      slots_.begin(), slots_.end(), [](const Slot& slot) { return slot.pin.has_value(); })));
-  for (size_t gid = 0; gid < slots_.size(); ++gid) {
-    if (slots_[gid].pin.has_value()) {
-      w.U32(static_cast<uint32_t>(gid));
-      w.U32(static_cast<uint32_t>(*slots_[gid].pin));
-    }
   }
 
   w.U32(static_cast<uint32_t>(emitted_.size()));
@@ -1050,24 +1047,30 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
   ScalarFields(*this, r);
 
   uint32_t n_vcpus = r.U32();
-  if (!r.ok() || n_vcpus != all_vcpus_.size()) {
+  if (!r.ok() || n_vcpus != slots_.size()) {
     return "dpwrap: VCPU count mismatch (checkpoint has " + std::to_string(n_vcpus) +
-           ", scheduler has " + std::to_string(all_vcpus_.size()) + ")";
+           ", scheduler has " + std::to_string(slots_.size()) + ")";
   }
 
   // Ids, PCPU numbers and cursors come from the image: each is checked
   // before it is used as an index.
   int num_pcpus = static_cast<int>(pcpu_segs_.size());
-  if ((be_cursor_ != 0 && be_cursor_ >= all_vcpus_.size()) || tickle_cursor_ < 0 ||
+  if ((be_cursor_ != 0 && be_cursor_ >= slots_.size()) || tickle_cursor_ < 0 ||
       tickle_cursor_ >= num_pcpus) {
     return "dpwrap: round-robin cursors (" + std::to_string(be_cursor_) + ", " +
            std::to_string(tickle_cursor_) + ") out of range for " +
-           std::to_string(all_vcpus_.size()) + " VCPUs and " + std::to_string(num_pcpus) +
+           std::to_string(slots_.size()) + " VCPUs and " + std::to_string(num_pcpus) +
            " PCPUs";
   }
+  for (Slot& slot : slots_) {
+    ckpt::Field(r, slot.pin);
+    if (r.ok() && (slot.pin < -1 || slot.pin >= num_pcpus)) {
+      return "dpwrap: affinity of VCPU " + std::to_string(slot.vcpu->global_id()) +
+             " names invalid pcpu " + std::to_string(slot.pin);
+    }
+  }
   auto lookup = [this](int gid) -> Vcpu* {
-    Vcpu* v = machine_ != nullptr ? machine_->VcpuByGlobalId(gid) : nullptr;
-    return v != nullptr && Owns(v) ? v : nullptr;
+    return gid >= 0 && static_cast<size_t>(gid) < slots_.size() ? slots_[gid].vcpu : nullptr;
   };
 
   for (Slot& slot : slots_) {
@@ -1093,23 +1096,6 @@ std::string DpWrapScheduler::RestoreState(ckpt::Reader& r) {
     total_ += slot.res.bw;
   }
   SizePlanBuffers();
-
-  for (Slot& slot : slots_) {
-    slot.pin.reset();
-  }
-  uint32_t n_pins = r.U32();
-  for (uint32_t i = 0; i < n_pins && r.ok(); ++i) {
-    int gid = static_cast<int>(r.U32());
-    int pin = static_cast<int>(r.U32());
-    if (lookup(gid) == nullptr) {
-      return "dpwrap: pending affinity references unknown VCPU " + std::to_string(gid);
-    }
-    if (pin < -1 || pin >= num_pcpus) {
-      return "dpwrap: pending affinity of VCPU " + std::to_string(gid) +
-             " names invalid pcpu " + std::to_string(pin);
-    }
-    slots_[gid].pin = pin;
-  }
 
   emitted_.clear();
   uint32_t n_segs = r.U32();
@@ -1211,11 +1197,11 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
       }
     }
   } else if (!config_.idle_tax.enabled) {
-    if (total_ > capacity_ + Bandwidth::FromPpb(config_.admission_epsilon_ppb)) {
+    if (total_ > capacity() + Bandwidth::FromPpb(config_.admission_epsilon_ppb)) {
       std::snprintf(buf, sizeof(buf),
                     "reserved total %lld ppb exceeds capacity %lld ppb + epsilon %lld ppb",
                     static_cast<long long>(total_.ppb()),
-                    static_cast<long long>(capacity_.ppb()),
+                    static_cast<long long>(capacity().ppb()),
                     static_cast<long long>(config_.admission_epsilon_ppb));
       violations.emplace_back(buf);
     }
@@ -1234,7 +1220,7 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
                          (res.period + config_.min_global_slice);
     if (res.carry_ppb < 0 || static_cast<__int128>(res.carry_ppb) > carry_max) {
       std::snprintf(buf, sizeof(buf), "vcpu %d carry %lld ppb*ns out of bounds [0, bw*period]",
-                    all_vcpus_[gid]->index(), static_cast<long long>(res.carry_ppb));
+                    slots_[gid].vcpu->index(), static_cast<long long>(res.carry_ppb));
       violations.emplace_back(buf);
     }
   }
@@ -1286,7 +1272,7 @@ std::vector<std::string> DpWrapScheduler::AuditPlan() const {
     if (alloc > bound) {
       std::snprintf(buf, sizeof(buf),
                     "vcpu %d allocated %lld ns in a %lld ns slice, above bound %lld ns",
-                    all_vcpus_[gid]->index(), static_cast<long long>(alloc),
+                    slots_[gid].vcpu->index(), static_cast<long long>(alloc),
                     static_cast<long long>(slice_len), static_cast<long long>(bound));
       violations.emplace_back(buf);
     }
@@ -1315,7 +1301,7 @@ std::vector<std::string> DpWrapScheduler::AuditIsolation() const {
   TimeNs tolerance = static_cast<TimeNs>(active_.size()) + 1;
   char buf[256];
   for (int gid : active_) {
-    const Vcpu* v = all_vcpus_[gid];
+    const Vcpu* v = slots_[gid].vcpu;
     if (v->vm()->crashed() || Quarantined(v->vm())) {
       continue;
     }

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -163,7 +162,9 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
 
   // Introspection.
   Bandwidth total_reserved() const { return total_; }
-  Bandwidth capacity() const { return capacity_; }
+  // What admission and the overload watermarks plan against: the machine's
+  // effective capacity with pcpu_recovery, else its nominal one.
+  Bandwidth capacity() const;
   Bandwidth ReservedBw(const Vcpu* vcpu) const;
   uint64_t replans() const { return replans_; }
   TimeNs slice_start() const { return slice_start_; }
@@ -244,13 +245,13 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   };
   // Everything the scheduler keeps per VCPU, indexed by Vcpu::global_id().
   struct Slot {
+    Vcpu* vcpu = nullptr;
     bool reserved = false;
     Reservation res;  // Meaningful while `reserved`.
-    // The PCPU this VCPU is pinned to (SetAffinity), -1 or unset = may
-    // migrate; the one record of affinity. It outlives reservations (an RTA
-    // may unregister and re-register; the VM's cache-locality preference
-    // does not change), and a pin cleared to -1 stays distinct from none set.
-    std::optional<int> pin;
+    // The PCPU this VCPU is pinned to (SetAffinity), -1 = may migrate. It
+    // outlives reservations: an RTA may unregister and re-register, and the
+    // VM's cache-locality preference does not change.
+    int pin = -1;
     Range segs;  // The VCPU's pieces of the current plan, in vcpu_plan_.
   };
 
@@ -335,11 +336,9 @@ class DpWrapScheduler : public HostScheduler, public ckpt::Checkpointable {
   void TrustTick();
 
   DpWrapConfig config_;
-  Bandwidth capacity_;
   // Indexed by Vcpu::global_id(), which the machine hands out densely in
-  // VcpuInserted order. all_vcpus_ is also the best-effort round-robin
-  // order. A slot is plain data, so adding VCPUs only copies.
-  std::vector<Vcpu*> all_vcpus_;
+  // VcpuInserted order; also the best-effort round-robin order. A slot is
+  // plain data, so adding VCPUs only copies.
   std::vector<Slot> slots_;
   // Reserved global ids in layout order: appended on creation, so segments
   // keep stable offsets across slices.

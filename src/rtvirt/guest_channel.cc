@@ -42,14 +42,22 @@ Bandwidth RtvirtGuestChannel::ConservativeBw(Bandwidth rta_bw, TimeNs period) co
   return std::min(padded, Bandwidth::One());
 }
 
+RtvirtGuestChannel::VcpuState& RtvirtGuestChannel::StateOf(const Vcpu* vcpu) {
+  size_t i = static_cast<size_t>(vcpu->index());
+  if (i >= state_.size()) {
+    state_.resize(i + 1);
+  }
+  return state_[i];
+}
+
 bool RtvirtGuestChannel::degraded(const Vcpu* vcpu) const {
-  auto it = state_.find(vcpu);
-  return it != state_.end() && it->second.degraded;
+  size_t i = static_cast<size_t>(vcpu->index());
+  return i < state_.size() && state_[i].degraded;
 }
 
 Bandwidth RtvirtGuestChannel::GrantedBw(const Vcpu* vcpu) const {
-  auto it = state_.find(vcpu);
-  return it != state_.end() ? it->second.granted : Bandwidth::Zero();
+  size_t i = static_cast<size_t>(vcpu->index());
+  return i < state_.size() ? state_[i].granted : Bandwidth::Zero();
 }
 
 int64_t RtvirtGuestChannel::TryHypercall(Vcpu* caller, const HypercallArgs& args) {
@@ -117,11 +125,10 @@ void RtvirtGuestChannel::OnEvent(uint32_t /*kind*/, uint64_t payload) {
     return;  // Scheduled before a Reset(): the state it targeted is gone.
   }
   Vcpu* vcpu = machine_->VcpuByGlobalId(static_cast<int>(payload >> 32));
-  auto it = state_.find(vcpu);
-  if (it == state_.end() || !it->second.degraded) {
+  if (!degraded(vcpu)) {
     return;
   }
-  VcpuState& st = it->second;
+  VcpuState& st = state_[vcpu->index()];
   st.repair_scheduled = false;
   ++stats_.repair_attempts;
 
@@ -274,8 +281,7 @@ void RtvirtGuestChannel::ScalarFields(Self& self, Io& io) {
 
 namespace {
 
-// One VCPU's record after its global id, in byte order; save and restore
-// share it.
+// One VCPU's record, in byte order; save and restore share it.
 template <typename State, typename Io>
 void StateFields(State& st, Io& io) {
   ckpt::Fields(io, st.rta_bw, st.rta_period, st.granted, st.degraded, st.cached_deadline,
@@ -284,30 +290,25 @@ void StateFields(State& st, Io& io) {
 
 }  // namespace
 
+// One record per VCPU slot, in VCPU-index order.
 void RtvirtGuestChannel::SaveState(ckpt::Writer& w) const {
   ScalarFields(*this, w);
-  // In global-id order, so the bytes do not depend on the hash map's.
   w.U32(static_cast<uint32_t>(state_.size()));
-  for (int gid = 0; const Vcpu* v = machine_->VcpuByGlobalId(gid); ++gid) {
-    if (auto it = state_.find(v); it != state_.end()) {
-      w.U32(static_cast<uint32_t>(gid));
-      StateFields(it->second, w);
-    }
+  for (const VcpuState& st : state_) {
+    StateFields(st, w);
   }
 }
 
 std::string RtvirtGuestChannel::RestoreState(ckpt::Reader& r) {
   ScalarFields(*this, r);
-  state_.clear();
   uint32_t n = r.U32();
+  if (r.ok() && n > SharedSchedPage::kMaxSlots) {
+    return ckpt_section_ + ": " + std::to_string(n) + " VCPU records exceed the " +
+           std::to_string(SharedSchedPage::kMaxSlots) + " shared-page slots";
+  }
+  state_.clear();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    int gid = static_cast<int>(r.U32());
-    Vcpu* v = machine_->VcpuByGlobalId(gid);
-    if (v == nullptr) {
-      return ckpt_section_ + ": entry[" + std::to_string(i) +
-             "] references unknown VCPU global id " + std::to_string(gid);
-    }
-    StateFields(state_[v], r);
+    StateFields(state_.emplace_back(), r);
   }
   return r.ok() ? "" : ckpt_section_ + ": truncated section";
 }

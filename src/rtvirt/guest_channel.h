@@ -22,7 +22,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "src/checkpoint/checkpoint.h"
 #include "src/common/bandwidth.h"
@@ -124,7 +124,8 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   int64_t TryHypercall(Vcpu* caller, const HypercallArgs& args);
   void EnterDegraded(VcpuState& st, Vcpu* vcpu);
   void ScheduleRepair(VcpuState& st, Vcpu* vcpu);
-  VcpuState& StateOf(Vcpu* vcpu) { return state_[vcpu]; }
+  // Grows state_ to cover the VCPU on first use.
+  VcpuState& StateOf(const Vcpu* vcpu);
   // The checkpoint section's leading scalars and counters, in byte order;
   // SaveState and RestoreState both run this one list.
   template <typename Self, typename Io>
@@ -133,7 +134,9 @@ class RtvirtGuestChannel : public CrossLayerPolicy, public ckpt::Checkpointable 
   Machine* machine_;
   GuestChannelOptions options_;
   std::string ckpt_section_;
-  std::unordered_map<const Vcpu*, VcpuState> state_;
+  // Indexed by Vcpu::index(): a channel serves one VM. A slot past the end
+  // and a default slot behave the same.
+  std::vector<VcpuState> state_;
   ChannelStats stats_;
   // Bumped by Reset(): pending repair events from before a VM crash are
   // recognized as stale and ignored.

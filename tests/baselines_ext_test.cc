@@ -167,5 +167,34 @@ TEST(ServerEdf, ReconfigureServerMidRun) {
               static_cast<double>(Ms(600)), static_cast<double>(Ms(20)));
 }
 
+// Each machine numbers its VCPUs from global id 0, so another machine's VCPU
+// would index this scheduler's state for one of its own. The setters refuse
+// it in every build type.
+TEST(CreditCapsDeathTest, VcpuOfAnotherMachineIsFatal) {
+  Experiment a(CreditConfig0(1));
+  Experiment b(CreditConfig0(1));
+  a.AddGuest("a", 1);
+  Vcpu* foreign = b.AddGuest("b", 1)->vm()->vcpu(0);
+  EXPECT_DEATH(a.credit()->SetCap(foreign, Bandwidth::FromDouble(0.5)),
+               "SetCap: VCPU b.vcpu0 is not on this scheduler's machine");
+}
+
+TEST(ServerEdfDeathTest, VcpuOfAnotherMachineOrInvalidServerIsFatal) {
+  ExperimentConfig cfg;
+  cfg.framework = Framework::kRtXen;
+  cfg.machine = ZeroCostMachine(1);
+  Experiment a(cfg);
+  Experiment b(cfg);
+  Vcpu* own = a.AddGuest("a", 1)->vm()->vcpu(0);
+  Vcpu* foreign = b.AddGuest("b", 1)->vm()->vcpu(0);
+  EXPECT_DEATH(a.SetVcpuServer(foreign, ServerParams{Ms(3), Ms(10)}),
+               "SetServer: VCPU b.vcpu0 is not on this scheduler's machine");
+  // A zero budget would leave the VCPU best-effort with a replenishment chain.
+  EXPECT_DEATH(a.SetVcpuServer(own, ServerParams{0, Ms(10)}),
+               "SetServer: VCPU a.vcpu0 needs 0 < budget <= period");
+  EXPECT_DEATH(a.SetVcpuServer(own, ServerParams{Ms(11), Ms(10)}),
+               "SetServer: VCPU a.vcpu0 needs 0 < budget <= period");
+}
+
 }  // namespace
 }  // namespace rtvirt

@@ -115,12 +115,13 @@ TEST(CheckpointCorruptionTest, CrcMismatchFailsLoudly) {
 TEST(CheckpointCorruptionTest, UnknownSchemaVersionFailsLoudly) {
   std::string bytes = SavedScenarioBytes();
   // u32 version sits right after the 8-byte magic (little-endian). Version 1
-  // is the format before each fact was stored once.
-  for (int version : {99, 1}) {
+  // is the format before each fact was stored once, version 2 the one with
+  // VCPU ids in the per-VCPU records.
+  for (int version : {99, 1, 2}) {
     bytes[8] = static_cast<char>(version);
     ckpt::Image out;
     std::string err = ckpt::Image::Parse(bytes, &out);
-    EXPECT_NE(err.find("unknown schema version " + std::to_string(version) + " (supported: 2)"),
+    EXPECT_NE(err.find("unknown schema version " + std::to_string(version) + " (supported: 3)"),
               std::string::npos)
         << err;
   }
@@ -338,17 +339,24 @@ struct EveryKindRig {
   }
 
   // What restore rebuilds instead of reading, one line per value: DP-WRAP's
-  // total, each VCPU's guest-side reserved bandwidth and minimum period and
-  // DP-WRAP reservation, and each task's VCPU index.
+  // total and capacity, each VCPU's guest-side reserved bandwidth and
+  // minimum period and DP-WRAP reservation, and each task's VCPU index. The
+  // per-VCPU pins and channel records are read by position, so each VCPU's
+  // pin, granted bandwidth and degraded flag are here too.
   std::string DerivedState() const {
     const DpWrapScheduler* dp = exp->dpwrap();
-    std::string out = "dpwrap total=" + std::to_string(dp->total_reserved().ppb()) + "\n";
+    std::string out = "dpwrap total=" + std::to_string(dp->total_reserved().ppb()) +
+                      " capacity=" + std::to_string(dp->capacity().ppb()) + "\n";
     for (const auto& g : exp->guests()) {
+      const RtvirtGuestChannel* ch = exp->ChannelOf(g.get());
       for (int k = 0; k < g->num_vcpus(); ++k) {
         const Vcpu* v = g->vm()->vcpu(k);
         out += v->name() + " reserved=" + std::to_string(g->VcpuReservedBw(k).ppb()) +
                " min_period=" + std::to_string(g->VcpuMinPeriod(k)) +
-               " dpwrap=" + std::to_string(dp->ReservedBw(v).ppb()) + "\n";
+               " dpwrap=" + std::to_string(dp->ReservedBw(v).ppb()) +
+               " pin=" + std::to_string(dp->Affinity(v)) +
+               " granted=" + std::to_string(ch->GrantedBw(v).ppb()) +
+               " degraded=" + std::to_string(ch->degraded(v)) + "\n";
       }
     }
     for (const auto& rta : rtas) {
@@ -531,21 +539,21 @@ std::string RestoreWithPatchedSection(const std::string& name, Patch&& patch) {
 
 // Byte offsets of the dpwrap section's lists.
 struct DpwrapLists {
+  size_t pins = 0;          // One u32 pcpu (-1: none) per VCPU, after their count.
   size_t reservations = 0;  // u32 count, then kReservationBytes records.
-  size_t pins = 0;          // u32 count, then (u32 gid, u32 pcpu) pairs.
   size_t plan = 0;          // u32 count, then kSegmentBytes segments.
   static constexpr size_t kReservationBytes = 60;  // u32 gid, seven 8-byte fields.
   static constexpr size_t kSegmentBytes = 24;      // u32 gid, u32 pcpu, i64 x2.
 };
 
 DpwrapLists LocateDpwrapLists(const std::string& bytes) {
-  // 21 eight-byte scalars and counters, 2 flags, the tickle cursor and the
-  // VCPU count come before the reservations.
-  constexpr size_t kHeaderBytes = 21 * 8 + 2 + 4 + 4;
+  // 20 eight-byte scalars and counters, 2 flags and the tickle cursor come
+  // before the VCPU count.
+  constexpr size_t kVcpuCount = 20 * 8 + 2 + 4;
   DpwrapLists at;
-  at.reservations = kHeaderBytes;
-  at.pins = at.reservations + 4 + DpwrapLists::kReservationBytes * U32At(bytes, at.reservations);
-  at.plan = at.pins + 4 + 8 * size_t{U32At(bytes, at.pins)};
+  at.pins = kVcpuCount + 4;
+  at.reservations = at.pins + 4 * size_t{U32At(bytes, kVcpuCount)};
+  at.plan = at.reservations + 4 + DpwrapLists::kReservationBytes * U32At(bytes, at.reservations);
   return at;
 }
 
@@ -559,12 +567,14 @@ std::string RestoreWithPatchedDpwrap(Patch&& patch) {
 
 TEST(CheckpointRoundTripTest, DpwrapPatchOffsetsFollowTheSavedLayout) {
   EXPECT_EQ(RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists& at) {
-              // The offsets land where the lists are: 4 VCPUs, two
-              // reservations, no pins, and a plan whose first segment is on
-              // one of the 4 PCPUs.
-              ASSERT_EQ(U32At(*bytes, at.reservations - 4), 4u);
+              // The offsets land where the lists are: 4 VCPUs, none pinned,
+              // two reservations, and a plan whose first segment is on one
+              // of the 4 PCPUs.
+              ASSERT_EQ(U32At(*bytes, at.pins - 4), 4u);
+              for (size_t gid = 0; gid < 4; ++gid) {
+                ASSERT_EQ(U32At(*bytes, at.pins + 4 * gid), static_cast<uint32_t>(-1));
+              }
               ASSERT_EQ(U32At(*bytes, at.reservations), 2u);
-              ASSERT_EQ(U32At(*bytes, at.pins), 0u);
               ASSERT_GT(U32At(*bytes, at.plan), 0u);
               ASSERT_LT(U32At(*bytes, at.plan + 4 + 4), 4u);
               ASSERT_EQ(bytes->size() - at.plan,
@@ -574,21 +584,17 @@ TEST(CheckpointRoundTripTest, DpwrapPatchOffsetsFollowTheSavedLayout) {
 }
 
 TEST(CheckpointRoundTripTest, DpwrapPendingPinOutOfRangeFailsRestoreLoudly) {
-  auto add_pin = [](int pcpu) {
+  auto pin_vcpu1 = [](int pcpu) {
     return [pcpu](std::string* bytes, const DpwrapLists& at) {
-      ckpt::Writer pin;
-      pin.U32(1);  // VCPU global id.
-      pin.U32(static_cast<uint32_t>(pcpu));
-      bytes->insert(at.pins + 4, pin.data());
-      PutU32(bytes, at.pins, U32At(*bytes, at.pins) + 1);
+      PutU32(bytes, at.pins + 4, static_cast<uint32_t>(pcpu));
     };
   };
-  // A pin cleared to -1 is a valid pending pin; -2 and 4 are not.
-  EXPECT_EQ(RestoreWithPatchedDpwrap(add_pin(-1)), "");
+  // -1 (no pin) and any of the 4 PCPUs are valid pins; -2 and 4 are not.
+  EXPECT_EQ(RestoreWithPatchedDpwrap(pin_vcpu1(-1)), "");
+  EXPECT_EQ(RestoreWithPatchedDpwrap(pin_vcpu1(3)), "");
   for (int pcpu : {-2, 4}) {
-    std::string err = RestoreWithPatchedDpwrap(add_pin(pcpu));
-    EXPECT_NE(err.find("dpwrap: pending affinity of VCPU 1 names invalid pcpu " +
-                       std::to_string(pcpu)),
+    std::string err = RestoreWithPatchedDpwrap(pin_vcpu1(pcpu));
+    EXPECT_NE(err.find("dpwrap: affinity of VCPU 1 names invalid pcpu " + std::to_string(pcpu)),
               std::string::npos)
         << err;
   }
@@ -605,8 +611,8 @@ TEST(CheckpointRoundTripTest, DpwrapSegmentPcpuOutOfRangeFailsRestoreLoudly) {
 
 TEST(CheckpointRoundTripTest, DpwrapCursorOutOfRangeFailsRestoreLoudly) {
   // The best-effort cursor (u64) and the wake-tickle cursor (u32) follow the
-  // three leading scalars and the replan-pending flag.
-  constexpr size_t kBeCursor = 3 * 8 + 1;
+  // slice bounds and the replan-pending flag.
+  constexpr size_t kBeCursor = 2 * 8 + 1;
   std::string err = RestoreWithPatchedDpwrap([](std::string* bytes, const DpwrapLists&) {
     PutU32(bytes, kBeCursor, 4);  // 4 VCPUs: valid cursors are 0..3.
   });
@@ -624,6 +630,69 @@ TEST(CheckpointRoundTripTest, DpwrapDuplicateReservationFailsRestoreLoudly) {
   });
   EXPECT_NE(err.find("dpwrap: reservation[1] repeats VCPU global id 0"), std::string::npos)
       << err;
+}
+
+// The channel section's VCPU count is checked before any record is read: no
+// VM has more VCPUs than its shared page has slots.
+TEST(CheckpointRoundTripTest, ChannelCountAboveSlotLimitFailsRestoreLoudly) {
+  constexpr size_t kCount = 8 * 8;  // After the generation and seven counters.
+  constexpr size_t kRecordBytes = 5 * 8 + 2;
+  std::string err = RestoreWithPatchedSection("channel.0", [](std::string* bytes) {
+    ASSERT_EQ(bytes->size(), kCount + 4 + kRecordBytes * U32At(*bytes, kCount));
+    PutU32(bytes, kCount, SharedSchedPage::kMaxSlots + 1);
+  });
+  EXPECT_NE(err.find("channel.0: 4097 VCPU records exceed the 4096 shared-page slots"),
+            std::string::npos)
+      << err;
+}
+
+// A channel's records are read back by position, one per VCPU slot. The
+// golden scenarios' guests reserve on one VCPU each; here two RTAs that do
+// not fit on one VCPU give the guest a different reservation on each, and
+// each must come back to its own VCPU.
+TEST(CheckpointRoundTripTest, ChannelRecordsRestoreToTheirOwnVcpus) {
+  struct Rig {
+    std::unique_ptr<Experiment> exp;
+    std::vector<std::unique_ptr<PeriodicRta>> rtas;
+    GuestOs* g = nullptr;
+
+    Rig() {
+      ExperimentConfig cfg;
+      cfg.machine.num_pcpus = 2;
+      exp = std::make_unique<Experiment>(std::move(cfg));
+      g = exp->AddGuest("vm", 2);
+      for (TimeNs slice : {Ms(6), Ms(5)}) {
+        rtas.push_back(std::make_unique<PeriodicRta>(
+            g, "rta" + std::to_string(rtas.size()), RtaParams{slice, Ms(10)}));
+        exp->RegisterCheckpointable(rtas.back()->ckpt_section(), rtas.back().get());
+      }
+    }
+    std::pair<Bandwidth, Bandwidth> Granted() const {
+      const RtvirtGuestChannel* ch = exp->ChannelOf(g);
+      return {ch->GrantedBw(g->vm()->vcpu(0)), ch->GrantedBw(g->vm()->vcpu(1))};
+    }
+  };
+  Rig a;
+  for (const auto& rta : a.rtas) {
+    rta->Start(0, Ms(100));
+  }
+  a.exp->Run(Ms(50));
+  ckpt::Image mid;
+  ASSERT_EQ(a.exp->SaveCheckpoint(&mid), "");
+  const auto granted = a.Granted();
+  ASSERT_GT(granted.second, Bandwidth::Zero());
+  ASSERT_GT(granted.first, granted.second);
+  a.exp->Run(Ms(100));
+  ckpt::Image end_a;
+  ASSERT_EQ(a.exp->SaveCheckpoint(&end_a), "");
+
+  Rig b;
+  ASSERT_EQ(b.exp->RestoreCheckpoint(mid), "");
+  EXPECT_EQ(b.Granted(), granted);
+  b.exp->Run(Ms(100));
+  ckpt::Image end_b;
+  ASSERT_EQ(b.exp->SaveCheckpoint(&end_b), "");
+  EXPECT_EQ(end_b.Serialize(), end_a.Serialize());
 }
 
 // Machine section offsets: nine counters and two counts, then 31-byte PCPU

@@ -296,6 +296,26 @@ TEST(SloController, DecFloorNeverUndercutsTaskMinSlice) {
   EXPECT_EQ(s.control_actuation_failures, 0u);
 }
 
+// A second Watch of one task would record the controller as the task's
+// downstream observer, and each completion would forward to itself forever.
+TEST(SloControllerDeathTest, WatchingATaskTwiceIsFatal) {
+  ExperimentConfig cfg;
+  cfg.framework = Framework::kRtvirt;
+  cfg.machine = ZeroCostMachine(1);
+  cfg.control = FastControl();
+  Experiment exp(std::move(cfg));
+  GuestOs* tenant = exp.AddGuest("tenant", 1);
+  MemcachedConfig mc;
+  mc.slo = Ms(1);
+  mc.slice = Us(58);
+  MemcachedServer server(tenant, "mc", mc, Rng(5));
+  server.Start(0, Sec(1));
+  ASSERT_EQ(server.admission_result(), kGuestOk);
+  exp.controller()->Watch(tenant, server.task(), exp.ChannelOf(tenant));
+  EXPECT_DEATH(exp.controller()->Watch(tenant, server.task(), exp.ChannelOf(tenant)),
+               "control: task " + server.task()->name() + " is already watched");
+}
+
 TEST(SloController, HysteresisHoldsWhenComfortable) {
   // 500 qps needs ~0.024 CPU; the default 0.058 reservation is comfortable,
   // so the controller must sit inside the band and never adjust.

@@ -35,6 +35,20 @@ TEST(DeadlineMonitorTest, CountsMissesAndTardiness) {
   EXPECT_EQ(mon.per_task().at("t").misses, 1u);
   EXPECT_EQ(mon.per_task().at("t").max_response, Ms(13));
   EXPECT_EQ(mon.TasksWithMisses(), 1);
+
+  // A checkpoint holds the per-task records only; the restored monitor
+  // derives the same totals from them.
+  ckpt::Writer w;
+  mon.SaveState(w);
+  ckpt::Reader r(w.data());
+  DeadlineMonitor restored;
+  ASSERT_EQ(restored.RestoreState(r), "");
+  EXPECT_EQ(restored.total_completed(), 2u);
+  EXPECT_EQ(restored.total_misses(), 1u);
+  EXPECT_EQ(restored.max_tardiness(), Ms(3));
+  EXPECT_DOUBLE_EQ(restored.TotalMissRatio(), 0.5);
+  EXPECT_EQ(restored.per_task().at("t").max_response, Ms(13));
+  EXPECT_EQ(restored.TasksWithMisses(), 1);
 }
 
 TEST(DeadlineMonitorTest, ResponseTimesInMicroseconds) {
