@@ -238,7 +238,7 @@ class Checkpointable : public EventTarget {
 // and every failure names the offending part (never a silent partial parse).
 
 constexpr char kMagic[8] = {'R', 'T', 'V', 'C', 'K', 'P', 'T', '1'};
-constexpr uint32_t kVersion = 3;
+constexpr uint32_t kVersion = 4;
 
 struct Section {
   std::string name;

@@ -2,10 +2,10 @@
 //
 // The guest publishes, for each of its VCPUs, the next earliest deadline of
 // the RTAs assigned to that VCPU (8 bytes per VCPU, as the paper notes). The
-// host scheduler reads these slots when computing the next global deadline.
-// The host side publishes its most recent per-VCPU allocation so the guest
-// can observe scheduling decisions. On real hardware this is a granted memory
-// page read via cache coherence with no explicit synchronization; in the
+// host scheduler reads these slots when computing the next global deadline,
+// and writes back one overload-pressure word per page. On real hardware this
+// is a granted memory page read via cache coherence with no explicit
+// synchronization; in the
 // simulator it is plain shared state, optionally with a configurable
 // guest->host visibility delay that models the coherence window (fault
 // injection: a write becomes host-visible only `visibility_delay` ns after it
@@ -94,28 +94,6 @@ class SharedSchedPage {
     return s.published_at;
   }
 
-  // Host side: publish the CPU time allocated to the VCPU in the current
-  // global slice so the guest can align its decisions with the host's.
-  // (Host->guest writes are not subject to the staleness model: the host
-  // wrote them on the PCPU that will next run the VCPU.)
-  // The same index guards apply: the host plans from validated VCPU objects,
-  // but a hardened boundary does not assume its own side is bug-free.
-  void PublishAllocation(int vcpu_index, TimeNs slice_start, TimeNs slice_len) {
-    if (vcpu_index < 0 || vcpu_index >= kMaxSlots) {
-      return;
-    }
-    Ensure(vcpu_index);
-    slots_[vcpu_index].alloc_start = slice_start;
-    slots_[vcpu_index].alloc_len = slice_len;
-  }
-
-  TimeNs allocation_start(int vcpu_index) const {
-    return Valid(vcpu_index) ? slots_[vcpu_index].alloc_start : 0;
-  }
-  TimeNs allocation_length(int vcpu_index) const {
-    return Valid(vcpu_index) ? slots_[vcpu_index].alloc_len : 0;
-  }
-
   // Host side: publish overload-pressure state for the whole VM (one word per
   // page, not per VCPU — pressure is a property of the host scheduler). Level
   // 0 means no pressure; higher levels ask the guest to compress / shed
@@ -162,8 +140,6 @@ class SharedSchedPage {
   struct Slot {
     TimeNs next_deadline = kTimeNever;
     TimeNs published_at = -1;  // When `next_deadline` was written; -1 = never.
-    TimeNs alloc_start = 0;
-    TimeNs alloc_len = 0;
     // In-flight guest write not yet host-visible (staleness model).
     bool has_pending = false;
     TimeNs pending_deadline = kTimeNever;
@@ -180,8 +156,8 @@ class SharedSchedPage {
   }
   template <typename S, typename Io>
   static void SlotFields(S& s, Io& io) {
-    ckpt::Fields(io, s.next_deadline, s.published_at, s.alloc_start, s.alloc_len, s.has_pending,
-                 s.pending_deadline, s.pending_published_at, s.pending_visible_at);
+    ckpt::Fields(io, s.next_deadline, s.published_at, s.has_pending, s.pending_deadline,
+                 s.pending_published_at, s.pending_visible_at);
   }
 
   TimeNs Now() const { return sim_ != nullptr ? sim_->Now() : 0; }

@@ -318,9 +318,15 @@ std::string RtvirtGuestChannel::RestoreEvent(uint32_t kind, uint64_t payload, Ti
     return ckpt_section_ + ": unknown event kind " + std::to_string(kind);
   }
   int gid = static_cast<int>(payload >> 32);
-  if (machine_->VcpuByGlobalId(gid) == nullptr) {
+  const Vcpu* vcpu = machine_->VcpuByGlobalId(gid);
+  if (vcpu == nullptr) {
     return ckpt_section_ + ": repair event references unknown VCPU global id " +
            std::to_string(gid);
+  }
+  // The section name, channel.<vmid>, names the one VM this channel serves.
+  if (ckpt_section_ != "channel." + std::to_string(vcpu->vm()->id())) {
+    return ckpt_section_ + ": repair event references VCPU global id " + std::to_string(gid) +
+           " of VM " + std::to_string(vcpu->vm()->id());
   }
   // The channel never cancels repair ticks, so this is its whole schedule
   // path; repair_backoff was saved post-multiplication and must not advance.

@@ -404,7 +404,9 @@ void Experiment::PrintReport(std::ostream& out, const std::string& title) const 
 }
 
 void Experiment::SetVcpuServer(Vcpu* vcpu, ServerParams params) {
-  assert(server_edf_ != nullptr && "server interfaces need the RT-Xen/vanilla-EDF host");
+  RTVIRT_CHECK(server_edf_ != nullptr,
+               "SetVcpuServer: a %s experiment has no server-EDF host (RT-Xen or vanilla EDF)",
+               FrameworkName(config_.framework));
   server_edf_->SetServer(vcpu, params);
 }
 

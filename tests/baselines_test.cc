@@ -40,6 +40,19 @@ TEST(ServerEdf, ServerGetsConfiguredBandwidth) {
               static_cast<double>(Ms(15)));
 }
 
+// Server interfaces exist only on the server-EDF hosts; the other
+// frameworks refuse them by name, in Release builds too.
+TEST(ServerEdfDeathTest, SetVcpuServerNeedsAServerEdfHost) {
+  for (Framework framework : {Framework::kCredit, Framework::kRtvirt}) {
+    Experiment exp(BaseConfig(framework, 1));
+    GuestOs* g = exp.AddGuest("vm", 1);
+    EXPECT_DEATH(exp.SetVcpuServer(g->vm()->vcpu(0), ServerParams{Ms(3), Ms(10)}),
+                 std::string("SetVcpuServer: a ") + FrameworkName(framework) +
+                     " experiment has no server-EDF host")
+        << FrameworkName(framework);
+  }
+}
+
 TEST(ServerEdf, EdfOrderAmongServers) {
   // Two always-busy servers on one PCPU: the shorter-period server's jobs
   // must meet deadlines because EDF favors it each period.

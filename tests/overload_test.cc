@@ -156,13 +156,13 @@ TEST(HostPressure, AdmissionRejectionRaisesPressureReinflateDoesNot) {
   }
 }
 
-// Re-inflation admissions are capped at the high watermark (new demand may
-// use full capacity): a same-window race between two re-inflating guests is
-// resolved by rejection instead of overshooting into a pressure/shed cycle.
+// Re-inflation admissions are capped at the 0.98 high watermark (new demand
+// may use full capacity): a same-window race between two re-inflating guests
+// is resolved by rejection instead of overshooting into a pressure/shed
+// cycle.
 TEST(HostPressure, ReinflateAdmissionCappedAtWatermark) {
   ExperimentConfig cfg = PureConfig(1);
   cfg.dpwrap.overload.enabled = true;
-  cfg.dpwrap.overload.high_watermark = 0.9;
   Experiment exp(cfg);
   GuestOs* g = exp.AddGuest("vm", 2);
   HypercallArgs args;
@@ -172,7 +172,7 @@ TEST(HostPressure, ReinflateAdmissionCappedAtWatermark) {
   args.period_a = Ms(10);
   ASSERT_EQ(exp.machine().Hypercall(args.vcpu_a, args), kHypercallOk);
   args.vcpu_a = g->vm()->vcpu(1);
-  args.bw_a = Bandwidth::FromDouble(0.1);  // 0.95 total: above the watermark.
+  args.bw_a = Bandwidth::FromDouble(0.14);  // 0.99 total: above the watermark.
   args.reason = kBwReasonReinflate;
   EXPECT_EQ(exp.machine().Hypercall(args.vcpu_a, args), kHypercallNoBandwidth);
   args.reason = kBwReasonAdmission;  // New demand: full capacity applies.

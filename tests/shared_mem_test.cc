@@ -35,29 +35,23 @@ TEST(SharedSchedPage, NegativeIndexAccessIsIgnored) {
   SharedSchedPage page;
   page.PublishNextDeadline(-5, Ms(1));
   page.PublishNextDeadline(-1, Ms(2));
-  page.PublishAllocation(-1, Ms(5), Us(250));
   EXPECT_EQ(page.next_deadline(-5), kTimeNever);
   EXPECT_EQ(page.next_deadline(-1), kTimeNever);
   EXPECT_EQ(page.last_publish_time(-1), -1);
-  EXPECT_EQ(page.allocation_start(-1), 0);
-  EXPECT_EQ(page.allocation_length(-1), 0);
   // And the page is still fully functional for valid indices.
   page.PublishNextDeadline(0, Ms(3));
   EXPECT_EQ(page.next_deadline(0), Ms(3));
 }
 
 // The negative-index guard's mirror image (trust-boundary PR): an index at or
-// beyond the one-page slot cap is ignored on both publish paths, so a
-// corrupted or malicious index cannot grow the backing vector into an
-// allocation attack.
+// beyond the one-page slot cap is ignored, so a corrupted or malicious index
+// cannot grow the backing vector into an allocation attack.
 TEST(SharedSchedPage, BeyondCapIndexAccessIsIgnored) {
   SharedSchedPage page;
   page.PublishNextDeadline(SharedSchedPage::kMaxSlots, Ms(1));
   page.PublishNextDeadline(SharedSchedPage::kMaxSlots + 123456789, Ms(2));
-  page.PublishAllocation(SharedSchedPage::kMaxSlots, Ms(5), Us(250));
   EXPECT_EQ(page.next_deadline(SharedSchedPage::kMaxSlots), kTimeNever);
   EXPECT_EQ(page.last_publish_time(SharedSchedPage::kMaxSlots + 123456789), -1);
-  EXPECT_EQ(page.allocation_length(SharedSchedPage::kMaxSlots), 0);
   // The last in-cap slot still works.
   page.PublishNextDeadline(SharedSchedPage::kMaxSlots - 1, Ms(3));
   EXPECT_EQ(page.next_deadline(SharedSchedPage::kMaxSlots - 1), Ms(3));
@@ -93,14 +87,6 @@ TEST(SharedSchedPage, VisibilityDelayHidesWritesUntilElapsed) {
   page.SetVisibilityDelay(0);
   page.PublishNextDeadline(0, Ms(5));
   EXPECT_EQ(page.next_deadline(0), Ms(5));
-}
-
-TEST(SharedSchedPage, HostAllocationSlots) {
-  SharedSchedPage page;
-  page.PublishAllocation(1, Ms(5), Us(250));
-  EXPECT_EQ(page.allocation_start(1), Ms(5));
-  EXPECT_EQ(page.allocation_length(1), Us(250));
-  EXPECT_EQ(page.allocation_length(0), 0);
 }
 
 TEST(HypercallAbi, StatusCodesAreErrnoLike) {

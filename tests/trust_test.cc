@@ -147,19 +147,18 @@ TEST(RateLimiter, TokenBucketRejectsBeyondBurstWithAgain) {
 
 TEST(RateLimiter, IncDecOscillationTripsThrashDetector) {
   ExperimentConfig cfg = TrustedConfig(2);
-  cfg.dpwrap.guest_trust.hypercall_burst = 256;  // Keep the bucket out of the way.
   Experiment exp(cfg);
   GuestOs* g = exp.AddGuest("vm", 1);
   Vcpu* v = g->vm()->vcpu(0);
-  // 70 alternating raise/shrink calls = 69 direction flips against the
-  // default budget of 32 per window: a guest buying a replan per call without
-  // ever holding the bandwidth.
-  for (int i = 0; i < 70; ++i) {
+  // Alternating raise/shrink calls, all within the bucket's burst of 64: a
+  // guest buying a replan per call without ever holding the bandwidth. The
+  // 33rd direction flip (the 34th call) exceeds the budget of 32 per window.
+  for (int i = 0; i < 64; ++i) {
     SchedOp op = i % 2 == 0 ? SchedOp::kIncBw : SchedOp::kDecBw;
     double bw = i % 2 == 0 ? 0.2 : 0.1;
-    exp.machine().Hypercall(v, BwCall(op, v, bw, Ms(10)));
+    EXPECT_EQ(exp.machine().Hypercall(v, BwCall(op, v, bw, Ms(10))), kHypercallOk) << i;
+    EXPECT_EQ(exp.dpwrap()->stats().bw_thrash_trips, i < 33 ? 0u : 1u) << i;
   }
-  EXPECT_GE(exp.dpwrap()->stats().bw_thrash_trips, 1u);
 }
 
 // ---- Quarantine state machine ----
@@ -202,6 +201,46 @@ TEST(Quarantine, StormQuarantinesFreezesReservationsAndRehabilitates) {
   EXPECT_EQ(exp.dpwrap()->stats().quarantine_releases, 1u);
   EXPECT_EQ(exp.machine().Hypercall(v, BwCall(SchedOp::kDecBw, v, 0.1, Ms(10))),
             kHypercallOk);
+}
+
+// The deadline filter runs in global-id order, and a quarantine it raises
+// takes effect at once: when VCPU 0's lie pushes its VM over the threshold
+// in the middle of a replan, VCPU 1 of the same VM is planned with the
+// sporadic worst case in that same replan, not only in the one the
+// quarantine schedules.
+TEST(Quarantine, RaisedMidReplanDistrustsTheVmsLaterVcpus) {
+  Experiment exp(TrustedConfig(2));
+  GuestOs* g = exp.AddGuest("vm", 2);
+  Vcpu* v0 = g->vm()->vcpu(0);
+  Vcpu* v1 = g->vm()->vcpu(1);
+  ASSERT_EQ(exp.machine().Hypercall(v0, BwCall(SchedOp::kIncBw, v0, 0.3, Ms(10))),
+            kHypercallOk);
+  ASSERT_EQ(exp.machine().Hypercall(v1, BwCall(SchedOp::kIncBw, v1, 0.3, Ms(10))),
+            kHypercallOk);
+  exp.Run(Ms(30));
+  // Drain the full bucket (64 calls), then score 7 rate violations: one
+  // below the quarantine threshold of 8.
+  for (int i = 0; i < 64 + 7; ++i) {
+    exp.machine().Hypercall(v0, BwCall(SchedOp::kIncBw, v0, 0.3, Ms(10)));
+  }
+  ASSERT_EQ(exp.dpwrap()->stats().hypercall_rate_rejections, 7u);
+  ASSERT_FALSE(exp.dpwrap()->Quarantined(g->vm()));
+  // VCPU 0 lies (a deadline a whole period stale when published); VCPU 1
+  // publishes an honest deadline 2 ms ahead, which would bind the slice.
+  g->vm()->shared_page().PublishNextDeadline(0, Ms(30) - Ms(10) - 1);
+  g->vm()->shared_page().PublishNextDeadline(1, Ms(32));
+  // The calls above left a deferred replan pending at t=30 ms; this closure
+  // runs right after it, before the replan the quarantine schedules.
+  uint64_t replans = exp.dpwrap()->replans();
+  TimeNs deadline = 0;
+  exp.sim().At(Ms(30), [&] {
+    EXPECT_EQ(exp.dpwrap()->replans(), replans + 1);
+    deadline = exp.dpwrap()->plan().end;
+  });
+  exp.Run(Ms(30));
+  EXPECT_TRUE(exp.dpwrap()->Quarantined(g->vm()));
+  EXPECT_EQ(exp.dpwrap()->stats().deadline_lie_rejections, 1u);
+  EXPECT_EQ(deadline, Ms(40)) << "VCPU 1's deadline was trusted after its VM's quarantine";
 }
 
 TEST(Quarantine, DisabledTrustLeavesEverythingUntouched) {
