@@ -21,6 +21,9 @@
 //   * sched_op.calendar — bare schedule+pop round trips.
 //   * replan — 100 reserved VCPUs, 1 ms global slices: wall-clock ns per
 //     DP-WRAP replan.
+//   * be_pick.r{0,1} — one DP-WRAP PickNext on PCPU 0 that backfills the
+//     slice: 100 single-VCPU VMs on 15 PCPUs, no reservations, 0 or 1 VCPU
+//     runnable. Allocation-free after one untimed pick (hard assert).
 //   * wrap_layout.n{4,20,100} — one McNaughton wrap-around layout of n items
 //     on 15 full-speed PCPUs, through the WrapAround call Replan makes.
 //   * hypercall — one sched_rtvirt() INC_BW + DEC_BW round trip, including
@@ -259,6 +262,29 @@ PhaseResult RunReplan(PerfRecorder& rec, int iters) {
   return rec.End(replans);
 }
 
+// DP-WRAP's best-effort pick with `runnable` VCPUs runnable among 100
+// unreserved ones. The untimed first pick runs the slice's replan; the sim
+// is not run again, so the woken VCPU stays runnable and the cursor keeps
+// moving past it.
+PhaseResult RunBePick(PerfRecorder& rec, int runnable, uint64_t iters) {
+  ExperimentConfig cfg;
+  cfg.framework = Framework::kRtvirt;
+  cfg.machine.num_pcpus = 15;
+  Experiment exp(cfg);
+  for (int i = 0; i < 100; ++i) {
+    exp.AddGuest("vm" + std::to_string(i), 1);
+  }
+  exp.Run(1);
+  for (int i = 0; i < runnable; ++i) {
+    exp.machine().vm(i)->vcpu(0)->Wake();
+  }
+  DpWrapScheduler* dp = exp.dpwrap();
+  Pcpu* pcpu = exp.machine().pcpu(0);
+  Keep(dp->PickNext(pcpu));
+  return Timed(rec, "be_pick.r" + std::to_string(runnable), iters,
+               [&](uint64_t) { Keep(dp->PickNext(pcpu)); });
+}
+
 // McNaughton wrap-around of n items at ~50% total utilization, each capped
 // at one PCPU: WrapAround at full speed from empty chunks into reused
 // buffers, as in Replan.
@@ -391,6 +417,10 @@ int Run(int argc, char** argv) {
   PhaseResult churn = RunCancelChurn(rec, scaled(2000000));
   PhaseResult sched = RunSchedOp(rec, scaled(2000000));
   PhaseResult replan = RunReplan(rec, static_cast<int>(scaled(300)));
+  std::vector<PhaseResult> be_picks;
+  for (int runnable : {0, 1}) {
+    be_picks.push_back(RunBePick(rec, runnable, scaled(2000000)));
+  }
   std::vector<PhaseResult> wraps;
   for (int n : {4, 20, 100}) {
     wraps.push_back(RunWrapLayout(rec, n, scaled(2000000 / static_cast<uint64_t>(n))));
@@ -437,6 +467,10 @@ int Run(int argc, char** argv) {
   report.Add("cancel_churn.calendar.ns_per_op", churn.NsPerOp(), "ns", false, 0.40);
   report.Add("sched_op.calendar.ns_per_op", sched.NsPerOp(), "ns", false, 0.40);
   report.Add("replan.ns_per_replan", replan.NsPerOp(), "ns", false, 0.50);
+  for (const PhaseResult& p : be_picks) {
+    report.Add(p.name + ".ns_per_op", p.NsPerOp(), "ns", false, 0.50);
+    report.Add(p.name + ".steady_allocs_per_op", p.AllocsPerOp(), "allocs/op", false, 0.0);
+  }
   for (const PhaseResult& p : wraps) {
     report.Add(p.name + ".ns_per_op", p.NsPerOp(), "ns", false, 0.50);
   }
@@ -458,7 +492,7 @@ int Run(int argc, char** argv) {
   // The zero-alloc steady states are invariants, not perf numbers: fail the
   // run outright if a measured window allocated at all.
   int rc = 0;
-  for (const PhaseResult* p : {&shape, &fig4, &hypercall}) {
+  for (const PhaseResult* p : {&shape, &fig4, &be_picks[0], &be_picks[1], &hypercall}) {
     if (p->allocs != 0) {
       std::fprintf(stderr,
                    "perf_suite: FAIL — %s steady state performed %llu allocations "

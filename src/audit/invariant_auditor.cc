@@ -1,6 +1,7 @@
 #include "src/audit/invariant_auditor.h"
 
 #include <cstdio>
+#include <span>
 #include <utility>
 
 #include "src/guest/guest_os.h"
@@ -119,10 +120,18 @@ size_t InvariantAuditor::CheckNow() {
     }
   }
 
-  // Shared pages: publication timestamps must not come from the future.
+  // Per VCPU: the machine's runnable index must name exactly the runnable
+  // VCPUs (one missing from it is invisible to every host scheduler's pick),
+  // and shared-page publication timestamps must not come from the future.
+  std::span<const uint64_t> runnable = machine_->runnable_index();
   for (int vi = 0; vi < machine_->num_vms(); ++vi) {
     const Vm* vm = machine_->vm(vi);
     for (int i = 0; i < vm->num_vcpus(); ++i) {
+      int g = vm->vcpu(i)->global_id();
+      if (((runnable[g / 64] >> (g % 64)) & 1) != vm->vcpu(i)->runnable()) {
+        std::snprintf(buf, sizeof(buf), "vcpu %d: runnable index disagrees with its state", g);
+        Record("vcpu-state", buf);
+      }
       TimeNs published = vm->shared_page().last_publish_time(i);
       if (published > now) {
         std::snprintf(buf, sizeof(buf),

@@ -19,7 +19,8 @@
 //   bridge - the guest's padded admission total never exceeds the grant the
 //            channel last acknowledged, and that grant never exceeds what
 //            the host actually holds for the VCPU;
-//   page   - shared-page publication timestamps never come from the future.
+//   page   - shared-page publication timestamps never come from the future;
+//   vcpu   - the machine's runnable index holds exactly the runnable VCPUs.
 //
 // Everything is read-only and event-count-neutral when disabled: with
 // `enabled == false`, Arm() schedules nothing, so simulation traces are
@@ -53,7 +54,8 @@ struct AuditorConfig {
 struct AuditViolation {
   TimeNs time = 0;         // Simulation time of the failed check.
   std::string invariant;   // Category: host-plan, trust-isolation, pcpu-state,
-                           // guest-state, guest-grant, grant-host, page-time.
+                           // guest-state, guest-grant, grant-host, page-time,
+                           // vcpu-state.
   std::string detail;      // Human-readable diagnostic.
 };
 

@@ -140,20 +140,17 @@ ScheduleDecision CreditScheduler::PickNext(Pcpu* pcpu) {
     }
   }
   CreditState* best = nullptr;
-  // Global-id order: deterministic round-robin tie-breaking.
-  for (CreditState& st : states_) {
-    bool continuing = st.vcpu->running() && st.vcpu->pcpu() == pcpu;
-    if (!st.vcpu->runnable() && !continuing) {
-      continue;
-    }
-    if (st.capped_out) {
-      continue;  // Over its cap; parked until the next accounting.
-    }
-    if (best == nullptr || st.priority < best->priority ||
-        (st.priority == best->priority && st.last_run < best->last_run)) {
+  // Every VCPU this PCPU may dispatch, in global-id order: deterministic
+  // round-robin tie-breaking. The visitor never stops the walk.
+  machine_->FindDispatchable(pcpu, 0, [&](const Vcpu* v) {
+    CreditState& st = states_[v->global_id()];
+    // A capped-out VCPU is parked until the next accounting.
+    if (!st.capped_out && (best == nullptr || st.priority < best->priority ||
+                           (st.priority == best->priority && st.last_run < best->last_run))) {
       best = &st;
     }
-  }
+    return false;
+  });
   if (best == nullptr) {
     return ScheduleDecision{nullptr, kTimeNever};
   }

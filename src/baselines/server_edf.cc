@@ -116,42 +116,32 @@ void ServerEdfScheduler::VcpuWake(Vcpu* vcpu) {
 }
 
 Vcpu* ServerEdfScheduler::PickBestEffort(Pcpu* pcpu) {
-  size_t n = servers_.size();
-  for (size_t i = 0; i < n; ++i) {
-    const Server& s = servers_[(be_cursor_ + i) % n];
-    if (s.params.budget > 0) {
-      continue;  // Depleted servers wait for replenishment (non-work-conserving).
-    }
-    Vcpu* v = s.vcpu;
-    bool continuing = v->running() && v->pcpu() == pcpu;
-    if (!v->runnable() && !continuing) {
-      continue;
-    }
-    be_cursor_ = (be_cursor_ + i + 1) % n;
-    return v;
+  // Round-robin over the serverless VCPUs this PCPU may dispatch. Depleted
+  // servers wait for replenishment (non-work-conserving).
+  Vcpu* v = machine_->FindDispatchable(pcpu, be_cursor_, [this](const Vcpu* c) {
+    return servers_[c->global_id()].params.budget == 0;
+  });
+  if (v != nullptr) {
+    be_cursor_ = (static_cast<size_t>(v->global_id()) + 1) % servers_.size();
   }
-  return nullptr;
+  return v;
 }
 
 ScheduleDecision ServerEdfScheduler::PickNext(Pcpu* pcpu) {
   TimeNs now = machine_->sim()->Now();
   Server* best = nullptr;
-  // Iterate in VCPU insertion order so EDF tie-breaking is deterministic.
-  for (Server& s : servers_) {
-    if (s.params.budget == 0 || s.budget <= 0) {
-      continue;
-    }
-    bool continuing = s.vcpu->running() && s.vcpu->pcpu() == pcpu;
-    if (!s.vcpu->runnable() && !continuing) {
-      continue;  // Blocked, or running on another PCPU.
-    }
+  // Every VCPU this PCPU may dispatch, in VCPU insertion order so EDF
+  // tie-breaking is deterministic; the visitor never stops the walk.
+  machine_->FindDispatchable(pcpu, 0, [&](const Vcpu* v) {
+    Server& s = servers_[v->global_id()];
     // '<=': deadline ties go to the later-inserted server, matching the
     // paper's Figure 1a schedule (VM3 runs before VM1 at their shared
     // deadline); EDF permits either order.
-    if (best == nullptr || s.deadline <= best->deadline) {
+    if (s.params.budget > 0 && s.budget > 0 && (best == nullptr || s.deadline <= best->deadline)) {
       best = &s;
     }
-  }
+    return false;
+  });
   if (best != nullptr) {
     TimeNs horizon = best->budget;
     if (config_.quantum > 0) {

@@ -32,6 +32,7 @@ Vcpu* Machine::RegisterVcpu(Vm* vm, int index) {
   auto vcpu = std::make_unique<Vcpu>(vm, index, static_cast<int>(vcpus_by_global_id_.size()));
   Vcpu* raw = vcpu.get();
   vcpus_by_global_id_.push_back(raw);
+  runnable_.resize((vcpus_by_global_id_.size() + 63) / 64);
   vm->vcpus_.push_back(std::move(vcpu));
   assert(scheduler_ != nullptr && "install the host scheduler before adding VCPUs");
   scheduler_->VcpuInserted(raw);
@@ -295,10 +296,11 @@ std::string Machine::RestoreState(ckpt::Reader& r) {
     }
     v->pcpu_ = p.get();
   }
-  for (const Vcpu* v : vcpus_by_global_id_) {
+  for (Vcpu* v : vcpus_by_global_id_) {
     if (v->state_ == VcpuState::kRunning && v->pcpu_ == nullptr) {
       return "machine: VCPU " + v->name() + " is running but no pcpu runs it";
     }
+    SetVcpuState(v, v->state_);  // Rebuilds the runnable index.
   }
   // The checkpoint was taken from a started machine; suppress the fresh
   // Start() kick (the rebound events carry the live schedule).

@@ -4,8 +4,11 @@
 #ifndef SRC_HV_MACHINE_H_
 #define SRC_HV_MACHINE_H_
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -148,9 +151,47 @@ class Machine : public ckpt::Checkpointable {
   // such id.
   Vcpu* VcpuByGlobalId(int global_id) const;
 
+  // The runnable-VCPU index: bit g of word g / 64 is set exactly while the
+  // VCPU with global id g is kRunnable. Derived state: restore rebuilds it.
+  std::span<const uint64_t> runnable_index() const { return runnable_; }
+
+  // Visits the VCPUs `pcpu` may dispatch (every runnable VCPU, and the one
+  // running on `pcpu`) in global-id order from `from`, which is below the
+  // VCPU count or 0, wrapping around, one word of the index at a time.
+  // Returns the first VCPU that `accept` returns true for, or nullptr.
+  template <typename Accept>
+  Vcpu* FindDispatchable(const Pcpu* pcpu, size_t from, Accept&& accept) const {
+    const Vcpu* cur = pcpu->current();
+    const size_t own = cur != nullptr ? static_cast<size_t>(cur->global_id()) : SIZE_MAX;
+    const uint64_t below_from = (uint64_t{1} << (from % 64)) - 1;
+    // The start word from `from` up, the other words, then the start word
+    // again below `from`.
+    const size_t words = runnable_.size(), steps = words + (below_from != 0 ? 1 : 0);
+    for (size_t k = 0, w = from / 64; k < steps; ++k, w = w + 1 == words ? 0 : w + 1) {
+      uint64_t bits = runnable_[w] | (own / 64 == w ? uint64_t{1} << (own % 64) : 0);
+      bits &= k == 0 ? ~below_from : k == words ? below_from : ~uint64_t{0};
+      for (; bits != 0; bits &= bits - 1) {
+        Vcpu* v = vcpus_by_global_id_[w * 64 + static_cast<size_t>(std::countr_zero(bits))];
+        if (accept(v)) {
+          return v;
+        }
+      }
+    }
+    return nullptr;
+  }
+
  private:
   friend class Vm;
+  friend class Vcpu;
   friend class Pcpu;
+
+  // The one writer of a VCPU's state; keeps its bit in runnable_ in step.
+  void SetVcpuState(Vcpu* v, VcpuState state) {
+    uint64_t& word = runnable_[static_cast<size_t>(v->global_id()) / 64];
+    uint64_t bit = uint64_t{1} << (v->global_id() % 64);
+    word = state == VcpuState::kRunnable ? word | bit : word & ~bit;
+    v->state_ = state;
+  }
 
   Vcpu* RegisterVcpu(Vm* vm, int index);
   // Checkpoint field lists in byte order, each run by both SaveState and
@@ -173,6 +214,7 @@ class Machine : public ckpt::Checkpointable {
   std::vector<std::unique_ptr<Pcpu>> pcpus_;
   std::vector<std::unique_ptr<Vm>> vms_;
   std::vector<Vcpu*> vcpus_by_global_id_;
+  std::vector<uint64_t> runnable_;  // See runnable_index().
   MachineStats stats_;
   OverheadStats overhead_;
   DispatchTracer dispatch_tracer_;

@@ -57,7 +57,7 @@ void Pcpu::StopCurrent() {
   v->pcpu_ = nullptr;
   v->last_pcpu_ = this;
   if (v->state_ == VcpuState::kRunning) {
-    v->state_ = VcpuState::kRunnable;
+    machine_->SetVcpuState(v, VcpuState::kRunnable);
   }
   current_ = nullptr;
   if (was_granted) {
@@ -179,7 +179,7 @@ void Pcpu::Dispatch(Vcpu* vcpu, TimeNs overhead_delay, TimeNs run_until) {
   Simulator* sim = machine_->sim();
   run_until_ = run_until;
   current_ = vcpu;
-  vcpu->state_ = VcpuState::kRunning;
+  machine_->SetVcpuState(vcpu, VcpuState::kRunning);
   vcpu->pcpu_ = this;
   granted_ = false;
   Arm(Machine::kEvGrant, sim->Now() + overhead_delay);

@@ -27,7 +27,7 @@ void Vcpu::Wake() {
   if (vm_->crashed()) {
     return;  // A crashed VM executes nothing until the machine restarts it.
   }
-  state_ = VcpuState::kRunnable;
+  vm_->machine()->SetVcpuState(this, VcpuState::kRunnable);
   vm_->machine()->NotifyWake(this);
 }
 
@@ -45,7 +45,7 @@ void Vcpu::Block() {
       return;
     }
   }
-  state_ = VcpuState::kBlocked;
+  vm_->machine()->SetVcpuState(this, VcpuState::kBlocked);
   vm_->machine()->NotifyBlock(this);
   if (p != nullptr) {
     p->RequestReschedule();

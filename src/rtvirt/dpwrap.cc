@@ -373,23 +373,16 @@ void DpWrapScheduler::GroupPlan() {
 }
 
 Vcpu* DpWrapScheduler::PickBestEffort(TimeNs now, Pcpu* pcpu) {
-  // Round-robin from the cursor, which is always below n (or 0); the scan
-  // wraps by comparison.
-  size_t n = slots_.size();
-  size_t idx = be_cursor_;
-  for (size_t i = 0; i < n; ++i) {
-    Vcpu* v = slots_[idx].vcpu;
-    size_t next = idx + 1 == n ? 0 : idx + 1;
-    // Eligible: runnable, or continuing on this PCPU, and not inside its own
-    // segment (that segment's PCPU is about to pick it).
-    if ((v->runnable() || (v->running() && v->pcpu() == pcpu)) &&
-        !HasActiveSegment(static_cast<int>(idx), now)) {
-      be_cursor_ = next;
-      return v;
-    }
-    idx = next;
+  // Round-robin from the cursor, which is always below n (or 0), over the
+  // VCPUs this PCPU may dispatch, skipping any inside its own segment (that
+  // segment's PCPU is about to pick it).
+  Vcpu* v = machine_->FindDispatchable(
+      pcpu, be_cursor_, [&](const Vcpu* c) { return !HasActiveSegment(c->global_id(), now); });
+  if (v != nullptr) {
+    size_t next = static_cast<size_t>(v->global_id()) + 1;
+    be_cursor_ = next == slots_.size() ? 0 : next;
   }
-  return nullptr;
+  return v;
 }
 
 ScheduleDecision DpWrapScheduler::PickNext(Pcpu* pcpu) {

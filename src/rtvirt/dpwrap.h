@@ -39,8 +39,10 @@ struct DpWrapConfig {
   // Replan early when a reserved VCPU wakes after its segments in the
   // current slice have passed (dynamic adaptation, section 4.3).
   bool replan_on_wake = true;
-  // Virtual cost model for Table 6: one O(1) VCPU pick, and one global
-  // deadline computation per slice costing base + per_log * log2(n_vcpus).
+  // Virtual cost model for Table 6: one O(1) VCPU pick (the simulator's
+  // pick walks the machine's runnable index, so it matches up to one step
+  // per 64 VCPUs), and one global deadline computation per slice costing
+  // base + per_log * log2(n_vcpus).
   TimeNs pick_cost = 300;          // ns
   TimeNs replan_cost_base = 800;   // ns
   TimeNs replan_cost_per_log = 200;  // ns

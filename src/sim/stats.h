@@ -63,7 +63,6 @@ class Histogram {
   Histogram(double lo, double hi, size_t buckets);
 
   void Add(double v);
-  size_t bucket_count() const { return counts_.size(); }
   uint64_t bucket(size_t i) const { return counts_[i]; }
   uint64_t underflow() const { return underflow_; }
   uint64_t overflow() const { return overflow_; }

@@ -347,7 +347,8 @@ struct EveryKindRig {
   // per-VCPU pins and channel records are read by position, so each VCPU's
   // pin, granted bandwidth and degraded flag are here too, and the policy
   // records follow the planner's, so each VCPU's tax factor, the pressure
-  // level, each VM's quarantine and every DP-WRAP counter.
+  // level, each VM's quarantine and every DP-WRAP counter. The machine's
+  // runnable index ends it, one hex word per 64 global ids.
   std::string DerivedState() const {
     const DpWrapScheduler* dp = exp->dpwrap();
     std::string out = "dpwrap total=" + std::to_string(dp->total_reserved().ppb()) +
@@ -377,6 +378,12 @@ struct EveryKindRig {
     }
     for (const auto& rta : rtas) {
       out += rta->task()->name() + " vcpu=" + std::to_string(rta->task()->vcpu_index()) + "\n";
+    }
+    out += "runnable index";
+    for (uint64_t word : exp->machine().runnable_index()) {
+      char hex[24];
+      std::snprintf(hex, sizeof(hex), " %016llx", static_cast<unsigned long long>(word));
+      out += hex;
     }
     return out;
   }
