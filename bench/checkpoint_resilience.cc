@@ -33,7 +33,6 @@
 #include "bench/bench_util.h"
 #include "src/checkpoint/checkpoint.h"
 #include "src/runner/ckpt_scenario.h"
-#include "src/sweep/proc_isolate.h"
 #include "src/sweep/sweep.h"
 
 namespace rtvirt::bench {
@@ -118,7 +117,7 @@ ShardResult ShardBody(const ShardContext& ctx, bool inject) {
     if (inject && ctx.attempt == 1 && boundary >= kFailBoundary) {
       switch (ModeOf(ctx.shard)) {
         case Mode::kCrash:
-          std::raise(SIGKILL);  // Hard child death (kProcess isolation).
+          std::raise(SIGKILL);  // Hard death of the shard's forked child.
           break;
         case Mode::kHang:
           for (;;) {  // Hard hang: only the watchdog SIGKILL ends this.
@@ -195,7 +194,6 @@ void CrashResumeSweep(int jobs, const std::string& reference_payload,
   std::string dir = MakeCheckpointDir();
   SweepConfig cfg;
   cfg.jobs = jobs;
-  cfg.isolation = sweep::Isolation::kProcess;
   cfg.max_attempts = 3;
   cfg.shard_deadline_ms = watchdog_ms;
   cfg.backoff_initial_ms = 1;
@@ -281,10 +279,6 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  if (!sweep::ProcessIsolationSupported()) {
-    std::cout << "checkpoint_resilience: process isolation unsupported; skipping\n";
-    return 0;
-  }
   bool failed = false;
 
   // The uninterrupted fault-free reference: same seeds, no injection, no
@@ -292,7 +286,6 @@ int Main(int argc, char** argv) {
   Header("Reference: uninterrupted fault-free sweep of the same seeds");
   SweepConfig ref_cfg;
   ref_cfg.jobs = 4;
-  ref_cfg.isolation = sweep::Isolation::kProcess;
   ref_cfg.max_attempts = 1;
   ref_cfg.base_seed = 7;
   SweepReport ref = RunSweep(ref_cfg, kShards,

@@ -10,20 +10,20 @@
 // streams (plan vs per-tier churn) are decorrelated via DeriveSeed.
 //
 // Seeds run as shards of the supervised sweep runner (src/sweep): `--jobs=N`
-// fans them out over a worker pool, a crashed or hung seed becomes a
-// recorded per-shard outcome (`clean` / `failed(reason)` / `timeout` /
-// `exhausted`) instead of killing the soak and losing every other seed's
-// row, and the merged table is assembled in seed order — byte-identical for
-// any jobs count. The process exits nonzero if any seed ends with audit
-// violations, an isolation-invariant violation, an unarmed auditor, a
-// fault/attack path that never fired, or an unresolved (crashed/hung past
-// its attempt budget) shard. Under ASan/UBSan (the CI configuration) this
-// doubles as a memory/UB sweep over the whole evacuation/re-plan/
-// renegotiation/quarantine machinery.
+// runs up to N seeds at once, each in its own forked child, a crashed or
+// hung seed becomes a recorded per-shard outcome (`clean` /
+// `failed(reason)` / `timeout` / `exhausted`) instead of killing the soak
+// and losing every other seed's row, and the merged table is assembled in
+// seed order — byte-identical for any jobs count. The process exits nonzero
+// if any seed ends with audit violations, an isolation-invariant violation,
+// an unarmed auditor, a fault/attack path that never fired, or an
+// unresolved (crashed/hung past its attempt budget) shard. Under ASan/UBSan
+// (the CI configuration) this doubles as a memory/UB sweep over the whole
+// evacuation/re-plan/renegotiation/quarantine machinery.
 //
 // Flags (env RTVIRT_SOAK_SEEDS / RTVIRT_SOAK_JOBS are lower-precedence
-// equivalents of --seeds / --jobs): --seeds=N, --jobs=N,
-// --isolate=thread|process, --watchdog-ms=N, --attempts=N.
+// equivalents of --seeds / --jobs): --seeds=N, --jobs=N, --watchdog-ms=N
+// (a seed still running after N ms is SIGKILLed and retried), --attempts=N.
 
 #include <cstdlib>
 #include <iostream>
@@ -280,10 +280,6 @@ Options Parse(int argc, char** argv) {
       opt.sweep.shard_deadline_ms = FlagValue(arg, "--watchdog-ms=");
     } else if (arg.rfind("--attempts=", 0) == 0) {
       opt.sweep.max_attempts = static_cast<int>(FlagValue(arg, "--attempts="));
-    } else if (arg == "--isolate=process") {
-      opt.sweep.isolation = sweep::Isolation::kProcess;
-    } else if (arg == "--isolate=thread") {
-      opt.sweep.isolation = sweep::Isolation::kThread;
     } else {
       std::cerr << "fault_soak: unknown flag " << arg << "\n";
       std::exit(2);
@@ -296,9 +292,8 @@ int Soak(const Options& opt) {
   Header("Randomized PCPU-fault soak: recovery + audit across " +
          std::to_string(opt.seeds) + " seeds");
   // Execution diagnostics go to stderr: the stdout report stays
-  // byte-identical across jobs counts and isolation modes.
-  std::cerr << "fault_soak: jobs=" << opt.sweep.jobs << " isolate="
-            << (opt.sweep.isolation == sweep::Isolation::kProcess ? "process" : "thread")
+  // byte-identical across jobs counts.
+  std::cerr << "fault_soak: jobs=" << opt.sweep.jobs
             << " attempts=" << opt.sweep.max_attempts
             << " watchdog_ms=" << opt.sweep.shard_deadline_ms << "\n";
 

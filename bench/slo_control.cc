@@ -265,10 +265,6 @@ Options Parse(int argc, char** argv) {
       opt.seeds = std::atoi(arg.substr(8).c_str());
     } else if (arg.rfind("--jobs=", 0) == 0) {
       opt.sweep.jobs = std::atoi(arg.substr(7).c_str());
-    } else if (arg == "--isolate=process") {
-      opt.sweep.isolation = sweep::Isolation::kProcess;
-    } else if (arg == "--isolate=thread") {
-      opt.sweep.isolation = sweep::Isolation::kThread;
     } else {
       std::cerr << "slo_control: unknown flag " << arg << "\n";
       std::exit(2);

@@ -7,21 +7,11 @@
 // active in every build type: on violation it formats a diagnostic with the
 // failing expression and message, then aborts.
 //
-// Two properties matter for the supervised sweep runner (src/sweep), which
-// runs many simulations on concurrent worker threads:
-//
-//  1. The diagnostic is formatted into a single buffer and emitted with one
-//     write. The previous three-fprintf sequence interleaved arbitrarily
-//     when two threads failed concurrently, corrupting both messages.
-//  2. A thread-local failure handler can be installed (see
-//     SetCheckFailureHandler / src/sweep/check_capture.h). When present it
-//     receives the formatted diagnostic instead of the stderr+abort path —
-//     the sweep runner uses this to convert a shard's invariant violation
-//     into a recorded, retryable shard failure rather than harness death.
-//     The handler is cleared before it is invoked, so a second failure
-//     raised while handling the first (e.g. from a destructor during stack
-//     unwinding) falls through to the normal abort. A handler that returns
-//     aborts as well: RTVIRT_CHECK never continues past a violation.
+// The diagnostic is two lines — location and expression, then the message —
+// formatted into one buffer and emitted with one write, right before the
+// abort. The supervised sweep runner (src/sweep) relies on both: it finds
+// the diagnostic whole in a crashed shard child's stderr and records the
+// attempt as a check failure with that text as the reason.
 
 #ifndef SRC_COMMON_CHECK_H_
 #define SRC_COMMON_CHECK_H_
@@ -29,43 +19,22 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace rtvirt {
 
-// Receives the fully formatted diagnostic. Must not return if the failure is
-// to be contained (the sweep capture handler throws); returning aborts.
-using CheckFailureHandler = void (*)(const char* message);
+// Opening of every diagnostic; the sweep runner searches a failed shard
+// child's stderr for it.
+inline constexpr char kCheckFailurePrefix[] = "rtvirt: fatal invariant violation at ";
 
 namespace check_internal {
 
-inline thread_local CheckFailureHandler t_handler = nullptr;
-
-}  // namespace check_internal
-
-// Installs `handler` for the calling thread, returning the previous one
-// (nullptr = default stderr+abort behavior). Scoped use only — see
-// sweep::ScopedCheckCapture for the RAII wrapper.
-inline CheckFailureHandler SetCheckFailureHandler(CheckFailureHandler handler) {
-  CheckFailureHandler old = check_internal::t_handler;
-  check_internal::t_handler = handler;
-  return old;
-}
-
-namespace check_internal {
-
-// [[noreturn]] holds on every path: a containment handler throws, and the
-// default path aborts.
 #if defined(__GNUC__)
 __attribute__((format(printf, 4, 5)))
 #endif
 [[noreturn]] inline void
 Fail(const char* file, int line, const char* expr, const char* fmt, ...) {
-  // One buffer, one write: concurrent failures on other threads may still
-  // race to abort, but their diagnostics no longer interleave mid-line.
   char msg[1024];
-  int n = std::snprintf(msg, sizeof(msg),
-                        "rtvirt: fatal invariant violation at %s:%d: %s\n  ", file,
+  int n = std::snprintf(msg, sizeof(msg), "%s%s:%d: %s\n  ", kCheckFailurePrefix, file,
                         line, expr);
   if (n < 0) {
     n = 0;
@@ -86,14 +55,6 @@ Fail(const char* file, int line, const char* expr, const char* fmt, ...) {
   msg[len] = '\n';
   msg[len + 1] = '\0';
   ++len;
-
-  if (t_handler != nullptr) {
-    CheckFailureHandler handler = t_handler;
-    t_handler = nullptr;  // Nested failures while handling abort outright.
-    handler(msg);
-    // A containment handler never returns (it throws); reaching here means
-    // the handler declined, so fall through to the fatal path.
-  }
   std::fwrite(msg, 1, len, stderr);
   std::fflush(stderr);
   std::abort();

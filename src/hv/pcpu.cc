@@ -169,8 +169,12 @@ void Pcpu::InjectOverhead(TimeNs duration) {
   Vcpu* v = current_;
   TimeNs until = run_until_;
   StopCurrent();
-  if (v->runnable()) {  // The revoke may have completed its last job.
+  if (v->runnable()) {
     Dispatch(v, duration, until);
+  } else {
+    // The guest blocked inside the revoke (its last job completed): pick
+    // other work, as Vcpu::Block does in the same case.
+    RequestReschedule();
   }
 }
 

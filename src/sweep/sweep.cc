@@ -1,17 +1,29 @@
 #include "src/sweep/sweep.h"
 
-#include <chrono>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
-#include <sstream>
-#include <system_error>
-#include <thread>
-#include <utility>
+#include <fcntl.h>
+#include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <chrono>
+#include <cstdio>
+#include <cstring>
+#include <exception>
+#include <list>
+#include <sstream>
+#include <thread>
+
+#include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/sweep/check_capture.h"
-#include "src/sweep/proc_isolate.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/lsan_interface.h>
+#endif
 
 namespace rtvirt::sweep {
 
@@ -285,23 +297,124 @@ SweepReport ShardSupervisor::BuildReport() const {
 }
 
 // ---------------------------------------------------------------------------
-// Attempt execution (shared by the serial path and the pool workers)
+// Forked attempts
 
 namespace {
 
-struct AttemptOutcome {
-  AttemptKind kind = AttemptKind::kFailed;
-  ShardResult result;
-  std::string reason;
-};
+// Result record, child -> parent: a magic byte (so a child that dies
+// mid-write is distinguishable from one that never reported), the ok and
+// resumed flags, the resume point, then length-prefixed reason and report.
+constexpr char kMagic = static_cast<char>(0xA7);
 
-ShardContext MakeContext(const SweepConfig& config, int shard, int attempt,
-                         const std::atomic<bool>* cancel) {
+void AppendBytes(std::string& out, const void* data, size_t len) {
+  out.append(static_cast<const char*>(data), len);
+}
+
+void AppendString(std::string& out, const std::string& s) {
+  uint64_t len = s.size();
+  AppendBytes(out, &len, sizeof(len));
+  out += s;
+}
+
+std::string Encode(const ShardResult& r) {
+  std::string out(1, kMagic);
+  out += r.ok ? '\1' : '\0';
+  out += r.resumed ? '\1' : '\0';
+  AppendBytes(out, &r.resume_point_ns, sizeof(r.resume_point_ns));
+  AppendString(out, r.reason);
+  AppendString(out, r.report);
+  return out;
+}
+
+bool ReadString(const std::string& buf, size_t& off, std::string& out) {
+  uint64_t len = 0;
+  if (buf.size() - off < sizeof(len)) {
+    return false;
+  }
+  std::memcpy(&len, buf.data() + off, sizeof(len));
+  off += sizeof(len);
+  if (buf.size() - off < len) {
+    return false;
+  }
+  out.assign(buf, off, len);
+  off += len;
+  return true;
+}
+
+// False unless `buf` holds a complete record.
+bool Decode(const std::string& buf, ShardResult* r) {
+  size_t off = 3 + sizeof(r->resume_point_ns);
+  if (buf.size() < off || buf[0] != kMagic) {
+    return false;
+  }
+  r->ok = buf[1] != 0;
+  r->resumed = buf[2] != 0;
+  std::memcpy(&r->resume_point_ns, buf.data() + 3, sizeof(r->resume_point_ns));
+  return ReadString(buf, off, r->reason) && ReadString(buf, off, r->report);
+}
+
+bool WriteAll(int fd, const std::string& data) {
+  size_t done = 0;
+  while (done < data.size()) {
+    ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      return false;
+    }
+    done += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// The RTVIRT_CHECK diagnostic in a child's stderr, its two lines (location
+// and expression, then the message) joined into one; "" if there is none.
+// It is the child's last write before abort(), so it is searched for from
+// the end.
+std::string CheckDiagnostic(const std::string& err) {
+  size_t begin = err.rfind(kCheckFailurePrefix);
+  if (begin == std::string::npos) {
+    return "";
+  }
+  size_t end = err.find('\n', begin);
+  end = end == std::string::npos ? end : err.find('\n', end + 1);
+  std::string diag = err.substr(begin, end == std::string::npos ? end : end - begin);
+  std::replace(diag.begin(), diag.end(), '\n', ' ');
+  return diag;
+}
+
+// The first line of a child's stderr with a letter in it (sanitizer reports
+// open with a rule of '=' characters).
+std::string FirstStderrLine(const std::string& err) {
+  std::istringstream in(err);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (std::any_of(line.begin(), line.end(),
+                    [](unsigned char c) { return std::isalpha(c) != 0; })) {
+      return line;
+    }
+  }
+  return "";
+}
+
+std::string CrashReason(int status, const std::string& err) {
+  char buf[64];
+  if (WIFSIGNALED(status)) {
+    std::snprintf(buf, sizeof(buf), "crash: signal %d", WTERMSIG(status));
+  } else {
+    std::snprintf(buf, sizeof(buf), "crash: exit status %d without result",
+                  WEXITSTATUS(status));
+  }
+  std::string line = FirstStderrLine(err);
+  return line.empty() ? buf : buf + (": " + line);
+}
+
+ShardContext MakeContext(const SweepConfig& config, int shard, int attempt) {
   ShardContext ctx;
   ctx.shard = shard;
   ctx.attempt = attempt;
   ctx.seed = DeriveSeed(config.base_seed, static_cast<uint64_t>(shard));
-  ctx.cancel = cancel;
   if (!config.checkpoint_dir.empty() && config.checkpoint_every_ms > 0) {
     ctx.checkpoint_path =
         config.checkpoint_dir + "/shard." + std::to_string(shard) + ".ckpt";
@@ -310,230 +423,116 @@ ShardContext MakeContext(const SweepConfig& config, int shard, int attempt,
   return ctx;
 }
 
-AttemptOutcome RunAttempt(const SweepConfig& config, const ShardFn& fn,
-                          const ShardContext& ctx) {
-  AttemptOutcome out;
-  if (config.isolation == Isolation::kProcess && ProcessIsolationSupported()) {
-    ProcAttemptOutcome p = RunShardAttemptInProcess(
-        fn, ctx, config.shard_deadline_ms > 0 ? config.shard_deadline_ms : 0);
-    out.kind = p.kind;
-    out.result = std::move(p.result);
-    out.reason = std::move(p.reason);
-    return out;
+// Runs one attempt's shard body and hands its result to the parent. The
+// parent is single-threaded and closes each child's write ends before it
+// forks the next, so the only descriptors to set up are this child's own.
+// noexcept: an exception that escapes the body ends the child in
+// std::terminate instead of unwinding into the parent's frames.
+[[noreturn]] void ChildMain(const SweepConfig& config, const ShardFn& fn,
+                            const ShardSupervisor::AttemptTicket& ticket, int data_fd,
+                            int err_fd) noexcept {
+  // stderr (RTVIRT_CHECK diagnostics, sanitizer reports) goes to the parent;
+  // stdout is silenced so a chatty body cannot corrupt the caller's report.
+  ::dup2(err_fd, STDERR_FILENO);
+  ::close(err_fd);
+  int devnull = ::open("/dev/null", O_WRONLY);
+  if (devnull >= 0) {
+    ::dup2(devnull, STDOUT_FILENO);
+    ::close(devnull);
   }
-  // kThread (or fork-less platform): run in place with RTVIRT_CHECK failures
-  // captured and rethrown as CheckFailure so one shard's invariant violation
-  // does not take the harness down.
+  ShardResult r;
   try {
-    ScopedCheckCapture capture;
-    out.result = fn(ctx);
-    out.kind = out.result.ok ? AttemptKind::kClean : AttemptKind::kFailed;
-    out.reason = out.result.reason;
-  } catch (const CheckFailure& f) {
-    out.kind = AttemptKind::kCheckFailure;
-    // The diagnostic is two lines (location+expr, then the formatted
-    // message); flatten so the whole thing survives FirstLine in the report.
-    out.reason = f.message;
-    while (!out.reason.empty() && out.reason.back() == '\n') {
-      out.reason.pop_back();
-    }
-    for (char& c : out.reason) {
-      if (c == '\n') {
-        c = ' ';
+    r = fn(MakeContext(config, ticket.shard, ticket.attempt));
+  } catch (const std::exception& e) {
+    r.ok = false;
+    r.reason = std::string("exception: ") + e.what();
+  }
+#if defined(__SANITIZE_ADDRESS__)
+  // _exit skips LeakSanitizer's exit-time check, so run it here; a leak
+  // leaves no result and its report on the captured stderr.
+  if (__lsan_do_recoverable_leak_check() != 0) {
+    ::_exit(23);  // LeakSanitizer's own exit code.
+  }
+#endif
+  // _exit, not exit: no atexit handlers or static destructors in the child,
+  // and no flush of stdio buffers inherited from the parent.
+  ::_exit(WriteAll(data_fd, Encode(r)) ? 0 : 3);
+}
+
+// One attempt in flight: its child and the read ends of the child's result
+// pipe (fd[0]) and stderr pipe (fd[1]); a descriptor is -1 once at EOF, pid
+// once reaped. Destroying an unreaped Child (RunSweep unwinding) kills it.
+struct Child {
+  Child() = default;
+  Child(const Child&) = delete;
+  Child& operator=(const Child&) = delete;
+  ~Child() {
+    for (int f : fd) {
+      if (f >= 0) {
+        ::close(f);
       }
     }
-    out.result.ok = false;
-  } catch (const std::exception& e) {
-    out.kind = AttemptKind::kFailed;
-    out.reason = std::string("exception: ") + e.what();
-    out.result.ok = false;
-    out.result.reason = out.reason;
-  }
-  return out;
-}
-
-// Feed a finished attempt into the supervisor (caller holds the pool lock,
-// or is the single serial thread).
-void RecordOutcome(ShardSupervisor& sup, int shard, int attempt, AttemptOutcome out,
-                   int64_t now_ms) {
-  if (out.kind == AttemptKind::kClean || out.kind == AttemptKind::kFailed) {
-    sup.RecordResult(shard, attempt, out.result, now_ms);
-  } else {
-    sup.RecordFailure(shard, attempt, out.kind, out.reason, now_ms);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Serial execution: jobs<=1, or the degradation path when no worker thread
-// could be spawned. The watchdog can still fire in kProcess isolation (the
-// child is killed from the parent's wait loop); in kThread isolation a
-// serial shard cannot be preempted, so deadlines are inert there.
-
-SweepReport RunSerial(const SweepConfig& config, int num_shards, const ShardFn& fn,
-                      Clock* clock) {
-  ShardSupervisor sup(config, num_shards);
-  std::atomic<bool> cancel{false};
-  while (!sup.AllDone()) {
-    int64_t now = clock->NowMs();
-    int shard = sup.NextRunnable(now);
-    if (shard < 0) {
-      int64_t wake = sup.NextWakeMs();
-      clock->SleepMs(wake == kNoWake ? 1 : wake - now);
-      continue;
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
     }
-    ShardSupervisor::AttemptTicket t = sup.BeginAttempt(shard, now);
-    cancel.store(false, std::memory_order_relaxed);
-    AttemptOutcome out =
-        RunAttempt(config, fn, MakeContext(config, shard, t.attempt, &cancel));
-    RecordOutcome(sup, shard, t.attempt, std::move(out), clock->NowMs());
   }
-  SweepReport r = sup.BuildReport();
-  r.serial_fallback = true;
-  return r;
-}
 
-// ---------------------------------------------------------------------------
-// Threaded execution
-
-struct Pool {
-  Pool(const SweepConfig& cfg, int num_shards, const ShardFn& shard_fn)
-      : config(cfg), sup(cfg, num_shards), fn(shard_fn) {}
-
-  const SweepConfig config;
-  std::mutex mu;
-  std::condition_variable work_cv;  // Workers + watchdog wait here.
-  std::condition_variable done_cv;  // RunSweep waits here.
-  ShardSupervisor sup;
-  const ShardFn& fn;
-  bool shutdown = false;
-  int live_workers = 0;    // Worker threads that have not exited yet.
-  int abandoned_live = 0;  // Subset: abandoned (timed-out) and still running.
-
-  struct WorkerSlot {
-    int shard = -1;  // Shard of the in-flight attempt, -1 when idle.
-    int attempt = 0;
-    std::shared_ptr<std::atomic<bool>> cancel;
-    bool abandoned = false;
-    std::thread thread;
-  };
-  // Append-only so abandoned workers can still reach their slot safely.
-  std::vector<std::unique_ptr<WorkerSlot>> slots;
-
-  void NotifyAllLocked() {
-    work_cv.notify_all();
-    done_cv.notify_all();
-  }
+  ShardSupervisor::AttemptTicket ticket;
+  pid_t pid = -1;
+  int fd[2] = {-1, -1};
+  std::string bytes[2];
+  bool killed = false;  // SIGKILLed at its deadline.
 };
 
-void WorkerLoop(const std::shared_ptr<Pool>& pool, Pool::WorkerSlot* slot) {
-  std::unique_lock<std::mutex> lock(pool->mu);
-  while (!pool->shutdown && !slot->abandoned) {
-    int64_t now = pool->config.clock->NowMs();
-    int shard = pool->sup.NextRunnable(now);
-    if (shard < 0) {
-      if (pool->sup.AllDone()) {
-        pool->shutdown = true;
-        pool->NotifyAllLocked();
-        break;
-      }
-      // Sleep until the earliest backoff expiry — capped, so clock drift or
-      // a missed notify cannot strand the pool — or until work is posted.
-      int64_t wake = pool->sup.NextWakeMs();
-      int64_t wait_ms = wake == kNoWake ? 100 : wake - now;
-      if (wait_ms < 1) {
-        wait_ms = 1;
-      } else if (wait_ms > 100) {
-        wait_ms = 100;
-      }
-      pool->work_cv.wait_for(lock, std::chrono::milliseconds(wait_ms));
-      continue;
-    }
-    ShardSupervisor::AttemptTicket t = pool->sup.BeginAttempt(shard, now);
-    slot->shard = shard;
-    slot->attempt = t.attempt;
-    slot->cancel = std::make_shared<std::atomic<bool>>(false);
-    std::shared_ptr<std::atomic<bool>> cancel = slot->cancel;
-    lock.unlock();
-    AttemptOutcome out = RunAttempt(
-        pool->config, pool->fn, MakeContext(pool->config, shard, t.attempt, cancel.get()));
-    lock.lock();
-    if (slot->abandoned) {
-      // The watchdog recorded a timeout for this attempt and replaced this
-      // worker; the late result is stale (RecordResult would reject it too).
-      break;
-    }
-    slot->shard = -1;
-    RecordOutcome(pool->sup, shard, t.attempt, std::move(out),
-                  pool->config.clock->NowMs());
-    if (pool->sup.AllDone()) {
-      pool->shutdown = true;
-    }
-    pool->NotifyAllLocked();
-  }
-  --pool->live_workers;
-  if (slot->abandoned) {
-    --pool->abandoned_live;
-  }
-  pool->done_cv.notify_all();
-}
-
-// Caller holds pool->mu.
-bool SpawnWorkerLocked(const std::shared_ptr<Pool>& pool) {
-  auto slot = std::make_unique<Pool::WorkerSlot>();
-  Pool::WorkerSlot* raw = slot.get();
-  pool->slots.push_back(std::move(slot));
-  try {
-    raw->thread = std::thread(WorkerLoop, pool, raw);
-  } catch (const std::system_error&) {
-    pool->slots.pop_back();
+// Forks `child->ticket`'s attempt; false if the pipes or the child could not
+// be made.
+bool Launch(const SweepConfig& config, const ShardFn& fn, Child* child) {
+  int data[2];
+  int err[2];
+  if (::pipe(data) != 0) {
     return false;
   }
-  ++pool->live_workers;
-  return true;
+  if (::pipe(err) != 0) {
+    ::close(data[0]);
+    ::close(data[1]);
+    return false;
+  }
+  child->fd[0] = data[0];
+  child->fd[1] = err[0];
+  child->pid = ::fork();
+  if (child->pid == 0) {
+    ::close(data[0]);
+    ::close(err[0]);
+    ChildMain(config, fn, child->ticket, data[1], err[1]);
+  }
+  ::close(data[1]);
+  ::close(err[1]);
+  return child->pid > 0;
 }
 
-// Wall-clock watchdog (kThread isolation only; kProcess deadlines are
-// enforced by the forking parent). Marks expired attempts timed out, tells
-// the body to cancel, abandons the stuck worker and spawns a replacement.
-void WatchdogLoop(const std::shared_ptr<Pool>& pool) {
-  std::unique_lock<std::mutex> lock(pool->mu);
-  int64_t poll_ms = pool->config.shard_deadline_ms / 4;
-  if (poll_ms < 5) {
-    poll_ms = 5;
-  } else if (poll_ms > 250) {
-    poll_ms = 250;
+// Reaps a child whose pipes are both at EOF and records how its attempt
+// ended.
+void Reap(const SweepConfig& config, Child& c, ShardSupervisor& sup, int64_t now_ms) {
+  int status = 0;
+  while (::waitpid(c.pid, &status, 0) < 0 && errno == EINTR) {
   }
-  while (!pool->shutdown) {
-    pool->work_cv.wait_for(lock, std::chrono::milliseconds(poll_ms));
-    if (pool->shutdown) {
-      break;
-    }
-    int64_t now = pool->config.clock->NowMs();
-    for (const ShardSupervisor::AttemptTicket& t : pool->sup.ExpiredAttempts(now)) {
-      char reason[96];
-      std::snprintf(reason, sizeof(reason), "watchdog: exceeded %lld ms shard deadline",
-                    static_cast<long long>(pool->config.shard_deadline_ms));
-      if (!pool->sup.RecordFailure(t.shard, t.attempt, AttemptKind::kTimeout, reason,
-                                   now)) {
-        continue;
-      }
-      for (auto& s : pool->slots) {
-        if (!s->abandoned && s->shard == t.shard && s->attempt == t.attempt) {
-          s->cancel->store(true, std::memory_order_relaxed);
-          s->abandoned = true;
-          ++pool->abandoned_live;
-          s->thread.detach();
-          if (!pool->shutdown && !pool->sup.AllDone()) {
-            SpawnWorkerLocked(pool);
-          }
-          break;
-        }
-      }
-      if (pool->sup.AllDone()) {
-        pool->shutdown = true;
-      }
-      pool->NotifyAllLocked();
-    }
+  c.pid = -1;
+  const ShardSupervisor::AttemptTicket& t = c.ticket;
+  ShardResult result;
+  if (Decode(c.bytes[0], &result)) {
+    sup.RecordResult(t.shard, t.attempt, result, now_ms);
+  } else if (c.killed) {
+    char reason[96];
+    std::snprintf(reason, sizeof(reason),
+                  "watchdog: exceeded %lld ms shard deadline (killed)",
+                  static_cast<long long>(config.shard_deadline_ms));
+    sup.RecordFailure(t.shard, t.attempt, AttemptKind::kTimeout, reason, now_ms);
+  } else if (std::string diag = CheckDiagnostic(c.bytes[1]); !diag.empty()) {
+    sup.RecordFailure(t.shard, t.attempt, AttemptKind::kCheckFailure, diag, now_ms);
+  } else {
+    sup.RecordFailure(t.shard, t.attempt, AttemptKind::kCrash,
+                      CrashReason(status, c.bytes[1]), now_ms);
   }
 }
 
@@ -544,101 +543,82 @@ SweepReport RunSweep(const SweepConfig& user_config, int num_shards, const Shard
   if (config.clock == nullptr) {
     config.clock = RealClock();
   }
-  if (num_shards <= 0) {
-    return ShardSupervisor(config, 0).BuildReport();
-  }
-  if (config.isolation == Isolation::kProcess && !ProcessIsolationSupported()) {
-    config.isolation = Isolation::kThread;
-  }
-  int jobs = config.jobs;
-  if (jobs > num_shards) {
-    jobs = num_shards;
-  }
-  if (jobs <= 1) {
-    return RunSerial(config, num_shards, fn, config.clock);
-  }
-
-  auto pool = std::make_shared<Pool>(config, num_shards, fn);
-  {
-    std::lock_guard<std::mutex> lock(pool->mu);
-    int spawned = 0;
-    for (int i = 0; i < jobs; ++i) {
-      if (SpawnWorkerLocked(pool)) {
-        ++spawned;
+  Clock* clock = config.clock;
+  ShardSupervisor sup(config, num_shards);
+  const size_t jobs = config.jobs > 1 ? static_cast<size_t>(config.jobs) : 1;
+  std::list<Child> running;
+  std::vector<pollfd> fds;
+  while (!sup.AllDone()) {
+    int64_t now = clock->NowMs();
+    while (running.size() < jobs) {
+      int shard = sup.NextRunnable(now);
+      if (shard < 0) {
+        break;
+      }
+      Child& child = running.emplace_back();
+      child.ticket = sup.BeginAttempt(shard, now);
+      if (!Launch(config, fn, &child)) {
+        int attempt = child.ticket.attempt;
+        running.pop_back();
+        sup.RecordFailure(shard, attempt, AttemptKind::kCrash,
+                          "crash: cannot fork a child", now);
       }
     }
-    if (spawned == 0) {
-      // Thread creation failed outright: degrade to serial in the caller.
-      return RunSerial(config, num_shards, fn, config.clock);
+    if (running.empty()) {
+      clock->SleepMs(sup.NextWakeMs() - now);  // Every unfinished shard backs off.
+      continue;
     }
-  }
-  std::thread watchdog;
-  bool have_watchdog =
-      config.shard_deadline_ms > 0 && config.isolation == Isolation::kThread;
-  if (have_watchdog) {
-    try {
-      watchdog = std::thread(WatchdogLoop, pool);
-    } catch (const std::system_error&) {
-      have_watchdog = false;
-    }
-  }
 
-  SweepReport report;
-  {
-    std::unique_lock<std::mutex> lock(pool->mu);
-    while (!pool->shutdown) {
-      pool->done_cv.wait_for(lock, std::chrono::milliseconds(50));
-      if (!pool->shutdown && pool->live_workers - pool->abandoned_live == 0) {
-        // Every worker died or was abandoned and no replacement could be
-        // spawned: drain the remaining shards serially instead of hanging.
-        while (!pool->sup.AllDone()) {
-          int64_t now = pool->config.clock->NowMs();
-          int shard = pool->sup.NextRunnable(now);
-          if (shard < 0) {
-            int64_t wake = pool->sup.NextWakeMs();
-            lock.unlock();
-            config.clock->SleepMs(wake == kNoWake ? 1 : wake - now);
-            lock.lock();
-            continue;
-          }
-          ShardSupervisor::AttemptTicket t = pool->sup.BeginAttempt(shard, now);
-          std::atomic<bool> cancel{false};
-          lock.unlock();
-          AttemptOutcome out =
-              RunAttempt(config, fn, MakeContext(config, shard, t.attempt, &cancel));
-          lock.lock();
-          RecordOutcome(pool->sup, shard, t.attempt, std::move(out),
-                        pool->config.clock->NowMs());
+    // Wake for the earliest deadline of a live child and, with a slot free,
+    // the next backoff expiry. With every slot busy a pending shard cannot
+    // start, so NextWakeMs() (0 while one is pending) is not a reason to wake.
+    int64_t wake = running.size() < jobs ? sup.NextWakeMs() : kNoWake;
+    fds.clear();
+    for (Child& c : running) {
+      if (!c.killed && c.ticket.deadline_ms <= now) {
+        ::kill(c.pid, SIGKILL);
+        c.killed = true;
+      }
+      if (!c.killed) {
+        wake = std::min(wake, c.ticket.deadline_ms);
+      }
+      for (int fd : c.fd) {
+        if (fd >= 0) {
+          fds.push_back(pollfd{fd, POLLIN, 0});
         }
-        pool->shutdown = true;
-        pool->NotifyAllLocked();
       }
     }
-    // Give abandoned-but-cooperative bodies a moment to observe their cancel
-    // flag and exit; anything still running past the grace period is leaked
-    // (and reported) — hard hangs belong under kProcess isolation.
-    auto grace_end = std::chrono::steady_clock::now() + std::chrono::milliseconds(1000);
-    while (pool->abandoned_live > 0 && std::chrono::steady_clock::now() < grace_end) {
-      pool->done_cv.wait_until(lock, grace_end);
+    int64_t timeout = wake == kNoWake ? -1 : std::clamp<int64_t>(wake - now, 0, INT_MAX);
+    int polled = ::poll(fds.data(), fds.size(), static_cast<int>(timeout));
+    RTVIRT_CHECK(polled >= 0 || errno == EINTR, "sweep: poll: %s", std::strerror(errno));
+
+    size_t next = 0;
+    for (Child& c : running) {
+      for (int i = 0; i < 2; ++i) {
+        if (c.fd[i] < 0 || (fds[next++].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
+          continue;
+        }
+        char buf[4096];
+        ssize_t got = ::read(c.fd[i], buf, sizeof(buf));
+        if (got > 0) {
+          c.bytes[i].append(buf, static_cast<size_t>(got));
+        } else if (got == 0 || errno != EINTR) {
+          ::close(c.fd[i]);
+          c.fd[i] = -1;
+        }
+      }
     }
-    report = pool->sup.BuildReport();
-    report.leaked_threads = pool->abandoned_live;
-  }
-  // Join everything that was not abandoned (abandoned threads are detached
-  // and keep the pool alive through their shared_ptr).
-  for (auto& slot : pool->slots) {
-    if (!slot->abandoned && slot->thread.joinable()) {
-      slot->thread.join();
+    now = clock->NowMs();
+    for (auto it = running.begin(); it != running.end();) {
+      if (it->fd[0] < 0 && it->fd[1] < 0) {
+        Reap(config, *it, sup, now);
+        it = running.erase(it);
+      } else {
+        ++it;
+      }
     }
   }
-  if (have_watchdog) {
-    {
-      std::lock_guard<std::mutex> lock(pool->mu);
-      pool->NotifyAllLocked();
-    }
-    watchdog.join();
-  }
-  return report;
+  return sup.BuildReport();
 }
 
 }  // namespace rtvirt::sweep

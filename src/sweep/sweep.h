@@ -1,36 +1,31 @@
-// Supervised parallel shard runner (DESIGN.md §8).
+// Supervised shard runner (DESIGN.md §8).
 //
 // Runs N independent shards — typically one seeded Experiment/Federation
-// each — on a fixed pool of worker threads, under a shard supervisor that
-// treats the harness itself as a fallible layer:
+// each — every attempt in its own forked child, at most config.jobs at once,
+// under a shard supervisor that treats the harness itself as a fallible
+// layer:
 //
-//   * crash containment — in kThread isolation an RTVIRT_CHECK failure
-//     inside a shard is captured (scoped thread-local handler, see
-//     check_capture.h) and recorded as a shard failure instead of killing
-//     the whole sweep; kProcess isolation forks per shard so even hard
-//     aborts and real hangs become a recorded outcome;
-//   * watchdog — a per-shard wall-clock deadline; expired shards are marked
-//     timed out, the stuck worker is reclaimed (cancel flag + replacement
-//     thread in kThread mode, SIGKILL in kProcess mode) and the shard
+//   * crash containment — the fork boundary contains everything a shard can
+//     do: an RTVIRT_CHECK abort, a sanitizer error, a signal, a hang;
+//   * watchdog — a per-attempt wall-clock deadline; a child still running at
+//     its deadline is SIGKILLed, recorded as timed out, and the shard
 //     re-enters the retry queue;
 //   * bounded retry — exponential backoff between attempts with a per-shard
 //     attempt budget; a shard that exhausts its budget is quarantined (never
 //     re-dispatched) and reported as an unresolved outcome, never silently
 //     dropped;
-//   * graceful degradation — jobs<=1, or every thread-creation attempt
-//     failing, falls back to in-caller serial execution;
 //   * deterministic merge — results are keyed by shard index and the merged
 //     report is assembled in shard order after the sweep completes, so it is
 //     byte-identical for any jobs count and any completion order.
 //
 // The retry/deadline/quarantine *policy* lives in ShardSupervisor, which is
-// single-threaded and clock-injected so the watchdog and backoff schedules
-// are unit-testable with a fake clock; RunSweep adds the threads.
+// clock-injected so the watchdog and backoff schedules are unit-testable
+// with a fake clock; RunSweep adds the children and one single-threaded loop
+// that drives them (POSIX fork/pipe/poll).
 
 #ifndef SRC_SWEEP_SWEEP_H_
 #define SRC_SWEEP_SWEEP_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -51,11 +46,6 @@ class Clock {
 // The process-wide monotonic clock (CLOCK_MONOTONIC granularity).
 Clock* RealClock();
 
-enum class Isolation {
-  kThread,   // Shards share the process; RTVIRT_CHECK failures are captured.
-  kProcess,  // fork() per shard attempt (POSIX): hard aborts and hangs too.
-};
-
 // What a shard body hands back on a completed attempt.
 struct ShardResult {
   bool ok = true;      // false = contained, retryable failure (see reason).
@@ -74,10 +64,6 @@ struct ShardContext {
   int shard = 0;
   int attempt = 1;    // 1-based.
   uint64_t seed = 0;  // DeriveSeed(config.base_seed, shard).
-  // Set by the watchdog when this attempt's deadline expires (kThread mode).
-  // Long-running shard bodies should poll it and bail out; bodies that
-  // cannot are only hard-reclaimable under kProcess isolation.
-  const std::atomic<bool>* cancel = nullptr;
   // Crash-resume plumbing: empty unless SweepConfig::checkpoint_dir is set,
   // then "<dir>/shard.<idx>.ckpt" — the same path on every attempt of a
   // shard, so a retry can pick up the previous attempt's last good
@@ -87,10 +73,6 @@ struct ShardContext {
   // Suggested persist cadence in *virtual* milliseconds, from
   // SweepConfig::checkpoint_every_ms (0 = checkpointing off).
   int64_t checkpoint_every_ms = 0;
-
-  bool Cancelled() const {
-    return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-  }
 };
 
 using ShardFn = std::function<ShardResult(const ShardContext&)>;
@@ -99,9 +81,9 @@ using ShardFn = std::function<ShardResult(const ShardContext&)>;
 enum class AttemptKind {
   kClean,         // ShardResult.ok.
   kFailed,        // ShardResult.ok == false.
-  kCheckFailure,  // Captured RTVIRT_CHECK violation (kThread mode).
-  kCrash,         // Child died on a signal / bad exit (kProcess mode).
-  kTimeout,       // Watchdog deadline expired.
+  kCheckFailure,  // The child aborted on an RTVIRT_CHECK violation.
+  kCrash,         // The child died on a signal or exited without a result.
+  kTimeout,       // Watchdog deadline expired; the child was SIGKILLed.
 };
 const char* AttemptKindName(AttemptKind kind);
 
@@ -132,13 +114,8 @@ struct SweepReport {
   int retries = 0;     // Dispatches beyond each shard's first attempt.
   int resumed = 0;     // Clean shards whose winning attempt resumed from a checkpoint.
   int timeouts = 0;        // Watchdog firings (any attempt).
-  int check_failures = 0;  // Captured RTVIRT_CHECK failures (any attempt).
-  int crashes = 0;         // Hard child deaths (any attempt).
-  bool serial_fallback = false;  // Ran serial (jobs<=1 or no thread spawned).
-  // Threads abandoned to a non-cooperating hung shard body at exit (kThread
-  // mode only; always 0 when hung bodies honor ShardContext::cancel).
-  // Timing-dependent, deliberately excluded from Merged().
-  int leaked_threads = 0;
+  int check_failures = 0;  // RTVIRT_CHECK aborts (any attempt).
+  int crashes = 0;         // Other child deaths (any attempt).
 
   bool ok() const { return unresolved == 0; }
   // Deterministic merged text: per-shard outcome lines in shard index order
@@ -148,8 +125,7 @@ struct SweepReport {
 };
 
 struct SweepConfig {
-  int jobs = 1;  // Worker threads; <=1 runs serial in the caller.
-  Isolation isolation = Isolation::kThread;
+  int jobs = 1;  // Child processes at once; <=1 runs one at a time.
   int max_attempts = 3;           // Per-shard attempt budget (>=1).
   int64_t shard_deadline_ms = 0;  // Watchdog deadline per attempt; 0 = off.
   int64_t backoff_initial_ms = 10;  // Delay after the first failure, growing
@@ -169,8 +145,8 @@ struct SweepConfig {
 
 inline constexpr int64_t kNoWake = std::numeric_limits<int64_t>::max();
 
-// Retry/watchdog/quarantine policy state machine. Not thread-safe: RunSweep
-// guards it with the pool mutex; tests drive it directly with a fake clock.
+// Retry/watchdog/quarantine policy state machine. RunSweep's loop drives it;
+// tests drive it directly with a fake clock.
 class ShardSupervisor {
  public:
   ShardSupervisor(const SweepConfig& config, int num_shards);
@@ -230,7 +206,9 @@ class ShardSupervisor {
   int crashes_ = 0;
 };
 
-// Runs `fn` over shards [0, num_shards) under supervision. Blocks until all
+// Runs `fn` over shards [0, num_shards) under supervision, each attempt in a
+// forked child: `fn` never runs in the caller, so its side effects reach the
+// caller only through its ShardResult (and files it writes). Blocks until all
 // shards are terminal (clean, or failed with their budget exhausted).
 SweepReport RunSweep(const SweepConfig& config, int num_shards, const ShardFn& fn);
 

@@ -1103,7 +1103,6 @@ TEST(CheckpointSweepTest, ResumedAttemptsAreDistinguishedFromColdRestarts) {
 
   sweep::SweepConfig cfg;
   cfg.jobs = 1;
-  cfg.isolation = sweep::Isolation::kThread;
   cfg.max_attempts = 2;
   cfg.backoff_initial_ms = 1;
   cfg.checkpoint_dir = dir;

@@ -71,6 +71,20 @@ class HogClient : public VcpuClient {
   int revokes_ = 0;
 };
 
+// Blocks its VCPU from inside the next revoke once armed, as a guest does
+// whose last job completes exactly at the revocation.
+class BlockOnRevokeClient : public HogClient {
+ public:
+  void OnVcpuRevoked(Vcpu* v) override {
+    HogClient::OnVcpuRevoked(v);
+    if (block_next) {
+      block_next = false;
+      v->Block();
+    }
+  }
+  bool block_next = false;
+};
+
 MachineConfig ZeroCostConfig(int pcpus) {
   MachineConfig cfg;
   cfg.num_pcpus = pcpus;
@@ -196,6 +210,26 @@ TEST(Machine, InjectOverheadStealsTime) {
   rig.sim.RunUntil(Ms(10));
   EXPECT_NEAR(static_cast<double>(rig.vm->vcpu(0)->total_runtime()),
               static_cast<double>(Ms(10) - Us(100)), static_cast<double>(Us(1)));
+}
+
+TEST(Machine, InjectOverheadReschedulesWhenRevokeBlocks) {
+  // a runs with b runnable behind it; the interrupt's revoke makes a's guest
+  // block, and the PCPU must pick b instead of idling for the 100 ms quantum.
+  Rig rig(1, 2, Ms(100), ZeroCostConfig(1));
+  BlockOnRevokeClient blocker;
+  Vcpu* a = rig.vm->vcpu(0);
+  Vcpu* b = rig.vm->vcpu(1);
+  a->set_client(&blocker);
+  a->Wake();
+  b->Wake();
+  rig.sim.At(Us(20), [&] {
+    ASSERT_EQ(rig.machine->pcpu(0)->current(), a);
+    blocker.block_next = true;
+    rig.machine->pcpu(0)->InjectOverhead(Us(5));
+  });
+  rig.sim.RunUntil(Ms(10));
+  EXPECT_TRUE(a->blocked());
+  EXPECT_GT(b->total_runtime(), Ms(9));
 }
 
 TEST(Machine, OverheadFraction) {

@@ -1,28 +1,31 @@
 // Supervised sweep runner (src/sweep): supervisor policy under a fake clock
 // (backoff schedule, attempt budget + quarantine, watchdog deadline expiry,
-// stale-attempt rejection), RTVIRT_CHECK capture, seed-stream derivation,
-// and the threaded runner itself — merge determinism across jobs counts and
-// completion orders, retry recovery, cooperative hang reclaim, serial
-// fallback, and fork-per-shard containment of hard aborts and hangs.
+// stale-attempt rejection), seed-stream derivation, and the fork-per-attempt
+// runner itself — merge determinism across jobs counts and completion
+// orders, retry recovery, containment of RTVIRT_CHECK aborts, exceptions,
+// hard aborts, leaks (ASan builds) and hangs, and a parent that sleeps while
+// its children run.
 
-#include <atomic>
+#include <sys/resource.h>
+
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/sweep/check_capture.h"
-#include "src/sweep/proc_isolate.h"
 #include "src/sweep/sweep.h"
 
 namespace rtvirt::sweep {
 namespace {
 
-// Hand-driven clock: SleepMs advances time, so serial RunSweep backoffs are
-// instantaneous and fully scripted.
+// Hand-driven clock: SleepMs advances time, so RunSweep's backoffs with no
+// child running are instantaneous and fully scripted.
 class FakeClock : public Clock {
  public:
   int64_t NowMs() override { return now_ms_; }
@@ -155,40 +158,6 @@ TEST(ShardSupervisorTest, SingleAttemptBudgetKeepsTerminalFailureNames) {
   EXPECT_EQ(rep.retries, 0);
 }
 
-TEST(CheckCaptureTest, CapturesDiagnosticAndRestoresHandler) {
-  bool caught = false;
-  {
-    ScopedCheckCapture capture;
-    try {
-      RTVIRT_CHECK(1 + 1 == 3, "math is broken: %d", 42);
-    } catch (const CheckFailure& f) {
-      caught = true;
-      EXPECT_NE(f.message.find("fatal invariant violation"), std::string::npos);
-      EXPECT_NE(f.message.find("1 + 1 == 3"), std::string::npos);
-      EXPECT_NE(f.message.find("math is broken: 42"), std::string::npos);
-      EXPECT_NE(f.message.find("sweep_test.cc"), std::string::npos);
-    }
-  }
-  EXPECT_TRUE(caught);
-  // Outside the scope the handler is gone: a failure aborts again.
-  EXPECT_DEATH(RTVIRT_CHECK(false, "uncaptured"), "fatal invariant violation");
-}
-
-TEST(CheckCaptureTest, NestedFailureDuringUnwindingAborts) {
-  // The handler is cleared before it is invoked, so a second RTVIRT_CHECK
-  // failure while the first is being handled cannot recurse — it aborts.
-  EXPECT_DEATH(
-      {
-        ScopedCheckCapture capture;
-        try {
-          RTVIRT_CHECK(false, "first");
-        } catch (const CheckFailure&) {
-          RTVIRT_CHECK(false, "second, must abort");
-        }
-      },
-      "second, must abort");
-}
-
 std::string DetReport(const ShardContext& ctx) {
   return "shard=" + std::to_string(ctx.shard) + " seed=" + std::to_string(ctx.seed);
 }
@@ -210,7 +179,6 @@ TEST(RunSweepTest, MergedReportByteIdenticalAcrossJobsCounts) {
     cfg.jobs = jobs;
     SweepReport rep = RunSweep(cfg, 9, fn);
     EXPECT_TRUE(rep.ok());
-    EXPECT_EQ(rep.serial_fallback, jobs == 1);
     std::vector<std::string> reports;
     for (const ShardOutcome& o : rep.shards) {
       reports.push_back(o.report);
@@ -282,11 +250,12 @@ TEST(RunSweepTest, ExhaustedShardIsCountedNotDropped) {
   EXPECT_NE(rep.Merged().find("exhausted"), std::string::npos);
 }
 
-TEST(RunSweepTest, CheckFailureInShardIsContainedInThreadMode) {
+TEST(RunSweepTest, CheckFailureInShardIsContained) {
   SweepConfig cfg;
   cfg.jobs = 2;
   cfg.max_attempts = 2;
   SweepReport rep = RunSweep(cfg, 2, [](const ShardContext& ctx) {
+    std::fputs("stderr output before the failing check\n", stderr);
     RTVIRT_CHECK(ctx.shard != 1 || ctx.attempt > 1, "invariant dies on shard %d",
                  ctx.shard);
     ShardResult r;
@@ -297,50 +266,29 @@ TEST(RunSweepTest, CheckFailureInShardIsContainedInThreadMode) {
   EXPECT_EQ(rep.check_failures, 1);
   EXPECT_TRUE(rep.shards[1].recovered);
   EXPECT_EQ(rep.shards[1].last_failure, AttemptKind::kCheckFailure);
-  EXPECT_NE(rep.shards[1].reason.find("invariant dies on shard 1"), std::string::npos);
-}
-
-TEST(RunSweepTest, CooperativeHangIsReclaimedByWatchdog) {
-  SweepConfig cfg;
-  cfg.jobs = 2;
-  cfg.max_attempts = 2;
-  cfg.shard_deadline_ms = 1000;  // Headroom for sanitizer/shared-core runs.
-  cfg.backoff_initial_ms = 1;
-  SweepReport rep = RunSweep(cfg, 2, [](const ShardContext& ctx) {
-    ShardResult r;
-    if (ctx.shard == 0 && ctx.attempt == 1) {
-      // Hang until the watchdog cancels this attempt (bounded for safety).
-      for (int i = 0; i < 2000 && !ctx.Cancelled(); ++i) {
-        RealClock()->SleepMs(5);
-      }
-      r.ok = false;
-      r.reason = "cancelled";
-      return r;
-    }
-    r.report = DetReport(ctx);
-    return r;
-  });
-  EXPECT_TRUE(rep.ok()) << rep.Merged();
-  EXPECT_GE(rep.timeouts, 1);
-  EXPECT_TRUE(rep.shards[0].recovered);
-  EXPECT_EQ(rep.shards[0].last_failure, AttemptKind::kTimeout);
-  EXPECT_EQ(rep.leaked_threads, 0);  // The hung body honored the cancel flag.
+  // The whole diagnostic, on one line: location, expression and message.
+  const std::string& reason = rep.shards[1].reason;
+  EXPECT_NE(reason.find("fatal invariant violation at"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("sweep_test.cc"), std::string::npos) << reason;
+  EXPECT_NE(reason.find("ctx.shard != 1 || ctx.attempt > 1"), std::string::npos)
+      << reason;
+  EXPECT_NE(reason.find("invariant dies on shard 1"), std::string::npos) << reason;
+  EXPECT_EQ(reason.find('\n'), std::string::npos) << reason;
 }
 
 TEST(RunSweepTest, ProcessIsolationRoundTripsResults) {
-  if (!ProcessIsolationSupported()) {
-    GTEST_SKIP() << "no fork() on this platform";
-  }
   SweepConfig cfg;
   cfg.jobs = 2;
-  cfg.isolation = Isolation::kProcess;
   cfg.max_attempts = 1;
-  SweepReport rep = RunSweep(cfg, 3, [](const ShardContext& ctx) {
+  SweepReport rep = RunSweep(cfg, 4, [](const ShardContext& ctx) {
     ShardResult r;
     if (ctx.shard == 2) {
       r.ok = false;
       r.reason = "soft failure from child";
       return r;
+    }
+    if (ctx.shard == 3) {
+      throw std::runtime_error("thrown from child");
     }
     r.report = DetReport(ctx);
     return r;
@@ -349,15 +297,14 @@ TEST(RunSweepTest, ProcessIsolationRoundTripsResults) {
   EXPECT_EQ(rep.shards[0].report, "shard=0 seed=" + std::to_string(DeriveSeed(1, 0)));
   EXPECT_EQ(rep.shards[2].outcome, Outcome::kFailed);
   EXPECT_EQ(rep.shards[2].reason, "soft failure from child");
+  EXPECT_EQ(rep.shards[3].outcome, Outcome::kFailed);
+  EXPECT_EQ(rep.shards[3].last_failure, AttemptKind::kFailed);
+  EXPECT_EQ(rep.shards[3].reason, "exception: thrown from child");
 }
 
 TEST(RunSweepTest, ProcessIsolationContainsHardAbort) {
-  if (!ProcessIsolationSupported()) {
-    GTEST_SKIP() << "no fork() on this platform";
-  }
   SweepConfig cfg;
   cfg.jobs = 1;
-  cfg.isolation = Isolation::kProcess;
   cfg.max_attempts = 2;
   cfg.backoff_initial_ms = 1;
   SweepReport rep = RunSweep(cfg, 1, [](const ShardContext& ctx) {
@@ -376,12 +323,8 @@ TEST(RunSweepTest, ProcessIsolationContainsHardAbort) {
 }
 
 TEST(RunSweepTest, ProcessIsolationKillsHardHang) {
-  if (!ProcessIsolationSupported()) {
-    GTEST_SKIP() << "no fork() on this platform";
-  }
   SweepConfig cfg;
   cfg.jobs = 1;
-  cfg.isolation = Isolation::kProcess;
   cfg.max_attempts = 2;
   cfg.shard_deadline_ms = 500;
   cfg.backoff_initial_ms = 1;
@@ -400,6 +343,65 @@ TEST(RunSweepTest, ProcessIsolationKillsHardHang) {
   EXPECT_GE(rep.timeouts, 1);
   EXPECT_TRUE(rep.shards[0].recovered);
   EXPECT_NE(rep.shards[0].reason.find("watchdog"), std::string::npos);
+}
+
+// Leaks are found in the child: it exits before LeakSanitizer's exit-time
+// check could run, so it runs the check itself and reports a leak as a crash.
+int* volatile g_leak_sink = nullptr;
+
+TEST(RunSweepTest, LeakingShardIsReportedAsCrash) {
+#if !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "needs an ASan build (LeakSanitizer)";
+#else
+  const char* options = std::getenv("ASAN_OPTIONS");
+  if (options != nullptr && std::strstr(options, "detect_leaks=0") != nullptr) {
+    GTEST_SKIP() << "LeakSanitizer is off (detect_leaks=0)";
+  }
+  SweepConfig cfg;
+  cfg.max_attempts = 1;
+  SweepReport rep = RunSweep(cfg, 2, [](const ShardContext& ctx) {
+    if (ctx.shard == 1) {
+      // Each block is unreachable once the next replaces it.
+      for (int i = 0; i < 64; ++i) {
+        g_leak_sink = new int[8]{};
+      }
+      g_leak_sink = nullptr;
+    }
+    ShardResult r;
+    r.report = DetReport(ctx);
+    return r;
+  });
+  EXPECT_EQ(rep.shards[0].outcome, Outcome::kClean);
+  EXPECT_EQ(rep.shards[1].outcome, Outcome::kFailed);
+  EXPECT_EQ(rep.shards[1].last_failure, AttemptKind::kCrash);
+  EXPECT_NE(rep.shards[1].reason.find("LeakSanitizer"), std::string::npos)
+      << rep.shards[1].reason;
+#endif
+}
+
+double CpuMs(const timeval& tv) { return tv.tv_sec * 1e3 + tv.tv_usec / 1e3; }
+
+double SelfCpuMs() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return CpuMs(usage.ru_utime) + CpuMs(usage.ru_stime);
+}
+
+TEST(RunSweepTest, SupervisorSleepsWhileChildrenRun) {
+  // One slot, shards pending behind a running child: the loop must block in
+  // poll() until the child finishes, not wake on the pending shards.
+  SweepConfig cfg;
+  cfg.jobs = 1;
+  double before = SelfCpuMs();
+  SweepReport rep = RunSweep(cfg, 3, [](const ShardContext& ctx) {
+    RealClock()->SleepMs(300);
+    ShardResult r;
+    r.report = DetReport(ctx);
+    return r;
+  });
+  double used = SelfCpuMs() - before;
+  EXPECT_TRUE(rep.ok()) << rep.Merged();
+  EXPECT_LT(used, 225.0) << "parent CPU over a 900 ms sweep";
 }
 
 }  // namespace
