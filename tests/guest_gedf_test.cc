@@ -117,6 +117,33 @@ TEST(GuestGedf, UnregisterReleasesShares) {
   EXPECT_EQ(rig.guest->SchedSetAttr(c, RtaParams{Ms(9), Ms(10), false}), kGuestOk);
 }
 
+// A share refused at a later VCPU rolls the earlier VCPUs back to the shares
+// they held before the request, so a rejected registration leaves the host
+// reservations as they were.
+TEST(GuestGedf, RefusedShareRollsBackEarlierVcpus) {
+  ExperimentConfig cfg;
+  cfg.framework = Framework::kRtvirt;
+  cfg.machine = ZeroCostMachine(2);
+  cfg.channel.budget_slack = 0;  // Exact reservations: shares are exact.
+  Experiment exp(cfg);
+  GuestOs* hog = exp.AddGuest("hog", 1);
+  ASSERT_EQ(hog->SchedSetAttr(hog->CreateTask("h"), RtaParams{Ms(9), Ms(10), false}),
+            kGuestOk);
+  GuestOs* g = exp.AddGuest("vm", 2, GedfConfig());
+  const Vcpu* v0 = g->vm()->vcpu(0);
+  const Vcpu* v1 = g->vm()->vcpu(1);
+  ASSERT_EQ(g->SchedSetAttr(g->CreateTask("a"), RtaParams{Ms(8), Ms(10), false}), kGuestOk);
+  ASSERT_EQ(exp.dpwrap()->ReservedBw(v0), Bandwidth::FromDouble(0.4));
+  // 0.7 per VCPU: VCPU 0's request fits (0.9 + 0.7 + 0.4), VCPU 1's does not.
+  EXPECT_EQ(g->SchedSetAttr(g->CreateTask("b"), RtaParams{Ms(6), Ms(10), false}),
+            kGuestErrBusy);
+  EXPECT_EQ(exp.dpwrap()->ReservedBw(v0), Bandwidth::FromDouble(0.4));
+  EXPECT_EQ(exp.dpwrap()->ReservedBw(v1), Bandwidth::FromDouble(0.4));
+  ASSERT_EQ(g->SchedSetAttr(g->CreateTask("c"), RtaParams{Ms(2), Ms(10), false}), kGuestOk);
+  EXPECT_EQ(exp.dpwrap()->ReservedBw(v0), Bandwidth::FromDouble(0.5));
+  EXPECT_EQ(exp.dpwrap()->ReservedBw(v1), Bandwidth::FromDouble(0.5));
+}
+
 // End-to-end under the RTVirt host: gEDF guests still meet deadlines, at
 // the price of more guest-level migrations (the paper's stated reason for
 // pEDF).

@@ -113,6 +113,55 @@ TEST(OverloadAdmission, NeverSacrificesEqualOrHigherCriticality) {
   EXPECT_EQ(g->overload_stats().sheds, 0u);
 }
 
+// The same three admissions on a single-VCPU guest, where the newcomer fits
+// no VCPU locally (first fit and reshuffle both miss) rather than being
+// refused by the host: degradation frees local room, then INC_BW is issued.
+TEST(OverloadAdmission, NoLocalFitCompressesElasticLowerCriticality) {
+  Experiment exp(PureConfig(1));
+  GuestOs* g = exp.AddGuest("vm", 1, OverloadGuest());
+  PeriodicRta lo(g, "lo", Elastic(Ms(8), Ms(10), Ms(4), Criticality::kLow));
+  PeriodicRta hi(g, "hi", Elastic(Ms(5), Ms(10), 0, Criticality::kHigh));
+  lo.Start(0, Sec(1));
+  hi.Start(Ms(100), Sec(1));
+  exp.Run(Ms(200));
+  ASSERT_EQ(lo.admission_result(), kGuestOk);
+  ASSERT_EQ(hi.admission_result(), kGuestOk);
+  EXPECT_TRUE(lo.task()->compressed());
+  EXPECT_EQ(lo.task()->EffectiveSlice(), Ms(4));
+  EXPECT_EQ(g->overload_stats().compressions, 1u);
+  EXPECT_EQ(g->overload_stats().overload_admissions, 1u);
+}
+
+TEST(OverloadAdmission, NoLocalFitShedsInelasticLowerCriticality) {
+  Experiment exp(PureConfig(1));
+  GuestOs* g = exp.AddGuest("vm", 1, OverloadGuest());
+  PeriodicRta lo(g, "lo", Elastic(Ms(6), Ms(10), 0, Criticality::kLow));
+  PeriodicRta hi(g, "hi", Elastic(Ms(8), Ms(10), 0, Criticality::kHigh));
+  lo.Start(0, Sec(1));
+  hi.Start(Ms(100), Sec(1));
+  exp.Run(Ms(200));
+  ASSERT_EQ(lo.admission_result(), kGuestOk);
+  ASSERT_EQ(hi.admission_result(), kGuestOk);
+  EXPECT_TRUE(lo.task()->shed());
+  EXPECT_EQ(g->overload_stats().sheds, 1u);
+  EXPECT_EQ(g->overload_stats().overload_admissions, 1u);
+}
+
+TEST(OverloadAdmission, NoLocalFitNeverSacrificesEqualCriticality) {
+  Experiment exp(PureConfig(1));
+  GuestOs* g = exp.AddGuest("vm", 1, OverloadGuest());
+  PeriodicRta a(g, "a", Elastic(Ms(6), Ms(10), Ms(3), Criticality::kMed));
+  PeriodicRta b(g, "b", Elastic(Ms(8), Ms(10), 0, Criticality::kMed));
+  a.Start(0, Sec(1));
+  b.Start(Ms(100), Sec(1));
+  exp.Run(Ms(200));
+  ASSERT_EQ(a.admission_result(), kGuestOk);
+  EXPECT_EQ(b.admission_result(), kGuestErrBusy);
+  EXPECT_FALSE(a.task()->compressed());
+  EXPECT_EQ(g->overload_stats().compressions, 0u);
+  EXPECT_EQ(g->overload_stats().overload_admissions, 0u);
+}
+
 // With every overload knob at its default (off), admission failure stays a
 // plain rejection: nothing is compressed, shed, or counted.
 TEST(OverloadAdmission, DisabledKnobsKeepBinaryAdmission) {
