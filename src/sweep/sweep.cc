@@ -63,22 +63,6 @@ Clock* RealClock() {
   return &clock;
 }
 
-const char* AttemptKindName(AttemptKind kind) {
-  switch (kind) {
-    case AttemptKind::kClean:
-      return "clean";
-    case AttemptKind::kFailed:
-      return "failed";
-    case AttemptKind::kCheckFailure:
-      return "check-failure";
-    case AttemptKind::kCrash:
-      return "crash";
-    case AttemptKind::kTimeout:
-      return "timeout";
-  }
-  return "?";
-}
-
 const char* OutcomeName(Outcome outcome) {
   switch (outcome) {
     case Outcome::kClean:
@@ -174,9 +158,9 @@ ShardSupervisor::AttemptTicket ShardSupervisor::BeginAttempt(int shard, int64_t 
   }
   ++s.attempts;
   s.state = State::kRunning;
-  s.deadline_ms =
+  int64_t deadline_ms =
       config_.shard_deadline_ms > 0 ? now_ms + config_.shard_deadline_ms : kNoWake;
-  return AttemptTicket{shard, s.attempts, s.deadline_ms};
+  return AttemptTicket{shard, s.attempts, deadline_ms};
 }
 
 int64_t ShardSupervisor::BackoffDelayMs(int failures) const {
@@ -257,19 +241,6 @@ bool ShardSupervisor::RecordFailure(int shard, int attempt, AttemptKind kind,
   }
   FailOrRetry(s, kind, reason, now_ms);
   return true;
-}
-
-std::vector<ShardSupervisor::AttemptTicket> ShardSupervisor::ExpiredAttempts(
-    int64_t now_ms) const {
-  std::vector<AttemptTicket> expired;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& s = shards_[i];
-    if (s.state == State::kRunning && s.deadline_ms != kNoWake &&
-        s.deadline_ms <= now_ms) {
-      expired.push_back(AttemptTicket{static_cast<int>(i), s.attempts, s.deadline_ms});
-    }
-  }
-  return expired;
 }
 
 SweepReport ShardSupervisor::BuildReport() const {

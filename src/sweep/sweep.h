@@ -85,7 +85,6 @@ enum class AttemptKind {
   kCrash,         // The child died on a signal or exited without a result.
   kTimeout,       // Watchdog deadline expired; the child was SIGKILLed.
 };
-const char* AttemptKindName(AttemptKind kind);
 
 // Terminal per-shard outcome. kFailed/kTimeout are terminal only when the
 // budget is a single attempt; with retries the terminal failure outcome is
@@ -172,9 +171,6 @@ class ShardSupervisor {
   bool RecordFailure(int shard, int attempt, AttemptKind kind, const std::string& reason,
                      int64_t now_ms);
 
-  // Running attempts whose deadline has passed at `now_ms`.
-  std::vector<AttemptTicket> ExpiredAttempts(int64_t now_ms) const;
-
   // Backoff delay scheduled after failure number `failures` (1-based).
   int64_t BackoffDelayMs(int failures) const;
 
@@ -189,7 +185,6 @@ class ShardSupervisor {
     State state = State::kPending;
     int attempts = 0;            // Attempts started.
     int64_t not_before_ms = 0;   // kWaiting: backoff expiry.
-    int64_t deadline_ms = kNoWake;  // kRunning: watchdog deadline.
     ShardOutcome out;
   };
 
