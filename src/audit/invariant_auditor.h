@@ -13,8 +13,8 @@
 //            bounded by the reservation plus carry backlog (AuditPlan);
 //   pcpu   - an offline core never has a VCPU dispatched on it (the
 //            SetPcpuOnline evacuation path must never lose anyone);
-//   guest  - per-VCPU admitted bandwidth equals the sum of pinned effective
-//            bandwidths and fits the VCPU capacity; shed tasks hold no pin
+//   guest  - per-VCPU admitted bandwidth (the sum of pinned effective
+//            bandwidths) fits the VCPU capacity; shed tasks hold no pin
 //            or queued jobs (GuestOs::AuditInvariants);
 //   bridge - the guest's padded admission total never exceeds the grant the
 //            channel last acknowledged, and that grant never exceeds what
