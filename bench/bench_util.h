@@ -3,10 +3,14 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/analysis/carts.h"
@@ -81,6 +85,26 @@ inline std::string Pct(double fraction) { return TablePrinter::Pct(fraction, 3);
 
 inline void Header(const std::string& title) {
   std::cout << "\n=== " << title << " ===\n";
+}
+
+// Reads `arg` if it is `name=N` (name as in "--seeds") and returns whether
+// it was. N must be a whole number from `min` to T's maximum; anything else
+// makes `prog` exit 2 naming the flag and the value.
+template <typename T>
+bool WholeFlag(const char* prog, std::string_view arg, std::string_view name,
+               std::type_identity_t<T> min, T* out) {
+  if (!arg.starts_with(name) || arg.substr(name.size(), 1) != "=") {
+    return false;
+  }
+  std::string_view value = arg.substr(name.size() + 1);
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+  if (ec != std::errc() || ptr != end || *out < min) {
+    std::cerr << prog << ": " << name << " needs a whole number from " << min << " to "
+              << std::numeric_limits<T>::max() << ", got '" << value << "'\n";
+    std::exit(2);
+  }
+  return true;
 }
 
 }  // namespace rtvirt::bench

@@ -26,18 +26,19 @@
 // path must exercise evacuation, backoff retries, a migration abort (the
 // outage races lo0's copy) and degraded placements.
 //
-// Soak extension: RTVIRT_CLUSTER_SOAK_SEEDS=N additionally runs N randomized
+// Soak extension: --seeds=N (default 0) additionally runs N randomized
 // host-fault plans on a 3-host cluster, each twice, asserting zero auditor
 // violations, no abandoned evacuations, every VM home by the end, and a
 // byte-identical report between the paired runs (weekly CI matrix). Seeds
-// run as supervised sweep shards: RTVIRT_CLUSTER_SOAK_JOBS=N fans them out,
-// and a crashed seed becomes a recorded FAIL line instead of ending the run.
+// run as supervised sweep shards: --jobs=N (default 1) fans them out, and a
+// crashed seed becomes a recorded FAIL line instead of ending the run. Both
+// flags take whole numbers (seeds >= 0, jobs >= 1); anything else exits 2.
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -388,10 +389,8 @@ SoakOutcome RunSoak(uint64_t seed) {
       out.all_home = out.all_home && s.host >= 0 && !s.lost;
     }
   }
-  // Byte-identical determinism evidence: the full counter dump minus the
-  // alloc section (allocator state is process-history-dependent), plus the
+  // Byte-identical determinism evidence: the full counter dump, plus the
   // per-tier completion tallies and each host's event count.
-  rc.alloc_section = false;
   std::ostringstream os;
   PrintResilience(os, rc);
   os << "hi " << wl.hi_mon.total_completed() << "/" << wl.hi_mon.total_misses() << " lo "
@@ -407,15 +406,13 @@ SoakOutcome RunSoak(uint64_t seed) {
 // shard report is empty on success and carries the FAIL diagnostics
 // otherwise, so the merged output matches the historical serial format while
 // the sweep runner (src/sweep) supplies crash/hang containment and --jobs
-// parallelism (RTVIRT_CLUSTER_SOAK_JOBS, default 1).
-void Soak(int seeds, bool& failed) {
+// parallelism.
+void Soak(int seeds, int jobs, bool& failed) {
   Header("Cluster soak: randomized host fault plans, " + std::to_string(seeds) +
          " seeds, each run twice (determinism check)");
   sweep::SweepConfig sc;
+  sc.jobs = jobs;
   sc.max_attempts = 2;
-  if (const char* env = std::getenv("RTVIRT_CLUSTER_SOAK_JOBS")) {
-    sc.jobs = std::atoi(env);
-  }
   sweep::SweepReport rep =
       sweep::RunSweep(sc, seeds, [](const sweep::ShardContext& ctx) {
         uint64_t seed = static_cast<uint64_t>(ctx.shard) + 1;
@@ -457,12 +454,21 @@ void Soak(int seeds, bool& failed) {
 }  // namespace
 }  // namespace rtvirt::bench
 
-int main() {
+int main(int argc, char** argv) {
+  int seeds = 0;
+  int jobs = 1;
+  for (int i = 1; i < argc; ++i) {
+    std::string_view arg = argv[i];
+    if (!rtvirt::bench::WholeFlag("cluster_resilience", arg, "--seeds", 0, &seeds) &&
+        !rtvirt::bench::WholeFlag("cluster_resilience", arg, "--jobs", 1, &jobs)) {
+      std::cerr << "cluster_resilience: unknown flag " << arg << "\n";
+      return 2;
+    }
+  }
   bool failed = false;
   rtvirt::bench::ResilienceTimeline(failed);
-  if (const char* env = std::getenv("RTVIRT_CLUSTER_SOAK_SEEDS");
-      env != nullptr && std::atoi(env) > 0) {
-    rtvirt::bench::Soak(std::atoi(env), failed);
+  if (seeds > 0) {
+    rtvirt::bench::Soak(seeds, jobs, failed);
   }
   return failed ? 1 : 0;
 }

@@ -21,14 +21,15 @@
 // (the CI configuration) this doubles as a memory/UB sweep over the whole
 // evacuation/re-plan/renegotiation/quarantine machinery.
 //
-// Flags (env RTVIRT_SOAK_SEEDS / RTVIRT_SOAK_JOBS are lower-precedence
-// equivalents of --seeds / --jobs): --seeds=N, --jobs=N, --watchdog-ms=N
-// (a seed still running after N ms is SIGKILLed and retried), --attempts=N.
+// Flags, each a whole number (anything else exits 2): --seeds=N (>= 1),
+// --jobs=N (>= 1), --watchdog-ms=N (>= 0; a seed still running after N ms
+// is SIGKILLed and retried, 0 = no watchdog), --attempts=N (>= 1).
 
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -254,33 +255,18 @@ struct Options {
   sweep::SweepConfig sweep;
 };
 
-int64_t FlagValue(const std::string& arg, const std::string& name) {
-  return std::atoll(arg.substr(name.size()).c_str());
-}
-
 Options Parse(int argc, char** argv) {
   Options opt;
   opt.sweep.jobs = 1;
   opt.sweep.max_attempts = 2;
   opt.sweep.backoff_initial_ms = 50;
   opt.sweep.backoff_cap_ms = 2000;
-  if (const char* env = std::getenv("RTVIRT_SOAK_SEEDS")) {
-    opt.seeds = std::atoi(env);
-  }
-  if (const char* env = std::getenv("RTVIRT_SOAK_JOBS")) {
-    opt.sweep.jobs = std::atoi(env);
-  }
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--seeds=", 0) == 0) {
-      opt.seeds = static_cast<int>(FlagValue(arg, "--seeds="));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opt.sweep.jobs = static_cast<int>(FlagValue(arg, "--jobs="));
-    } else if (arg.rfind("--watchdog-ms=", 0) == 0) {
-      opt.sweep.shard_deadline_ms = FlagValue(arg, "--watchdog-ms=");
-    } else if (arg.rfind("--attempts=", 0) == 0) {
-      opt.sweep.max_attempts = static_cast<int>(FlagValue(arg, "--attempts="));
-    } else {
+    std::string_view arg = argv[i];
+    if (!WholeFlag("fault_soak", arg, "--seeds", 1, &opt.seeds) &&
+        !WholeFlag("fault_soak", arg, "--jobs", 1, &opt.sweep.jobs) &&
+        !WholeFlag("fault_soak", arg, "--watchdog-ms", 0, &opt.sweep.shard_deadline_ms) &&
+        !WholeFlag("fault_soak", arg, "--attempts", 1, &opt.sweep.max_attempts)) {
       std::cerr << "fault_soak: unknown flag " << arg << "\n";
       std::exit(2);
     }

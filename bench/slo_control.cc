@@ -30,14 +30,15 @@
 // (the whole loop is deterministic given the seed).
 //
 // Seeds fan out through the supervised sweep runner exactly like
-// fault_soak: `--seeds=N --jobs=M` (env RTVIRT_SLO_SEEDS / RTVIRT_SLO_JOBS
-// are lower-precedence equivalents), crashed or hung seeds become recorded
-// shard outcomes, and the merged table is byte-identical for any jobs count.
+// fault_soak: `--seeds=N --jobs=M` (whole numbers >= 1; anything else exits
+// 2), crashed or hung seeds become recorded shard outcomes, and the merged
+// table is byte-identical for any jobs count.
 
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -253,19 +254,10 @@ Options Parse(int argc, char** argv) {
   opt.sweep.max_attempts = 2;
   opt.sweep.backoff_initial_ms = 50;
   opt.sweep.backoff_cap_ms = 2000;
-  if (const char* env = std::getenv("RTVIRT_SLO_SEEDS")) {
-    opt.seeds = std::atoi(env);
-  }
-  if (const char* env = std::getenv("RTVIRT_SLO_JOBS")) {
-    opt.sweep.jobs = std::atoi(env);
-  }
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--seeds=", 0) == 0) {
-      opt.seeds = std::atoi(arg.substr(8).c_str());
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      opt.sweep.jobs = std::atoi(arg.substr(7).c_str());
-    } else {
+    std::string_view arg = argv[i];
+    if (!WholeFlag("slo_control", arg, "--seeds", 1, &opt.seeds) &&
+        !WholeFlag("slo_control", arg, "--jobs", 1, &opt.sweep.jobs)) {
       std::cerr << "slo_control: unknown flag " << arg << "\n";
       std::exit(2);
     }

@@ -330,8 +330,7 @@ void Federation::TryPlace(size_t idx) {
   PendingMigration& pm = pendings_[idx];
   ClusterVm& vm = vms_[pm.vm];
   const FederationConfig::FaultTolerance& ft = config_.fault_tolerance;
-  TimeNs deadline = std::min(ft.migration_deadline, vm.spec.evacuation_deadline);
-  if (!pm.degraded && now_ - pm.started >= deadline) {
+  if (!pm.degraded && now_ - pm.started >= ft.migration_deadline) {
     pm.degraded = true;
   }
   ++counters_.migration_attempts;
@@ -391,12 +390,9 @@ Federation::VmStatus Federation::vm_status(const std::string& name) const {
 }
 
 ResilienceCounters Federation::resilience() const {
-  // The allocation profile is process-wide, and host 0's warm-up and steady
-  // windows together span the federation's life: take it once, not summed
-  // over overlapping windows. Per-host counters and queue stats add up.
-  ResilienceCounters total = hosts_[0].exp->resilience();
-  for (size_t i = 1; i < hosts_.size(); ++i) {
-    AccumulateResilience(total, hosts_[i].exp->resilience());
+  ResilienceCounters total;
+  for (const Host& h : hosts_) {
+    AccumulateResilience(total, h.exp->resilience());
   }
   static_cast<ClusterStats&>(total) = counters_;
   return total;

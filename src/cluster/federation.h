@@ -66,10 +66,6 @@ struct ClusterVmSpec {
   Bandwidth min_bandwidth = Bandwidth::FromPpb(-1);
   GuestConfig guest;
   MigrationCostModel migration;
-  // Per-VM cap on how long an evacuee may wait for a full-bandwidth home
-  // before degraded-fit placement kicks in (the federation-wide
-  // fault_tolerance.migration_deadline still applies; the tighter wins).
-  TimeNs evacuation_deadline = kTimeNever;
 };
 
 enum class HostState {
@@ -151,8 +147,7 @@ class Federation {
   VmStatus vm_status(const std::string& name) const;
 
   // Aggregated counters: the sum of every host's ResilienceCounters plus
-  // the federation's own cluster section. The process-wide allocation
-  // profile is host 0's, which covers the federation's whole life.
+  // the federation's own cluster section.
   ResilienceCounters resilience() const;
   void PrintReport(std::ostream& out, const std::string& title) const;
 

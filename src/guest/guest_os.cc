@@ -662,11 +662,27 @@ int GuestOs::ReshuffleFor(Bandwidth bw) {
     }
   }
   for (size_t i = 0; i < vcpus_.size(); ++i) {
-    if (new_bw[i] > Reserved(vcpus_[i])) {
-      int64_t rc = cross_layer_->RequestBandwidth(vcpus_[i].vcpu, new_bw[i], new_period[i]);
-      // The total reservation did not grow, so the host must accept.
-      assert(rc == kHypercallOk);
-      (void)rc;
+    if (new_bw[i] > Reserved(vcpus_[i]) &&
+        cross_layer_->RequestBandwidth(vcpus_[i].vcpu, new_bw[i], new_period[i]) !=
+            kHypercallOk) {
+      // The host has room, but the channel may still refuse (a degraded
+      // VCPU's local check, an injected failure, the trust rate limit). No
+      // task has moved, so each pin set still derives the reservation to go
+      // back to: shrink the increases granted so far, then restore the
+      // decreases.
+      for (size_t j = 0; j < i; ++j) {
+        const VcpuRun& vr = vcpus_[j];
+        if (new_bw[j] > Reserved(vr)) {
+          cross_layer_->ReleaseBandwidth(vr.vcpu, Reserved(vr), MinPeriod(vr.rtas));
+        }
+      }
+      for (size_t j = 0; j < vcpus_.size(); ++j) {
+        const VcpuRun& vr = vcpus_[j];
+        if (new_bw[j] < Reserved(vr)) {
+          cross_layer_->RequestBandwidth(vr.vcpu, Reserved(vr), MinPeriod(vr.rtas));
+        }
+      }
+      return -1;
     }
   }
 

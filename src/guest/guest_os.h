@@ -226,7 +226,8 @@ class GuestOs : public VcpuClient, public ckpt::Checkpointable {
                           const Task* except = nullptr);
   // Attempts to re-partition all RTAs (plus a new one of bandwidth `bw`)
   // first-fit-decreasing; applies the moves and returns the target VCPU for
-  // the new RTA, or -1 if no packing exists.
+  // the new RTA, or -1 with no task moved if no packing exists or the
+  // channel refuses one of the increases.
   int ReshuffleFor(Bandwidth bw);
 
   // ---- Overload control: mixed-criticality degradation (guest_overload.cc) ----

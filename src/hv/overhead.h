@@ -36,19 +36,6 @@ struct OverheadStats {
     }
     return static_cast<double>(TotalTime()) / static_cast<double>(wall * pcpus);
   }
-
-  OverheadStats Delta(const OverheadStats& earlier) const {
-    OverheadStats d;
-    d.schedule_calls = schedule_calls - earlier.schedule_calls;
-    d.schedule_time = schedule_time - earlier.schedule_time;
-    d.context_switches = context_switches - earlier.context_switches;
-    d.context_switch_time = context_switch_time - earlier.context_switch_time;
-    d.migrations = migrations - earlier.migrations;
-    d.migration_time = migration_time - earlier.migration_time;
-    d.hypercalls = hypercalls - earlier.hypercalls;
-    d.hypercall_time = hypercall_time - earlier.hypercall_time;
-    return d;
-  }
 };
 
 }  // namespace rtvirt

@@ -53,14 +53,6 @@ void TablePrinter::Print(std::ostream& out) const {
   }
 }
 
-void PrintPercentiles(std::ostream& out, const Samples& samples,
-                      const std::vector<double>& percentiles, const std::string& unit) {
-  for (double p : percentiles) {
-    out << "  p" << p << ": " << TablePrinter::Fmt(samples.Percentile(p)) << " " << unit
-        << "\n";
-  }
-}
-
 void PrintCdf(std::ostream& out, const Samples& samples, size_t points,
               const std::string& unit) {
   out << "  value(" << unit << ")  cumulative_fraction\n";

@@ -1,4 +1,4 @@
-// Text-report helpers: aligned tables and CDF/percentile dumps matching the
+// Text-report helpers: aligned tables and CDF dumps matching the
 // rows and series the paper's tables and figures present.
 
 #ifndef SRC_METRICS_REPORT_H_
@@ -27,11 +27,6 @@ class TablePrinter {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-// Prints "pXX  value" lines for the given percentiles (values as-is, caller
-// chooses the unit).
-void PrintPercentiles(std::ostream& out, const Samples& samples,
-                      const std::vector<double>& percentiles, const std::string& unit);
 
 // Prints a CDF like Figure 5: `points` (value, fraction) rows.
 void PrintCdf(std::ostream& out, const Samples& samples, size_t points,

@@ -97,10 +97,7 @@ constexpr CounterRow kRows[] = {
 
 // As many rows as counter fields; a field named twice shows in the golden
 // report and the every-row accumulate test.
-static_assert(std::size(kRows) * sizeof(uint64_t) ==
-                  sizeof(MachineStats) + sizeof(FaultStats) + sizeof(ChannelStats) +
-                      sizeof(DpWrapStats) + sizeof(GuestOverloadStats) + sizeof(ControlStats) +
-                      sizeof(AuditStats) + sizeof(ClusterStats),
+static_assert(std::size(kRows) * sizeof(uint64_t) == sizeof(ResilienceCounters),
               "a counter field has no row");
 
 bool AlwaysPrinted(std::string_view layer) {
@@ -113,9 +110,6 @@ std::span<const CounterRow> CounterRows() { return kRows; }
 
 void PrintResilience(std::ostream& out, const ResilienceCounters& c) {
   TablePrinter table({"layer", "counter", "value"});
-  auto row = [&](const char* layer, const char* name, uint64_t v) {
-    table.AddRow({layer, name, std::to_string(v)});
-  };
   const std::span<const CounterRow> rows = kRows;
   for (size_t begin = 0, end = 0; begin < rows.size(); begin = end) {
     const std::string_view layer = rows[begin].layer;
@@ -124,24 +118,9 @@ void PrintResilience(std::ostream& out, const ResilienceCounters& c) {
       print = print || c.*rows[end].field != 0;
     }
     for (size_t i = begin; print && i < end; ++i) {
-      row(rows[i].layer, rows[i].name, c.*rows[i].field / rows[i].divisor);
+      table.AddRow({rows[i].layer, rows[i].name,
+                    std::to_string(c.*rows[i].field / rows[i].divisor)});
     }
-  }
-  // Allocation profile: opt-in (ExperimentConfig::report_alloc /
-  // RTVIRT_REPORT_ALLOC) because RSS and warm-up counts vary across builds
-  // and would break byte-identical report comparisons.
-  if (c.alloc_section) {
-    row("alloc", "warmup_allocs", c.warmup_allocs);
-    row("alloc", "warmup_alloc_kb", c.warmup_alloc_bytes / 1024);
-    row("alloc", "steady_allocs", c.steady_allocs);
-    row("alloc", "steady_alloc_kb", c.steady_alloc_bytes / 1024);
-    row("alloc", "peak_rss_kb", c.peak_rss_kb);
-    row("alloc", "eq_schedules", c.event_queue.schedules);
-    row("alloc", "eq_cancels", c.event_queue.cancels);
-    row("alloc", "eq_pops", c.event_queue.pops);
-    row("alloc", "eq_node_allocs", c.event_queue.node_allocs);
-    row("alloc", "eq_calendar_resizes", c.event_queue.calendar_resizes);
-    row("alloc", "eq_calendar_retunes", c.event_queue.calendar_retunes);
   }
   table.Print(out);
 }
@@ -150,13 +129,6 @@ void AccumulateResilience(ResilienceCounters& into, const ResilienceCounters& fr
   for (const CounterRow& row : kRows) {
     into.*row.field += from.*row.field;
   }
-  into.alloc_section = into.alloc_section || from.alloc_section;
-  into.event_queue.schedules += from.event_queue.schedules;
-  into.event_queue.cancels += from.event_queue.cancels;
-  into.event_queue.pops += from.event_queue.pops;
-  into.event_queue.node_allocs += from.event_queue.node_allocs;
-  into.event_queue.calendar_resizes += from.event_queue.calendar_resizes;
-  into.event_queue.calendar_retunes += from.event_queue.calendar_retunes;
 }
 
 }  // namespace rtvirt

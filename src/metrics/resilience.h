@@ -12,7 +12,6 @@
 #include <span>
 
 #include "src/metrics/counters.h"
-#include "src/sim/event_queue.h"
 
 namespace rtvirt {
 
@@ -23,22 +22,7 @@ struct ResilienceCounters : MachineStats,
                             GuestOverloadStats,
                             ControlStats,
                             AuditStats,
-                            ClusterStats {
-  // Allocation profile (perf subsystem, alloc_hooks): operator-new counts
-  // split between warm-up (construction through the end of the first Run)
-  // and steady state, plus event-queue node-storage allocations. Always
-  // filled by the runner; printed only when `alloc_section` is set
-  // (ExperimentConfig::report_alloc / RTVIRT_REPORT_ALLOC), so reports from
-  // runs that did not opt in stay byte-identical. The counts and peak RSS
-  // are process-wide snapshots, not per-host counters.
-  bool alloc_section = false;
-  uint64_t warmup_allocs = 0;
-  uint64_t warmup_alloc_bytes = 0;
-  uint64_t steady_allocs = 0;
-  uint64_t steady_alloc_bytes = 0;
-  uint64_t peak_rss_kb = 0;
-  EventQueueStats event_queue;
-};
+                            ClusterStats {};
 
 // One report row per counter. Rows of a layer are contiguous and in print
 // order; the value printed is the field divided by `divisor` (unit change).
@@ -52,14 +36,12 @@ std::span<const CounterRow> CounterRows();
 
 // Two-column "counter  value" dump, one section per layer. The injected,
 // guest and host sections always print; every other layer prints when any
-// of its counters is nonzero, and the alloc section when alloc_section is
-// set, so runs that never touch a subsystem keep their report bytes.
+// of its counters is nonzero, so runs that never touch a subsystem keep
+// their report bytes.
 void PrintResilience(std::ostream& out, const ResilienceCounters& c);
 
-// Sums every counter row and the event-queue stats of `from` into `into`
-// (cluster reports aggregate one ResilienceCounters per host) and ORs
-// alloc_section. The process-wide allocation profile does not add up across
-// hosts, so `into` keeps its own.
+// Sums every counter row of `from` into `into` (cluster reports aggregate
+// one ResilienceCounters per host).
 void AccumulateResilience(ResilienceCounters& into, const ResilienceCounters& from);
 
 }  // namespace rtvirt

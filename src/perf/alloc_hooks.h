@@ -4,7 +4,7 @@
 // wrappers over malloc/free that bump relaxed atomic counters, so any phase
 // of a run can be bracketed with two snapshots to get its exact allocation
 // count — the mechanism behind the perf suite's "steady state allocates
-// nothing" assertion and the warm-up vs steady split in ResilienceCounters.
+// nothing" assertion and perfbench's allocation counts.
 // The hooks are semantically transparent (ASan still intercepts the
 // underlying malloc) and cost one relaxed increment per allocation.
 

@@ -5,10 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <x86intrin.h>
-#endif
-
 #include "src/common/check.h"
 
 namespace rtvirt::perf {
@@ -20,26 +16,12 @@ uint64_t MonotonicNowNs() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-uint64_t CycleCount() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __rdtsc();
-#else
-  return MonotonicNowNs();
-#endif
-}
-
-namespace {
-
-// Reads one "Vm...: <n> kB" row out of /proc/self/status.
-uint64_t ProcStatusKb(const char* key) {
+uint64_t PeakRssKb() {
   std::ifstream status("/proc/self/status");
-  if (!status.is_open()) {
-    return 0;
-  }
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind(key, 0) == 0) {
-      std::istringstream row(line.substr(std::string(key).size() + 1));
+    if (line.rfind("VmHWM:", 0) == 0) {
+      std::istringstream row(line.substr(6));
       uint64_t kb = 0;
       row >> kb;
       return kb;
@@ -48,12 +30,6 @@ uint64_t ProcStatusKb(const char* key) {
   return 0;
 }
 
-}  // namespace
-
-uint64_t PeakRssKb() { return ProcStatusKb("VmHWM"); }
-
-uint64_t CurrentRssKb() { return ProcStatusKb("VmRSS"); }
-
 void PerfRecorder::Begin(const std::string& phase) {
   RTVIRT_CHECK(!open_, "perf phase \"%s\" opened while \"%s\" is still open",
                phase.c_str(), current_.name.c_str());
@@ -61,19 +37,16 @@ void PerfRecorder::Begin(const std::string& phase) {
   current_.name = phase;
   open_ = true;
   start_alloc_ = AllocNow();
-  start_cycles_ = CycleCount();
   start_wall_ = MonotonicNowNs();
 }
 
 const PhaseResult& PerfRecorder::End(uint64_t ops) {
   uint64_t end_wall = MonotonicNowNs();
-  uint64_t end_cycles = CycleCount();
   AllocSnapshot end_alloc = AllocNow();
   RTVIRT_CHECK(open_, "perf End() with no open phase (%llu phases recorded)",
                static_cast<unsigned long long>(phases_.size()));
   current_.ops = ops;
   current_.wall_ns = end_wall - start_wall_;
-  current_.cycles = end_cycles - start_cycles_;
   current_.allocs = end_alloc.allocs - start_alloc_.allocs;
   current_.alloc_bytes = end_alloc.bytes - start_alloc_.bytes;
   open_ = false;
@@ -90,15 +63,6 @@ void PerfRecorder::Count(const std::string& name, double value) {
   // workload under measurement: credit it back to the phase baseline.
   start_alloc_.allocs += after.allocs - before.allocs;
   start_alloc_.bytes += after.bytes - before.bytes;
-}
-
-const PhaseResult* PerfRecorder::Find(const std::string& name) const {
-  for (const PhaseResult& p : phases_) {
-    if (p.name == name) {
-      return &p;
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace rtvirt::perf

@@ -1,11 +1,11 @@
 // Phase-structured performance measurement.
 //
-// A PerfRecorder brackets named phases of a run with monotonic + cycle
-// timers and the process-wide allocation counters (alloc_hooks), and lets
-// the driver attach named counters (events popped, schedule ops, replans…)
-// to each phase. PhaseResults feed a PerfReport (perf_report.h), which
-// serializes them into the committed BENCH_*.json schema the perf_gate
-// comparator enforces.
+// A PerfRecorder brackets named phases of a run with a monotonic timer and
+// the process-wide allocation counters (alloc_hooks), and lets the driver
+// attach named counters (events popped, schedule ops, replans…) to each
+// phase. PhaseResults feed a PerfReport (perf_report.h), which serializes
+// them into the committed BENCH_*.json schema the perf_gate comparator
+// enforces.
 
 #ifndef SRC_PERF_PERF_RECORDER_H_
 #define SRC_PERF_PERF_RECORDER_H_
@@ -22,22 +22,14 @@ namespace rtvirt::perf {
 // Wall clock (CLOCK_MONOTONIC) in nanoseconds.
 uint64_t MonotonicNowNs();
 
-// CPU cycle counter (rdtsc on x86-64); falls back to monotonic nanoseconds
-// on other architectures, so it is always usable as a relative measure.
-uint64_t CycleCount();
-
 // Peak resident set size (VmHWM from /proc/self/status) in KiB; 0 when the
 // proc file is unavailable.
 uint64_t PeakRssKb();
-
-// Current resident set size (VmRSS) in KiB; 0 when unavailable.
-uint64_t CurrentRssKb();
 
 struct PhaseResult {
   std::string name;
   uint64_t ops = 0;       // Work items the caller declared for the phase.
   uint64_t wall_ns = 0;
-  uint64_t cycles = 0;
   uint64_t allocs = 0;       // operator new calls during the phase.
   uint64_t alloc_bytes = 0;  // Bytes requested during the phase.
   std::map<std::string, double> counters;  // Named extras (sorted for output).
@@ -64,14 +56,12 @@ class PerfRecorder {
   void Count(const std::string& name, double value);
 
   const std::vector<PhaseResult>& phases() const { return phases_; }
-  const PhaseResult* Find(const std::string& name) const;
 
  private:
   std::vector<PhaseResult> phases_;
   bool open_ = false;
   PhaseResult current_;
   uint64_t start_wall_ = 0;
-  uint64_t start_cycles_ = 0;
   AllocSnapshot start_alloc_;
 };
 

@@ -2,12 +2,10 @@
 
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/metrics/report.h"
-#include "src/perf/perf_recorder.h"
 
 namespace rtvirt {
 
@@ -27,11 +25,6 @@ const char* FrameworkName(Framework framework) {
 
 Experiment::Experiment(ExperimentConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
-  if (const char* env = std::getenv("RTVIRT_REPORT_ALLOC");
-      env != nullptr && *env != '\0' && *env != '0') {
-    config_.report_alloc = true;
-  }
-  ctor_alloc_ = perf::AllocNow();
   machine_ = std::make_unique<Machine>(&sim_, config_.machine);
   switch (config_.framework) {
     case Framework::kRtvirt: {
@@ -170,17 +163,6 @@ ResilienceCounters Experiment::resilience() const {
     }
     AccumulateResilience(c, vm);
   }
-  // Allocation attribution (perf subsystem): warm-up covers construction
-  // through the end of the first Run(); everything after is steady state.
-  c.alloc_section = config_.report_alloc;
-  perf::AllocSnapshot now = perf::AllocNow();
-  const perf::AllocSnapshot& split = warmup_recorded_ ? warmup_end_alloc_ : now;
-  c.warmup_allocs = split.allocs - ctor_alloc_.allocs;
-  c.warmup_alloc_bytes = split.bytes - ctor_alloc_.bytes;
-  c.steady_allocs = now.allocs - split.allocs;
-  c.steady_alloc_bytes = now.bytes - split.bytes;
-  c.peak_rss_kb = perf::PeakRssKb();
-  c.event_queue = sim_.queue_stats();
   return c;
 }
 
@@ -223,9 +205,6 @@ std::string Experiment::SaveCheckpoint(ckpt::Image* out) const {
   }
   if (config_.control.enabled) {
     return "checkpoint: control.enabled is not checkpointable";
-  }
-  if (config_.report_alloc) {
-    return "checkpoint: report_alloc is not checkpointable";
   }
   if (!started_) {
     return "checkpoint: experiment has not started (nothing to save)";
@@ -286,9 +265,9 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
     return std::string("checkpoint: framework ") + FrameworkName(config_.framework) +
            " is not checkpointable (RTVirt only)";
   }
-  if (config_.audit.enabled || config_.control.enabled || config_.report_alloc) {
+  if (config_.audit.enabled || config_.control.enabled) {
     return "checkpoint: restore target enables a non-checkpointable feature "
-           "(audit/control/report_alloc)";
+           "(audit/control)";
   }
   if (started_) {
     return "checkpoint: restore requires a freshly built experiment (already started)";
@@ -322,8 +301,6 @@ std::string Experiment::RestoreCheckpoint(const ckpt::Image& image) {
   // (machine started, injector interceptor installed), so the next Run() must
   // skip Arm()/Start() and go straight to RunUntil.
   started_ = true;
-  warmup_recorded_ = true;
-  warmup_end_alloc_ = perf::AllocNow();
   return "";
 }
 
@@ -427,10 +404,6 @@ void Experiment::Run(TimeNs until) {
     started_ = true;
   }
   sim_.RunUntil(until);
-  if (!warmup_recorded_) {
-    warmup_end_alloc_ = perf::AllocNow();
-    warmup_recorded_ = true;
-  }
 }
 
 }  // namespace rtvirt

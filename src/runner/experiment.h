@@ -19,7 +19,6 @@
 #include "src/guest/guest_os.h"
 #include "src/hv/machine.h"
 #include "src/metrics/resilience.h"
-#include "src/perf/alloc_hooks.h"
 #include "src/rtvirt/dpwrap.h"
 #include "src/rtvirt/guest_channel.h"
 #include "src/sim/simulator.h"
@@ -54,11 +53,6 @@ struct ExperimentConfig {
   // reports stay byte-identical). Tenants are attached via
   // controller()->Watch(...); the decision tick is armed on first Run().
   ControlConfig control;
-  // Print the allocation section (warm-up vs steady-state operator-new
-  // counts, peak RSS) in the standard report. Off by default so existing
-  // reports stay byte-identical; the RTVIRT_REPORT_ALLOC environment
-  // variable force-enables it (used by the CI fault-soak job).
-  bool report_alloc = false;
   uint64_t seed = 42;
 };
 
@@ -127,9 +121,8 @@ class Experiment {
   // Serializes the full simulation state (clock, live events, RNG, every
   // registered component) into `out`. Returns "" on success, else
   // an error naming the unsupported config or unregistered event. Requires a
-  // started experiment on the default path: audit, control, report_alloc and
-  // non-RTVirt frameworks are rejected (their components are not yet
-  // checkpointable).
+  // started experiment on the default path: audit, control and non-RTVirt
+  // frameworks are rejected (their components are not yet checkpointable).
   std::string SaveCheckpoint(ckpt::Image* out) const;
 
   // Restores `image` onto this freshly built (never Run) experiment, which
@@ -171,12 +164,6 @@ class Experiment {
   // owner Fnv1a64(name) of the component it targets, and restore hands it
   // back to that component.
   std::vector<std::pair<std::string, ckpt::Checkpointable*>> checkpointables_;
-  // Allocation attribution: everything up to the end of the first Run() call
-  // (construction, guest/workload setup, machine start) is warm-up; the rest
-  // is steady state. Snapshots of the global alloc_hooks counters.
-  perf::AllocSnapshot ctor_alloc_;
-  perf::AllocSnapshot warmup_end_alloc_;
-  bool warmup_recorded_ = false;
 };
 
 }  // namespace rtvirt

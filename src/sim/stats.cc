@@ -1,11 +1,8 @@
 #include "src/sim/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstdint>
 #include <numeric>
-#include <sstream>
 
 namespace rtvirt {
 
@@ -36,22 +33,10 @@ double Samples::Max() const {
   return values_.empty() ? 0.0 : values_.back();
 }
 
-double Samples::Sum() const { return std::accumulate(values_.begin(), values_.end(), 0.0); }
-
 double Samples::Mean() const {
-  return values_.empty() ? 0.0 : Sum() / static_cast<double>(values_.size());
-}
-
-double Samples::Stddev() const {
-  if (values_.size() < 2) {
-    return 0.0;
-  }
-  double mean = Mean();
-  double acc = 0.0;
-  for (double v : values_) {
-    acc += (v - mean) * (v - mean);
-  }
-  return std::sqrt(acc / static_cast<double>(values_.size() - 1));
+  return values_.empty() ? 0.0
+                         : std::accumulate(values_.begin(), values_.end(), 0.0) /
+                               static_cast<double>(values_.size());
 }
 
 double Samples::Percentile(double p) const {
@@ -76,15 +61,6 @@ double Samples::Percentile(double p) const {
   return values_[rank - 1];
 }
 
-double Samples::FractionAtMost(double threshold) const {
-  if (values_.empty()) {
-    return 0.0;
-  }
-  EnsureSorted();
-  auto it = std::upper_bound(values_.begin(), values_.end(), threshold);
-  return static_cast<double>(it - values_.begin()) / static_cast<double>(values_.size());
-}
-
 std::vector<Samples::CdfPoint> Samples::Cdf(size_t points) const {
   std::vector<CdfPoint> out;
   if (values_.empty() || points == 0) {
@@ -102,58 +78,6 @@ std::vector<Samples::CdfPoint> Samples::Cdf(size_t points) const {
     out.push_back(CdfPoint{values_[rank - 1], frac});
   }
   return out;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  assert(hi > lo && buckets > 0);
-}
-
-void Histogram::Add(double v) {
-  ++total_;
-  if (v < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (v >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<size_t>((v - lo_) / width_);
-  if (idx >= counts_.size()) {
-    idx = counts_.size() - 1;  // Floating point edge at hi_.
-  }
-  ++counts_[idx];
-}
-
-double Histogram::BucketLow(size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::BucketHigh(size_t i) const { return BucketLow(i) + width_; }
-
-std::string Histogram::Render(size_t max_width) const {
-  uint64_t peak = underflow_ > overflow_ ? underflow_ : overflow_;
-  for (uint64_t c : counts_) {
-    peak = std::max(peak, c);
-  }
-  if (peak == 0) {
-    peak = 1;
-  }
-  std::ostringstream out;
-  auto bar = [&](uint64_t c) {
-    auto n = static_cast<size_t>(static_cast<double>(c) / static_cast<double>(peak) *
-                                 static_cast<double>(max_width));
-    return std::string(n, '#');
-  };
-  if (underflow_ > 0) {
-    out << "  < " << lo_ << ": " << underflow_ << " " << bar(underflow_) << "\n";
-  }
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    out << "  [" << BucketLow(i) << ", " << BucketHigh(i) << "): " << counts_[i] << " "
-        << bar(counts_[i]) << "\n";
-  }
-  if (overflow_ > 0) {
-    out << "  >= " << hi_ << ": " << overflow_ << " " << bar(overflow_) << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace rtvirt

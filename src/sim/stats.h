@@ -1,4 +1,4 @@
-// Exact sample statistics: percentiles, histograms, CDF dumps.
+// Exact sample statistics: percentiles and CDF dumps.
 //
 // The evaluation reports tail percentiles (99th, 99.9th) over at most a few
 // hundred thousand samples per run, so samples are kept exactly and sorted on
@@ -8,7 +8,6 @@
 #define SRC_SIM_STATS_H_
 
 #include <cstddef>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,14 +23,9 @@ class Samples {
   double Min() const;
   double Max() const;
   double Mean() const;
-  double Stddev() const;
-  double Sum() const;
 
   // Percentile with nearest-rank interpolation; p in [0, 100].
   double Percentile(double p) const;
-
-  // Fraction of samples <= threshold, in [0, 1].
-  double FractionAtMost(double threshold) const;
 
   // (value, cumulative fraction) pairs at `points` evenly spaced ranks,
   // suitable for plotting a CDF like Figure 5.
@@ -55,32 +49,6 @@ class Samples {
 
   mutable std::vector<double> values_;
   mutable bool sorted_ = true;
-};
-
-// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double v);
-  uint64_t bucket(size_t i) const { return counts_[i]; }
-  uint64_t underflow() const { return underflow_; }
-  uint64_t overflow() const { return overflow_; }
-  uint64_t total() const { return total_; }
-  double BucketLow(size_t i) const;
-  double BucketHigh(size_t i) const;
-
-  // Multi-line ASCII rendering (for example programs).
-  std::string Render(size_t max_width) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<uint64_t> counts_;
-  uint64_t underflow_ = 0;
-  uint64_t overflow_ = 0;
-  uint64_t total_ = 0;
 };
 
 }  // namespace rtvirt

@@ -164,6 +164,66 @@ TEST(ChannelRetry, LegacyNoRetrySurfacesFirstFailure) {
   EXPECT_FALSE(exp.ChannelOf(g)->degraded(g->vm()->vcpu(0)));
 }
 
+// Admission's reshuffle lowers some VCPUs' reservations, then raises
+// others' in VCPU order. When the channel refuses a raise, every VCPU gets
+// back the reservation its unchanged pin set derives and no task moves, so
+// no VCPU runs RTAs above its grant. Case 1: first-fit-decreasing packs the
+// newcomer with one 0.4 task and 0.5 with the other, so VCPU 0 drops to 0.4
+// and VCPU 1's raise to 0.9 is refused. Case 2: it packs the newcomer with
+// one 0.3 task and each 0.6 task with another, so VCPU 0 drops to 0.3,
+// VCPU 1's raise to 0.9 is granted and VCPU 2's is refused.
+TEST(ChannelRetry, RefusedReshuffleIncreaseMovesNoTask) {
+  struct Case {
+    std::vector<TimeNs> slices;  // Registered in order, all at a 10 ms period.
+    std::vector<int> placement;  // First fit's VCPU for each.
+    int refusing_vcpu;
+    TimeNs newcomer;             // Fits no VCPU as placed.
+  };
+  for (const Case& k : {Case{{Ms(4), Ms(4), Ms(5)}, {0, 0, 1}, 1, Us(5500)},
+                        Case{{Ms(3), Ms(3), Ms(3), Ms(6), Ms(6)}, {0, 0, 0, 1, 2}, 2, Us(6500)}}) {
+    const int vcpus = k.placement.back() + 1;
+    SCOPED_TRACE(vcpus);
+    ExperimentConfig cfg = ResilientConfig(vcpus);
+    cfg.channel.budget_slack = 0;
+    cfg.audit.enabled = true;
+    Experiment exp(cfg);
+    GuestOs* g = exp.AddGuest("vm", vcpus);
+    std::vector<Task*> tasks;
+    for (TimeNs slice : k.slices) {
+      tasks.push_back(g->CreateTask("t" + std::to_string(tasks.size())));
+      ASSERT_EQ(g->SchedSetAttr(tasks.back(), RtaParams{slice, Ms(10)}), kGuestOk);
+    }
+    auto placement = [&] {
+      std::vector<int> out;
+      for (const Task* t : tasks) {
+        out.push_back(t->vcpu_index());
+      }
+      return out;
+    };
+    ASSERT_EQ(placement(), k.placement);
+
+    // From here on every call the refusing VCPU makes fails, retries included.
+    Vcpu* refusing = g->vm()->vcpu(k.refusing_vcpu);
+    exp.machine().SetHypercallInterceptor([refusing](Vcpu* caller, const HypercallArgs&) {
+      Machine::HypercallFault f;
+      if (caller == refusing) {
+        f.action = Machine::HypercallFault::Action::kFail;
+      }
+      return f;
+    });
+    Task* d = g->CreateTask("d");
+    EXPECT_EQ(g->SchedSetAttr(d, RtaParams{k.newcomer, Ms(10)}), kGuestErrBusy);
+    EXPECT_EQ(placement(), k.placement);
+    // Zero slack: the host holds exactly what each pin set derives.
+    for (int i = 0; i < vcpus; ++i) {
+      EXPECT_EQ(exp.dpwrap()->ReservedBw(g->vm()->vcpu(i)), g->VcpuReservedBw(i)) << "vcpu " << i;
+    }
+    exp.Run(Ms(100));
+    EXPECT_GT(exp.auditor()->stats().audit_checks, 0u);
+    EXPECT_EQ(exp.auditor()->stats().audit_violations, 0u);
+  }
+}
+
 // ---- Degraded mode ----
 
 TEST(DegradedMode, LocalAdmissionWithinGrantThenRepair) {

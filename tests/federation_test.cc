@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/cluster/federation.h"
-#include "src/perf/alloc_hooks.h"
 #include "src/workloads/periodic.h"
 
 namespace rtvirt {
@@ -353,31 +352,6 @@ TEST(FederationTest, HostFaultPlanValidation) {
   // The same window on another host is fine.
   after_crash.host_faults.back().host = 1;
   EXPECT_EQ(after_crash.Validate(4, -1, 2), "");
-}
-
-// The allocation profile is process-wide and the hosts' measuring windows
-// overlap, so a federation report must count the process once: no more
-// allocations than the process made from just before construction.
-TEST(FederationTest, AllocProfileCountsTheProcessOnce) {
-  if (!perf::AllocHooksActive()) {
-    GTEST_SKIP() << "allocation hooks are not linked in";
-  }
-  const perf::AllocSnapshot before = perf::AllocNow();
-  FederationConfig config;
-  config.num_hosts = 3;
-  config.pcpus_per_host = 2;
-  ExperimentConfig tmpl;
-  tmpl.report_alloc = true;
-  Federation fed(config, tmpl);
-  for (const char* name : {"a", "b", "c"}) {
-    ASSERT_TRUE(fed.AdmitVm(Spec(name, 0.5)).has_value()) << name;
-  }
-  fed.Run(Ms(100));
-  ResilienceCounters rc = fed.resilience();
-  const perf::AllocSnapshot after = perf::AllocNow();
-  EXPECT_TRUE(rc.alloc_section);
-  EXPECT_GT(rc.warmup_allocs, 0u);
-  EXPECT_LE(rc.warmup_allocs + rc.steady_allocs, after.allocs - before.allocs);
 }
 
 // Same seed + same plan => byte-identical report, with real workloads

@@ -237,11 +237,6 @@ TEST(Machine, OverheadFraction) {
   oh.schedule_time = Ms(1);
   oh.context_switch_time = Ms(1);
   EXPECT_DOUBLE_EQ(oh.Fraction(Ms(100), 2), 0.01);
-  OverheadStats later = oh;
-  later.schedule_time = Ms(3);
-  OverheadStats d = later.Delta(oh);
-  EXPECT_EQ(d.schedule_time, Ms(2));
-  EXPECT_EQ(d.context_switch_time, 0);
 }
 
 TEST(Machine, HotplugVcpuMidRun) {

@@ -126,34 +126,25 @@ TEST(TablePrinterTest, FormatHelpers) {
   EXPECT_EQ(TablePrinter::Pct(0.5, 1), "50.0%");
 }
 
-TEST(ReportTest, PrintCdfAndPercentiles) {
+TEST(ReportTest, PrintCdf) {
   Samples s;
   for (int i = 1; i <= 100; ++i) {
     s.Add(i);
   }
   std::ostringstream out;
-  PrintPercentiles(out, s, {50, 99}, "us");
   PrintCdf(out, s, 4, "us");
   std::string text = out.str();
-  EXPECT_NE(text.find("p50: 50.00 us"), std::string::npos);
-  EXPECT_NE(text.find("p99: 99.00 us"), std::string::npos);
+  EXPECT_NE(text.find("value(us)"), std::string::npos);
+  EXPECT_NE(text.find("50.00  0.5000"), std::string::npos);
   EXPECT_NE(text.find("1.0000"), std::string::npos);  // CDF reaches 1.
 }
 
-// Every counter row holds a distinct value, row i = (i+1) * 10^6, and the
-// alloc section continues the sequence.
+// Every counter row holds a distinct value, row i = (i+1) * 10^6.
 ResilienceCounters EveryRowDistinct() {
   ResilienceCounters c;
   uint64_t v = 0;
   for (const CounterRow& row : CounterRows()) {
     c.*row.field = (v += 1000000);
-  }
-  c.alloc_section = true;
-  for (uint64_t* f : {&c.warmup_allocs, &c.warmup_alloc_bytes, &c.steady_allocs,
-                      &c.steady_alloc_bytes, &c.peak_rss_kb, &c.event_queue.schedules,
-                      &c.event_queue.cancels, &c.event_queue.pops, &c.event_queue.node_allocs,
-                      &c.event_queue.calendar_resizes, &c.event_queue.calendar_retunes}) {
-    *f = (v += 1000000);
   }
   return c;
 }
@@ -209,19 +200,12 @@ TEST(ResilienceReport, AccumulateSumsEveryRow) {
     into.*row.field = i;
     from.*row.field = 1000 * i;
   }
-  from.alloc_section = true;
-  into.event_queue.pops = 2;
-  from.event_queue.pops = 3;
-  from.warmup_allocs = 7;  // Process-wide: `into` keeps its own.
   AccumulateResilience(into, from);
   i = 0;
   for (const CounterRow& row : CounterRows()) {
     ++i;
     EXPECT_EQ(into.*row.field, 1001 * i) << row.layer << "." << row.name;
   }
-  EXPECT_TRUE(into.alloc_section);
-  EXPECT_EQ(into.event_queue.pops, 5u);
-  EXPECT_EQ(into.warmup_allocs, 0u);
 }
 
 TEST(DispatchTracerTest, ObservesEveryDispatch) {

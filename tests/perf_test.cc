@@ -51,8 +51,8 @@ TEST(PerfRecorder, PhaseBracketsTimeOpsAndAllocs) {
   EXPECT_DOUBLE_EQ(r.counters.at("extra"), 7.0);
   EXPECT_GT(r.NsPerOp(), 0.0);
   EXPECT_GT(r.OpsPerSec(), 0.0);
-  ASSERT_NE(rec.Find("work"), nullptr);
-  EXPECT_EQ(rec.Find("missing"), nullptr);
+  ASSERT_EQ(rec.phases().size(), 1u);
+  EXPECT_EQ(&rec.phases().front(), &r);
 }
 
 TEST(PerfRecorder, ZeroAllocPhaseMeasuresZeroDespiteCounters) {
@@ -72,8 +72,6 @@ TEST(PerfRecorder, ZeroAllocPhaseMeasuresZeroDespiteCounters) {
 
 TEST(PerfRecorder, PeakRssIsReported) {
   EXPECT_GT(PeakRssKb(), 0u);
-  EXPECT_GT(CurrentRssKb(), 0u);
-  EXPECT_GE(PeakRssKb(), CurrentRssKb());
 }
 
 TEST(PerfReport, JsonRoundTripPreservesEverything) {
