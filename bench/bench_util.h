@@ -4,6 +4,7 @@
 #define BENCH_BENCH_UTIL_H_
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -102,6 +103,25 @@ bool WholeFlag(const char* prog, std::string_view arg, std::string_view name,
   if (ec != std::errc() || ptr != end || *out < min) {
     std::cerr << prog << ": " << name << " needs a whole number from " << min << " to "
               << std::numeric_limits<T>::max() << ", got '" << value << "'\n";
+    std::exit(2);
+  }
+  return true;
+}
+
+// Reads `arg` if it is `name=F` and returns whether it was. F must be a
+// positive decimal such as 3 or 0.25 (no sign, exponent or trailing text);
+// anything else makes `prog` exit 2 naming the flag and the value.
+inline bool PositiveDecimalFlag(const char* prog, std::string_view arg, std::string_view name,
+                                double* out) {
+  if (!arg.starts_with(name) || arg.substr(name.size(), 1) != "=") {
+    return false;
+  }
+  std::string_view value = arg.substr(name.size() + 1);
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, *out, std::chars_format::fixed);
+  if (ec != std::errc() || ptr != end || !std::isfinite(*out) || *out <= 0) {
+    std::cerr << prog << ": " << name << " needs a positive decimal number, got '" << value
+              << "'\n";
     std::exit(2);
   }
   return true;

@@ -24,7 +24,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <unistd.h>
@@ -272,9 +271,7 @@ int Main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg.rfind("--watchdog-ms=", 0) == 0) {
-      watchdog_ms = std::atoll(arg.c_str() + std::strlen("--watchdog-ms="));
-    } else {
+    } else if (!WholeFlag("checkpoint_resilience", arg, "--watchdog-ms", 1, &watchdog_ms)) {
       std::cerr << "usage: checkpoint_resilience [--smoke] [--watchdog-ms=N]\n";
       return 1;
     }

@@ -8,11 +8,11 @@
 // usage/parse errors. See DESIGN.md §5 for the schema and how to re-baseline.
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "src/perf/perf_gate.h"
 #include "src/perf/perf_report.h"
 
@@ -22,9 +22,11 @@ int main(int argc, char** argv) {
   rtvirt::perf::GateOptions options;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      options.tolerance_scale = std::atof(arg + 8);
-    } else if (baseline_path.empty()) {
+    if (rtvirt::bench::PositiveDecimalFlag("perf_gate", arg, "--scale",
+                                           &options.tolerance_scale)) {
+      continue;
+    }
+    if (baseline_path.empty()) {
       baseline_path = arg;
     } else if (fresh_path.empty()) {
       fresh_path = arg;
@@ -33,7 +35,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (baseline_path.empty() || fresh_path.empty() || options.tolerance_scale <= 0) {
+  if (baseline_path.empty() || fresh_path.empty()) {
     std::fprintf(stderr, "usage: perf_gate <baseline.json> <fresh.json> [--scale=F]\n");
     return 2;
   }

@@ -42,12 +42,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/analysis/carts.h"
 #include "src/common/bandwidth.h"
 #include "src/common/rng.h"
@@ -390,16 +390,10 @@ int Run(int argc, char** argv) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--out=", 6) == 0) {
       out_path = arg + 6;
-    } else if (std::strncmp(arg, "--scale=", 8) == 0) {
-      scale = std::atof(arg + 8);
-    } else {
+    } else if (!bench::PositiveDecimalFlag("perf_suite", arg, "--scale", &scale)) {
       std::fprintf(stderr, "usage: perf_suite [--out=PATH] [--scale=F]\n");
       return 2;
     }
-  }
-  if (scale <= 0) {
-    std::fprintf(stderr, "perf_suite: --scale must be positive\n");
-    return 2;
   }
   if (!perf::AllocHooksActive()) {
     std::fprintf(stderr,

@@ -1,6 +1,7 @@
 #include "src/hv/pcpu.h"
 
 #include <cassert>
+#include <utility>
 
 #include "src/hv/machine.h"
 #include "src/hv/vcpu.h"
@@ -16,6 +17,16 @@ void Pcpu::Arm(uint32_t kind, TimeNs when) {
   } else if (kind == Machine::kEvGrant) {
     grant_event_ = id;
   }
+}
+
+void Pcpu::ArmSliceEnd(TimeNs run_until) {
+  Simulator* sim = machine_->sim();
+  if (resched_pending_ || run_until == kTimeNever) {
+    sim->Cancel(slice_end_event_);
+    return;
+  }
+  slice_end_event_ =
+      sim->Rearm(slice_end_event_, run_until, machine_, Machine::kEvSliceEnd, id_);
 }
 
 void Pcpu::OnEvent(uint32_t kind) {
@@ -80,7 +91,10 @@ void Pcpu::Reschedule() {
   }
 
   // We are re-deciding; the previous slice-end timer (if any) is obsolete.
-  sim->Cancel(slice_end_event_);
+  // It is held aside, not cancelled: whatever runs until an exit below sees
+  // no timer, as if it were cancelled, and the exit's ArmSliceEnd moves it
+  // in place or cancels it.
+  Simulator::EventId slice_end = std::exchange(slice_end_event_, {});
 
   // Bring the current VCPU's budget accounting up to date before asking the
   // scheduler, without revoking it yet: the scheduler may let it continue.
@@ -99,18 +113,16 @@ void Pcpu::Reschedule() {
     // kernel the decision happens on the same CPU inside the softirq; the
     // error is bounded by sched_cost and absorbed by the slack budget).
     run_until_ = d.run_until;
-    if (d.run_until < kTimeNever) {
-      Arm(Machine::kEvSliceEnd, d.run_until);
-    }
+    slice_end_event_ = slice_end;
+    ArmSliceEnd(d.run_until);
     return;
   }
 
   StopCurrent();
+  slice_end_event_ = slice_end;
 
   if (d.next == nullptr) {
-    if (d.run_until < kTimeNever) {
-      Arm(Machine::kEvSliceEnd, d.run_until);
-    }
+    ArmSliceEnd(d.run_until);
     return;
   }
 
@@ -187,9 +199,7 @@ void Pcpu::Dispatch(Vcpu* vcpu, TimeNs overhead_delay, TimeNs run_until) {
   vcpu->pcpu_ = this;
   granted_ = false;
   Arm(Machine::kEvGrant, sim->Now() + overhead_delay);
-  if (run_until < kTimeNever) {
-    Arm(Machine::kEvSliceEnd, run_until);
-  }
+  ArmSliceEnd(run_until);
 }
 
 void Pcpu::GrantCurrent() {

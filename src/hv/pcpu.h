@@ -81,6 +81,12 @@ class Pcpu {
   // path (it keeps the cancel handles); OnEvent runs them.
   void Arm(uint32_t kind, TimeNs when);
   void OnEvent(uint32_t kind);
+  // Points the slice-end timer at `run_until`, moving the pending one in
+  // place, or cancels it when the horizon is open-ended or a reschedule is
+  // queued. A queued kEvResched is at this very instant and sorts before any
+  // timer armed now, and its Reschedule cancels or re-arms the slice-end on
+  // every path, so a timer armed under it could never fire.
+  void ArmSliceEnd(TimeNs run_until);
 
   Machine* machine_;
   int id_;

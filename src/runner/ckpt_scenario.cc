@@ -1,8 +1,8 @@
 #include "src/runner/ckpt_scenario.h"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -102,6 +102,14 @@ std::string_view ValueOf(std::string_view token) {
   return eq == std::string_view::npos ? std::string_view() : token.substr(eq + 1);
 }
 
+// Digits only, within T's range.
+template <typename T>
+bool ParseWhole(std::string_view s, T* out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end && s[0] != '-';
+}
+
 bool ParseHex64(std::string_view s, uint64_t* out) {
   if (s.empty() || s.size() > 16) {
     return false;
@@ -148,11 +156,19 @@ std::string ParseTrail(const std::string& text, std::vector<IntervalDigest>* out
         continue;
       }
       std::string_view value = ValueOf(token);
+      auto not_whole = [&](const char* field) {
+        return "trail line " + std::to_string(lineno) + ": " + field +
+               "= needs a whole number, got '" + std::string(value) + "'";
+      };
       if (token.rfind("interval=", 0) == 0) {
-        d.interval = std::atoi(std::string(value).c_str());
+        if (!ParseWhole(value, &d.interval)) {
+          return not_whole("interval");
+        }
         have_interval = true;
       } else if (token.rfind("t=", 0) == 0) {
-        d.t = std::atoll(std::string(value).c_str());
+        if (!ParseWhole(value, &d.t)) {
+          return not_whole("t");
+        }
         have_t = true;
       } else if (token.rfind("combined=", 0) == 0) {
         if (!ParseHex64(value, &d.digest.combined)) {

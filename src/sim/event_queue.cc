@@ -243,14 +243,10 @@ void EventQueue::MaybeRetune() {
   window_ = stats_;
 }
 
-EventQueue::EventId EventQueue::Schedule(TimeNs when, const Event& event) {
-  ++stats_.schedules;
-  EventNode* n = AllocNode();
+void EventQueue::Place(EventNode* n, TimeNs when) {
   n->time = when;
   n->seq = next_seq_++;
-  n->event = event;
   stats_.insert_walk += BucketInsert(n);
-  ++live_count_;
   int64_t abs = static_cast<int64_t>(static_cast<uint64_t>(when) >> width_shift_);
   if (abs < pos_abs_) {
     pos_abs_ = abs;  // Landed behind the front: pull the scan back.
@@ -259,6 +255,14 @@ EventQueue::EventId EventQueue::Schedule(TimeNs when, const Event& event) {
       NodeBefore(n->time, n->seq, cached_min_->time, cached_min_->seq)) {
     cached_min_ = n;
   }
+}
+
+EventQueue::EventId EventQueue::Schedule(TimeNs when, const Event& event) {
+  ++stats_.schedules;
+  EventNode* n = AllocNode();
+  n->event = event;
+  Place(n, when);
+  ++live_count_;
   EventId id;
   id.node_ = n;
   id.gen_ = n->gen;
@@ -289,6 +293,36 @@ Event EventQueue::Cancel(EventId& id) {
   ++stats_.cancels;
   MaybeResize();
   return cancelled;
+}
+
+EventQueue::EventId EventQueue::Rearm(EventId id, TimeNs when, const Event& event) {
+  EventNode* n = id.node_;
+  if (n == nullptr || n->gen != id.gen_) {
+    return Schedule(when, event);
+  }
+  ++stats_.cancels;
+  ++stats_.schedules;
+  ++n->gen;
+  n->event = event;
+  if (n->time == when && (n->next == nullptr || n->next->time != when)) {
+    // Every other event pending at `when` shares this bucket and already
+    // sorts before the node, so the fresh sequence number keeps its place
+    // (and a cached minimum stays the minimum).
+    n->seq = next_seq_++;
+  } else {
+    if (n == cached_min_) {
+      cached_min_ = nullptr;
+    }
+    BucketUnlink(n);
+    Place(n, when);
+  }
+  EventId out;
+  out.node_ = n;
+  out.gen_ = n->gen;
+  if (stats_.schedules - window_.schedules == kRetuneWindow) {
+    MaybeRetune();
+  }
+  return out;
 }
 
 TimeNs EventQueue::NextTime() const {

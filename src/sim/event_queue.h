@@ -96,6 +96,15 @@ class EventQueue {
   // Returns the cancelled event; its target is null when nothing was pending.
   Event Cancel(EventId& id);
 
+  // Cancel(id) followed by Schedule(when, event), in one step: a pending
+  // event's node moves to (`when`, a fresh sequence number) and keeps its
+  // place in its bucket when no later-sequenced event shares `when`, so the
+  // common re-arm at an unchanged time is O(1). A stale or inert `id`
+  // schedules a new event. The pending (time, seq) order, the sequence
+  // numbers consumed and the counters (one cancel when `id` was pending, one
+  // schedule) are those of the two calls; copies of `id` go stale.
+  EventId Rearm(EventId id, TimeNs when, const Event& event);
+
   // Checkpoint support: snapshot of one pending event.
   struct LiveEvent {
     TimeNs time;
@@ -140,6 +149,10 @@ class EventQueue {
   size_t BucketIndex(TimeNs time) const;
   // Links `n` into its sorted bucket list; returns how many nodes it walked.
   uint64_t BucketInsert(EventNode* n);
+  // Gives the unlinked `n` time `when` and the next sequence number, links it
+  // in, and pulls the search front and the cached minimum to it if it sorts
+  // first.
+  void Place(EventNode* n, TimeNs when);
   void BucketUnlink(EventNode* n);
   // Locates (and caches) the earliest node, advancing the search front.
   EventNode* FindMin() const;
@@ -173,8 +186,8 @@ class EventQueue {
 struct EventNode {
   TimeNs time = 0;
   uint64_t seq = 0;
-  // Bumped whenever the node fires, is cancelled, or is recycled — a stale
-  // EventId's generation no longer matches, making its Cancel() a no-op.
+  // Bumped whenever the node fires, is cancelled, re-armed or recycled — a
+  // stale EventId's generation no longer matches, making its Cancel() a no-op.
   uint64_t gen = 0;
   Event event;
   EventNode* prev = nullptr;

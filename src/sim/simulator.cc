@@ -14,6 +14,14 @@ Simulator::EventId Simulator::At(TimeNs when, EventTarget* target, uint32_t kind
   return queue_.Schedule(when, Event{target, kind, payload});
 }
 
+Simulator::EventId Simulator::Rearm(EventId id, TimeNs when, EventTarget* target,
+                                    uint32_t kind, uint64_t payload) {
+  RTVIRT_CHECK(when >= now_,
+               "event re-armed in the past: when=%lld ns < now=%lld ns",
+               static_cast<long long>(when), static_cast<long long>(now_));
+  return queue_.Rearm(id, when, Event{target, kind, payload});
+}
+
 Simulator::EventId Simulator::At(TimeNs when, Callback cb) {
   closures_.emplace(next_closure_, std::move(cb));
   return At(when, this, 0, next_closure_++);

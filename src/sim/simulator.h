@@ -39,6 +39,12 @@ class Simulator : private EventTarget {
 
   void Cancel(EventId& id);
 
+  // Cancel(id) then At(when, target, kind, payload), with the pending event
+  // moved in place (EventQueue::Rearm); a stale id schedules a new event.
+  // `id` must not name a closure event.
+  EventId Rearm(EventId id, TimeNs when, EventTarget* target, uint32_t kind,
+                uint64_t payload = 0);
+
   // Runs events until the queue is empty or the clock would pass `end`;
   // leaves the clock at min(end, time of last event).
   void RunUntil(TimeNs end);

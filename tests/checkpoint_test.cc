@@ -1081,6 +1081,35 @@ TEST(CheckpointGoldenTrailTest, AllLayersRigMatchesRecordedTrail) {
   }
 }
 
+// ParseTrail's refusals, each naming the line: a good first line, then
+// `second_line`.
+std::string TrailError(const std::string& second_line) {
+  std::vector<IntervalDigest> out;
+  return ParseTrail("digest interval=0 t=50 combined=00ff sim=0a\n" + second_line + "\n", &out);
+}
+
+TEST(DigestTrailParseTest, IntervalMustBeAWholeNumber) {
+  EXPECT_EQ(TrailError("digest interval=abc t=100 combined=01"),
+            "trail line 2: interval= needs a whole number, got 'abc'");
+  EXPECT_EQ(TrailError("digest interval=-1 t=100 combined=01"),
+            "trail line 2: interval= needs a whole number, got '-1'");
+}
+
+TEST(DigestTrailParseTest, TimeMustBeAWholeNumber) {
+  EXPECT_EQ(TrailError("digest interval=1 t=12x combined=01"),
+            "trail line 2: t= needs a whole number, got '12x'");
+}
+
+TEST(DigestTrailParseTest, CombinedMustBeAHexDigest) {
+  EXPECT_EQ(TrailError("digest interval=1 t=100 combined=xyz"),
+            "trail line 2: bad combined digest 'xyz'");
+}
+
+TEST(DigestTrailParseTest, EveryLineNeedsIntervalTimeAndCombined) {
+  EXPECT_EQ(TrailError("digest interval=1 combined=01"),
+            "trail line 2: missing interval=/t=/combined= field");
+}
+
 TEST(CheckpointRoundTripTest, RestoreRequiresFreshExperiment) {
   CkptScenarioOptions opt;
   opt.horizon = Ms(200);

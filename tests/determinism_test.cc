@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -233,6 +234,14 @@ class Lockstep {
                oracle_.Schedule(when, Event{&oracle_log_, 0, tag})};
   }
 
+  // Re-arms in both as a fresh event (a new tag); the calendar moves a
+  // pending node in place, the model cancels and schedules.
+  Ids Rearm(const Ids& ids, TimeNs when) {
+    uint64_t tag = next_tag_++;
+    return Ids{cal_.Rearm(ids.cal, when, Event{&cal_log_, 0, tag}),
+               oracle_.Rearm(ids.oracle, when, Event{&oracle_log_, 0, tag})};
+  }
+
   // Cancels in both; false if they disagree on what was pending.
   bool Cancel(Ids& ids) {
     Event a = cal_.Cancel(ids.cal);
@@ -257,6 +266,7 @@ class Lockstep {
   bool SizesAgree() const { return cal_.size() == oracle_.size(); }
   const EventQueue& calendar() const { return cal_; }
   bool FiredSequencesAgree() const { return cal_log_.fired == oracle_log_.fired; }
+  const std::vector<uint64_t>& fired() const { return cal_log_.fired; }
 
  private:
   struct Log : EventTarget {
@@ -319,8 +329,9 @@ TEST(Determinism, EventQueueBackendsAgreeOverRandomizedOps) {
 // first, leaving a stale id), beside far-future episode timers that are
 // pending at the first occupancy resize. Its crowded buckets make the width
 // narrow. Phase 2 stops the millisecond timers and lets the spacing widen to
-// seconds, which makes the width widen again.
-TEST(Determinism, EventQueueBackendsAgreeThroughRetunes) {
+// seconds, which makes the width widen again. With `rearm`, each release
+// moves its budget timer with Rearm instead of cancelling and scheduling it.
+void RetuneLockstep(bool rearm) {
   Lockstep q;
   Rng rng(0x5EC0DEull);
   constexpr int kTimers = 256;
@@ -369,10 +380,16 @@ TEST(Determinism, EventQueueBackendsAgreeThroughRetunes) {
         schedule(now + rng.UniformTime(Sec(1), Sec(10)), Kind::kRelease, who.timer);
       } else if (who.kind == Kind::kRelease) {
         Timer& t = timers[who.timer];
-        // Cancels the budget armed one period ago; if it already fired, the
-        // id is stale and the cancel is a no-op in both.
-        ASSERT_TRUE(q.Cancel(t.budget_id)) << "pop " << k;
-        t.budget_id = schedule(now + t.budget, Kind::kBudget, who.timer);
+        // Replaces the budget armed one period ago; if it already fired, the
+        // id is stale and the cancel is a no-op in both (the re-arm a
+        // schedule).
+        if (rearm) {
+          owner.push_back(Owner{Kind::kBudget, who.timer});
+          t.budget_id = q.Rearm(t.budget_id, now + t.budget);
+        } else {
+          ASSERT_TRUE(q.Cancel(t.budget_id)) << "pop " << k;
+          t.budget_id = schedule(now + t.budget, Kind::kBudget, who.timer);
+        }
         schedule(now + t.period, Kind::kRelease, who.timer);
       }
       ASSERT_TRUE(q.SizesAgree()) << "pop " << k;
@@ -382,11 +399,11 @@ TEST(Determinism, EventQueueBackendsAgreeThroughRetunes) {
     }
   };
   run(40000, true);
-  ASSERT_FALSE(HasFatalFailure());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
   EXPECT_GT(narrower, 0);
   const int wider_in_phase1 = wider;
   run(60000, false);
-  ASSERT_FALSE(HasFatalFailure());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
   EXPECT_GT(wider, wider_in_phase1);
 
   while (!q.empty()) {
@@ -394,6 +411,105 @@ TEST(Determinism, EventQueueBackendsAgreeThroughRetunes) {
     ASSERT_TRUE(q.Pop(&now, &tag));
   }
   EXPECT_TRUE(q.SizesAgree());
+  EXPECT_TRUE(q.FiredSequencesAgree());
+}
+
+TEST(Determinism, EventQueueBackendsAgreeThroughRetunes) { RetuneLockstep(false); }
+
+TEST(Determinism, EventQueueBackendsAgreeThroughRetunesWithRearms) { RetuneLockstep(true); }
+
+// Re-arm case by case: a pending id at its own time with and without a
+// later-sequenced event at that time, moves ahead of the minimum and within
+// the queue, stale (fired, cancelled, inert) ids, and a copy of a re-armed id.
+// A re-armed event must sort exactly where a cancel and a fresh schedule put
+// it: behind everything scheduled at its time before the re-arm.
+TEST(Determinism, EventQueueBackendsAgreeOnEachRearmCase) {
+  Lockstep q;
+  Lockstep::Ids a = q.Schedule(Us(1));  // Tag 0.
+  Lockstep::Ids b = q.Schedule(Us(1));  // Tag 1.
+  a = q.Rearm(a, Us(1));                // Tag 2: moves behind tag 1.
+  Lockstep::Ids c = q.Schedule(Us(2));  // Tag 3.
+  c = q.Rearm(c, Us(2));                // Tag 4: last at its time, stays put.
+  Lockstep::Ids d = q.Schedule(Us(2));  // Tag 5: behind tag 4.
+  Lockstep::Ids e = q.Schedule(Us(3));  // Tag 6.
+  Lockstep::Ids e_copy = e;
+  e = q.Rearm(e, Us(1) / 2);            // Tag 7: the new minimum.
+  ASSERT_TRUE(q.Cancel(e_copy));        // Stale in both: a no-op.
+  Lockstep::Ids f = q.Schedule(Us(5));  // Tag 8.
+  f = q.Rearm(f, Us(4));                // Tag 9: moves earlier.
+  ASSERT_TRUE(q.SizesAgree());
+
+  TimeNs now = 0;
+  uint64_t tag = 0;
+  ASSERT_TRUE(q.Pop(&now, &tag));
+  ASSERT_TRUE(q.Pop(&now, &tag));
+  ASSERT_EQ(tag, 1u);
+  b = q.Rearm(b, Us(2));  // Tag 10: b fired, so this schedules anew.
+  ASSERT_TRUE(q.Cancel(d));
+  d = q.Rearm(d, Us(2));                // Tag 11: cancelled, schedules anew.
+  q.Rearm(Lockstep::Ids{}, Us(3));      // Tag 12: inert, schedules anew.
+  ASSERT_TRUE(q.SizesAgree());
+  while (!q.empty()) {
+    ASSERT_TRUE(q.Pop(&now, &tag));
+  }
+  EXPECT_TRUE(q.FiredSequencesAgree());
+  EXPECT_EQ(q.fired(), (std::vector<uint64_t>{7, 1, 2, 4, 10, 11, 12, 9}));
+  // A re-arm of a pending event counts one cancel and one schedule; of a
+  // stale id, one schedule.
+  EXPECT_EQ(q.calendar().stats().schedules, 13u);
+  EXPECT_EQ(q.calendar().stats().cancels, 5u);
+}
+
+// Randomized re-arms of pending and stale ids, to their own time, to another
+// event's time and to fresh times, on a coarse time grid so that times
+// collide, while the ring grows (phase 0) and while it drains (phase 1).
+TEST(Determinism, EventQueueBackendsAgreeOverRandomizedRearms) {
+  Lockstep q;
+  Rng rng(0x4EA4Dull);
+  std::vector<Lockstep::Ids> ids;  // Pending and stale alike.
+  TimeNs now = 0;
+  auto some = [&] {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1));
+  };
+  auto on_grid = [&] { return now + rng.UniformTime(0, 200) * 1000; };
+  // Per phase, the roll cuts below which an op schedules, re-arms, cancels;
+  // the rest pop.
+  constexpr int kCuts[2][3] = {{60, 80, 85}, {2, 22, 30}};
+  uint64_t resizes = 0;
+  for (int phase = 0; phase < 2; ++phase) {
+    for (int op = 0; op < 60000; ++op) {
+      int roll = static_cast<int>(rng.UniformInt(0, 99));
+      if (ids.empty() || roll < kCuts[phase][0]) {
+        ids.push_back(q.Schedule(on_grid()));
+      } else if (roll < kCuts[phase][1]) {
+        size_t pick = some();
+        // The model's id keeps its time after it fired.
+        TimeNs when = ids[pick].oracle.time;
+        int64_t to = rng.UniformInt(0, 2);
+        if (to == 1) {
+          when = ids[some()].oracle.time;
+        } else if (to == 2) {
+          when = on_grid();
+        }
+        ids[pick] = q.Rearm(ids[pick], std::max(when, now));
+      } else if (roll < kCuts[phase][2]) {
+        size_t pick = some();
+        ASSERT_TRUE(q.Cancel(ids[pick])) << "phase " << phase << " op " << op;
+        ids[pick] = ids.back();
+        ids.pop_back();
+      } else if (!q.empty()) {
+        uint64_t tag = 0;
+        ASSERT_TRUE(q.Pop(&now, &tag)) << "phase " << phase << " op " << op;
+      }
+      ASSERT_TRUE(q.SizesAgree()) << "phase " << phase << " op " << op;
+    }
+    EXPECT_GT(q.calendar().stats().calendar_resizes, resizes) << "phase " << phase;
+    resizes = q.calendar().stats().calendar_resizes;
+  }
+  while (!q.empty()) {
+    uint64_t tag = 0;
+    ASSERT_TRUE(q.Pop(&now, &tag));
+  }
   EXPECT_TRUE(q.FiredSequencesAgree());
 }
 

@@ -38,6 +38,12 @@ class SetEventQueue {
     return cancelled;
   }
 
+  // A re-arm is a cancel followed by a schedule.
+  EventId Rearm(EventId id, TimeNs when, const Event& event) {
+    Cancel(id);
+    return Schedule(when, event);
+  }
+
   bool empty() const { return pending_.empty(); }
   size_t size() const { return pending_.size(); }
   TimeNs NextTime() const { return empty() ? kTimeNever : pending_.begin()->time; }

@@ -239,6 +239,108 @@ TEST(Machine, OverheadFraction) {
   EXPECT_DOUBLE_EQ(oh.Fraction(Ms(100), 2), 0.01);
 }
 
+// Replays one decision per PickNext and notes the event queue's schedule
+// count as each pick starts. A step may tickle its own PCPU from inside the
+// decision, as DP-WRAP does when a replan moves work.
+class ScriptedScheduler : public HostScheduler {
+ public:
+  struct Step {
+    Vcpu* next;
+    TimeNs run_until;
+    bool tickle = false;
+  };
+
+  std::string_view name() const override { return "scripted-test"; }
+  void VcpuInserted(Vcpu*) override {}
+  void VcpuWake(Vcpu*) override {}
+  ScheduleDecision PickNext(Pcpu* pcpu) override {
+    schedules_at_pick.push_back(machine_->sim()->queue_stats().schedules);
+    if (picks_ == script.size()) {
+      return {nullptr, kTimeNever};
+    }
+    const Step& step = script[picks_++];
+    if (step.tickle) {
+      pcpu->RequestReschedule();
+    }
+    return {step.next, step.run_until};
+  }
+
+  std::vector<Step> script;
+  std::vector<uint64_t> schedules_at_pick;
+
+ private:
+  size_t picks_ = 0;
+};
+
+// Notes when its VCPU is revoked.
+class RevokeClockClient : public HogClient {
+ public:
+  explicit RevokeClockClient(const Simulator* sim) : sim_(sim) {}
+  void OnVcpuRevoked(Vcpu* v) override {
+    HogClient::OnVcpuRevoked(v);
+    revoked_at.push_back(sim_->Now());
+  }
+  std::vector<TimeNs> revoked_at;
+
+ private:
+  const Simulator* sim_;
+};
+
+// One PCPU under a ScriptedScheduler, with one woken VCPU.
+struct ScriptedRig {
+  ScriptedRig() : machine(&sim, ZeroCostConfig(1)), client(&sim) {
+    auto owned = std::make_unique<ScriptedScheduler>();
+    sched = owned.get();
+    machine.SetScheduler(std::move(owned));
+    vcpu = machine.AddVm("vm")->AddVcpu();
+    vcpu->set_client(&client);
+    vcpu->Wake();
+  }
+
+  Simulator sim;
+  Machine machine;
+  ScriptedScheduler* sched = nullptr;
+  Vcpu* vcpu = nullptr;
+  RevokeClockClient client;
+};
+
+// A dispatch made while a reschedule is queued at the same instant arms no
+// slice-end timer: that reschedule fires first and re-decides. Here it lets
+// the VCPU continue to the same horizon, and the VCPU is revoked exactly
+// there.
+TEST(Machine, DispatchUnderQueuedRescheduleArmsNoSliceEnd) {
+  ScriptedRig rig;
+  rig.sched->script = {{rig.vcpu, Ms(1), /*tickle=*/true}, {rig.vcpu, Ms(1)}};
+  rig.machine.Start();
+  rig.sim.RunUntil(Ms(2));
+  ASSERT_EQ(rig.sched->schedules_at_pick.size(), 3u);
+  // Between the two picks at t=0: the tickle's reschedule and the grant.
+  EXPECT_EQ(rig.sched->schedules_at_pick[1] - rig.sched->schedules_at_pick[0], 2u);
+  EXPECT_EQ(rig.client.grants(), 1);
+  EXPECT_EQ(rig.client.revoked_at, std::vector<TimeNs>{Ms(1)});
+  EXPECT_EQ(rig.vcpu->total_runtime(), Ms(1));
+}
+
+// The same VCPU continues to the same horizon after another event was
+// scheduled at that instant: the re-armed slice end sorts behind it, exactly
+// as a cancelled and freshly scheduled one would, so that event still sees
+// the VCPU running.
+TEST(Machine, SliceEndRearmedToSameHorizonFiresAfterEventsScheduledSince) {
+  ScriptedRig rig;
+  rig.sched->script = {{rig.vcpu, Ms(1)}, {rig.vcpu, Ms(1)}};
+  Pcpu* pcpu = rig.machine.pcpu(0);
+  Vcpu* running_at_horizon = nullptr;
+  rig.sim.At(Us(500), [&] {
+    rig.sim.At(Ms(1), [&] { running_at_horizon = pcpu->current(); });
+    pcpu->RequestReschedule();
+  });
+  rig.machine.Start();
+  rig.sim.RunUntil(Ms(2));
+  ASSERT_EQ(rig.sched->schedules_at_pick.size(), 3u);
+  EXPECT_EQ(running_at_horizon, rig.vcpu);
+  EXPECT_EQ(rig.client.revoked_at, std::vector<TimeNs>{Ms(1)});
+}
+
 TEST(Machine, HotplugVcpuMidRun) {
   Rig rig(2, 1, Ms(1), ZeroCostConfig(2));
   rig.vm->vcpu(0)->Wake();
